@@ -31,6 +31,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="smd2cpn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -39,7 +49,7 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True, help="output .cpn path")
     p.add_argument("--dot", help="also write a DOT rendering")
-    p.add_argument("--event-capacity", type=int, default=1,
+    p.add_argument("--event-capacity", type=_at_least_one, default=1,
                    help="environment tokens per event (default 1)")
 
     p = sub.add_parser("check", help="validate an .smdl file")
@@ -47,15 +57,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="translate and explore the reachable markings")
     p.add_argument("input")
-    p.add_argument("--bound", type=int, default=100_000,
+    p.add_argument("--bound", type=_at_least_one, default=100_000,
                    help="exploration cap in distinct markings (default 100000)")
-    p.add_argument("--event-capacity", type=int, default=1)
+    p.add_argument("--event-capacity", type=_at_least_one, default=1)
 
     p = sub.add_parser("equiv", help="check trace equivalence against the translation")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=8,
+    p.add_argument("--depth", type=_at_least_one, default=8,
                    help="lockstep move bound (default 8)")
-    p.add_argument("--event-capacity", type=int, default=1)
+    p.add_argument("--event-capacity", type=_at_least_one, default=1)
     return parser
 
 

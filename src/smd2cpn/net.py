@@ -1,17 +1,29 @@
 """Coloured Petri net types, token-game semantics, and bounded exploration.
 
 Tokens are plain Python values: ``()`` for the unit colour, strings for
-enumeration values, ints, and tuples for products.  Markings map place ids
-to multisets (collections.Counter).  Input arcs carry patterns that bind
-variables against present tokens; output arcs carry expressions evaluated
-under the binding.  No symbolic solving: bindings are enumerated from the
-finite multiset contents.
+enumeration values, ints, and tuples for products.  Input arcs carry
+patterns that bind variables against present tokens; output arcs carry
+expressions evaluated under the binding.  No symbolic solving: bindings
+are enumerated from the finite multiset contents.
+
+The public `Marking` maps place ids to multisets (collections.Counter).
+The token game itself runs on each transition's `CompiledTransition`,
+which indexes its arcs once and reads a place's tokens as a tuple sorted
+by `token_sort_key`.  `enabled_bindings` and `fire` convert the places a
+transition touches to that form and back.  `explore` compiles the net
+once into a `CompiledNet` and builds no marking Counter until it
+returns: a marking is a tuple of (place id, sorted token tuple) pairs
+for the marked places only, in place-id order, which is canonical and
+so its own hashable key.  At each marking it tries only the candidate transitions:
+those without input places, and those whose watch place (the input
+place with the fewest consuming arcs, ties broken by id) is marked.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from . import expr as ex
@@ -260,7 +272,9 @@ class ColouredNet:
             for arc in self.arcs:
                 side = inputs if arc.orientation == PTOT else outputs
                 side.setdefault(arc.trans, []).append(arc)
-            cache = (stamp, inputs, outputs)
+            # the last entry holds compiled transitions, filled on demand
+            # by _compiled_transition
+            cache = (stamp, inputs, outputs, {})
             self._arc_cache = cache
         return cache
 
@@ -375,85 +389,232 @@ def binding_key(binding: dict) -> tuple:
     return tuple(sorted(binding.items(), key=lambda kv: (kv[0], token_sort_key(kv[1]))))
 
 
+def token_tuple(tokens: Counter) -> tuple:
+    """A place's multiset as a tuple sorted by `token_sort_key`, one entry
+    per copy; the form the compiled token game works on."""
+    return sort_tokens(tokens.elements())
+
+
+def _pattern_value(pattern: Pattern, binding: dict):
+    """The token an input pattern consumes once its variables are bound."""
+    if isinstance(pattern, PatLit):
+        return pattern.value
+    if isinstance(pattern, PatVar):
+        return binding[pattern.name]
+    if isinstance(pattern, PatTuple):
+        return tuple(_pattern_value(item, binding) for item in pattern.items)
+    raise TypeError(f"not a pattern: {pattern!r}")
+
+
+_BOUND_LATER = object()  # an arc whose token depends on the binding
+
+
+class CompiledTransition:
+    """One transition's arcs, indexed once for the token game.
+
+    The methods read and return token maps: place id -> sorted token tuple
+    (see `token_tuple`), where an absent place is empty.  Inputs whose
+    pattern has no variable, such as unit arcs, are a fixed token and
+    become count checks; only the others are matched against tokens.
+    """
+
+    __slots__ = ("id", "trans", "places", "adjacent", "inputs", "literals",
+                 "variables", "shared", "outputs")
+
+    def __init__(self, net: ColouredNet, trans: TransDef):
+        self.id = trans.id
+        self.trans = trans
+        # (place, pattern, token or _BOUND_LATER), in arc order
+        self.inputs = tuple(
+            (arc.place, arc.inscription,
+             _BOUND_LATER if pattern_variables(arc.inscription)
+             else _pattern_value(arc.inscription, {}))
+            for arc in net.input_arcs(trans.id))
+        by_place: dict[str, list] = {}
+        fixed: Counter = Counter()
+        for pid, pattern, token in self.inputs:
+            by_place.setdefault(pid, []).append(pattern)
+            if token is not _BOUND_LATER:
+                fixed[pid, token] += 1
+        self.places = tuple(by_place)  # distinct input places
+        self.literals = tuple((pid, token, n) for (pid, token), n in fixed.items())
+        self.variables = tuple((pid, pattern) for pid, pattern, token in self.inputs
+                               if token is _BOUND_LATER)
+        # places read by several arcs, at least one with variables: only
+        # there can a binding need more copies of a token than are present
+        varied = {pid for pid, _ in self.variables}
+        self.shared = tuple((pid, tuple(patterns)) for pid, patterns in by_place.items()
+                            if len(patterns) > 1 and pid in varied)
+        # (place, expression, token or _BOUND_LATER, colour set), in arc order
+        self.outputs = tuple(
+            (arc.place, arc.inscription,
+             arc.inscription.value if isinstance(arc.inscription, OutLit)
+             else _BOUND_LATER,
+             net.colour_of(arc.place))
+            for arc in net.output_arcs(trans.id))
+        self.adjacent = tuple(dict.fromkeys(
+            [pid for pid, _, _ in self.inputs] + [pid for pid, _, _, _ in self.outputs]))
+
+    def bindings(self, tokens: dict) -> list[tuple[tuple, dict]]:
+        """(binding_key, binding) for every binding under which the
+        transition may fire, in key order."""
+        for pid, token, copies in self.literals:
+            have = tokens.get(pid)
+            if not have or have.count(token) < copies:
+                return []
+        bindings = [{}]
+        for pid, pattern in self.variables:
+            have = tokens.get(pid)
+            if not have:
+                return []
+            # one candidate per distinct token: a binding fixes the token
+            # each arc takes, so no binding is produced twice
+            values = dict.fromkeys(have) if len(have) > 1 else have
+            bindings = [new for binding in bindings for value in values
+                        if (new := match(pattern, value, binding)) is not None]
+            if not bindings:
+                return []
+        if self.shared:
+            bindings = [b for b in bindings if self._enough_copies(tokens, b)]
+        guard = self.trans.guard
+        if guard is not None:
+            bindings = [b for b in bindings if ex.eval_bool(guard, b)]
+        keyed = [(binding_key(b), b) for b in bindings]
+        if len(keyed) > 1:
+            keyed.sort(key=itemgetter(0))
+        return keyed
+
+    def _enough_copies(self, tokens: dict, binding: dict) -> bool:
+        for pid, patterns in self.shared:
+            need = [_pattern_value(pattern, binding) for pattern in patterns]
+            have = tokens[pid]
+            if any(have.count(token) < need.count(token) for token in need):
+                return False
+        return True
+
+    def apply(self, tokens: dict, binding: dict) -> dict:
+        """The token tuples of the places the firing changes, empty where
+        it empties one.  The guard is not evaluated here.  Raises
+        NotEnabledError for a missing input token and NetError for a
+        produced token outside its place's colour."""
+        changed: dict[str, tuple] = {}
+        for pid, pattern, token in self.inputs:
+            if token is _BOUND_LATER:
+                token = _pattern_value(pattern, binding)
+            have = changed[pid] if pid in changed else tokens.get(pid, ())
+            try:
+                at = have.index(token)
+            except ValueError:
+                raise NotEnabledError(f"{self.id}: no token {token!r} in {pid}") from None
+            changed[pid] = have[:at] + have[at + 1:]
+        for pid, out, token, colour in self.outputs:
+            if token is _BOUND_LATER:
+                token = evaluate(out, binding)
+            if not colour.contains(token):
+                raise NetError(f"{self.id}: produced {token!r} outside the colour "
+                               f"of {pid}")
+            have = changed[pid] if pid in changed else tokens.get(pid, ())
+            changed[pid] = sort_tokens(have + (token,)) if have else (token,)
+        return changed
+
+
+def _compiled_transition(net: ColouredNet, trans_id: str) -> CompiledTransition:
+    """The compiled form of one transition, kept with the net's arc index and
+    rebuilt when the arcs change or the transition is replaced."""
+    cache = net._arc_index()[3]
+    trans = net.transitions[trans_id]
+    compiled = cache.get(trans_id)
+    if compiled is None or compiled.trans is not trans:
+        compiled = cache[trans_id] = CompiledTransition(net, trans)
+    return compiled
+
+
 def enabled_bindings(net: ColouredNet, marking: Marking, trans_id: str) -> list[dict]:
     """All variable bindings under which the transition may fire, in a
     canonical deterministic order."""
-    trans = net.transitions[trans_id]
-    inputs = net.input_arcs(trans_id)
-    for arc in inputs:  # cheap rejection before any matching work
-        tokens = marking.get(arc.place)
+    trans = _compiled_transition(net, trans_id)
+    for pid in trans.places:  # cheap rejection before any matching work
+        tokens = marking.get(pid)
         if not tokens or not any(n > 0 for n in tokens.values()):
             return []
-    bindings = [{}]
-    for arc in inputs:
-        tokens = marking.get(arc.place)
-        values = sort_tokens(v for v, n in tokens.items() if n > 0)
-        extended = []
-        for binding in bindings:
-            for value in values:
-                new = match(arc.inscription, value, binding)
-                if new is not None:
-                    extended.append(new)
-        bindings = extended
-        if not bindings:
-            return []
-    feasible = []
-    seen = set()
-    for binding in bindings:
-        key = binding_key(binding)
-        if key in seen:
-            continue
-        seen.add(key)
-        demand: dict[str, Counter] = {}
-        ok = True
-        for arc in inputs:
-            value = evaluate(_pattern_as_out(arc.inscription), binding)
-            demand.setdefault(arc.place, Counter())[value] += 1
-        for pid, need in demand.items():
-            have = marking.get(pid, Counter())
-            if any(have.get(v, 0) < n for v, n in need.items()):
-                ok = False
-                break
-        if ok and trans.guard is not None:
-            ok = ex.eval_bool(trans.guard, binding)
-        if ok:
-            feasible.append(binding)
-    feasible.sort(key=binding_key)
-    return feasible
-
-
-def _pattern_as_out(pattern: Pattern) -> OutExpr:
-    if isinstance(pattern, PatLit):
-        return OutLit(pattern.value)
-    if isinstance(pattern, PatVar):
-        return OutVar(pattern.name)
-    if isinstance(pattern, PatTuple):
-        return OutTuple(tuple(_pattern_as_out(i) for i in pattern.items))
-    raise TypeError(f"not a pattern: {pattern!r}")
+    tokens = {pid: token_tuple(marking[pid]) for pid in trans.places}
+    return [binding for _, binding in trans.bindings(tokens)]
 
 
 def fire(net: ColouredNet, marking: Marking, trans_id: str, binding: dict) -> Marking:
     """Fire the transition under the binding; places not adjacent to it are
-    untouched.  Raises NotEnabledError when the binding is not enabled."""
-    trans = net.transitions[trans_id]
-    if trans.guard is not None and not ex.eval_bool(trans.guard, binding):
+    untouched (their Counters are shared with `marking`, not copied).
+    Raises NotEnabledError when the binding is not enabled."""
+    trans = _compiled_transition(net, trans_id)
+    guard = trans.trans.guard
+    if guard is not None and not ex.eval_bool(guard, binding):
         raise NotEnabledError(f"{trans_id}: guard is false under {binding}")
-    new = {pid: Counter(tokens) for pid, tokens in marking.items()}
-    for arc in net.input_arcs(trans_id):
-        value = evaluate(_pattern_as_out(arc.inscription), binding)
-        have = new.get(arc.place, Counter())
-        if have.get(value, 0) < 1:
-            raise NotEnabledError(f"{trans_id}: no token {value!r} in {arc.place}")
-        have[value] -= 1
-        new[arc.place] = have
-    for arc in net.output_arcs(trans_id):
-        value = evaluate(arc.inscription, binding)
-        colour = net.colour_of(arc.place)
-        if not colour.contains(value):
-            raise NetError(f"{trans_id}: produced {value!r} outside the colour "
-                           f"of {arc.place}")
-        new.setdefault(arc.place, Counter())[value] += 1
-    return normalise_marking(new)
+    changed = trans.apply({pid: token_tuple(marking[pid])
+                           for pid in trans.adjacent if pid in marking}, binding)
+    new = {pid: counter for pid, counter in marking.items() if pid not in changed}
+    # a caller's marking may hold empty entries; the result never does
+    if not all(counter and min(counter.values()) > 0 for counter in new.values()):
+        new = normalise_marking(new)
+    new.update((pid, Counter(tokens)) for pid, tokens in changed.items() if tokens)
+    return new
+
+
+class CompiledNet:
+    """A net prepared once for exploration.
+
+    A compact marking is a tuple of (place id, token tuple) pairs for the
+    marked places only, in place-id order; equal markings have equal
+    compact forms, so a compact marking is its own hashable key.
+
+    Each transition watches one input place: the one with the fewest
+    consuming arcs, ties broken by id.  A transition whose watch place is
+    empty cannot fire, so the candidates at a marking are the transitions
+    without inputs plus those whose watch place is marked.
+    """
+
+    def __init__(self, net: ColouredNet):
+        self.transitions = [_compiled_transition(net, tid)
+                            for tid in sorted(net.transitions)]
+        consumers = Counter(arc.place for arc in net.arcs if arc.orientation == PTOT)
+        self.unwatched: list[int] = []  # positions of transitions without inputs
+        self.watchers: dict[str, list[int]] = {}
+        for position, trans in enumerate(self.transitions):
+            if trans.places:
+                watch = min(trans.places, key=lambda pid: (consumers[pid], pid))
+                self.watchers.setdefault(watch, []).append(position)
+            else:
+                self.unwatched.append(position)
+
+    @staticmethod
+    def compact(marking: Marking) -> tuple:
+        return tuple(sorted((pid, tokens) for pid, counter in marking.items()
+                            if (tokens := token_tuple(counter))))
+
+    @staticmethod
+    def expand(compact: tuple) -> Marking:
+        return {pid: Counter(tokens) for pid, tokens in compact}
+
+    def candidates(self, compact: tuple) -> list[CompiledTransition]:
+        """The transitions that may be enabled, in id order."""
+        positions = list(self.unwatched)
+        for pid, _ in compact:
+            positions.extend(self.watchers.get(pid, ()))
+        positions.sort()
+        return [self.transitions[p] for p in positions]
+
+    def successors(self, compact: tuple):
+        """(transition id, binding key, successor) for every enabled
+        binding, transitions in id order and bindings in key order."""
+        tokens = dict(compact)
+        for trans in self.candidates(compact):
+            for key, binding in trans.bindings(tokens):
+                new = tokens.copy()
+                for pid, after in trans.apply(tokens, binding).items():
+                    if after:
+                        new[pid] = after
+                    else:
+                        del new[pid]
+                yield trans.id, key, tuple(sorted(new.items()))
 
 
 @dataclass
@@ -475,32 +636,31 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     in id order and bindings in canonical order, so equal nets yield
     identical graphs.  Every listed state is fully expanded; `truncated`
     reports whether some discovered successor had to be dropped.
+
+    The search runs on a `CompiledNet`: it keys markings by their compact
+    form and tries only the watch-place candidates at each marking.  Each
+    discovered state is expanded into a public `Marking` once, at the end.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    start = normalise_marking(marking if marking is not None
-                              else net.initial_marking())
-    index = {marking_key(start): 0}
-    states = [start]
+    compiled = CompiledNet(net)
+    start = compiled.compact(marking if marking is not None else net.initial_marking())
+    index = {start: 0}
+    found = [start]
     edges = []
     truncated = False
-    queue = deque([0])
-    order = sorted(net.transitions)
-    while queue:
-        current = queue.popleft()
-        m = states[current]
-        for tid in order:
-            for binding in enabled_bindings(net, m, tid):
-                succ = fire(net, m, tid, binding)
-                key = marking_key(succ)
-                target = index.get(key)
-                if target is None:
-                    if len(states) >= bound:
-                        truncated = True
-                        continue
-                    target = len(states)
-                    index[key] = target
-                    states.append(succ)
-                    queue.append(target)
-                edges.append((current, tid, binding_key(binding), target))
-    return ReachabilityGraph(states=states, edges=edges, truncated=truncated)
+    current = 0
+    while current < len(found):
+        for tid, key, succ in compiled.successors(found[current]):
+            target = index.get(succ)
+            if target is None:
+                if len(found) >= bound:
+                    truncated = True
+                    continue
+                target = len(found)
+                index[succ] = target
+                found.append(succ)
+            edges.append((current, tid, key, target))
+        current += 1
+    return ReachabilityGraph(states=[compiled.expand(m) for m in found],
+                             edges=edges, truncated=truncated)

@@ -10,7 +10,6 @@ independent routes that can disagree when one of them is wrong.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -241,8 +240,8 @@ class NetRunner:
         self.chain_bound = 2 * len(net.transitions) + 4
 
     def stable_leaf(self, marking) -> Optional[str]:
-        tokens = [(pid, n) for pid in self.control
-                  for n in [sum(marking.get(pid, Counter()).values())] if n]
+        tokens = [(pid, n) for pid in self.control.intersection(marking)
+                  for n in [sum(marking[pid].values())] if n]
         if len(tokens) != 1 or tokens[0][1] != 1:
             return None
         pid = tokens[0][0]
@@ -306,6 +305,11 @@ class SafetyResult:
     violations: list[str] = field(default_factory=list)
 
 
+def _token_count(marking, pid: str) -> int:
+    tokens = marking.get(pid)
+    return sum(tokens.values()) if tokens else 0
+
+
 def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
                          bound: int = 100_000) -> SafetyResult:
     """Explore the net and confirm the single-locus invariants: exactly one
@@ -315,15 +319,15 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
     control = tmap.control_places()
     violations = []
     for index, marking in enumerate(graph.states):
-        total = sum(sum(marking.get(pid, Counter()).values()) for pid in control)
+        total = sum(sum(marking[pid].values()) for pid in control.intersection(marking))
         if total != 1:
             violations.append(f"state {index}: {total} control tokens")
         if tmap.vars_place is not None:
-            n = sum(marking.get(tmap.vars_place, Counter()).values())
+            n = _token_count(marking, tmap.vars_place)
             if n != 1:
                 violations.append(f"state {index}: {n} tokens on VARS")
         for composite, pid in tmap.history_place.items():
-            n = sum(marking.get(pid, Counter()).values())
+            n = _token_count(marking, pid)
             if n != 1:
                 violations.append(f"state {index}: {n} tokens on history place of {composite}")
     return SafetyResult(ok=not violations, explored=len(graph.states),

@@ -72,6 +72,22 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "flat.smdl", "--bound", "0"),
+    ("equiv", "flat.smdl", "--depth", "0"),
+    ("translate", "flat.smdl", "-o", "out.cpn", "--event-capacity", "0"),
+    ("simulate", "flat.smdl", "--event-capacity", "0"),
+    ("equiv", "flat.smdl", "--event-capacity", "-1"),
+])
+def test_out_of_range_options_are_usage_errors(tmp_path, capsys, models_dir, argv):
+    argv = [str(models_dir / a) if a.endswith(".smdl") else a for a in argv]
+    argv = [str(tmp_path / a) if a.endswith(".cpn") else a for a in argv]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("usage error:") and "at least 1" in stderr
+    assert not (tmp_path / "out.cpn").exists()
+
+
 def test_simulate_reports_reachability_and_safety(capsys, models_dir):
     code, stdout, stderr = run_cli(capsys, "simulate",
                                    str(models_dir / "flat.smdl"))

@@ -11,6 +11,10 @@ from smd2cpn.net import (
     enabled_bindings, explore, fire, marking_key, normalise_marking,
 )
 from smd2cpn.oracle import enabled_transitions, initial_configuration, inject
+from smd2cpn.translator import TranslationConfig, translate
+
+from conftest import CORPUS
+from modelgen import balanced_machine, chain_machine
 
 
 def unit_net():
@@ -25,6 +29,13 @@ def test_vacuous_transition_has_empty_binding():
     assert enabled_bindings(net, {}, "t") == [{}]
 
 
+def bindings_via_explore(net, marking, trans_id):
+    """The bindings `explore` fires from the start marking."""
+    graph = explore(net, marking)
+    return [dict(key) for source, tid, key, _ in graph.edges
+            if source == 0 and tid == trans_id]
+
+
 def test_guard_failure_blocks_binding():
     net = ColouredNet(name="n")
     net.colours["INT"] = IntCS()
@@ -32,7 +43,8 @@ def test_guard_failure_blocks_binding():
     net.add_transition(TransDef("t", "t",
                                 guard=ex.Cmp(">", ex.VarRead("x"), ex.IntLit(5))))
     net.add_arc("p", "t", PTOT, PatVar("x"))
-    assert enabled_bindings(net, net.initial_marking(), "t") == []
+    for bindings in (enabled_bindings, bindings_via_explore):
+        assert bindings(net, net.initial_marking(), "t") == []
 
 
 def test_binding_join_across_arcs():
@@ -53,9 +65,10 @@ def test_multiset_demand_needs_enough_copies():
     net.add_transition(TransDef("t", "t"))
     net.add_arc("p", "t", PTOT, PatVar("x"))
     net.add_arc("p", "t", PTOT, PatVar("y"))
-    assert enabled_bindings(net, net.initial_marking(), "t") == []
     two = {"p": Counter({7: 2})}
-    assert enabled_bindings(net, two, "t") == [{"x": 7, "y": 7}]
+    for bindings in (enabled_bindings, bindings_via_explore):
+        assert bindings(net, net.initial_marking(), "t") == []
+        assert bindings(net, two, "t") == [{"x": 7, "y": 7}]
 
 
 def test_fire_moves_token_and_checks_enabledness():
@@ -93,6 +106,8 @@ def test_output_outside_colour_raises():
     net.add_arc("q", "t", TTOP, OutVar("x"))  # int token into an enum place
     with pytest.raises(NetError):
         fire(net, net.initial_marking(), "t", {"x": 1})
+    with pytest.raises(NetError):
+        explore(net)
 
 
 def test_product_patterns_and_computed_outputs():
@@ -240,3 +255,52 @@ def test_cd_reachable_count_matches_frozen_hand_values(corpus_nets, expectations
     assert len(graph.edges) == expectations["flat"]["reachable_edges"]
     net3, _ = corpus_nets["nested3"]
     assert explore(net3).state_count == expectations["nested3"]["reachable_states"]
+
+
+# ---------------------------------------------------------------------------
+# explore against a breadth-first search over the public token game
+
+
+def reference_explore(net, bound):
+    """BFS that only uses `enabled_bindings`, `fire` and `marking_key`:
+    (state keys, edges, truncated) in explore's numbering."""
+    start = normalise_marking(net.initial_marking())
+    states, index = [start], {marking_key(start): 0}
+    edges, truncated = [], False
+    current = 0
+    while current < len(states):
+        marking = states[current]
+        for tid in sorted(net.transitions):
+            for binding in enabled_bindings(net, marking, tid):
+                succ = fire(net, marking, tid, binding)
+                key = marking_key(succ)
+                target = index.get(key)
+                if target is None:
+                    if len(states) >= bound:
+                        truncated = True
+                        continue
+                    target = index[key] = len(states)
+                    states.append(succ)
+                edges.append((current, tid, tuple(sorted(binding.items())), target))
+        current += 1
+    return [marking_key(m) for m in states], edges, truncated
+
+
+SYNTHETIC = {"chain-20": lambda: chain_machine(20),
+             "balanced-3x2": lambda: balanced_machine(3, 2)}
+REFERENCE_CASES = [(name, capacity) for name in CORPUS for capacity in (1, 2)]
+REFERENCE_CASES += [(name, 1) for name in SYNTHETIC]
+
+
+@pytest.mark.parametrize("name, capacity", REFERENCE_CASES,
+                         ids=[f"{n}@{c}" for n, c in REFERENCE_CASES])
+def test_explore_matches_reference_bfs(corpus_models, name, capacity):
+    model = SYNTHETIC[name]() if name in SYNTHETIC else corpus_models[name]
+    net, _ = translate(model, TranslationConfig(event_capacity=capacity))
+    # cdplayer@2 has 183,708 markings; a cap keeps the truncation path covered
+    bound = 3000 if (name, capacity) == ("cdplayer", 2) else 100_000
+    graph = explore(net, bound=bound)
+    keys, edges, truncated = reference_explore(net, bound)
+    assert [marking_key(m) for m in graph.states] == keys
+    assert graph.edges == edges
+    assert graph.truncated == truncated == (bound == 3000)
