@@ -4,6 +4,8 @@ The XML writer targets the CPN Tools 4 document layout (single page).
 Graphical attribute defaults below are the template copied from a document
 saved by CPN Tools itself.  The reader accepts exactly the subset this
 writer produces, for round-trip checking; it is not a general .cpn loader.
+It reads inscriptions and guards with expr's lexer, token cursor and
+expression parser in the SML dialect.
 Output is byte-deterministic: nodes are emitted in natural id order, so
 insertion order never shows.
 """
@@ -319,75 +321,25 @@ def emit_cpn_xml(net: ColouredNet,
 # XML reader (round-trip subset)
 
 
-def _lex_inscription(text: str):
-    """Tokens for the SML-flavoured inscription/guard syntax."""
-    tokens = []
-    i, n = 0, len(text)
-    col = 1
-    ops = ("<>", "<=", ">=", "(", ")", ",", "<", ">", "=", "+", "-", "*", "~")
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], (1, col)))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], (1, col)))
-            col += j - i
-            i = j
-            continue
-        for op in ops:
-            if text.startswith(op, i):
-                tokens.append(("op", op, (1, col)))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            raise CpnParseError(f"bad character {c!r} in inscription {text!r}")
-    return tokens
+def _read_sml(text: str, parse, what: str):
+    """`parse(cursor)` over all of `text`, lexed in the SML dialect; syntax
+    errors become CpnParseError."""
+    try:
+        cur = ex.TokenStream(ex.tokenize(text, "sml"), "sml")
+        value = parse(cur)
+        cur.expect_end()
+    except ex.ExprSyntaxError as err:
+        raise CpnParseError(f"bad {what}: {err} in {text!r}") from None
+    return value
 
 
-class _TokenCursor:
-    def __init__(self, tokens, source):
-        self.tokens = tokens
-        self.i = 0
-        self.source = source
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else ("eof", "", None)
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, text):
-        kind, t, _ = self.peek()
-        if kind == "eof" or t != text:
-            raise CpnParseError(f"expected {text!r} in {self.source!r}")
-        return self.next()
-
-
-def _parse_value(cur: _TokenCursor, colour, net: ColouredNet, as_pattern: bool):
+def _parse_value(cur: ex.TokenStream, colour, net: ColouredNet, as_pattern: bool):
     if isinstance(colour, UnitCS):
         cur.expect("(")
         cur.expect(")")
         return PatLit(UNIT_TOKEN) if as_pattern else OutLit(UNIT_TOKEN)
     if isinstance(colour, EnumCS):
-        kind, text, _ = cur.next()
-        if kind != "ident":
-            raise CpnParseError(f"expected an enum value in {cur.source!r}")
+        text = cur.take("ident", "an enum value")
         if text in colour.values:
             return PatLit(text) if as_pattern else OutLit(text)
         return PatVar(text) if as_pattern else OutVar(text)
@@ -401,44 +353,21 @@ def _parse_value(cur: _TokenCursor, colour, net: ColouredNet, as_pattern: bool):
         cur.expect(")")
         return (PatTuple(tuple(items)) if as_pattern else OutTuple(tuple(items)))
     if isinstance(colour, IntCS):
-        if as_pattern:
-            kind, text, _ = cur.next()
-            if kind == "int":
-                return PatLit(int(text))
-            if kind == "op" and text == "~":
-                kind2, text2, _ = cur.next()
-                if kind2 != "int":
-                    raise CpnParseError(f"expected a digit after '~' in {cur.source!r}")
-                return PatLit(-int(text2))
-            if kind == "ident":
-                return PatVar(text)
-            raise CpnParseError(f"expected an int pattern in {cur.source!r}")
-        # output side: a full integer expression, greedily to a stopper
-        start = cur.i
-        depth = 0
-        while True:
-            kind, text, _ = cur.peek()
-            if kind == "eof" or (depth == 0 and text in (",", ")")):
-                break
-            if text == "(":
-                depth += 1
-            elif text == ")":
-                depth -= 1
+        if not as_pattern:  # output side: a full integer expression
+            return normalise_out(ex.parse_int(cur))
+        kind, text, _ = cur.peek()
+        if kind == "ident":
             cur.next()
-        try:
-            body = ex.parse_int(cur.tokens[start:cur.i], "sml")
-        except ex.ExprSyntaxError as err:
-            raise CpnParseError(f"bad integer expression in {cur.source!r}: {err}")
-        return normalise_out(body)
+            return PatVar(text)
+        negative = cur.accept("~")
+        value = int(cur.take("int", "an int pattern"))
+        return PatLit(-value if negative else value)
     raise CpnParseError(f"unsupported colour {colour!r}")
 
 
 def _parse_inscription(text: str, colour, net: ColouredNet, as_pattern: bool):
-    cur = _TokenCursor(_lex_inscription(text), text)
-    value = _parse_value(cur, colour, net, as_pattern)
-    if cur.peek()[0] != "eof":
-        raise CpnParseError(f"trailing tokens in inscription {text!r}")
-    return value
+    return _read_sml(text, lambda cur: _parse_value(cur, colour, net, as_pattern),
+                     "inscription")
 
 
 def _parse_marking(text: str, colour, net: ColouredNet) -> tuple:
@@ -535,10 +464,7 @@ def parse_cpn_xml(text: str) -> ColouredNet:
             body = cond.strip()
             if not (body.startswith("[") and body.endswith("]")):
                 raise CpnParseError(f"guard of {tid!r} is not bracketed: {cond!r}")
-            try:
-                guard = ex.parse_bool(_lex_inscription(body[1:-1]), "sml")
-            except ex.ExprSyntaxError as err:
-                raise CpnParseError(f"bad guard on {tid!r}: {err}")
+            guard = _read_sml(body[1:-1], ex.parse_bool, f"guard on {tid!r}")
         net.add_transition(TransDef(tid, element.findtext("text") or tid, guard=guard))
 
     for element in page.findall("arc"):
@@ -554,6 +480,8 @@ def parse_cpn_xml(text: str) -> ColouredNet:
         trans_id = trans_ref.get("idref")
         if place_id not in net.places:
             raise CpnParseError(f"arc {aid!r} references unknown place {place_id!r}")
+        if trans_id not in net.transitions:
+            raise CpnParseError(f"arc {aid!r} references unknown transition {trans_id!r}")
         annot = element.findtext("./annot/text") or "()"
         inscription = _parse_inscription(
             annot, net.colour_of(place_id), net, as_pattern=(orientation == PTOT))

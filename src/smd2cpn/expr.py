@@ -2,11 +2,14 @@
 
 Two concrete syntaxes are supported: the SMDL one (``and``/``or``/``not``,
 ``!=``) and an SML-flavoured one used inside emitted net documents
-(``andalso``/``orelse``, ``<>``, ``~`` for negative literals).
+(``andalso``/``orelse``, ``<>``, ``~`` for negative literals).  This module
+also holds the one lexer and token cursor for both dialects, which the SMDL
+reader (smdl.py) and the net-document reader (emit.py) parse with.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -198,62 +201,148 @@ def to_text(expr, dialect: str = "smdl") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parsing.  A small recursive-descent parser over a pre-tokenised stream;
-# smdl.py and emit.py feed it their own token lists.
+# Lexing.  One token language serves SMDL source with its embedded
+# expressions and the SML inscriptions and guards of net documents; the
+# dialects differ only in their operators and in whether `#` starts a comment.
+
+def _token_pattern(operators, comments: bool):
+    # Operators are tried in order, so a longer one precedes its prefixes.
+    # Digits are ASCII only.  The `word` group takes the runs of word
+    # characters that `ident` does not, such as `²`; see tokenize.
+    groups = [r"(?P<newline>\n[ \t\r]*)", r"(?P<space>[ \t\r]+)"]
+    if comments:
+        groups.append(r"(?P<comment>#[^\n]*)")
+    groups += [r"(?P<int>[0-9]+)", r"(?P<ident>[A-Za-z_]\w*)",
+               "(?P<op>" + "|".join(map(re.escape, operators)) + ")",
+               r"(?P<word>\w+)", r"(?P<bad>.)"]
+    return re.compile("|".join(groups))
+
+
+_TOKEN_PATTERNS = {
+    "smdl": _token_pattern((":=", "->", "<=", ">=", "!=", "{", "}", "(", ")", ":",
+                            ";", ",", ".", "/", "<", ">", "=", "+", "-", "*"),
+                           comments=True),
+    "sml": _token_pattern(("<>", "<=", ">=", "(", ")", ",", "<", ">", "=", "+",
+                           "-", "*", "~"), comments=False),
+}
+
+
+def tokenize(text: str, dialect: str) -> list:
+    """(kind, text, (line, column)) tuples with kind ident, int or op, then
+    one ("eof", "", position) token.  Positions are 1-based."""
+    tokens = []
+    line, line_start = 1, 0
+    for match in _TOKEN_PATTERNS[dialect].finditer(text):
+        kind = match.lastgroup
+        lexeme = match.group()
+        start = match.start()
+        if kind == "newline":
+            line += 1
+            line_start = start + 1
+            continue
+        if kind == "space" or kind == "comment":
+            continue
+        if kind == "word":  # an identifier starts with a letter or `_`
+            kind = "ident" if lexeme[0].isalpha() else "bad"
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {lexeme[0]!r}",
+                                  (line, start - line_start + 1))
+        tokens.append((kind, lexeme, (line, start - line_start + 1)))
+    tokens.append(("eof", "", (line, len(text) - line_start + 1)))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# Parsing.  A recursive-descent parser over a TokenStream.  The SMDL reader
+# and the net-document reader run it on their own streams: parse_bool and
+# parse_int read one expression at the cursor and leave the token after it,
+# such as a closing `)` or `,`, to the caller.
+
+#: deepest nesting of parentheses, `not` and unary minus that is accepted;
+#: keeps the recursive descent well inside Python's recursion limit
+MAX_NESTING = 100
 
 
 class ExprSyntaxError(ValueError):
-    def __init__(self, message: str, pos):
-        super().__init__(message)
+    """A syntax error at a (line, column) position, with what would have
+    been accepted there."""
+
+    def __init__(self, message: str, pos, expected=()):
+        self.message = message
         self.pos = pos
+        self.expected = tuple(expected)
+        if self.expected:
+            message += " (expected " + " or ".join(map(repr, self.expected)) + ")"
+        super().__init__(message)
 
 
-class _TokenStream:
-    """tokens: list of (kind, text, pos); kind in {'ident','int','op'}."""
+class TokenStream:
+    """A cursor over `tokenize` output.  Failures raise ExprSyntaxError at
+    the current token; callers turn it into their own error type."""
 
-    def __init__(self, tokens, dialect):
+    def __init__(self, tokens, dialect: str):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # nesting levels open, see MAX_NESTING
         self.lex = _DIALECTS[dialect]
 
-    def peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("eof", "", self.tokens[-1][2] if self.tokens else None)
+    def peek(self, ahead: int = 0):
+        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
 
     def next(self):
-        tok = self.peek()
-        self.i += 1
+        tok = self.tokens[self.i]
+        if tok[0] != "eof":
+            self.i += 1
         return tok
 
     def accept(self, text: str) -> bool:
-        kind, t, _ = self.peek()
-        if kind != "eof" and t == text:
+        # the eof token's text is empty, so it never matches
+        if self.tokens[self.i][1] == text:
             self.i += 1
             return True
         return False
 
-    def fail(self, expected: str):
-        kind, text, pos = self.peek()
-        shown = text if kind != "eof" else "end of input"
-        raise ExprSyntaxError(f"expected {expected}, found {shown!r}", pos)
+    def expect(self, text: str):
+        if self.tokens[self.i][1] != text:
+            self.fail(text)
+        self.i += 1
+
+    def take(self, kind: str, what: str) -> str:
+        """The text of the current token, which must be of the given kind."""
+        tok_kind, text, _ = self.tokens[self.i]
+        if tok_kind != kind:
+            self.fail(what)
+        self.i += 1
+        return text
+
+    def expect_end(self):
+        if self.tokens[self.i][0] != "eof":
+            self.fail("end of input")
+
+    def fail(self, *expected):
+        kind, text, pos = self.tokens[self.i]
+        found = "end of input" if kind == "eof" else repr(text)
+        raise ExprSyntaxError(f"found {found}", pos, expected)
+
+    def open(self):
+        """Step over a token that opens a nesting level; the parser closes
+        the level with `depth -= 1`."""
+        if self.depth >= MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels",
+                self.tokens[self.i][2])
+        self.depth += 1
+        self.i += 1
 
 
-def parse_bool(tokens, dialect: str = "smdl") -> BoolExpr:
-    """Parse a boolean expression from a complete token list."""
-    s = _TokenStream(tokens, dialect)
-    e = _parse_or(s)
-    if s.peek()[0] != "eof":
-        s.fail("end of expression")
-    return e
+def parse_bool(s: TokenStream) -> BoolExpr:
+    """Read one boolean expression at the cursor."""
+    return _parse_or(s)
 
 
-def parse_int(tokens, dialect: str = "smdl") -> IntExpr:
-    s = _TokenStream(tokens, dialect)
-    e = _parse_add(s)
-    if s.peek()[0] != "eof":
-        s.fail("end of expression")
-    return e
+def parse_int(s: TokenStream) -> IntExpr:
+    """Read one integer expression at the cursor."""
+    return _parse_add(s)
 
 
 def _parse_or(s):
@@ -271,8 +360,11 @@ def _parse_and(s):
 
 
 def _parse_not(s):
-    if s.accept(s.lex["not"]):
-        return Not(_parse_not(s))
+    if s.peek()[1] == s.lex["not"]:
+        s.open()
+        e = Not(_parse_not(s))
+        s.depth -= 1
+        return e
     return _parse_cmp(s)
 
 
@@ -288,15 +380,15 @@ def _parse_cmp(s):
     if text == "(":
         # could be a parenthesised boolean or the start of an int expression;
         # try boolean first, fall back on comparison of int expressions
-        mark = s.i
-        s.next()
+        mark = s.i, s.depth
+        s.open()
         try:
             inner = _parse_or(s)
-            if not s.accept(")"):
-                raise ExprSyntaxError("expected ')'", s.peek()[2])
+            s.expect(")")
+            s.depth -= 1
             return inner
         except ExprSyntaxError:
-            s.i = mark
+            s.i, s.depth = mark
     left = _parse_add(s)
     kind, text, _ = s.peek()
     if text in _CMP_OPS:
@@ -328,14 +420,15 @@ def _parse_mul(s):
 def _parse_atom(s):
     kind, text, pos = s.peek()
     if text == "(":
-        s.next()
+        s.open()
         e = _parse_add(s)
-        if not s.accept(")"):
-            s.fail("')'")
+        s.expect(")")
+        s.depth -= 1
         return e
     if text in ("-", "~"):
-        s.next()
+        s.open()
         inner = _parse_atom(s)
+        s.depth -= 1
         if isinstance(inner, IntLit):
             return IntLit(-inner.value)
         return BinOp("-", IntLit(0), inner)

@@ -42,110 +42,43 @@ class SmdlSyntaxError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}{suffix}")
 
 
-_PUNCT = (":=", "->", "<=", ">=", "!=", "{", "}", "(", ")", ":", ";", ",",
-          ".", "/", "<", ">", "=", "+", "-", "*")
-
-
 def tokenize(text: str):
-    """Yield (kind, text, (line, col)) tuples; kind in ident/kw/int/op."""
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = (line, col)
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(("kw" if word in KEYWORDS else "ident", word, start))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], start))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(("op", p, start))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise SmdlSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(("eof", "", (line, col)))
+    """(kind, text, (line, col)) tuples from the shared lexer in the SMDL
+    dialect, keywords marked as kind kw; the list ends with an eof token."""
+    try:
+        tokens = expr.tokenize(text, "smdl")
+    except expr.ExprSyntaxError as err:
+        raise _positioned(err) from None
+    for i, (_, word, pos) in enumerate(tokens):
+        if word in KEYWORDS:  # only identifiers can spell a keyword
+            tokens[i] = ("kw", word, pos)
     return tokens
 
 
-class _Parser:
+def _positioned(err: expr.ExprSyntaxError) -> SmdlSyntaxError:
+    line, col = err.pos
+    return SmdlSyntaxError(err.message, line, col, err.expected)
+
+
+class _Parser(expr.TokenStream):
+    """The SMDL grammar over a token stream; expressions are read by
+    expr.parse_bool and expr.parse_int on the same stream."""
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.i = 0
-
-    def peek(self, ahead: int = 0):
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
-
-    def fail(self, expected):
-        kind, text, (line, col) = self.peek()
-        found = "end of input" if kind == "eof" else repr(text)
-        raise SmdlSyntaxError(f"found {found}", line, col, expected)
-
-    def expect(self, text: str):
-        if self.peek()[1] == text and self.peek()[0] != "eof":
-            return self.advance()
-        self.fail([text])
-
-    def accept(self, text: str) -> bool:
-        if self.peek()[1] == text and self.peek()[0] != "eof":
-            self.advance()
-            return True
-        return False
-
-    def ident(self, what: str) -> str:
-        kind, text, _ = self.peek()
-        if kind == "ident":
-            self.advance()
-            return text
-        self.fail([what])
+        super().__init__(tokenize(text), "smdl")
 
     # -- grammar -------------------------------------------------------------
 
     def machine(self) -> StateMachine:
         self.expect("machine")
-        name = self.ident("machine name")
+        name = self.take("ident", "machine name")
         self.expect("{")
         states: list[StateNode] = []
         transitions: list[_RawTransition] = []
         variables: list[Variable] = []
         self.region_items(None, "", states, transitions, variables, top=True)
         self.expect("}")
-        if self.peek()[0] != "eof":
-            self.fail(["end of file"])
+        self.expect_end()
         return _assemble(name, states, transitions, variables)
 
     def region_items(self, parent, owner_name, states, transitions, variables, top):
@@ -154,7 +87,7 @@ class _Parser:
             if text == "state":
                 self.state_decl(parent, states, transitions, variables)
             elif text == "final":
-                self.advance()
+                self.next()
                 self.expect(";")
                 fid = f"{owner_name}.final"
                 states.append(StateNode(id=fid, name=fid, kind=FINAL, parent=parent))
@@ -167,21 +100,18 @@ class _Parser:
 
     def var_decl(self, variables):
         self.expect("var")
-        name = self.ident("variable name")
+        name = self.take("ident", "variable name")
         self.expect(":")
         self.expect("int")
         self.expect("=")
         negative = self.accept("-")
-        kind, text, _ = self.peek()
-        if kind != "int":
-            self.fail(["integer literal"])
-        self.advance()
+        text = self.take("int", "integer literal")
         self.expect(";")
         value = -int(text) if negative else int(text)
         variables.append(Variable(name, value))
 
     def behaviour(self, owner_id: str, role: str) -> Behaviour:
-        label = self.ident("behaviour label")
+        label = self.take("ident", "behaviour label")
         assignments = []
         # `{` opens an assignment block only when followed by `ident :=`;
         # otherwise it is the owner's child-state block
@@ -189,9 +119,9 @@ class _Parser:
                 and self.peek(2)[1] == ":="):
             self.expect("{")
             while True:
-                var = self.ident("variable name")
+                var = self.take("ident", "variable name")
                 self.expect(":=")
-                assignments.append((var, self.int_expr(("," , "}"))))
+                assignments.append((var, expr.parse_int(self)))
                 if not self.accept(","):
                     break
             self.expect("}")
@@ -200,7 +130,7 @@ class _Parser:
 
     def state_decl(self, parent, states, transitions, variables):
         self.expect("state")
-        name = self.ident("state name")
+        name = self.take("ident", "state name")
         is_initial = history = False
         entry = exit_ = do = None
         while True:
@@ -231,26 +161,24 @@ class _Parser:
 
     def trans_decl(self, transitions):
         self.expect("trans")
-        tid = self.ident("transition id")
+        tid = self.take("ident", "transition id")
         self.expect(":")
-        source = self.ident("source state")
+        source = self.take("ident", "source state")
         self.expect("->")
-        target = self.ident("target state")
+        target = self.take("ident", "target state")
         suffix = None
         if self.accept("."):
-            kind, text, _ = self.peek()
-            if text in ("H", "F"):
-                self.advance()
-                suffix = text
-            else:
-                self.fail(["H", "F"])
+            suffix = self.peek()[1]
+            if suffix not in ("H", "F"):
+                self.fail("H", "F")
+            self.next()
         trigger = None
         if self.accept("on"):
-            trigger = self.ident("event name")
+            trigger = self.take("ident", "event name")
         guard = None
         if self.accept("if"):
             self.expect("(")
-            guard = self.bool_expr()
+            guard = expr.parse_bool(self)
             self.expect(")")
         effect = None
         if self.accept("/"):
@@ -258,43 +186,6 @@ class _Parser:
         self.expect(";")
         transitions.append(_RawTransition(tid, source, target, suffix,
                                           trigger, guard, effect))
-
-    # -- expression embedding --------------------------------------------------
-
-    def _expr_tokens(self, stoppers):
-        """Slice tokens up to an unnested stopper; parens may nest."""
-        start = self.i
-        depth = 0
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "eof":
-                self.fail(list(stoppers))
-            if depth == 0 and text in stoppers:
-                break
-            if text == "(":
-                depth += 1
-            elif text == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            self.advance()
-        return self.tokens[start:self.i]
-
-    def bool_expr(self):
-        tokens = self._expr_tokens((")",))
-        try:
-            return expr.parse_bool(tokens, "smdl")
-        except expr.ExprSyntaxError as err:
-            line, col = err.pos if err.pos else self.peek()[2]
-            raise SmdlSyntaxError(str(err), line, col) from None
-
-    def int_expr(self, stoppers):
-        tokens = self._expr_tokens(stoppers)
-        try:
-            return expr.parse_int(tokens, "smdl")
-        except expr.ExprSyntaxError as err:
-            line, col = err.pos if err.pos else self.peek()[2]
-            raise SmdlSyntaxError(str(err), line, col) from None
 
 
 @dataclass
@@ -336,7 +227,10 @@ def parse(text: str) -> StateMachine:
     Only syntax is checked here; run statemachine.validate for the
     structural invariants.
     """
-    return _Parser(text).machine()
+    try:
+        return _Parser(text).machine()
+    except expr.ExprSyntaxError as err:
+        raise _positioned(err) from None
 
 
 # ---------------------------------------------------------------------------

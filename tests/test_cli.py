@@ -60,6 +60,16 @@ def test_check_rejects_syntax_error_with_position(tmp_path, capsys):
     assert "line 1" in stderr
 
 
+def test_check_rejects_deep_guard_with_position(tmp_path, capsys):
+    deep = tmp_path / "deep.smdl"
+    guard = "(" * 2000 + "x < 1" + ")" * 2000
+    deep.write_text("machine M {\n  var x : int = 0 ;\n  state S initial ;\n"
+                    f"  trans t : S -> S if ( {guard} ) ;\n}}\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "check", str(deep))
+    assert code == 2 and stdout == ""
+    assert "line 4, column 125" in stderr and "nested deeper" in stderr
+
+
 def test_missing_input_file(capsys):
     code, _, stderr = run_cli(capsys, "check", "/nonexistent.smdl")
     assert code == 2 and "cannot read" in stderr

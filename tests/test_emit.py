@@ -1,9 +1,11 @@
 import itertools
 import math
 from collections import Counter
+from xml.sax.saxutils import escape
 
 import pytest
 
+from smd2cpn import expr as ex
 from smd2cpn.emit import (
     CpnParseError, emit_cpn_xml, emit_dot, layout, parse_cpn_xml,
 )
@@ -134,6 +136,36 @@ def test_unsupported_colour_declaration_rejected():
 </block></globbox><page id="pg"><pageattr name="x"/></page></cpnet></workspaceElements>"""
     with pytest.raises(CpnParseError):
         parse_cpn_xml(document)
+
+
+def test_arc_to_unknown_transition_rejected():
+    net = tiny_net()
+    net.add_transition(TransDef("t", "t"))
+    net.add_arc("p", "t", PTOT, PatLit(UNIT_TOKEN))
+    document = emit_cpn_xml(net)
+    assert parse_cpn_xml(document) == net
+    dangling = document.replace('<transend idref="t"/>', '<transend idref="u"/>')
+    assert dangling != document
+    with pytest.raises(CpnParseError, match="unknown transition 'u'"):
+        parse_cpn_xml(dangling)
+
+
+def _guarded_document(guard_text):
+    net = tiny_net()
+    net.add_transition(TransDef("t", "t", guard=ex.Cmp("<", ex.VarRead("x"), ex.IntLit(1))))
+    document = emit_cpn_xml(net)
+    assert parse_cpn_xml(document) == net
+    assert "<text>[x &lt; 1]</text>" in document
+    return document.replace("[x &lt; 1]", escape(f"[{guard_text}]"))
+
+
+@pytest.mark.parametrize("guard", [
+    "x < \u00b2",
+    "(" * 2000 + "x < 1" + ")" * 2000,
+], ids=["non-ascii-digit", "nested-2000"])
+def test_bad_guard_text_rejected(guard):
+    with pytest.raises(CpnParseError, match="bad guard on 't'"):
+        parse_cpn_xml(_guarded_document(guard))
 
 
 def test_layout_missing_node_rejected():

@@ -5,14 +5,19 @@ import pytest
 from smd2cpn import expr as ex
 
 
+def parse_all(parse, text, dialect="smdl"):
+    stream = ex.TokenStream(ex.tokenize(text, dialect), dialect)
+    e = parse(stream)
+    stream.expect_end()
+    return e
+
+
 def smdl_bool(text):
-    from smd2cpn.smdl import tokenize
-    return ex.parse_bool(tokenize(text)[:-1], "smdl")
+    return parse_all(ex.parse_bool, text)
 
 
 def smdl_int(text):
-    from smd2cpn.smdl import tokenize
-    return ex.parse_int(tokenize(text)[:-1], "smdl")
+    return parse_all(ex.parse_int, text)
 
 
 def test_arithmetic_precedence():
@@ -82,19 +87,10 @@ def test_print_parse_round_trip(dialect):
     for _ in range(150):
         e = _random_bool_expr(rng, 3)
         text = ex.to_text(e, dialect)
-        lexer = _lex_for(dialect)
-        parsed = ex.parse_bool(lexer(text), dialect)
+        parsed = parse_all(ex.parse_bool, text, dialect)
         env = {"x": 2, "y": -1, "z": 7}
         assert ex.eval_bool(parsed, env) == ex.eval_bool(e, env)
         assert ex.to_text(parsed, dialect) == text  # printing is a fixpoint
-
-
-def _lex_for(dialect):
-    if dialect == "smdl":
-        from smd2cpn.smdl import tokenize
-        return lambda text: tokenize(text)[:-1]
-    from smd2cpn.emit import _lex_inscription
-    return _lex_inscription
 
 
 def test_sml_dialect_lexemes():

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import CORPUS, load_model
 from smd2cpn import smdl
+from smd2cpn.expr import MAX_NESTING
 from smd2cpn.smdl import SmdlSyntaxError, parse, print_model
 from smd2cpn.statemachine import (
     COMPOSITE, FINAL, SIMPLE, Behaviour, StateMachine, StateNode, Transition,
@@ -60,6 +61,51 @@ def test_errors_carry_positions(text):
     with pytest.raises(SmdlSyntaxError) as err:
         parse(text)
     assert err.value.line >= 1 and err.value.column >= 1
+
+
+def test_expression_error_reports_offending_token():
+    text = "machine M {\n  trans t : A -> B if ( x < ) ;\n}\n"
+    with pytest.raises(SmdlSyntaxError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (2, 29)  # the `)` after `<`
+
+
+@pytest.mark.parametrize("text, column", [
+    ("machine M { var x : int = \u00b2 ; }", 27),
+    ("machine M { trans t : A -> B if ( x < \u00b2 ) ; }", 39),
+    ("machine M { trans t : A -> B if ( x < 1\u0663 ) ; }", 40),
+])
+def test_non_ascii_digits_rejected(text, column):
+    with pytest.raises(SmdlSyntaxError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert "unexpected character" in str(err.value)
+
+
+# kind: (text before the nesting, one opener, innermost text, one closer)
+_NESTERS = {"paren": ("", "(", "x < 1", ")"),
+            "not": ("", "not ", "x < 1", ""),
+            "minus": ("x < ", "-", "1", "")}
+
+
+def _nested_guard(kind, depth):
+    before, opener, inner, closer = _NESTERS[kind]
+    body = before + opener * depth + inner + closer * depth
+    # the body starts on line 4, column 25
+    return ("machine M {\n  var x : int = 0 ;\n  state S initial ;\n"
+            f"  trans t : S -> S if ( {body} ) ;\n}}\n")
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTERS))
+def test_expression_nesting_is_bounded(kind):
+    assert validate(parse(_nested_guard(kind, MAX_NESTING))).ok
+    with pytest.raises(SmdlSyntaxError) as err:
+        parse(_nested_guard(kind, 2000))
+    before, opener, _, _ = _NESTERS[kind]
+    # reported at the opener of the first level too many
+    column = 25 + len(before) + MAX_NESTING * len(opener)
+    assert (err.value.line, err.value.column) == (4, column)
+    assert "nested deeper" in str(err.value)
 
 
 def test_comments_are_ignored():
