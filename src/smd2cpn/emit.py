@@ -199,9 +199,19 @@ def _collect_variables(net: ColouredNet) -> dict[str, str]:
     return out
 
 
-def _posattr(position, pad: str) -> str:
+def _graphics(position, pad: str) -> str:
+    """Position plus the fill/line/text attribute template, one per line."""
     x, y = position
-    return f'{pad}<posattr x="{x:.6f}" y="{y:.6f}"/>'
+    return (f'{pad}<posattr x="{x:.6f}" y="{y:.6f}"/>\n'
+            f"{pad}{FILLATTR}\n{pad}{LINEATTR}\n{pad}{TEXTATTR}")
+
+
+def _label(tag: str, label_id: str, position, text: str) -> str:
+    """A node's inscription element: type, initmark, cond or annot."""
+    return (f"        <{tag} id={quoteattr(label_id)}>\n"
+            f"{_graphics(position, '          ')}\n"
+            f"          <text>{escape(text)}</text>\n"
+            f"        </{tag}>")
 
 
 def emit_cpn_xml(net: ColouredNet,
@@ -239,51 +249,31 @@ def emit_cpn_xml(net: ColouredNet,
         place = net.places[pid]
         x, y = positions[pid]
         out.append(f"      <place id={quoteattr(pid)}>")
-        out.append(_posattr((x, y), "        "))
-        out.append("        " + FILLATTR)
-        out.append("        " + LINEATTR)
-        out.append("        " + TEXTATTR)
+        out.append(_graphics((x, y), "        "))
         out.append(f"        <text>{escape(place.name)}</text>")
         out.append(f'        <ellipse w="{PLACE_W:.6f}" h="{PLACE_H:.6f}"/>')
         out.append('        <token x="-10.000000" y="0.000000"/>')
         out.append('        <marking x="0.000000" y="0.000000" hidden="false"/>')
-        out.append(f'        <type id={quoteattr(pid + "_type")}>')
-        out.append(_posattr((x + PLACE_W / 2 + 10, y - PLACE_H / 2), "          "))
-        out.append("          " + FILLATTR)
-        out.append("          " + LINEATTR)
-        out.append("          " + TEXTATTR)
-        out.append(f"          <text>{escape(place.colour)}</text>")
-        out.append("        </type>")
+        out.append(_label("type", pid + "_type",
+                          (x + PLACE_W / 2 + 10, y - PLACE_H / 2), place.colour))
         if place.initial:
-            out.append(f'        <initmark id={quoteattr(pid + "_init")}>')
-            out.append(_posattr((x + PLACE_W / 2 + 10, y + PLACE_H / 2), "          "))
-            out.append("          " + FILLATTR)
-            out.append("          " + LINEATTR)
-            out.append("          " + TEXTATTR)
-            out.append(f"          <text>{escape(marking_text(place.initial))}</text>")
-            out.append("        </initmark>")
+            out.append(_label("initmark", pid + "_init",
+                              (x + PLACE_W / 2 + 10, y + PLACE_H / 2),
+                              marking_text(place.initial)))
         out.append("      </place>")
 
     for tid in sorted(net.transitions, key=_natural_key):
         trans = net.transitions[tid]
         x, y = positions[tid]
         out.append(f'      <trans id={quoteattr(tid)} explicit="false">')
-        out.append(_posattr((x, y), "        "))
-        out.append("        " + FILLATTR)
-        out.append("        " + LINEATTR)
-        out.append("        " + TEXTATTR)
+        out.append(_graphics((x, y), "        "))
         out.append(f"        <text>{escape(trans.name)}</text>")
         out.append(f'        <box w="{TRANS_W:.6f}" h="{TRANS_H:.6f}"/>')
         out.append('        <binding x="7.200000" y="-3.000000"/>')
         if trans.guard is not None:
-            guard_text = "[" + ex.to_text(trans.guard, "sml") + "]"
-            out.append(f'        <cond id={quoteattr(tid + "_cond")}>')
-            out.append(_posattr((x - TRANS_W / 2 - 10, y - TRANS_H / 2 - 6), "          "))
-            out.append("          " + FILLATTR)
-            out.append("          " + LINEATTR)
-            out.append("          " + TEXTATTR)
-            out.append(f"          <text>{escape(guard_text)}</text>")
-            out.append("        </cond>")
+            out.append(_label("cond", tid + "_cond",
+                              (x - TRANS_W / 2 - 10, y - TRANS_H / 2 - 6),
+                              "[" + ex.to_text(trans.guard, "sml") + "]"))
         out.append("      </trans>")
 
     for arc in sorted(net.arcs, key=lambda a: _natural_key(a.id)):
@@ -292,20 +282,12 @@ def emit_cpn_xml(net: ColouredNet,
         mid = ((px + tx) / 2, (py + ty) / 2)
         out.append(f"      <arc id={quoteattr(arc.id)}"
                    f' orientation="{arc.orientation}" order="1">')
-        out.append(_posattr(mid, "        "))
-        out.append("        " + FILLATTR)
-        out.append("        " + LINEATTR)
-        out.append("        " + TEXTATTR)
+        out.append(_graphics(mid, "        "))
         out.append("        " + ARROWATTR)
         out.append(f"        <transend idref={quoteattr(arc.trans)}/>")
         out.append(f"        <placeend idref={quoteattr(arc.place)}/>")
-        out.append(f'        <annot id={quoteattr(arc.id + "_annot")}>')
-        out.append(_posattr(mid, "          "))
-        out.append("          " + FILLATTR)
-        out.append("          " + LINEATTR)
-        out.append("          " + TEXTATTR)
-        out.append(f"          <text>{escape(inscription_text(arc.inscription))}</text>")
-        out.append("        </annot>")
+        out.append(_label("annot", arc.id + "_annot", mid,
+                          inscription_text(arc.inscription)))
         out.append("      </arc>")
 
     out.append("    </page>")
@@ -379,13 +361,9 @@ def _parse_marking(text: str, colour, net: ColouredNet) -> tuple:
         if "`" not in chunk:
             raise CpnParseError(f"missing multiplicity in marking {text!r}")
         count_text, value_text = chunk.split("`", 1)
-        try:
-            count = int(count_text.strip())
-        except ValueError:
-            raise CpnParseError(f"bad multiplicity in marking {text!r}")
+        count = int(_read_sml(count_text, lambda cur: cur.take("int", "a multiplicity"),
+                              "multiplicity in marking"))
         parsed = _parse_inscription(value_text.strip(), colour, net, as_pattern=True)
-        if not isinstance(parsed, (PatLit, PatTuple)):
-            raise CpnParseError(f"marking value may not bind variables: {text!r}")
         value = _literal_value(parsed, text)
         tokens.extend([value] * count)
     return tuple(sorted(tokens, key=token_sort_key))
@@ -414,6 +392,14 @@ def _parse_colour_decl(element) -> tuple[str, object]:
     if product is not None:
         return name, tuple(v.text or "" for v in product.findall("id"))  # resolved later
     raise CpnParseError(f"unsupported colour declaration {name!r}")
+
+
+def _node_id(net: ColouredNet, element) -> str:
+    """The id of a place or trans element, which no earlier node may have."""
+    nid = element.get("id")
+    if nid in net.places or nid in net.transitions:
+        raise CpnParseError(f"duplicate node id {nid!r} in <{element.tag}>")
+    return nid
 
 
 def parse_cpn_xml(text: str) -> ColouredNet:
@@ -446,7 +432,7 @@ def parse_cpn_xml(text: str) -> ColouredNet:
         net.colours[cname] = ProductCS(tuple(components))
 
     for element in page.findall("place"):
-        pid = element.get("id")
+        pid = _node_id(net, element)
         colour_name = element.findtext("./type/text")
         if colour_name is None or colour_name not in net.colours:
             raise CpnParseError(f"place {pid!r} has no usable colour")
@@ -457,7 +443,7 @@ def parse_cpn_xml(text: str) -> ColouredNet:
                                colour_name, initial))
 
     for element in page.findall("trans"):
-        tid = element.get("id")
+        tid = _node_id(net, element)
         guard = None
         cond = element.findtext("./cond/text")
         if cond:

@@ -5,7 +5,9 @@ observable steps).
 
 The interpreter is written directly against the model queries and never
 consults the translator's chain construction, so the two sides stay
-independent routes that can disagree when one of them is wrong.
+independent routes that can disagree when one of them is wrong.  What they
+share is model semantics only: `StateMachine.is_completion` and
+`StateMachine.boundaries`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,7 @@ from typing import Optional
 
 from . import expr as ex
 from . import net as cpn
-from .statemachine import (
-    COMPOSITE, FINAL, NO_HISTORY, SIMPLE,
-    StateMachine, Transition, validate,
-)
+from .statemachine import FINAL, NO_HISTORY, SIMPLE, StateMachine, Transition
 from .translator import TranslationMap
 
 
@@ -77,14 +76,8 @@ def initial_configuration(model: StateMachine) -> Configuration:
         pending=())
 
 
-def _is_completion(model: StateMachine, t: Transition) -> bool:
-    source = model.state(t.source)
-    return (t.trigger is None and source.kind == COMPOSITE
-            and model.final_child_of(t.source) is not None)
-
-
 def _source_enabled(model: StateMachine, t: Transition, active: str) -> bool:
-    if _is_completion(model, t):
+    if model.is_completion(t):
         return active == model.final_child_of(t.source)
     if model.state(active).kind != SIMPLE:
         return False  # a completed region only offers its completion transitions
@@ -109,17 +102,6 @@ def enabled_transitions(model: StateMachine,
     return out
 
 
-def _boundaries(model: StateMachine, t: Transition):
-    """Exit and entry boundary (both inclusive).  Ancestor-related ends
-    exit and re-enter the outer state; otherwise the boundaries are the
-    scope's children on either side."""
-    scope = model.lca(t.source, t.target)
-    if scope == t.source or scope == t.target:
-        return scope, scope
-    return (model.child_of_containing(scope, t.source),
-            model.child_of_containing(scope, t.target))
-
-
 def _apply(behaviour, valuation: dict):
     for var, rhs in behaviour.assignments:
         valuation[var] = ex.eval_int(rhs, valuation)
@@ -135,7 +117,7 @@ def step(model: StateMachine, config: Configuration,
         raise NotEnabledStepError(f"{transition_id} is not enabled")
     t = model.transitions_by_id[transition_id]
     x = config.active
-    eb, nb = _boundaries(model, t)
+    eb, nb = model.boundaries(t)
 
     valuation = config.valuation_dict()
     history = config.history_dict()
@@ -224,7 +206,6 @@ class NetRunner:
         self.tmap = tmap
         self.model = model
         self.control = tmap.control_places()
-        self.rest_places = set(tmap.state_place.values()) | set(tmap.final_place.values())
         self.leaf_of_place = {pid: sid for sid, pid in tmap.state_place.items()}
         for owner, pid in tmap.final_place.items():
             self.leaf_of_place[pid] = model.final_child_of(owner)

@@ -162,9 +162,6 @@ class StateMachine:
             return True
         return outer in self.ancestors_or_self(inner)
 
-    def depth(self, sid: str) -> int:
-        return len(self.ancestors_or_self(sid))
-
     def substates(self, sid: str) -> tuple[str, ...]:
         """All simple states in the subtree of `sid`, in document order.
 
@@ -230,6 +227,27 @@ class StateMachine:
         if idx == 0:
             raise NotAnAncestorError(f"{outer} is not a strict ancestor of {inner}")
         return path[idx - 1]
+
+    # -- transition semantics -------------------------------------------------
+
+    def is_completion(self, t: Transition) -> bool:
+        """Triggerless transition out of a composite whose region has a
+        final state: it fires once that region has completed."""
+        return (t.trigger is None and self.state(t.source).kind == COMPOSITE
+                and self.final_child_of(t.source) is not None)
+
+    def boundaries(self, t: Transition) -> tuple[str, str]:
+        """Exit / entry boundary states of the transition (both inclusive).
+
+        Incomparable source and target: the children of their least common
+        ancestor.  Ancestor-related (including self-transitions): the outer
+        state itself is exited and re-entered.
+        """
+        scope = self.lca(t.source, t.target)
+        if scope == t.source or scope == t.target:
+            return scope, scope
+        return (self.child_of_containing(scope, t.source),
+                self.child_of_containing(scope, t.target))
 
     def default_configuration(self, sid: Optional[str]) -> str:
         """Follow initial children from `sid` (None = root region) down to a

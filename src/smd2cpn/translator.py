@@ -2,9 +2,12 @@
 
 Three passes: states (places, do self-loops, event plumbing, behaviour
 occurrence transitions), transitions (dispatches, in-flight places, all
-wiring), and history pseudostates (restore fans).  A TranslationMap records
-what every model element became, so later tooling (equivalence checking,
-safety analysis) never reverse-engineers generated ids.
+wiring), and history pseudostates (restore fans).  Passes 1 and 2 each
+derive a transition's route from `StateMachine.is_completion`/`boundaries`,
+as the interpreter in `oracle` does; pass 2 lays every in-flight chain with
+`_wire_chain`.  A TranslationMap records what every model element became,
+so later tooling (equivalence checking, safety analysis) never
+reverse-engineers generated ids.
 
 Generated id scheme:
   P_<stateName>                 activity place of a simple state
@@ -20,7 +23,6 @@ Generated id scheme:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -84,33 +86,12 @@ class TranslationMap:
 
 @dataclass
 class _Route:
-    transition: Transition
     completion: bool
     sources: list[str]                     # dispatch origins (substates / final child)
     prefix: dict[str, tuple[Behaviour, ...]]   # per-source exit behaviours
-    shared: tuple[Behaviour, ...]          # effect + entry behaviours, firing order
+    shared: tuple[Behaviour, ...]          # behaviours after the split, firing order
     history_writes: dict[str, list[tuple[str, str]]]  # per-source (^H composite, value)
     end: tuple                             # ("state", leaf) | ("final", owner) | ("history", c)
-
-
-def _is_completion(model: StateMachine, t: Transition) -> bool:
-    source = model.state(t.source)
-    return (t.trigger is None and source.kind == COMPOSITE
-            and model.final_child_of(t.source) is not None)
-
-
-def _boundaries(model: StateMachine, t: Transition):
-    """Exit / entry boundary states of the transition (both inclusive).
-
-    Incomparable source and target: the children of their least common
-    ancestor.  Ancestor-related (including self-transitions): the outer
-    state itself is exited and re-entered.
-    """
-    scope = model.lca(t.source, t.target)
-    if scope == t.source or scope == t.target:
-        return scope, scope
-    return (model.child_of_containing(scope, t.source),
-            model.child_of_containing(scope, t.target))
 
 
 def _entry_side(model: StateMachine, t: Transition, nb: str):
@@ -132,42 +113,31 @@ def _history_writes(model: StateMachine, x: str, eb: str) -> list[tuple[str, str
     path = model.ancestors_or_self(x)
     path = path[: path.index(eb) + 1]
     for sid in path:
-        node = model.state(sid)
-        if node.has_history:
-            child = model.child_of_containing(sid, x) if sid != x else None
-            if child is None:
-                continue
-            child_node = model.state(child)
-            value = NO_HISTORY if child_node.kind == FINAL else child_node.name
-            writes.append((sid, value))
+        if sid != x and model.state(sid).has_history:
+            child = model.state(model.child_of_containing(sid, x))
+            writes.append((sid, NO_HISTORY if child.kind == FINAL else child.name))
     return writes
 
 
 def _route(model: StateMachine, t: Transition) -> _Route:
-    eb, nb = _boundaries(model, t)
+    """Dispatch sources and behaviour chains of one SMD transition.  A
+    completion's one source is its region's final state.  One source: exits,
+    effect and entries form the shared chain; several: each source's exits
+    are its own prefix.  Pure; passes 1 and 2 each compute it."""
+    eb, nb = model.boundaries(t)
     entries, end = _entry_side(model, t, nb)
     effect = (t.effect,) if t.effect is not None else ()
-    if _is_completion(model, t):
-        final_child = model.final_child_of(t.source)
-        exits = model.exit_chain(final_child, eb)
-        return _Route(
-            transition=t, completion=True, sources=[final_child],
-            prefix={}, shared=exits + effect + entries,
-            history_writes={final_child: _history_writes(model, final_child, eb)},
-            end=end)
-    sources = list(model.substates(t.source))
+    completion = model.is_completion(t)
+    sources = ([model.final_child_of(t.source)] if completion
+               else list(model.substates(t.source)))
+    exits = {x: model.exit_chain(x, eb) for x in sources}
     if len(sources) == 1:
-        x = sources[0]
-        return _Route(
-            transition=t, completion=False, sources=sources,
-            prefix={}, shared=model.exit_chain(x, eb) + effect + entries,
-            history_writes={x: _history_writes(model, x, eb)}, end=end)
-    return _Route(
-        transition=t, completion=False, sources=sources,
-        prefix={x: model.exit_chain(x, eb) for x in sources},
-        shared=effect + entries,
-        history_writes={x: _history_writes(model, x, eb) for x in sources},
-        end=end)
+        prefix, shared = {}, exits[sources[0]] + effect + entries
+    else:
+        prefix, shared = exits, effect + entries
+    return _Route(completion=completion, sources=sources, prefix=prefix,
+                  shared=shared, end=end,
+                  history_writes={x: _history_writes(model, x, eb) for x in sources})
 
 
 def _restore_branches(model: StateMachine, composite: str):
@@ -302,54 +272,49 @@ def translate_transitions(model: StateMachine, config: TranslationConfig,
         route = _route(model, t)
         nodes = tmap.transition_subnet.setdefault(t.id, [])
 
-        # shared tail: in-flight place before each shared behaviour transition
-        shared_entry = None  # where dispatches/prefixes deliver the token
-        previous = None      # (transition id, behaviour) awaiting its output
-        for k, b in enumerate(route.shared):
-            pid = f"P_{t.id}_{k}"
-            net.add_place(PlaceDef(pid, f"{t.id}#{k}", "UNIT", ()))
-            tmap.inflight.add(pid)
-            nodes.append(pid)
-            if shared_entry is None:
-                shared_entry = pid
-            tid = tmap.behaviour_trans[(t.id, "chain", k)]
-            net.add_arc(pid, tid, PTOT, PatLit(UNIT_TOKEN))
-            _wire_assignments(net, tid, b, var_order, tmap)
-            if previous is not None:
-                net.add_arc(pid, previous, TTOP, OutLit(UNIT_TOKEN))
-            previous = tid
-
+        # shared tail, ending on the route's end place
+        first, last = _wire_chain(net, tmap, nodes, route.shared, f"P_{t.id}_",
+                                  f"{t.id}#", (t.id, "chain"), var_order)
         end_place = _end_place(net, tmap, t, route.end, nodes)
-        if previous is not None:
-            net.add_arc(end_place, previous, TTOP, OutLit(UNIT_TOKEN))
-        tail_target = shared_entry if shared_entry is not None else end_place
+        if last is not None:
+            net.add_arc(end_place, last, TTOP, OutLit(UNIT_TOKEN))
+        tail = first or end_place
 
         for x in route.sources:
             dispatch = _add_dispatch(model, config, net, tmap, t, route, x, var_order)
             nodes.append(dispatch)
-            feed = tail_target
-            prefix = route.prefix.get(x, ())
-            if prefix:
-                # dispatch -> exit behaviours of x -> shared tail
-                first_pid = None
-                prev = None
-                for k, b in enumerate(prefix):
-                    pid = f"P_{t.id}__from_{x}_{k}"
-                    net.add_place(PlaceDef(pid, f"{t.id}:{x}#{k}", "UNIT", ()))
-                    tmap.inflight.add(pid)
-                    nodes.append(pid)
-                    if first_pid is None:
-                        first_pid = pid
-                    tid = tmap.behaviour_trans[(t.id, "from", x, k)]
-                    net.add_arc(pid, tid, PTOT, PatLit(UNIT_TOKEN))
-                    _wire_assignments(net, tid, b, var_order, tmap)
-                    if prev is not None:
-                        net.add_arc(pid, prev, TTOP, OutLit(UNIT_TOKEN))
-                    prev = tid
-                net.add_arc(tail_target, prev, TTOP, OutLit(UNIT_TOKEN))
-                feed = first_pid
-            net.add_arc(feed, dispatch, TTOP, OutLit(UNIT_TOKEN))
+            # dispatch -> exit behaviours of x, if split off -> shared tail
+            first, last = _wire_chain(net, tmap, nodes, route.prefix.get(x, ()),
+                                      f"P_{t.id}__from_{x}_", f"{t.id}:{x}#",
+                                      (t.id, "from", x), var_order)
+            if last is not None:
+                net.add_arc(tail, last, TTOP, OutLit(UNIT_TOKEN))
+            net.add_arc(first or tail, dispatch, TTOP, OutLit(UNIT_TOKEN))
     return net
+
+
+def _wire_chain(net: ColouredNet, tmap: TranslationMap, nodes: list[str],
+                behaviours: tuple[Behaviour, ...], pid_stem: str, name_stem: str,
+                key: tuple, var_order: list[str]) -> tuple[Optional[str], Optional[str]]:
+    """Wire the pass-1 occurrences `key + (k,)` of the behaviours into a
+    chain: each one consumes from a fresh in-flight place that its
+    predecessor feeds.  Returns (first in-flight place, last occurrence),
+    both None for an empty chain."""
+    first = last = None
+    for k, b in enumerate(behaviours):
+        pid = f"{pid_stem}{k}"
+        net.add_place(PlaceDef(pid, f"{name_stem}{k}", "UNIT", ()))
+        tmap.inflight.add(pid)
+        nodes.append(pid)
+        tid = tmap.behaviour_trans[key + (k,)]
+        net.add_arc(pid, tid, PTOT, PatLit(UNIT_TOKEN))
+        _wire_assignments(net, tid, b, var_order, tmap)
+        if last is None:
+            first = pid
+        else:
+            net.add_arc(pid, last, TTOP, OutLit(UNIT_TOKEN))
+        last = tid
+    return first, last
 
 
 def _end_place(net: ColouredNet, tmap: TranslationMap, t: Transition,

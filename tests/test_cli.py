@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from smd2cpn import cli
+from smd2cpn import cli, oracle
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +119,17 @@ def test_equiv_reports_equivalent(capsys, models_dir):
                                    "--depth", "5")
     assert code == 0 and stderr == ""
     assert stdout.strip() == "equivalent depth=5"
+
+
+def test_equiv_stabilisation_error_is_a_property_failure(capsys, monkeypatch, cd_path):
+    def stuck(*args, **kwargs):
+        raise oracle.StabilisationError("net did not stabilise within the chain bound")
+
+    monkeypatch.setattr(oracle, "check_trace_equivalence", stuck)
+    code, stdout, stderr = run_cli(capsys, "equiv", cd_path)
+    assert code == cli.EXIT_PROPERTY
+    assert stdout == ""
+    assert stderr == "error: net did not stabilise within the chain bound\n"
 
 
 def test_console_entry_point_smoke(tmp_path, cd_path):

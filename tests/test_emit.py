@@ -150,6 +150,30 @@ def test_arc_to_unknown_transition_rejected():
         parse_cpn_xml(dangling)
 
 
+@pytest.mark.parametrize("count", ["1_0", "\u0663"], ids=["underscore", "arabic-indic"])
+def test_marking_multiplicity_is_ascii_digits_only(count):
+    document = emit_cpn_xml(tiny_net())
+    assert "<text>1`()</text>" in document
+    with pytest.raises(CpnParseError, match="bad multiplicity in marking"):
+        parse_cpn_xml(document.replace("<text>1`()</text>", f"<text>{count}`()</text>"))
+
+
+def _with_transition():
+    net = tiny_net()
+    net.add_transition(TransDef("t", "t"))
+    return net
+
+
+@pytest.mark.parametrize("tag,node_id", [("place", "p"), ("trans", "t")])
+def test_duplicate_node_id_rejected(tag, node_id):
+    document = emit_cpn_xml(_with_transition())
+    start = document.index(f"      <{tag} id=")
+    end = document.index(f"</{tag}>", start) + len(f"</{tag}>\n")
+    doubled = document[:end] + document[start:end] + document[end:]
+    with pytest.raises(CpnParseError, match=f"duplicate node id '{node_id}' in <{tag}>"):
+        parse_cpn_xml(doubled)
+
+
 def _guarded_document(guard_text):
     net = tiny_net()
     net.add_transition(TransDef("t", "t", guard=ex.Cmp("<", ex.VarRead("x"), ex.IntLit(1))))

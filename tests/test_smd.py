@@ -210,6 +210,34 @@ def test_default_configuration_three_level_chain():
 # properties on random hierarchies
 
 
+def test_is_completion_only_for_triggerless_exit_of_completable_region(cd_model):
+    by_id = cd_model.transitions_by_id
+    assert cd_model.is_completion(by_id["t11"])
+    assert not cd_model.is_completion(by_id["t4"])
+
+
+@pytest.mark.parametrize("tid,expected", [
+    ("t2", ("PLAYING", "PAUSED")),
+    ("t9", ("PLAYING", "PLAYING")),
+    ("t4", ("Busy", "NONPLAYING")),
+    ("t7", ("NONPLAYING", "Busy")),      # history target
+    ("t10", ("PLAYING", "Busy.final")),  # into the final state of Busy
+])
+def test_boundaries_on_cd_player(cd_model, tid, expected):
+    assert cd_model.boundaries(cd_model.transitions_by_id[tid]) == expected
+
+
+def test_boundaries_parent_to_child_exit_and_reenter_the_parent():
+    machine = StateMachine(
+        name="M",
+        states=(node("outer", COMPOSITE, is_initial=True),
+                node("a", parent="outer", is_initial=True),
+                node("b", parent="outer")),
+        transitions=(Transition(id="t", source="outer", target="b"),))
+    assert validate(machine).ok
+    assert machine.boundaries(machine.transitions[0]) == ("outer", "outer")
+
+
 def test_queries_agree_with_brute_force():
     rng = random.Random(42)
     for _ in range(60):
