@@ -15,13 +15,14 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter, deque
+from typing import Optional
 from xml.sax.saxutils import escape, quoteattr
 
 from . import expr as ex
 from .net import (
-    UNIT_TOKEN, ArcDef, ColouredNet, EnumCS, IntCS, OutInt, OutLit, OutTuple,
-    OutVar, PatLit, PatTuple, PatVar, PlaceDef, ProductCS, TransDef, UnitCS,
-    PTOT, TTOP, normalise_out, token_sort_key,
+    UNIT_TOKEN, ArcDef, ColouredNet, EnumCS, IntCS, Marking, OutInt, OutLit,
+    OutTuple, OutVar, PatLit, PatTuple, PatVar, PlaceDef, ProductCS, TransDef,
+    UnitCS, PTOT, TTOP, normalise_out, token_sort_key,
 )
 
 # graphical attribute template (CPN Tools defaults)
@@ -394,11 +395,15 @@ def _parse_colour_decl(element) -> tuple[str, object]:
     raise CpnParseError(f"unsupported colour declaration {name!r}")
 
 
-def _node_id(net: ColouredNet, element) -> str:
-    """The id of a place or trans element, which no earlier node may have."""
+def _node_id(seen: set, element) -> str:
+    """The id of a place, trans or arc element, added to `seen`, the ids of
+    the elements read before it; the three share one namespace."""
     nid = element.get("id")
-    if nid in net.places or nid in net.transitions:
+    if nid is None:
+        raise CpnParseError(f"<{element.tag}> has no id")
+    if nid in seen:
         raise CpnParseError(f"duplicate node id {nid!r} in <{element.tag}>")
+    seen.add(nid)
     return nid
 
 
@@ -431,8 +436,9 @@ def parse_cpn_xml(text: str) -> ColouredNet:
             components.append(net.colours[ref])
         net.colours[cname] = ProductCS(tuple(components))
 
+    seen: set = set()
     for element in page.findall("place"):
-        pid = _node_id(net, element)
+        pid = _node_id(seen, element)
         colour_name = element.findtext("./type/text")
         if colour_name is None or colour_name not in net.colours:
             raise CpnParseError(f"place {pid!r} has no usable colour")
@@ -443,7 +449,7 @@ def parse_cpn_xml(text: str) -> ColouredNet:
                                colour_name, initial))
 
     for element in page.findall("trans"):
-        tid = _node_id(net, element)
+        tid = _node_id(seen, element)
         guard = None
         cond = element.findtext("./cond/text")
         if cond:
@@ -454,7 +460,7 @@ def parse_cpn_xml(text: str) -> ColouredNet:
         net.add_transition(TransDef(tid, element.findtext("text") or tid, guard=guard))
 
     for element in page.findall("arc"):
-        aid = element.get("id")
+        aid = _node_id(seen, element)
         orientation = element.get("orientation")
         if orientation not in (PTOT, TTOP):
             raise CpnParseError(f"arc {aid!r} has bad orientation {orientation!r}")
@@ -479,18 +485,16 @@ def parse_cpn_xml(text: str) -> ColouredNet:
 # DOT
 
 
-def emit_dot(net: ColouredNet, marking=None) -> str:
+def emit_dot(net: ColouredNet, marking: Optional[Marking] = None) -> str:
     """Places as ellipses, transitions as boxes; optional marking shown in
     place labels."""
     out = [f"digraph {_dot_id(net.name)} {{", "  rankdir=LR;"]
+    held = dict(marking or ())
     for pid in sorted(net.places, key=_natural_key):
         place = net.places[pid]
         label = place.name
-        if marking is not None:
-            tokens = marking.get(pid)
-            if tokens and sum(tokens.values()) > 0:
-                label += r"\n" + marking_text(sorted(tokens.elements(),
-                                                     key=token_sort_key))
+        if pid in held:
+            label += r"\n" + marking_text(held[pid])
         out.append(f"  {_dot_id(pid)} [shape=ellipse, label={_dot_id(label)}];")
     for tid in sorted(net.transitions, key=_natural_key):
         trans = net.transitions[tid]

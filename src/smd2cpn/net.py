@@ -6,17 +6,17 @@ patterns that bind variables against present tokens; output arcs carry
 expressions evaluated under the binding.  No symbolic solving: bindings
 are enumerated from the finite multiset contents.
 
-The public `Marking` maps place ids to multisets (collections.Counter).
-The token game itself runs on each transition's `CompiledTransition`,
-which indexes its arcs once and reads a place's tokens as a tuple sorted
-by `token_sort_key`.  `enabled_bindings` and `fire` convert the places a
-transition touches to that form and back.  `explore` compiles the net
-once into a `CompiledNet` and builds no marking Counter until it
-returns: a marking is a tuple of (place id, sorted token tuple) pairs
-for the marked places only, in place-id order, which is canonical and
-so its own hashable key.  At each marking it tries only the candidate transitions:
-those without input places, and those whose watch place (the input
-place with the fewest consuming arcs, ties broken by id) is marked.
+A `Marking` is a tuple of (place id, token tuple) pairs for the marked
+places only, in place-id order, each token tuple holding one entry per
+copy sorted by `token_sort_key`.  That form is canonical, so a marking is
+its own hashable key: `explore` uses markings as BFS keys and the
+equivalence check as bisimulation keys.  `marking_key` builds one from
+any place -> tokens mapping.  The token game runs on each transition's
+`CompiledTransition`, which indexes its arcs once and reads `dict(marking)`.
+`explore` compiles the net once into a `CompiledNet` and at each marking
+tries only the candidate transitions: those without input places, and
+those whose watch place (the input place with the fewest consuming arcs,
+ties broken by id) is marked.
 """
 
 from __future__ import annotations
@@ -286,13 +286,7 @@ class ColouredNet:
 
     def check(self):
         """Raise NetError on any violated structural invariant."""
-        ids = Counter()
-        for pid in self.places:
-            ids[pid] += 1
-        for tid in self.transitions:
-            ids[tid] += 1
-        for arc in self.arcs:
-            ids[arc.id] += 1
+        ids = Counter([*self.places, *self.transitions, *(arc.id for arc in self.arcs)])
         dupes = [i for i, n in ids.items() if n > 1]
         if dupes:
             raise NetError(f"duplicate ids: {sorted(dupes)}")
@@ -305,6 +299,10 @@ class ColouredNet:
                     raise NetError(f"place {place.id}: initial token {token!r} "
                                    f"outside colour {place.colour}")
         bound: dict[str, set[str]] = {tid: set() for tid in self.transitions}
+        # (transition, what reads, variables read), checked once all
+        # input patterns are known
+        reads = [(tid, "guard", ex.variables_of(trans.guard))
+                 for tid, trans in self.transitions.items() if trans.guard is not None]
         for arc in self.arcs:
             if arc.place not in self.places:
                 raise NetError(f"arc {arc.id}: unknown place {arc.place!r}")
@@ -320,17 +318,17 @@ class ColouredNet:
                 if not _out_fits(arc.inscription, colour):
                     raise NetError(f"arc {arc.id}: expression does not fit colour "
                                    f"{self.places[arc.place].colour}")
+                reads.append((arc.trans, f"output arc {arc.id}",
+                              _out_variables(arc.inscription)))
             else:
                 raise NetError(f"arc {arc.id}: bad orientation {arc.orientation!r}")
-        for tid, trans in self.transitions.items():
-            if trans.guard is not None:
-                free = ex.variables_of(trans.guard)
-                if not free <= bound[tid]:
-                    raise NetError(f"transition {tid}: guard reads unbound "
-                                   f"variables {sorted(free - bound[tid])}")
+        for tid, what, free in reads:
+            if not free <= bound[tid]:
+                raise NetError(f"transition {tid}: {what} reads unbound "
+                               f"variables {sorted(free - bound[tid])}")
 
     def initial_marking(self) -> "Marking":
-        return {pid: Counter(p.initial) for pid, p in self.places.items() if p.initial}
+        return marking_key({pid: p.initial for pid, p in self.places.items() if p.initial})
 
 
 def _pattern_fits(pattern, colour) -> bool:
@@ -344,6 +342,16 @@ def _pattern_fits(pattern, colour) -> bool:
                 and all(_pattern_fits(i, c)
                         for i, c in zip(pattern.items, colour.components)))
     return False
+
+
+def _out_variables(out) -> set[str]:
+    if isinstance(out, OutVar):
+        return {out.name}
+    if isinstance(out, OutInt):
+        return ex.variables_of(out.body)
+    if isinstance(out, OutTuple):
+        return set().union(*map(_out_variables, out.items))
+    return set()
 
 
 def _out_fits(out, colour) -> bool:
@@ -364,35 +372,22 @@ def _out_fits(out, colour) -> bool:
 # ---------------------------------------------------------------------------
 # Token game
 
-Marking = dict  # place id -> Counter of token values
+# ((place id, token tuple), ...): marked places only, in place-id order,
+# each token tuple sorted by `token_sort_key` with one entry per copy
+Marking = tuple
 
 
-def normalise_marking(marking: Marking) -> Marking:
-    return {pid: Counter({v: n for v, n in tokens.items() if n > 0})
-            for pid, tokens in marking.items()
-            if any(n > 0 for n in tokens.values())}
-
-
-def marking_key(marking: Marking):
-    """Canonical hashable form of a marking."""
-    items = []
-    for pid in sorted(marking):
-        tokens = marking[pid]
-        entries = tuple(sorted(((v, n) for v, n in tokens.items() if n > 0),
-                               key=lambda e: token_sort_key(e[0])))
-        if entries:
-            items.append((pid, entries))
-    return tuple(items)
+def marking_key(tokens_by_place) -> Marking:
+    """The canonical `Marking` of a place -> tokens mapping (one entry per
+    copy, in any order) or of (place id, tokens) pairs, such as a marking."""
+    if isinstance(tokens_by_place, dict):
+        tokens_by_place = tokens_by_place.items()
+    return tuple(sorted(((pid, tokens) for pid, values in tokens_by_place
+                         if (tokens := sort_tokens(values))), key=itemgetter(0)))
 
 
 def binding_key(binding: dict) -> tuple:
     return tuple(sorted(binding.items(), key=lambda kv: (kv[0], token_sort_key(kv[1]))))
-
-
-def token_tuple(tokens: Counter) -> tuple:
-    """A place's multiset as a tuple sorted by `token_sort_key`, one entry
-    per copy; the form the compiled token game works on."""
-    return sort_tokens(tokens.elements())
 
 
 def _pattern_value(pattern: Pattern, binding: dict):
@@ -412,14 +407,14 @@ _BOUND_LATER = object()  # an arc whose token depends on the binding
 class CompiledTransition:
     """One transition's arcs, indexed once for the token game.
 
-    The methods read and return token maps: place id -> sorted token tuple
-    (see `token_tuple`), where an absent place is empty.  Inputs whose
+    The methods read and return token maps: place id -> token tuple, as in
+    `dict(marking)`, where an absent place is empty.  Inputs whose
     pattern has no variable, such as unit arcs, are a fixed token and
     become count checks; only the others are matched against tokens.
     """
 
-    __slots__ = ("id", "trans", "places", "adjacent", "inputs", "literals",
-                 "variables", "shared", "outputs")
+    __slots__ = ("id", "trans", "places", "inputs", "literals", "variables",
+                 "shared", "outputs")
 
     def __init__(self, net: ColouredNet, trans: TransDef):
         self.id = trans.id
@@ -452,8 +447,6 @@ class CompiledTransition:
              else _BOUND_LATER,
              net.colour_of(arc.place))
             for arc in net.output_arcs(trans.id))
-        self.adjacent = tuple(dict.fromkeys(
-            [pid for pid, _, _ in self.inputs] + [pid for pid, _, _, _ in self.outputs]))
 
     def bindings(self, tokens: dict) -> list[tuple[tuple, dict]]:
         """(binding_key, binding) for every binding under which the
@@ -530,41 +523,37 @@ def _compiled_transition(net: ColouredNet, trans_id: str) -> CompiledTransition:
 
 
 def enabled_bindings(net: ColouredNet, marking: Marking, trans_id: str) -> list[dict]:
-    """All variable bindings under which the transition may fire, in a
-    canonical deterministic order."""
+    """All variable bindings under which the transition may fire at the
+    marking, in a canonical deterministic order."""
     trans = _compiled_transition(net, trans_id)
-    for pid in trans.places:  # cheap rejection before any matching work
-        tokens = marking.get(pid)
-        if not tokens or not any(n > 0 for n in tokens.values()):
-            return []
-    tokens = {pid: token_tuple(marking[pid]) for pid in trans.places}
-    return [binding for _, binding in trans.bindings(tokens)]
+    return [binding for _, binding in trans.bindings(dict(marking))]
 
 
 def fire(net: ColouredNet, marking: Marking, trans_id: str, binding: dict) -> Marking:
-    """Fire the transition under the binding; places not adjacent to it are
-    untouched (their Counters are shared with `marking`, not copied).
-    Raises NotEnabledError when the binding is not enabled."""
+    """The marking after firing the transition under the binding.  Raises
+    NotEnabledError when the binding is not enabled."""
     trans = _compiled_transition(net, trans_id)
     guard = trans.trans.guard
     if guard is not None and not ex.eval_bool(guard, binding):
         raise NotEnabledError(f"{trans_id}: guard is false under {binding}")
-    changed = trans.apply({pid: token_tuple(marking[pid])
-                           for pid in trans.adjacent if pid in marking}, binding)
-    new = {pid: counter for pid, counter in marking.items() if pid not in changed}
-    # a caller's marking may hold empty entries; the result never does
-    if not all(counter and min(counter.values()) > 0 for counter in new.values()):
-        new = normalise_marking(new)
-    new.update((pid, Counter(tokens)) for pid, tokens in changed.items() if tokens)
-    return new
+    tokens = dict(marking)
+    return _successor(tokens, trans.apply(tokens, binding))
+
+
+def _successor(tokens: dict, changed: dict) -> Marking:
+    """The marking `tokens` (a `dict(marking)`) becomes once the places in
+    `changed` hold their new token tuples."""
+    new = tokens.copy()
+    for pid, after in changed.items():
+        if after:
+            new[pid] = after
+        else:
+            del new[pid]
+    return tuple(sorted(new.items()))
 
 
 class CompiledNet:
-    """A net prepared once for exploration.
-
-    A compact marking is a tuple of (place id, token tuple) pairs for the
-    marked places only, in place-id order; equal markings have equal
-    compact forms, so a compact marking is its own hashable key.
+    """A net prepared once for the token game over many markings.
 
     Each transition watches one input place: the one with the fewest
     consuming arcs, ties broken by id.  A transition whose watch place is
@@ -585,36 +574,21 @@ class CompiledNet:
             else:
                 self.unwatched.append(position)
 
-    @staticmethod
-    def compact(marking: Marking) -> tuple:
-        return tuple(sorted((pid, tokens) for pid, counter in marking.items()
-                            if (tokens := token_tuple(counter))))
-
-    @staticmethod
-    def expand(compact: tuple) -> Marking:
-        return {pid: Counter(tokens) for pid, tokens in compact}
-
-    def candidates(self, compact: tuple) -> list[CompiledTransition]:
-        """The transitions that may be enabled, in id order."""
+    def candidates(self, marking: Marking) -> list[CompiledTransition]:
+        """The transitions that may be enabled at the marking, in id order."""
         positions = list(self.unwatched)
-        for pid, _ in compact:
+        for pid, _ in marking:
             positions.extend(self.watchers.get(pid, ()))
         positions.sort()
         return [self.transitions[p] for p in positions]
 
-    def successors(self, compact: tuple):
+    def successors(self, marking: Marking):
         """(transition id, binding key, successor) for every enabled
         binding, transitions in id order and bindings in key order."""
-        tokens = dict(compact)
-        for trans in self.candidates(compact):
+        tokens = dict(marking)
+        for trans in self.candidates(marking):
             for key, binding in trans.bindings(tokens):
-                new = tokens.copy()
-                for pid, after in trans.apply(tokens, binding).items():
-                    if after:
-                        new[pid] = after
-                    else:
-                        del new[pid]
-                yield trans.id, key, tuple(sorted(new.items()))
+                yield trans.id, key, _successor(tokens, trans.apply(tokens, binding))
 
 
 @dataclass
@@ -637,14 +611,14 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     identical graphs.  Every listed state is fully expanded; `truncated`
     reports whether some discovered successor had to be dropped.
 
-    The search runs on a `CompiledNet`: it keys markings by their compact
-    form and tries only the watch-place candidates at each marking.  Each
-    discovered state is expanded into a public `Marking` once, at the end.
+    The search runs on a `CompiledNet`, with markings as their own keys,
+    and tries only the watch-place candidates at each marking.  A given
+    start marking is made canonical with `marking_key` first.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     compiled = CompiledNet(net)
-    start = compiled.compact(marking if marking is not None else net.initial_marking())
+    start = net.initial_marking() if marking is None else marking_key(marking)
     index = {start: 0}
     found = [start]
     edges = []
@@ -662,5 +636,4 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
                 found.append(succ)
             edges.append((current, tid, key, target))
         current += 1
-    return ReachabilityGraph(states=[compiled.expand(m) for m in found],
-                             edges=edges, truncated=truncated)
+    return ReachabilityGraph(states=found, edges=edges, truncated=truncated)

@@ -198,6 +198,10 @@ class NetRunner:
     next stable marking the chain is deterministic; producers (environment
     injections) are fired only as explicit moves, and do self-loops are
     never taken (they are excluded from step labels on both sides).
+
+    At each marking only the net's watch-place candidates
+    (`CompiledNet.candidates`) are tried, since no other transition can
+    be enabled there.
     """
 
     def __init__(self, net: cpn.ColouredNet, tmap: TranslationMap,
@@ -205,6 +209,7 @@ class NetRunner:
         self.net = net
         self.tmap = tmap
         self.model = model
+        self.compiled = cpn.CompiledNet(net)
         self.control = tmap.control_places()
         self.leaf_of_place = {pid: sid for sid, pid in tmap.state_place.items()}
         for owner, pid in tmap.final_place.items():
@@ -220,28 +225,23 @@ class NetRunner:
         self.skip_in_chain = set(tmap.producer) | set(tmap.do_loop)
         self.chain_bound = 2 * len(net.transitions) + 4
 
-    def stable_leaf(self, marking) -> Optional[str]:
-        tokens = [(pid, n) for pid in self.control.intersection(marking)
-                  for n in [sum(marking[pid].values())] if n]
-        if len(tokens) != 1 or tokens[0][1] != 1:
+    def stable_leaf(self, marking: cpn.Marking) -> Optional[str]:
+        held = [(pid, len(tokens)) for pid, tokens in marking if pid in self.control]
+        if len(held) != 1 or held[0][1] != 1:
             return None
-        pid = tokens[0][0]
-        return self.leaf_of_place.get(pid)
+        return self.leaf_of_place.get(held[0][0])
 
-    def run_chain(self, marking) -> tuple[tuple[str, ...], dict]:
+    def run_chain(self, marking: cpn.Marking) -> tuple[tuple[str, ...], cpn.Marking]:
         """Fire the unique enabled chain transition until stable; the
         observable labels fired, in order."""
         labels: list[str] = []
         for _ in range(self.chain_bound):
             if self.stable_leaf(marking) is not None:
                 return tuple(labels), marking
-            candidates = []
-            for tid in sorted(self.net.transitions):
-                if tid in self.skip_in_chain:
-                    continue
-                bindings = cpn.enabled_bindings(self.net, marking, tid)
-                for binding in bindings:
-                    candidates.append((tid, binding))
+            candidates = [(trans.id, binding)
+                          for trans in self.compiled.candidates(marking)
+                          if trans.id not in self.skip_in_chain
+                          for binding in cpn.enabled_bindings(self.net, marking, trans.id)]
             if len(candidates) != 1:
                 raise StabilisationError(
                     f"{len(candidates)} chain transitions enabled mid-step "
@@ -253,9 +253,12 @@ class NetRunner:
                 labels.append(label)
         raise StabilisationError("net did not stabilise within the chain bound")
 
-    def step_moves(self, marking) -> list[tuple[StepLabel, dict]]:
+    def step_moves(self, marking: cpn.Marking) -> list[tuple[StepLabel, cpn.Marking]]:
         moves = []
-        for tid in sorted(self.tmap.dispatch):
+        for trans in self.compiled.candidates(marking):
+            tid = trans.id
+            if tid not in self.tmap.dispatch:
+                continue
             for binding in cpn.enabled_bindings(self.net, marking, tid):
                 after = cpn.fire(self.net, marking, tid, binding)
                 labels, final = self.run_chain(after)
@@ -264,7 +267,7 @@ class NetRunner:
                                         behaviours=labels, active=leaf), final))
         return moves
 
-    def injections(self, marking) -> list[tuple[str, dict]]:
+    def injections(self, marking: cpn.Marking) -> list[tuple[str, cpn.Marking]]:
         out = []
         for event in sorted(self.producer_of_event):
             tid = self.producer_of_event[event]
@@ -286,11 +289,6 @@ class SafetyResult:
     violations: list[str] = field(default_factory=list)
 
 
-def _token_count(marking, pid: str) -> int:
-    tokens = marking.get(pid)
-    return sum(tokens.values()) if tokens else 0
-
-
 def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
                          bound: int = 100_000) -> SafetyResult:
     """Explore the net and confirm the single-locus invariants: exactly one
@@ -300,15 +298,16 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
     control = tmap.control_places()
     violations = []
     for index, marking in enumerate(graph.states):
-        total = sum(sum(marking[pid].values()) for pid in control.intersection(marking))
+        tokens = dict(marking)
+        total = sum(len(tokens[pid]) for pid in control.intersection(tokens))
         if total != 1:
             violations.append(f"state {index}: {total} control tokens")
         if tmap.vars_place is not None:
-            n = _token_count(marking, tmap.vars_place)
+            n = len(tokens.get(tmap.vars_place, ()))
             if n != 1:
                 violations.append(f"state {index}: {n} tokens on VARS")
         for composite, pid in tmap.history_place.items():
-            n = _token_count(marking, pid)
+            n = len(tokens.get(pid, ()))
             if n != 1:
                 violations.append(f"state {index}: {n} tokens on history place of {composite}")
     return SafetyResult(ok=not violations, explored=len(graph.states),
@@ -364,68 +363,49 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
         smd_states[config] = moves
         return moves
 
-    marking_registry: dict = {}
-
-    def _register(marking):
-        key = cpn.marking_key(marking)
-        marking_registry[key] = marking
-        return key
-
-    def net_succ(mkey):
-        cached = net_states.get(mkey)
+    def net_succ(marking):
+        cached = net_states.get(marking)
         if cached is not None:
             return cached
-        marking = marking_registry[mkey]
         moves: dict = {}
         for event, after in runner.injections(marking):
-            moves.setdefault(("inject", event), set()).add(_register(after))
+            moves.setdefault(("inject", event), set()).add(after)
         for label, after in runner.step_moves(marking):
             moves.setdefault(("step", label.event, label.behaviours, label.active),
-                             set()).add(_register(after))
+                             set()).add(after)
         moves = {k: frozenset(v) for k, v in moves.items()}
-        net_states[mkey] = moves
+        net_states[marking] = moves
         return moves
 
     memo: dict = {}
 
-    def bisim(config, mkey, k) -> bool:
+    def bisim(config, marking, k) -> bool:
         # well-founded in k, so no cycle handling is needed
         if k == 0:
             return True
-        key = (config, mkey, k)
+        key = (config, marking, k)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        left, right = smd_succ(config), net_succ(mkey)
-        result = set(left) == set(right)
-        if result:
-            for label in left:
-                us, vs = left[label], right[label]
-                for u in us:
-                    if not any(bisim(u, v, k - 1) for v in vs):
-                        result = False
-                        break
-                if result:
-                    for v in vs:
-                        if not any(bisim(u, v, k - 1) for u in us):
-                            result = False
-                            break
-                if not result:
-                    break
+        left, right = smd_succ(config), net_succ(marking)
+        result = set(left) == set(right) and all(
+            all(any(bisim(u, v, k - 1) for v in right[label]) for u in left[label])
+            and all(any(bisim(u, v, k - 1) for u in left[label]) for v in right[label])
+            for label in left)
         memo[key] = result
         return result
 
     start_config = initial_configuration(model)
-    start_key = _register(cpn.normalise_marking(net.initial_marking()))
+    start_marking = net.initial_marking()
 
-    if bisim(start_config, start_key, depth):
+    if bisim(start_config, start_marking, depth):
         return EquivalenceResult(equivalent=True, pairs_checked=len(memo))
 
     fail_depth = next(k for k in range(1, depth + 1)
-                      if not bisim(start_config, start_key, k))
+                      if not bisim(start_config, start_marking, k))
 
-    def extract(config, mkey, k):
-        left, right = smd_succ(config), net_succ(mkey)
+    def extract(config, marking, k):
+        left, right = smd_succ(config), net_succ(marking)
         only_left = sorted(set(left) - set(right), key=repr)
         only_right = sorted(set(right) - set(left), key=repr)
         if only_left:
@@ -447,7 +427,7 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
         # all labels match pointwise yet the pair failed: should not happen
         raise AssertionError("divergence extraction lost the failing pair")
 
-    trace, side = extract(start_config, start_key, fail_depth)
+    trace, side = extract(start_config, start_marking, fail_depth)
     return EquivalenceResult(equivalent=False, counterexample=trace,
                              divergent_side=side, pairs_checked=len(memo))
 

@@ -48,8 +48,6 @@ class ModelInvalidError(ValueError):
 class TranslationConfig:
     #: environment-injectable tokens per event (closed-world analysis)
     event_capacity: int = 1
-    #: generate one producer transition per event
-    include_environment: bool = True
 
     def __post_init__(self):
         if self.event_capacity < 1:
@@ -202,17 +200,16 @@ def translate_states(model: StateMachine, config: TranslationConfig,
         net.colours["EVENT"] = EnumCS(model.events)
         net.add_place(PlaceDef("P_EVENTS", "EVENTS", "EVENT", ()))
         tmap.events_place = "P_EVENTS"
-        if config.include_environment:
-            for event in model.events:
-                cap = f"P_cap_{event}"
-                net.add_place(PlaceDef(cap, f"cap {event}", "UNIT",
-                                       (UNIT_TOKEN,) * config.event_capacity))
-                tmap.capacity_place[event] = cap
-                producer = f"T_env_{event}"
-                net.add_transition(TransDef(producer, f"emit {event}"))
-                net.add_arc(cap, producer, PTOT, PatLit(UNIT_TOKEN))
-                net.add_arc("P_EVENTS", producer, TTOP, OutLit(event))
-                tmap.producer[producer] = event
+        for event in model.events:
+            cap = f"P_cap_{event}"
+            net.add_place(PlaceDef(cap, f"cap {event}", "UNIT",
+                                   (UNIT_TOKEN,) * config.event_capacity))
+            tmap.capacity_place[event] = cap
+            producer = f"T_env_{event}"
+            net.add_transition(TransDef(producer, f"emit {event}"))
+            net.add_arc(cap, producer, PTOT, PatLit(UNIT_TOKEN))
+            net.add_arc("P_EVENTS", producer, TTOP, OutLit(event))
+            tmap.producer[producer] = event
 
     var_order = [v.name for v in model.variables]
     for s in model.states:
@@ -281,7 +278,7 @@ def translate_transitions(model: StateMachine, config: TranslationConfig,
         tail = first or end_place
 
         for x in route.sources:
-            dispatch = _add_dispatch(model, config, net, tmap, t, route, x, var_order)
+            dispatch = _add_dispatch(model, net, tmap, t, route, x, var_order)
             nodes.append(dispatch)
             # dispatch -> exit behaviours of x, if split off -> shared tail
             first, last = _wire_chain(net, tmap, nodes, route.prefix.get(x, ()),
@@ -331,9 +328,8 @@ def _end_place(net: ColouredNet, tmap: TranslationMap, t: Transition,
     return pid
 
 
-def _add_dispatch(model: StateMachine, config: TranslationConfig, net: ColouredNet,
-                  tmap: TranslationMap, t: Transition, route: _Route, x: str,
-                  var_order: list[str]) -> str:
+def _add_dispatch(model: StateMachine, net: ColouredNet, tmap: TranslationMap,
+                  t: Transition, route: _Route, x: str, var_order: list[str]) -> str:
     if route.completion:
         tid = f"T_{t.id}__completion"
         name = f"{t.id} completion"
@@ -350,8 +346,7 @@ def _add_dispatch(model: StateMachine, config: TranslationConfig, net: ColouredN
     net.add_arc(control, tid, PTOT, PatLit(UNIT_TOKEN))
     if t.trigger is not None:
         net.add_arc(tmap.events_place, tid, PTOT, PatLit(t.trigger))
-        if config.include_environment:
-            net.add_arc(tmap.capacity_place[t.trigger], tid, TTOP, OutLit(UNIT_TOKEN))
+        net.add_arc(tmap.capacity_place[t.trigger], tid, TTOP, OutLit(UNIT_TOKEN))
     if t.guard is not None:
         net.add_arc(tmap.vars_place, tid, PTOT,
                     PatTuple(tuple(PatVar(f"v_{v}") for v in var_order)))

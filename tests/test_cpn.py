@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 
@@ -8,11 +7,12 @@ from smd2cpn.net import (
     UNIT_TOKEN, ColouredNet, EnumCS, IntCS, NetError, NotEnabledError,
     OutInt, OutLit, OutTuple, OutVar, PatLit, PatTuple, PatVar, PlaceDef,
     ProductCS, TransDef, UnitCS, PTOT, TTOP,
-    enabled_bindings, explore, fire, marking_key, normalise_marking,
+    enabled_bindings, explore, fire, marking_key,
 )
 from smd2cpn.oracle import enabled_transitions, initial_configuration, inject
 from smd2cpn.translator import TranslationConfig, translate
 
+import mutations
 from conftest import CORPUS
 from modelgen import balanced_machine, chain_machine
 
@@ -65,10 +65,15 @@ def test_multiset_demand_needs_enough_copies():
     net.add_transition(TransDef("t", "t"))
     net.add_arc("p", "t", PTOT, PatVar("x"))
     net.add_arc("p", "t", PTOT, PatVar("y"))
-    two = {"p": Counter({7: 2})}
+    two = (("p", (7, 7)),)
     for bindings in (enabled_bindings, bindings_via_explore):
         assert bindings(net, net.initial_marking(), "t") == []
         assert bindings(net, two, "t") == [{"x": 7, "y": 7}]
+    # a hand-built start marking with unsorted tokens is made canonical first
+    unsorted = (("p", (9, 7, 7)),)
+    assert explore(net, unsorted).states[0] == (("p", (7, 7, 9)),)
+    assert bindings_via_explore(net, unsorted, "t") == [
+        {"x": 7, "y": 7}, {"x": 7, "y": 9}, {"x": 9, "y": 7}]
 
 
 def test_fire_moves_token_and_checks_enabledness():
@@ -79,7 +84,7 @@ def test_fire_moves_token_and_checks_enabledness():
     net.add_arc("a", "t", PTOT, PatLit(UNIT_TOKEN))
     net.add_arc("b", "t", TTOP, OutLit(UNIT_TOKEN))
     after = fire(net, net.initial_marking(), "t", {})
-    assert after == {"b": Counter({UNIT_TOKEN: 1})}
+    assert after == (("b", (UNIT_TOKEN,)),)
     with pytest.raises(NotEnabledError):
         fire(net, after, "t", {})
 
@@ -92,7 +97,7 @@ def test_fire_is_local():
     net.add_arc("a", "t", PTOT, PatLit(UNIT_TOKEN))
     net.add_arc("b", "t", TTOP, OutLit(UNIT_TOKEN))
     after = fire(net, net.initial_marking(), "t", {})
-    assert after["far"] == Counter({UNIT_TOKEN: 1})
+    assert dict(after)["far"] == (UNIT_TOKEN,)
 
 
 def test_output_outside_colour_raises():
@@ -121,7 +126,7 @@ def test_product_patterns_and_computed_outputs():
         OutInt(ex.BinOp("+", ex.VarRead("a"), ex.VarRead("b"))), OutVar("a"))))
     (binding,) = enabled_bindings(net, net.initial_marking(), "t")
     after = fire(net, net.initial_marking(), "t", binding)
-    assert after == {"v": Counter({(7, 2): 1})}
+    assert after == (("v", ((7, 2),)),)
 
 
 def test_token_balance_on_random_unit_nets():
@@ -141,7 +146,7 @@ def test_token_balance_on_random_unit_nets():
                 net.add_arc(rng.choice(places), tid, PTOT, PatLit(UNIT_TOKEN))
                 net.add_arc(rng.choice(places), tid, TTOP, OutLit(UNIT_TOKEN))
         marking = net.initial_marking()
-        total = sum(sum(c.values()) for c in marking.values())
+        total = sum(len(tokens) for _, tokens in marking)
         for _ in range(30):
             moves = [(tid, b) for tid in sorted(net.transitions)
                      for b in enabled_bindings(net, marking, tid)]
@@ -149,7 +154,7 @@ def test_token_balance_on_random_unit_nets():
                 break
             tid, binding = rng.choice(moves)
             marking = fire(net, marking, tid, binding)
-            assert sum(sum(c.values()) for c in marking.values()) == total
+            assert sum(len(tokens) for _, tokens in marking) == total
 
 
 def test_enabledness_monotone_in_tokens_without_guards():
@@ -158,9 +163,51 @@ def test_enabledness_monotone_in_tokens_without_guards():
     net.add_place(PlaceDef("p", "p", "E", ("a",)))
     net.add_transition(TransDef("t", "t"))
     net.add_arc("p", "t", PTOT, PatVar("x"))
-    small = enabled_bindings(net, {"p": Counter({"a": 1})}, "t")
-    large = enabled_bindings(net, {"p": Counter({"a": 1, "b": 1})}, "t")
+    small = enabled_bindings(net, (("p", ("a",)),), "t")
+    large = enabled_bindings(net, (("p", ("a", "b")),), "t")
     assert {tuple(b.items()) for b in small} <= {tuple(b.items()) for b in large}
+
+
+def test_marking_key_is_the_canonical_marking(corpus_nets):
+    assert marking_key({"b": (2, 1), "a": (), "c": ("x",)}) == (
+        ("b", (1, 2)), ("c", ("x",)))
+    net, _ = corpus_nets["guarded"]
+    graph = explore(net)
+    assert graph.state_count > 1
+    assert all(marking_key(m) == m for m in graph.states)
+
+
+def test_check_rejects_output_reading_unbound_variable_on_mutant(corpus_nets):
+    net, _ = corpus_nets["guarded"]
+    mutant = mutations.delete_arc(net, "P_VARS", "T_inc_beh_0", PTOT)
+    with pytest.raises(NetError, match=r"transition T_inc_beh_0: output arc A_\d+ "
+                                       r"reads unbound variables \['v_n'\]"):
+        mutant.check()
+
+
+def net_with_output(out, input_variables):
+    net = ColouredNet(name="n")
+    net.colours["INT"] = IntCS()
+    net.colours["V"] = ProductCS((IntCS(), ProductCS((IntCS(), IntCS()))))
+    net.add_place(PlaceDef("p", "p", "INT", (1,)))
+    net.add_place(PlaceDef("q", "q", "V" if isinstance(out, OutTuple) else "INT", ()))
+    net.add_transition(TransDef("t", "t"))
+    for name in input_variables:
+        net.add_arc("p", "t", PTOT, PatVar(name))
+    net.add_arc("q", "t", TTOP, out)
+    return net
+
+
+@pytest.mark.parametrize("out", [
+    OutVar("y"),
+    OutInt(ex.BinOp("+", ex.VarRead("y"), ex.IntLit(1))),
+    OutTuple((OutVar("x"), OutTuple((OutLit(1), OutVar("y"))))),
+], ids=["var", "int", "nested-tuple"])
+def test_check_rejects_output_reading_unbound_variable(out):
+    with pytest.raises(NetError, match=r"transition t: output arc A_2 "
+                                       r"reads unbound variables \['y'\]"):
+        net_with_output(out, ["x"]).check()
+    net_with_output(out, ["x", "y"]).check()  # fine once an input binds y
 
 
 def test_explore_no_enabled_transitions():
@@ -205,7 +252,7 @@ def test_reachable_markings_respect_colours(corpus_nets):
     net, _ = corpus_nets["guarded"]
     graph = explore(net)
     for marking in graph.states:
-        for pid, tokens in marking.items():
+        for pid, tokens in marking:
             colour = net.colour_of(pid)
             for value in tokens:
                 assert colour.contains(value)
@@ -217,7 +264,7 @@ def test_reachable_markings_respect_colours(corpus_nets):
 
 def test_cd_initially_enabled_dispatches_match_oracle(cd_model, cd_net):
     net, tmap = cd_net
-    marking = normalise_marking(net.initial_marking())
+    marking = net.initial_marking()
     enabled_net = sorted(tmap.dispatch[tid]
                          for tid in tmap.dispatch
                          if enabled_bindings(net, marking, tid))
@@ -237,15 +284,15 @@ def test_cd_initially_enabled_dispatches_match_oracle(cd_model, cd_net):
 
 def test_cd_fts_consumes_inflight_and_marks_playing(cd_net):
     net, tmap = cd_net
-    marking = normalise_marking(net.initial_marking())
+    marking = net.initial_marking()
     marking = fire(net, marking, "T_env_play", {})
     marking = fire(net, marking, "T_t1__from_CLOSED", {})
-    assert marking["P_t1_0"] == Counter({UNIT_TOKEN: 1})  # token in flight
+    assert dict(marking)["P_t1_0"] == (UNIT_TOKEN,)  # token in flight
     (binding,) = enabled_bindings(net, marking, "T_t1_beh_0")
     assert net.transitions["T_t1_beh_0"].observable_label == "FTS"
     marking = fire(net, marking, "T_t1_beh_0", binding)
-    assert "P_t1_0" not in marking
-    assert marking["P_PLAYING"] == Counter({UNIT_TOKEN: 1})
+    assert "P_t1_0" not in dict(marking)
+    assert dict(marking)["P_PLAYING"] == (UNIT_TOKEN,)
 
 
 def test_cd_reachable_count_matches_frozen_hand_values(corpus_nets, expectations):
@@ -264,7 +311,7 @@ def test_cd_reachable_count_matches_frozen_hand_values(corpus_nets, expectations
 def reference_explore(net, bound):
     """BFS that only uses `enabled_bindings`, `fire` and `marking_key`:
     (state keys, edges, truncated) in explore's numbering."""
-    start = normalise_marking(net.initial_marking())
+    start = net.initial_marking()
     states, index = [start], {marking_key(start): 0}
     edges, truncated = [], False
     current = 0

@@ -1,6 +1,5 @@
 import itertools
 import math
-from collections import Counter
 from xml.sax.saxutils import escape
 
 import pytest
@@ -174,6 +173,26 @@ def test_duplicate_node_id_rejected(tag, node_id):
         parse_cpn_xml(doubled)
 
 
+def test_duplicate_arc_id_rejected():
+    net = _with_transition()
+    net.add_arc("p", "t", PTOT, PatLit(UNIT_TOKEN))
+    net.add_arc("p", "t", TTOP, OutLit(UNIT_TOKEN))
+    document = emit_cpn_xml(net)
+    assert parse_cpn_xml(document) == net
+    renamed = document.replace('<arc id="A_2"', '<arc id="A_1"')
+    assert renamed != document
+    with pytest.raises(CpnParseError, match="duplicate node id 'A_1' in <arc>"):
+        parse_cpn_xml(renamed)
+
+
+def test_missing_place_id_rejected():
+    document = emit_cpn_xml(tiny_net())
+    anonymous = document.replace('<place id="p"', "<place")
+    assert anonymous != document
+    with pytest.raises(CpnParseError, match="<place> has no id"):
+        parse_cpn_xml(anonymous)
+
+
 def _guarded_document(guard_text):
     net = tiny_net()
     net.add_transition(TransDef("t", "t", guard=ex.Cmp("<", ex.VarRead("x"), ex.IntLit(1))))
@@ -210,7 +229,7 @@ def test_dot_single_place_is_ellipse():
 
 def test_dot_marking_rendered_in_labels():
     net = tiny_net()
-    text = emit_dot(net, marking={"p": Counter({UNIT_TOKEN: 1})})
+    text = emit_dot(net, marking=(("p", (UNIT_TOKEN,)),))
     assert "1`()" in text
 
 

@@ -1,7 +1,6 @@
 import pytest
 
 import mutations
-from smd2cpn.net import normalise_marking
 from smd2cpn.oracle import (
     NetRunner, NotEnabledStepError, StabilisationError,
     check_control_safety, check_trace_equivalence, enabled_transitions,
@@ -148,7 +147,7 @@ def test_chain_length_conservation(corpus_models, corpus_nets):
     net, tmap = corpus_nets["nested3"]
     runner = NetRunner(net, tmap, model)
     config = inject(model, initial_configuration(model), "go", 1)
-    marking = normalise_marking(net.initial_marking())
+    marking = net.initial_marking()
     marking = dict(runner.injections(marking))["go"]
     (net_label, _), = runner.step_moves(marking)
     _, smd_label = step(model, config, "t_go")
