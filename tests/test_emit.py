@@ -211,6 +211,52 @@ def test_bad_guard_text_rejected(guard):
         parse_cpn_xml(_guarded_document(guard))
 
 
+def _int_arc_net():
+    net = ColouredNet(name="pin")
+    net.colours["INT"] = IntCS()
+    net.colours["UNIT"] = UnitCS()
+    net.add_place(PlaceDef("p", "p", "INT", (12,)))
+    net.add_transition(TransDef("t", "t"))
+    net.add_arc("p", "t", PTOT, PatLit(12))
+    return net
+
+
+ANNOT_TEXT = "<text>12</text>\n        </annot>"
+TYPE_TEXT = "<text>INT</text>\n        </type>"
+
+
+@pytest.mark.parametrize("old,new,outcome", [
+    (ANNOT_TEXT, "<text>1&foo;2</text></annot>", ("undefined entity &foo;", "&")),
+    (ANNOT_TEXT, "<text>1&a:b;2</text></annot>", ("not well-formed", ":")),
+    (ANNOT_TEXT, "<text>1<!--c-->2</text></annot>", 12),
+    (ANNOT_TEXT, "<text>1<![CDATA[2]]></text></annot>", 12),
+    (ANNOT_TEXT, "<text>1<?pi x?>2</text></annot>", 12),
+    (ANNOT_TEXT, "<text>1<b/>2</text></annot>", 1),
+    (TYPE_TEXT, "<text>INT</text></type><type><text>UNIT</text></type>", 12),
+    ("</page>", '</page><page id="x"><place id="p"/></page>', 12),
+], ids=["undefined-entity", "colon-entity", "comment", "cdata", "pi",
+        "text-after-child", "first-type-wins", "second-page-ignored"])
+def test_reader_text_and_error_positions(old, new, outcome):
+    """What the reader takes from mixed content, repeated elements and
+    malformed entity references, and where it reports the failure."""
+    document = emit_cpn_xml(_int_arc_net())
+    assert document.count(old) == 1
+    at = document.index(old)
+    edited = document[:at] + new + document[at + len(old):]
+    if isinstance(outcome, int):
+        net = parse_cpn_xml(edited)
+        assert [a.inscription for a in net.arcs] == [PatLit(outcome)]
+        assert net.places["p"].colour == "INT"
+        assert net.places["p"].initial == (12,)
+        return
+    message, marker = outcome
+    line = document.count("\n", 0, at) + 1
+    column = at - (document.rindex("\n", 0, at) + 1) + new.index(marker)
+    with pytest.raises(CpnParseError, match=f"malformed document: {message}") as err:
+        parse_cpn_xml(edited)
+    assert err.value.position == (line, column)
+
+
 def test_layout_missing_node_rejected():
     net = tiny_net()
     with pytest.raises(Exception):
