@@ -4,8 +4,11 @@ The XML writer targets the CPN Tools 4 document layout (single page).
 Graphical attribute defaults below are the template copied from a document
 saved by CPN Tools itself.  The reader accepts exactly the subset this
 writer produces, for round-trip checking; it is not a general .cpn loader.
-It reads inscriptions and guards with expr's lexer, token cursor and
-expression parser in the SML dialect.
+It makes one expat pass that keeps only the elements it reads (declarations,
+places, transitions, arcs and their inscription texts; no graphics), reports
+malformed documents in ElementTree's wording and positions, and reads
+inscriptions and guards with expr's lexer, token cursor and expression
+parser in the SML dialect.
 Output is byte-deterministic: nodes are emitted in natural id order, so
 insertion order never shows.
 """
@@ -13,9 +16,9 @@ insertion order never shows.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from collections import Counter, deque
 from typing import Optional
+from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
 from . import expr as ex
@@ -388,11 +391,111 @@ def _parse_colour_decl(element) -> tuple[str, object]:
         return name, IntCS()
     enum = element.find("enum")
     if enum is not None:
-        return name, EnumCS(tuple(v.text or "" for v in enum.findall("id")))
+        values = tuple(v.text or "" for v in enum.findall("id"))
+        if not values:
+            raise CpnParseError(f"enumeration colour {name!r} has no values")
+        return name, EnumCS(values)
     product = element.find("product")
     if product is not None:
         return name, tuple(v.text or "" for v in product.findall("id"))  # resolved later
     raise CpnParseError(f"unsupported colour declaration {name!r}")
+
+
+# The elements parse_cpn_xml reads; every other element and its subtree is
+# dropped while parsing.  Text is kept only for the _TEXT_TAGS.
+_KEPT_TAGS = frozenset((
+    "cpnet", "globbox", "block", "color", "page", "pageattr", "place", "trans",
+    "arc", "type", "initmark", "text", "cond", "annot", "transend", "placeend",
+    "id", "unit", "int", "enum", "product"))
+_TEXT_TAGS = frozenset(("text", "id"))
+
+
+class _Element(list):
+    """A kept element: the subset of ElementTree's Element that the reader
+    uses.  Like an Element, it is the list of its (kept) children.  `text`
+    is the character data before the first child for the _TEXT_TAGS, and
+    None when there is none or for any other tag."""
+
+    __slots__ = ("tag", "attrib", "text")
+
+    def get(self, key: str):
+        return self.attrib.get(key)
+
+    def findall(self, path: str) -> list["_Element"]:
+        """Matches of a child path such as "./type/text", in document order."""
+        found = [self]
+        for step in path.removeprefix("./").split("/"):
+            found = [child for node in found for child in node if child.tag == step]
+        return found
+
+    def find(self, path: str) -> Optional["_Element"]:
+        found = self.findall(path)
+        return found[0] if found else None
+
+    def findtext(self, path: str) -> Optional[str]:
+        node = self.find(path)
+        return None if node is None else node.text or ""
+
+
+def _read_elements(text: str) -> _Element:
+    """The root of `text` with only its kept descendants, read in one expat
+    pass.  Errors name the first fault at the position ElementTree gives."""
+    parser = expat.ParserCreate(namespace_separator="}")
+    open_elements: list[Optional[_Element]] = []  # None marks a dropped element
+    root = None
+    reading = None  # the text/id element whose text is being collected
+    chunks: list[str] = []
+
+    def stop_reading():
+        nonlocal reading
+        parser.CharacterDataHandler = None
+        reading.text = "".join(chunks) or None
+        reading = None
+        chunks.clear()
+
+    def start(tag, attrib):
+        nonlocal root, reading
+        if reading is not None:  # a child ends its parent's text
+            stop_reading()
+        if not open_elements:
+            root = element = _Element()
+        elif open_elements[-1] is not None and tag in _KEPT_TAGS:
+            element = _Element()
+            open_elements[-1].append(element)
+        else:
+            open_elements.append(None)
+            return
+        element.tag, element.attrib, element.text = tag, attrib, None
+        open_elements.append(element)
+        if tag in _TEXT_TAGS:
+            reading = element
+            parser.CharacterDataHandler = chunks.append
+
+    def end(tag):
+        if reading is not None and reading is open_elements[-1]:
+            stop_reading()
+        open_elements.pop()
+
+    def undefined_entity(name):
+        position = (parser.CurrentLineNumber, parser.CurrentColumnNumber)
+        raise CpnParseError(f"malformed document: undefined entity &{name};: "
+                            f"line {position[0]}, column {position[1]}", position)
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    # Expat skips a reference to an entity that an external DOCTYPE may
+    # declare, or to a declared external entity; ElementTree rejects both at
+    # the reference.  The context names the open entities, innermost last.
+    parser.SkippedEntityHandler = lambda name, is_parameter: undefined_entity(name)
+    parser.ExternalEntityRefHandler = (
+        lambda context, base, system_id, public_id:
+            undefined_entity(context.rsplit("\x0c", 1)[-1]))
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as err:
+        raise CpnParseError(f"malformed document: {err}",
+                            (err.lineno, err.offset)) from None
+    return root
 
 
 def _node_id(seen: set, element) -> str:
@@ -410,11 +513,15 @@ def _node_id(seen: set, element) -> str:
 def parse_cpn_xml(text: str) -> ColouredNet:
     """Rebuild a net from a document this module emitted.  Layout and
     graphical attributes are discarded; observable labels are trace
-    metadata and come back unset."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as err:
-        raise CpnParseError(f"malformed document: {err.msg}", err.position) from None
+    metadata and come back unset.
+
+    The document is read in one expat pass that keeps only the elements
+    named in _KEPT_TAGS whose parents are kept, under the root; where
+    several match, the first in document order counts, and a text is the
+    character data before its first child.  A malformed document raises
+    CpnParseError with ElementTree's message and (line, column).
+    """
+    root = _read_elements(text)
     page = root.find("./cpnet/page")
     if page is None:
         raise CpnParseError("document has no page element")
@@ -429,6 +536,8 @@ def parse_cpn_xml(text: str) -> ColouredNet:
         else:
             net.colours[cname] = colour
     for cname, component_names in pending_products.items():
+        if not component_names:
+            raise CpnParseError(f"product colour {cname!r} has no components")
         components = []
         for ref in component_names:
             if ref not in net.colours:
@@ -459,6 +568,7 @@ def parse_cpn_xml(text: str) -> ColouredNet:
             guard = _read_sml(body[1:-1], ex.parse_bool, f"guard on {tid!r}")
         net.add_transition(TransDef(tid, element.findtext("text") or tid, guard=guard))
 
+    inscriptions = {}  # (text, colour name, orientation) -> inscription
     for element in page.findall("arc"):
         aid = _node_id(seen, element)
         orientation = element.get("orientation")
@@ -475,8 +585,11 @@ def parse_cpn_xml(text: str) -> ColouredNet:
         if trans_id not in net.transitions:
             raise CpnParseError(f"arc {aid!r} references unknown transition {trans_id!r}")
         annot = element.findtext("./annot/text") or "()"
-        inscription = _parse_inscription(
-            annot, net.colour_of(place_id), net, as_pattern=(orientation == PTOT))
+        key = (annot, net.places[place_id].colour, orientation)
+        inscription = inscriptions.get(key)
+        if inscription is None:
+            inscription = inscriptions[key] = _parse_inscription(
+                annot, net.colour_of(place_id), net, as_pattern=(orientation == PTOT))
         net.arcs.append(ArcDef(aid, place_id, trans_id, orientation, inscription))
     return net
 

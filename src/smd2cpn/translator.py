@@ -278,7 +278,7 @@ def translate_transitions(model: StateMachine, config: TranslationConfig,
         tail = first or end_place
 
         for x in route.sources:
-            dispatch = _add_dispatch(model, net, tmap, t, route, x, var_order)
+            dispatch = _add_dispatch(net, tmap, t, route, x, var_order)
             nodes.append(dispatch)
             # dispatch -> exit behaviours of x, if split off -> shared tail
             first, last = _wire_chain(net, tmap, nodes, route.prefix.get(x, ()),
@@ -328,8 +328,8 @@ def _end_place(net: ColouredNet, tmap: TranslationMap, t: Transition,
     return pid
 
 
-def _add_dispatch(model: StateMachine, net: ColouredNet, tmap: TranslationMap,
-                  t: Transition, route: _Route, x: str, var_order: list[str]) -> str:
+def _add_dispatch(net: ColouredNet, tmap: TranslationMap, t: Transition,
+                  route: _Route, x: str, var_order: list[str]) -> str:
     if route.completion:
         tid = f"T_{t.id}__completion"
         name = f"{t.id} completion"

@@ -128,12 +128,27 @@ def test_truncated_document_errors_with_position(cd_net):
     assert err.value.position is not None
 
 
-def test_unsupported_colour_declaration_rejected():
-    document = """<?xml version="1.0" encoding="utf-8"?>
+def _declarations_document(colour_xml):
+    return f"""<?xml version="1.0" encoding="utf-8"?>
 <workspaceElements><cpnet><globbox><block id="b"><id>D</id>
-<color id="c"><id>L</id><list><id>INT</id></list></color>
+{colour_xml}
 </block></globbox><page id="pg"><pageattr name="x"/></page></cpnet></workspaceElements>"""
+
+
+def test_unsupported_colour_declaration_rejected():
+    document = _declarations_document(
+        '<color id="c"><id>L</id><list><id>INT</id></list></color>')
     with pytest.raises(CpnParseError):
+        parse_cpn_xml(document)
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("enum", "enumeration colour 'E' has no values"),
+    ("product", "product colour 'E' has no components"),
+])
+def test_empty_enum_or_product_rejected(kind, message):
+    document = _declarations_document(f'<color id="c"><id>E</id><{kind}/></color>')
+    with pytest.raises(CpnParseError, match=message):
         parse_cpn_xml(document)
 
 
@@ -225,6 +240,11 @@ ANNOT_TEXT = "<text>12</text>\n        </annot>"
 TYPE_TEXT = "<text>INT</text>\n        </type>"
 
 
+def _line_column(document, at):
+    """The (line, column) of offset `at`, counted as expat counts them."""
+    return document.count("\n", 0, at) + 1, at - (document.rindex("\n", 0, at) + 1)
+
+
 @pytest.mark.parametrize("old,new,outcome", [
     (ANNOT_TEXT, "<text>1&foo;2</text></annot>", ("undefined entity &foo;", "&")),
     (ANNOT_TEXT, "<text>1&a:b;2</text></annot>", ("not well-formed", ":")),
@@ -250,11 +270,20 @@ def test_reader_text_and_error_positions(old, new, outcome):
         assert net.places["p"].initial == (12,)
         return
     message, marker = outcome
-    line = document.count("\n", 0, at) + 1
-    column = at - (document.rindex("\n", 0, at) + 1) + new.index(marker)
     with pytest.raises(CpnParseError, match=f"malformed document: {message}") as err:
         parse_cpn_xml(edited)
-    assert err.value.position == (line, column)
+    assert err.value.position == _line_column(edited, at + new.index(marker))
+
+
+def test_external_entity_reference_is_undefined():
+    document = emit_cpn_xml(_int_arc_net())
+    declared = document.replace(
+        '"http://cpntools.org/DTD/6/cpn.dtd">',
+        '"http://cpntools.org/DTD/6/cpn.dtd" [<!ENTITY e SYSTEM "e.xml">]>')
+    at = declared.index(ANNOT_TEXT) + len("<text>1")
+    with pytest.raises(CpnParseError, match="undefined entity &e;") as err:
+        parse_cpn_xml(declared[:at] + "&e;" + declared[at:])
+    assert err.value.position == _line_column(declared, at)
 
 
 def test_layout_missing_node_rejected():
