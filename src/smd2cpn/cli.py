@@ -1,10 +1,8 @@
 """Command-line pipeline: translate / check / simulate / equiv.
 
 Exit codes: 0 success (or equivalent), 1 usage error, 2 parse or
-validation error, 3 property violation or inequivalence.  A net that does
-not run to completion the way the machine does (`StabilisationError`) is
-a property violation too, so it also exits 3.  Results go to stdout or
-the output files; diagnostics go to stderr.
+validation error, 3 property violation or inequivalence.  Results go to
+stdout or the output files; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -160,9 +158,6 @@ def run(argv=None) -> int:
     except _InputError as err:
         print(str(err), file=sys.stderr)
         return EXIT_INPUT
-    except oracle.StabilisationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PROPERTY
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

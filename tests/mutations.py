@@ -28,6 +28,14 @@ def delete_arc(net: ColouredNet, place: str, trans: str,
     return mutated
 
 
+def delete_arc_id(net: ColouredNet, arc_id: str) -> ColouredNet:
+    mutated = _clone(net)
+    keep = [a for a in mutated.arcs if a.id != arc_id]
+    assert len(keep) == len(mutated.arcs) - 1, "arc to delete not found"
+    mutated.arcs = keep
+    return mutated
+
+
 def flip_guard(net: ColouredNet, trans: str) -> ColouredNet:
     mutated = _clone(net)
     old = mutated.transitions[trans]

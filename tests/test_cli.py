@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
-from smd2cpn import cli, oracle
+import mutations
+from smd2cpn import cli
+from smd2cpn.translator import translate
 
 
 def run_cli(capsys, *argv):
@@ -121,15 +123,21 @@ def test_equiv_reports_equivalent(capsys, models_dir):
     assert stdout.strip() == "equivalent depth=5"
 
 
-def test_equiv_stabilisation_error_is_a_property_failure(capsys, monkeypatch, cd_path):
-    def stuck(*args, **kwargs):
-        raise oracle.StabilisationError("net did not stabilise within the chain bound")
+def test_equiv_stuck_chain_prints_a_trace(capsys, monkeypatch, cd_path):
+    def translate_without_arc(model, config):
+        net, tmap = translate(model, config)
+        return mutations.delete_arc(net, "P_PAUSED", "T_t2__from_PLAYING", "TtoP"), tmap
 
-    monkeypatch.setattr(oracle, "check_trace_equivalence", stuck)
+    monkeypatch.setattr(cli, "translate", translate_without_arc)
     code, stdout, stderr = run_cli(capsys, "equiv", cd_path)
     assert code == cli.EXIT_PROPERTY
-    assert stdout == ""
-    assert stderr == "error: net did not stabilise within the chain bound\n"
+    assert stderr == ""
+    assert stdout == ("trace to divergence:\n"
+                      "  inject pause\n"
+                      "  inject play\n"
+                      "  on play / FTS -> PLAYING\n"
+                      "divergence: state machine offers 'on pause -> PAUSED' "
+                      "but the net cannot match it\n")
 
 
 def test_console_entry_point_smoke(tmp_path, cd_path):

@@ -9,7 +9,10 @@ from smd2cpn.net import (
     ProductCS, TransDef, UnitCS, PTOT, TTOP,
     enabled_bindings, explore, fire, marking_key,
 )
-from smd2cpn.oracle import enabled_transitions, initial_configuration, inject
+from smd2cpn.oracle import (
+    check_control_safety, check_trace_equivalence, enabled_transitions,
+    initial_configuration, inject,
+)
 from smd2cpn.translator import TranslationConfig, translate
 
 import mutations
@@ -177,12 +180,19 @@ def test_marking_key_is_the_canonical_marking(corpus_nets):
     assert all(marking_key(m) == m for m in graph.states)
 
 
-def test_check_rejects_output_reading_unbound_variable_on_mutant(corpus_nets):
-    net, _ = corpus_nets["guarded"]
+def test_check_rejects_output_reading_unbound_variable_on_mutant(corpus_models, corpus_nets):
+    net, tmap = corpus_nets["guarded"]
+    model = corpus_models["guarded"]
     mutant = mutations.delete_arc(net, "P_VARS", "T_inc_beh_0", PTOT)
-    with pytest.raises(NetError, match=r"transition T_inc_beh_0: output arc A_\d+ "
-                                       r"reads unbound variables \['v_n'\]"):
+    unbound = r"transition T_inc_beh_0: output arc A_\d+ reads unbound variables \['v_n'\]"
+    with pytest.raises(NetError, match=unbound):
         mutant.check()
+    # the token game compiles the same rule, so no analysis runs the broken net
+    for analyse in (lambda: explore(mutant),
+                    lambda: check_control_safety(mutant, tmap, bound=50),
+                    lambda: check_trace_equivalence(model, mutant, tmap)):
+        with pytest.raises(NetError, match=unbound):
+            analyse()
 
 
 def net_with_output(out, input_variables):

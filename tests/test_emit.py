@@ -126,6 +126,7 @@ def test_truncated_document_errors_with_position(cd_net):
     with pytest.raises(CpnParseError) as err:
         parse_cpn_xml(document[: len(document) // 2])
     assert err.value.position is not None
+    assert str(err.value).count("line") == 1
 
 
 def _declarations_document(colour_xml):
@@ -273,6 +274,8 @@ def test_reader_text_and_error_positions(old, new, outcome):
     with pytest.raises(CpnParseError, match=f"malformed document: {message}") as err:
         parse_cpn_xml(edited)
     assert err.value.position == _line_column(edited, at + new.index(marker))
+    assert str(err.value).endswith(" (line %d, column %d)" % err.value.position)
+    assert str(err.value).count("line") == 1
 
 
 def test_external_entity_reference_is_undefined():
