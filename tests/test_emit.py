@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from xml.sax.saxutils import escape
@@ -12,6 +13,7 @@ from smd2cpn.net import (
     UNIT_TOKEN, ColouredNet, IntCS, OutLit, PatLit, PlaceDef, TransDef,
     UnitCS, PTOT, TTOP,
 )
+from smd2cpn.translator import TranslationConfig, translate
 
 
 def tiny_net(marked=True):
@@ -79,6 +81,34 @@ def test_emission_is_byte_deterministic(cd_net):
     assert emit_cpn_xml(net) == emit_cpn_xml(net)
 
 
+# sha256 of emit_cpn_xml + emit_dot for each corpus model and event capacity;
+# a refactor that claims unchanged output must leave every one as it is
+CORPUS_DIGESTS = {
+    ("flat", 1): "48d31749d083815adf47a0e1db98668537700c898ec7add381093f58534f193c",
+    ("nested3", 1): "1201a3cfeb99eeacf5352d65f103fe859e6c77000c64e71f06c5d9d50e2d0633",
+    ("interlevel", 1): "6429d4d8e5981fe55490a96b1bbb931074d45e2304ecbc5db8b339b5492def8f",
+    ("guarded", 1): "f3948accab5830974a03850e6f3d4d7e2562f90ec6820a4d2768702c63b2d103",
+    ("history", 1): "2c5d297e1065e5e861cf01c2b3e0552324eb112f30efa8a6bafb442f5bffa1a9",
+    ("completion", 1): "f7cb26861846dc9760e8f0b284c84a87c955b46a906d9db6af4f23604fc94e45",
+    ("cdplayer", 1): "02b0d8b64b106e92d321dd2a54c3ef765850c40e9729e68c0a78cb73b3d1c8d2",
+    ("flat", 2): "d91c7b67b7d669520a475613eacde4eae8854c759e516845f76f9b7457367a8c",
+    ("nested3", 2): "f6ad8642758e205094faccc6a08f61a83c7252825b82cbff612a934292ea43f5",
+    ("interlevel", 2): "780c5747c46c07072e5e212580ea792d9e311dca0f2cbcd59be6e3539821ebe9",
+    ("guarded", 2): "4c8a79193f0c316f6929f04628300f263dc17c7a91b5283dc3faf754f02af9e9",
+    ("history", 2): "fe53485454b643491953f2f520b25d829778f97bd05035bc6de6beae40348a47",
+    ("completion", 2): "b1031bbb3965ad96578dc274e61021690b17087e2ea175c3a7758b3fe03c5a50",
+    ("cdplayer", 2): "fc19614d48b8b4e4454e58735ccc7580ac2807aecc9c9f64f0976c9986dbb674",
+}
+
+
+@pytest.mark.parametrize("name,capacity", sorted(CORPUS_DIGESTS))
+def test_corpus_documents_are_byte_identical(corpus_models, name, capacity):
+    net, _ = translate(corpus_models[name], TranslationConfig(event_capacity=capacity))
+    document = emit_cpn_xml(net) + emit_dot(net)
+    assert (hashlib.sha256(document.encode("utf-8")).hexdigest()
+            == CORPUS_DIGESTS[name, capacity])
+
+
 def test_emission_independent_of_insertion_order():
     def build(order):
         net = ColouredNet(name="n")
@@ -114,7 +144,6 @@ def test_guards_and_markings_round_trip(corpus_nets):
 
 
 def test_multiplicity_marking_round_trip(cd_model):
-    from smd2cpn.translator import TranslationConfig, translate
     net, _ = translate(cd_model, TranslationConfig(event_capacity=3))
     again = parse_cpn_xml(emit_cpn_xml(net))
     assert again.places["P_cap_play"].initial == (UNIT_TOKEN,) * 3
