@@ -23,9 +23,9 @@ from xml.sax.saxutils import escape, quoteattr
 
 from . import expr as ex
 from .net import (
-    UNIT_TOKEN, ArcDef, ColouredNet, EnumCS, IntCS, Marking, OutInt, OutLit,
-    OutTuple, OutVar, PatLit, PatTuple, PatVar, PlaceDef, ProductCS, TransDef,
-    UnitCS, PTOT, TTOP, normalise_out, token_sort_key,
+    UNIT_TOKEN, ArcDef, Calc, ColouredNet, EnumCS, IntCS, Lit, Marking, PlaceDef,
+    ProductCS, TransDef, Tup, UnitCS, Var, PTOT, TTOP, evaluate, normalise_out,
+    token_sort_key, variables,
 )
 
 # graphical attribute template (CPN Tools defaults)
@@ -128,13 +128,13 @@ def marking_text(tokens) -> str:
 
 
 def inscription_text(inscription) -> str:
-    if isinstance(inscription, (PatLit, OutLit)):
+    if isinstance(inscription, Lit):
         return token_text(inscription.value)
-    if isinstance(inscription, (PatVar, OutVar)):
+    if isinstance(inscription, Var):
         return inscription.name
-    if isinstance(inscription, (PatTuple, OutTuple)):
+    if isinstance(inscription, Tup):
         return "(" + ",".join(inscription_text(i) for i in inscription.items) + ")"
-    if isinstance(inscription, OutInt):
+    if isinstance(inscription, Calc):
         return ex.to_text(inscription.body, "sml")
     raise CpnEmitError(f"cannot serialise inscription {inscription!r}")
 
@@ -183,18 +183,18 @@ def _collect_variables(net: ColouredNet) -> dict[str, str]:
     """Arc-bound variable names with the colour they bind at."""
     out: dict[str, str] = {}
 
-    def visit(pattern, colour_name):
+    def visit(inscription, colour_name):
         colour = net.colours[colour_name]
-        if isinstance(pattern, (PatVar, OutVar)):
-            out.setdefault(pattern.name, colour_name)
-        elif isinstance(pattern, (PatTuple, OutTuple)):
+        if isinstance(inscription, Var):
+            out.setdefault(inscription.name, colour_name)
+        elif isinstance(inscription, Tup):
             if not isinstance(colour, ProductCS):
                 return
             comp_names = [_declared_name(net, c) for c in colour.components]
-            for item, cname in zip(pattern.items, comp_names):
+            for item, cname in zip(inscription.items, comp_names):
                 visit(item, cname)
-        elif isinstance(pattern, OutInt):
-            for name in ex.variables_of(pattern.body):
+        elif isinstance(inscription, Calc):
+            for name in ex.variables_of(inscription.body):
                 out.setdefault(name, "INT")
 
     for arc in net.arcs:
@@ -322,44 +322,44 @@ def _read_sml(text: str, parse, what: str):
     return value
 
 
-def _parse_value(cur: ex.TokenStream, colour, net: ColouredNet, as_pattern: bool):
+def _parse_value(cur: ex.TokenStream, colour, as_pattern: bool):
+    """One inscription of `colour`.  `as_pattern` (an input arc or a
+    marking) limits an int to a variable or a literal; otherwise an int is
+    a full integer expression."""
     if isinstance(colour, UnitCS):
         cur.expect("(")
         cur.expect(")")
-        return PatLit(UNIT_TOKEN) if as_pattern else OutLit(UNIT_TOKEN)
+        return Lit(UNIT_TOKEN)
     if isinstance(colour, EnumCS):
         text = cur.take("ident", "an enum value")
-        if text in colour.values:
-            return PatLit(text) if as_pattern else OutLit(text)
-        return PatVar(text) if as_pattern else OutVar(text)
+        return Lit(text) if text in colour.values else Var(text)
     if isinstance(colour, ProductCS):
         cur.expect("(")
         items = []
         for k, component in enumerate(colour.components):
             if k:
                 cur.expect(",")
-            items.append(_parse_value(cur, component, net, as_pattern))
+            items.append(_parse_value(cur, component, as_pattern))
         cur.expect(")")
-        return (PatTuple(tuple(items)) if as_pattern else OutTuple(tuple(items)))
+        return Tup(tuple(items))
     if isinstance(colour, IntCS):
-        if not as_pattern:  # output side: a full integer expression
+        if not as_pattern:
             return normalise_out(ex.parse_int(cur))
         kind, text, _ = cur.peek()
         if kind == "ident":
             cur.next()
-            return PatVar(text)
+            return Var(text)
         negative = cur.accept("~")
         value = int(cur.take("int", "an int pattern"))
-        return PatLit(-value if negative else value)
+        return Lit(-value if negative else value)
     raise CpnParseError(f"unsupported colour {colour!r}")
 
 
-def _parse_inscription(text: str, colour, net: ColouredNet, as_pattern: bool):
-    return _read_sml(text, lambda cur: _parse_value(cur, colour, net, as_pattern),
-                     "inscription")
+def _parse_inscription(text: str, colour, as_pattern: bool):
+    return _read_sml(text, lambda cur: _parse_value(cur, colour, as_pattern), "inscription")
 
 
-def _parse_marking(text: str, colour, net: ColouredNet) -> tuple:
+def _parse_marking(text: str, colour) -> tuple:
     tokens = []
     for chunk in text.split("++"):
         chunk = chunk.strip()
@@ -370,18 +370,11 @@ def _parse_marking(text: str, colour, net: ColouredNet) -> tuple:
         count_text, value_text = chunk.split("`", 1)
         count = int(_read_sml(count_text, lambda cur: cur.take("int", "a multiplicity"),
                               "multiplicity in marking"))
-        parsed = _parse_inscription(value_text.strip(), colour, net, as_pattern=True)
-        value = _literal_value(parsed, text)
-        tokens.extend([value] * count)
+        parsed = _parse_inscription(value_text.strip(), colour, as_pattern=True)
+        if variables(parsed):
+            raise CpnParseError(f"marking value may not bind variables: {text!r}")
+        tokens.extend([evaluate(parsed, {})] * count)
     return tuple(sorted(tokens, key=token_sort_key))
-
-
-def _literal_value(pattern, source):
-    if isinstance(pattern, PatLit):
-        return pattern.value
-    if isinstance(pattern, PatTuple):
-        return tuple(_literal_value(i, source) for i in pattern.items)
-    raise CpnParseError(f"marking value may not bind variables: {source!r}")
 
 
 def _parse_colour_decl(element) -> tuple[str, object]:
@@ -554,8 +547,7 @@ def parse_cpn_xml(text: str) -> ColouredNet:
         if colour_name is None or colour_name not in net.colours:
             raise CpnParseError(f"place {pid!r} has no usable colour")
         init_text = element.findtext("./initmark/text")
-        initial = (_parse_marking(init_text, net.colours[colour_name], net)
-                   if init_text else ())
+        initial = _parse_marking(init_text, net.colours[colour_name]) if init_text else ()
         net.add_place(PlaceDef(pid, element.findtext("text") or pid,
                                colour_name, initial))
 
@@ -591,7 +583,7 @@ def parse_cpn_xml(text: str) -> ColouredNet:
         inscription = inscriptions.get(key)
         if inscription is None:
             inscription = inscriptions[key] = _parse_inscription(
-                annot, net.colour_of(place_id), net, as_pattern=(orientation == PTOT))
+                annot, net.colour_of(place_id), as_pattern=(orientation == PTOT))
         net.arcs.append(ArcDef(aid, place_id, trans_id, orientation, inscription))
     return net
 

@@ -1,10 +1,13 @@
 """Coloured Petri net types, token-game semantics, and bounded exploration.
 
 Tokens are plain Python values: ``()`` for the unit colour, strings for
-enumeration values, ints, and tuples for products.  Input arcs carry
-patterns that bind variables against present tokens; output arcs carry
-expressions evaluated under the binding.  No symbolic solving: bindings
-are enumerated from the finite multiset contents.
+enumeration values, ints, and tuples for products.  Arcs in both
+directions carry one inscription type: a literal, a variable, a tuple of
+inscriptions, or an integer computation.  An input arc's inscription is a
+pattern, an inscription without computations, that binds its variables
+against present tokens; an output arc's is evaluated under the binding.
+No symbolic solving: bindings are enumerated from the finite multiset
+contents.
 
 A `Marking` is a tuple of (place id, token tuple) pairs for the marked
 places only, in place-id order, each token tuple holding one entry per
@@ -87,62 +90,44 @@ ColourSet = Union[UnitCS, IntCS, EnumCS, ProductCS]
 
 
 # ---------------------------------------------------------------------------
-# Arc inscriptions: patterns (input) and expressions (output)
+# Arc inscriptions, one type for both arc directions
 
 
 @dataclass(frozen=True)
-class PatLit:
+class Lit:
     value: object
 
 
 @dataclass(frozen=True)
-class PatVar:
+class Var:
     name: str
 
 
 @dataclass(frozen=True)
-class PatTuple:
-    items: tuple["Pattern", ...]
-
-
-Pattern = Union[PatLit, PatVar, PatTuple]
+class Tup:
+    items: tuple["Inscription", ...]
 
 
 @dataclass(frozen=True)
-class OutLit:
-    value: object
-
-
-@dataclass(frozen=True)
-class OutVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class OutTuple:
-    items: tuple["OutExpr", ...]
-
-
-@dataclass(frozen=True)
-class OutInt:
-    """An integer computation over bound variables."""
+class Calc:
+    """An integer computation over bound variables; output arcs only."""
     body: ex.IntExpr
 
 
-OutExpr = Union[OutLit, OutVar, OutTuple, OutInt]
+Inscription = Union[Lit, Var, Tup, Calc]
 
 
-def match(pattern: Pattern, value, binding: dict) -> Optional[dict]:
+def match(pattern: Inscription, value, binding: dict) -> Optional[dict]:
     """Extend `binding` so the pattern matches `value`; None if impossible."""
-    if isinstance(pattern, PatLit):
+    if isinstance(pattern, Lit):
         return binding if pattern.value == value else None
-    if isinstance(pattern, PatVar):
+    if isinstance(pattern, Var):
         if pattern.name in binding:
             return binding if binding[pattern.name] == value else None
         new = dict(binding)
         new[pattern.name] = value
         return new
-    if isinstance(pattern, PatTuple):
+    if isinstance(pattern, Tup):
         if not isinstance(value, tuple) or len(value) != len(pattern.items):
             return None
         for item, component in zip(pattern.items, value):
@@ -153,38 +138,40 @@ def match(pattern: Pattern, value, binding: dict) -> Optional[dict]:
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
-def pattern_variables(pattern: Pattern) -> set[str]:
-    if isinstance(pattern, PatVar):
-        return {pattern.name}
-    if isinstance(pattern, PatTuple):
-        out = set()
-        for item in pattern.items:
-            out |= pattern_variables(item)
-        return out
+def variables(inscription: Inscription) -> set[str]:
+    """The variables an inscription binds (input arc) or reads (output arc)."""
+    if isinstance(inscription, Var):
+        return {inscription.name}
+    if isinstance(inscription, Tup):
+        return set().union(*map(variables, inscription.items))
+    if isinstance(inscription, Calc):
+        return ex.variables_of(inscription.body)
     return set()
 
 
-def normalise_out(body: ex.IntExpr) -> OutExpr:
-    """Canonical output form for an integer computation: bare reads become
-    OutVar, literals OutLit, anything else OutInt.  Keeps structural
-    equality stable across emit/parse round trips."""
+def normalise_out(body: ex.IntExpr) -> Inscription:
+    """Canonical inscription for an integer computation: bare reads become
+    Var, literals Lit, anything else Calc.  Keeps structural equality
+    stable across emit/parse round trips."""
     if isinstance(body, ex.VarRead):
-        return OutVar(body.name)
+        return Var(body.name)
     if isinstance(body, ex.IntLit):
-        return OutLit(body.value)
-    return OutInt(body)
+        return Lit(body.value)
+    return Calc(body)
 
 
-def evaluate(out: OutExpr, binding: dict):
-    if isinstance(out, OutLit):
-        return out.value
-    if isinstance(out, OutVar):
-        return binding[out.name]
-    if isinstance(out, OutTuple):
-        return tuple(evaluate(item, binding) for item in out.items)
-    if isinstance(out, OutInt):
-        return ex.eval_int(out.body, binding)
-    raise TypeError(f"not an output expression: {out!r}")
+def evaluate(inscription: Inscription, binding: dict):
+    """The token the inscription stands for once `binding` holds its
+    variables: the token an input arc consumes or an output arc produces."""
+    if isinstance(inscription, Lit):
+        return inscription.value
+    if isinstance(inscription, Var):
+        return binding[inscription.name]
+    if isinstance(inscription, Tup):
+        return tuple(evaluate(item, binding) for item in inscription.items)
+    if isinstance(inscription, Calc):
+        return ex.eval_int(inscription.body, binding)
+    raise TypeError(f"not an inscription: {inscription!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +202,7 @@ class ArcDef:
     place: str
     trans: str
     orientation: str  # PTOT or TTOP
-    inscription: Union[Pattern, OutExpr]
+    inscription: Inscription
 
 
 def token_sort_key(value):
@@ -310,20 +297,16 @@ class ColouredNet:
                 raise NetError(f"arc {arc.id}: unknown place {arc.place!r}")
             if arc.trans not in self.transitions:
                 raise NetError(f"arc {arc.id}: unknown transition {arc.trans!r}")
-            colour = self.colour_of(arc.place)
-            if arc.orientation == PTOT:
-                if not _pattern_fits(arc.inscription, colour):
-                    raise NetError(f"arc {arc.id}: pattern does not fit colour "
-                                   f"{self.places[arc.place].colour}")
-                bound[arc.trans] |= pattern_variables(arc.inscription)
-            elif arc.orientation == TTOP:
-                if not _out_fits(arc.inscription, colour):
-                    raise NetError(f"arc {arc.id}: expression does not fit colour "
-                                   f"{self.places[arc.place].colour}")
-                reads.append((arc.trans, f"output arc {arc.id}",
-                              _out_variables(arc.inscription)))
-            else:
+            if arc.orientation not in (PTOT, TTOP):
                 raise NetError(f"arc {arc.id}: bad orientation {arc.orientation!r}")
+            pattern = arc.orientation == PTOT
+            if not _fits(arc.inscription, self.colour_of(arc.place), pattern):
+                raise NetError(f"arc {arc.id}: {'pattern' if pattern else 'expression'}"
+                               f" does not fit colour {self.places[arc.place].colour}")
+            if pattern:
+                bound[arc.trans] |= variables(arc.inscription)
+            else:
+                reads.append((arc.trans, f"output arc {arc.id}", variables(arc.inscription)))
         for tid, what, free in reads:
             _check_read(tid, what, free, bound[tid])
 
@@ -338,41 +321,23 @@ def _check_read(tid: str, what: str, free: set[str], bound: set[str]):
                        f"variables {sorted(free - bound)}")
 
 
-def _pattern_fits(pattern, colour) -> bool:
-    if isinstance(pattern, PatVar):
+def _fits(inscription, colour, pattern: bool) -> bool:
+    """Whether the inscription's shape and literals fit `colour`.  A
+    variable always fits: on an input arc it takes a token already in the
+    place, and an output arc's token is checked when the transition fires.
+    A pattern (`pattern` true: an input arc's inscription) may not
+    compute, so there a `Calc` fits no colour."""
+    if isinstance(inscription, Var):
         return True
-    if isinstance(pattern, PatLit):
-        return colour.contains(pattern.value)
-    if isinstance(pattern, PatTuple):
+    if isinstance(inscription, Lit):
+        return colour.contains(inscription.value)
+    if isinstance(inscription, Calc):
+        return not pattern and isinstance(colour, IntCS)
+    if isinstance(inscription, Tup):
         return (isinstance(colour, ProductCS)
-                and len(colour.components) == len(pattern.items)
-                and all(_pattern_fits(i, c)
-                        for i, c in zip(pattern.items, colour.components)))
-    return False
-
-
-def _out_variables(out) -> set[str]:
-    if isinstance(out, OutVar):
-        return {out.name}
-    if isinstance(out, OutInt):
-        return ex.variables_of(out.body)
-    if isinstance(out, OutTuple):
-        return set().union(*map(_out_variables, out.items))
-    return set()
-
-
-def _out_fits(out, colour) -> bool:
-    if isinstance(out, OutVar):
-        return True  # variable colours are checked dynamically when fired
-    if isinstance(out, OutLit):
-        return colour.contains(out.value)
-    if isinstance(out, OutInt):
-        return isinstance(colour, IntCS)
-    if isinstance(out, OutTuple):
-        return (isinstance(colour, ProductCS)
-                and len(colour.components) == len(out.items)
-                and all(_out_fits(i, c)
-                        for i, c in zip(out.items, colour.components)))
+                and len(colour.components) == len(inscription.items)
+                and all(_fits(i, c, pattern)
+                        for i, c in zip(inscription.items, colour.components)))
     return False
 
 
@@ -397,27 +362,22 @@ def binding_key(binding: dict) -> tuple:
     return tuple(sorted(binding.items(), key=lambda kv: (kv[0], token_sort_key(kv[1]))))
 
 
-def _pattern_value(pattern: Pattern, binding: dict):
-    """The token an input pattern consumes once its variables are bound."""
-    if isinstance(pattern, PatLit):
-        return pattern.value
-    if isinstance(pattern, PatVar):
-        return binding[pattern.name]
-    if isinstance(pattern, PatTuple):
-        return tuple(_pattern_value(item, binding) for item in pattern.items)
-    raise TypeError(f"not a pattern: {pattern!r}")
-
-
 _BOUND_LATER = object()  # an arc whose token depends on the binding
+
+
+def _constant(inscription: Inscription):
+    """The token of an inscription without variables, else _BOUND_LATER."""
+    return _BOUND_LATER if variables(inscription) else evaluate(inscription, {})
 
 
 class CompiledTransition:
     """One transition's arcs, indexed once for the token game.
 
     The methods read and return token maps: place id -> token tuple, as in
-    `dict(marking)`, where an absent place is empty.  Inputs whose
-    pattern has no variable, such as unit arcs, are a fixed token and
-    become count checks; only the others are matched against tokens.
+    `dict(marking)`, where an absent place is empty.  An arc whose
+    inscription has no variable, such as a unit arc, is a fixed token: as
+    an input it becomes a count check, and only the other inputs are
+    matched against tokens.
     Raises NetError, as `ColouredNet.check` does, when the guard or an
     output arc reads a variable that no input pattern binds.
     """
@@ -429,11 +389,8 @@ class CompiledTransition:
         self.id = trans.id
         self.trans = trans
         # (place, pattern, token or _BOUND_LATER), in arc order
-        self.inputs = tuple(
-            (arc.place, arc.inscription,
-             _BOUND_LATER if pattern_variables(arc.inscription)
-             else _pattern_value(arc.inscription, {}))
-            for arc in net.input_arcs(trans.id))
+        self.inputs = tuple((arc.place, arc.inscription, _constant(arc.inscription))
+                            for arc in net.input_arcs(trans.id))
         by_place: dict[str, list] = {}
         fixed: Counter = Counter()
         for pid, pattern, token in self.inputs:
@@ -449,19 +406,15 @@ class CompiledTransition:
         varied = {pid for pid, _ in self.variables}
         self.shared = tuple((pid, tuple(patterns)) for pid, patterns in by_place.items()
                             if len(patterns) > 1 and pid in varied)
-        bound = set().union(*(pattern_variables(p) for _, p in self.variables))
+        bound = set().union(*(variables(p) for _, p in self.variables))
         if trans.guard is not None:
             _check_read(trans.id, "guard", ex.variables_of(trans.guard), bound)
         for arc in net.output_arcs(trans.id):
-            _check_read(trans.id, f"output arc {arc.id}", _out_variables(arc.inscription),
-                        bound)
+            _check_read(trans.id, f"output arc {arc.id}", variables(arc.inscription), bound)
         # (place, expression, token or _BOUND_LATER, colour set), in arc order
-        self.outputs = tuple(
-            (arc.place, arc.inscription,
-             arc.inscription.value if isinstance(arc.inscription, OutLit)
-             else _BOUND_LATER,
-             net.colour_of(arc.place))
-            for arc in net.output_arcs(trans.id))
+        self.outputs = tuple((arc.place, arc.inscription, _constant(arc.inscription),
+                              net.colour_of(arc.place))
+                             for arc in net.output_arcs(trans.id))
 
     def bindings(self, tokens: dict) -> list[tuple[tuple, dict]]:
         """(binding_key, binding) for every binding under which the
@@ -494,7 +447,7 @@ class CompiledTransition:
 
     def _enough_copies(self, tokens: dict, binding: dict) -> bool:
         for pid, patterns in self.shared:
-            need = [_pattern_value(pattern, binding) for pattern in patterns]
+            need = [evaluate(pattern, binding) for pattern in patterns]
             have = tokens[pid]
             if any(have.count(token) < need.count(token) for token in need):
                 return False
@@ -508,7 +461,7 @@ class CompiledTransition:
         changed: dict[str, tuple] = {}
         for pid, pattern, token in self.inputs:
             if token is _BOUND_LATER:
-                token = _pattern_value(pattern, binding)
+                token = evaluate(pattern, binding)
             have = changed[pid] if pid in changed else tokens.get(pid, ())
             try:
                 at = have.index(token)

@@ -201,7 +201,7 @@ class NetRunner:
         for tid in tmap.dispatch:
             trigger = None
             for arc in net.input_arcs(tid):
-                if arc.place == tmap.events_place and isinstance(arc.inscription, cpn.PatLit):
+                if arc.place == tmap.events_place and isinstance(arc.inscription, cpn.Lit):
                     trigger = arc.inscription.value
             self.trigger_of_dispatch[tid] = trigger
         self.producer_of_event = {e: tid for tid, e in tmap.producer.items()}
@@ -309,6 +309,12 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
 # Bounded trace equivalence (bisimulation over observable moves)
 
 
+# The deepest check_trace_equivalence goes.  The counterexample search
+# recurses once per move of the trace and must stay inside Python's default
+# recursion limit of 1000; the memo grows with the depth too
+MAX_DEPTH = 400
+
+
 @dataclass
 class EquivalenceResult:
     equivalent: bool
@@ -331,6 +337,31 @@ def _machine_moves(model: StateMachine, config: Configuration, capacity: int):
         yield ("step", label.event, label.behaviours, label.active), after
 
 
+def _matched(left: dict, right: dict):
+    """Whether the machine's and the net's move maps match, as a generator:
+    it yields each (u, v) successor pair it needs decided, is sent whether
+    u and v are bisimilar one move less deep, and returns True when both
+    sides offer the same moves and every successor of a move on either
+    side has a match on the other.  Stops at the first failure."""
+    if set(left) != set(right):
+        return False
+    for move, us in left.items():
+        vs = right[move]
+        for u in us:
+            for v in vs:
+                if (yield u, v):
+                    break
+            else:
+                return False
+        for v in vs:
+            for u in us:
+                if (yield u, v):
+                    break
+            else:
+                return False
+    return True
+
+
 def _move_map(pairs) -> dict:
     """{move: frozenset of successors} of (move, successor) pairs."""
     moves: dict = {}
@@ -349,10 +380,13 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     behaviours, leaf).  The net also offers ("stuck", event, behaviours,
     reason) where a dispatch chain breaks, which the machine never
     matches.  Equivalent iff the step trees are bisimilar to `depth`
-    moves; otherwise the shortest divergent trace is reported.
+    moves; otherwise the shortest divergent trace is reported.  `depth`
+    runs from 1 to MAX_DEPTH.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth must be at most {MAX_DEPTH}")
     runner = NetRunner(net, tmap, model)
     smd_succ = functools.cache(
         lambda config: _move_map(_machine_moves(model, config, event_capacity)))
@@ -362,20 +396,30 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     memo: dict = {}
 
     def bisim(config, marking, k) -> bool:
-        # well-founded in k, so no cycle handling is needed
+        # depth first over (config, marking, k) on an explicit stack of
+        # _matched checks, so no Python frame is kept per move (deep Python
+        # recursion also made CPython 3.11 map and unmap frame-stack chunks
+        # as the successor computations crossed them); well-founded in k,
+        # so no cycle handling is needed
         if k == 0:
             return True
-        key = (config, marking, k)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        left, right = smd_succ(config), net_succ(marking)
-        result = set(left) == set(right) and all(
-            all(any(bisim(u, v, k - 1) for v in right[label]) for u in left[label])
-            and all(any(bisim(u, v, k - 1) for u in left[label]) for v in right[label])
-            for label in left)
-        memo[key] = result
-        return result
+        verdict = memo.get((config, marking, k))
+        if verdict is not None:
+            return verdict
+        stack = [((config, marking, k), _matched(smd_succ(config), net_succ(marking)))]
+        while stack:
+            key, check = stack[-1]
+            try:
+                u, v = check.send(verdict)
+            except StopIteration as done:
+                memo[key] = verdict = done.value
+                stack.pop()
+                continue
+            child = (u, v, key[2] - 1)
+            verdict = True if child[2] == 0 else memo.get(child)
+            if verdict is None:
+                stack.append((child, _matched(smd_succ(u), net_succ(v))))
+        return verdict
 
     start_config = initial_configuration(model)
     start_marking = net.initial_marking()

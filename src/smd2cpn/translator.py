@@ -28,9 +28,8 @@ from typing import Optional
 
 from . import expr as ex
 from .net import (
-    UNIT_TOKEN, ColouredNet, EnumCS, IntCS, OutLit, OutTuple, OutVar,
-    PatLit, PatTuple, PatVar, PlaceDef, ProductCS, TransDef, UnitCS,
-    PTOT, TTOP, normalise_out,
+    UNIT_TOKEN, ColouredNet, EnumCS, IntCS, Lit, PlaceDef, ProductCS, TransDef,
+    Tup, UnitCS, Var, PTOT, TTOP, normalise_out,
 )
 from .statemachine import (
     COMPOSITE, FINAL, NO_HISTORY, SIMPLE,
@@ -207,8 +206,8 @@ def translate_states(model: StateMachine, config: TranslationConfig,
             tmap.capacity_place[event] = cap
             producer = f"T_env_{event}"
             net.add_transition(TransDef(producer, f"emit {event}"))
-            net.add_arc(cap, producer, PTOT, PatLit(UNIT_TOKEN))
-            net.add_arc("P_EVENTS", producer, TTOP, OutLit(event))
+            net.add_arc(cap, producer, PTOT, Lit(UNIT_TOKEN))
+            net.add_arc("P_EVENTS", producer, TTOP, Lit(event))
             tmap.producer[producer] = event
 
     var_order = [v.name for v in model.variables]
@@ -219,8 +218,8 @@ def translate_states(model: StateMachine, config: TranslationConfig,
             tid = f"T_do_{s.name}" if x == s.id else f"T_do_{s.name}__at_{x}"
             net.add_transition(TransDef(tid, s.do.label, observable_label=s.do.label))
             place = tmap.state_place[x]
-            net.add_arc(place, tid, PTOT, PatLit(UNIT_TOKEN))
-            net.add_arc(place, tid, TTOP, OutLit(UNIT_TOKEN))
+            net.add_arc(place, tid, PTOT, Lit(UNIT_TOKEN))
+            net.add_arc(place, tid, TTOP, Lit(UNIT_TOKEN))
             _wire_assignments(net, tid, s.do, var_order, tmap)
             tmap.do_loop[tid] = (s.id, x)
 
@@ -252,17 +251,17 @@ def _wire_assignments(net: ColouredNet, tid: str, behaviour: Behaviour,
     for var, rhs in behaviour.assignments:
         acc[var] = ex.substitute(rhs, dict(acc))
     net.add_arc(tmap.vars_place, tid, PTOT,
-                PatTuple(tuple(PatVar(f"v_{v}") for v in var_order)))
+                Tup(tuple(Var(f"v_{v}") for v in var_order)))
     net.add_arc(tmap.vars_place, tid, TTOP,
-                OutTuple(tuple(normalise_out(acc[v]) for v in var_order)))
+                Tup(tuple(normalise_out(acc[v]) for v in var_order)))
 
 
 # ---------------------------------------------------------------------------
 # Pass 2: transitions
 
 
-def translate_transitions(model: StateMachine, config: TranslationConfig,
-                          net: ColouredNet, tmap: TranslationMap) -> ColouredNet:
+def translate_transitions(model: StateMachine, net: ColouredNet,
+                          tmap: TranslationMap) -> ColouredNet:
     """Dispatch transitions, in-flight places, and all arcs."""
     var_order = [v.name for v in model.variables]
     for t in model.transitions:
@@ -274,7 +273,7 @@ def translate_transitions(model: StateMachine, config: TranslationConfig,
                                   f"{t.id}#", (t.id, "chain"), var_order)
         end_place = _end_place(net, tmap, t, route.end, nodes)
         if last is not None:
-            net.add_arc(end_place, last, TTOP, OutLit(UNIT_TOKEN))
+            net.add_arc(end_place, last, TTOP, Lit(UNIT_TOKEN))
         tail = first or end_place
 
         for x in route.sources:
@@ -285,8 +284,8 @@ def translate_transitions(model: StateMachine, config: TranslationConfig,
                                       f"P_{t.id}__from_{x}_", f"{t.id}:{x}#",
                                       (t.id, "from", x), var_order)
             if last is not None:
-                net.add_arc(tail, last, TTOP, OutLit(UNIT_TOKEN))
-            net.add_arc(first or tail, dispatch, TTOP, OutLit(UNIT_TOKEN))
+                net.add_arc(tail, last, TTOP, Lit(UNIT_TOKEN))
+            net.add_arc(first or tail, dispatch, TTOP, Lit(UNIT_TOKEN))
     return net
 
 
@@ -304,12 +303,12 @@ def _wire_chain(net: ColouredNet, tmap: TranslationMap, nodes: list[str],
         tmap.inflight.add(pid)
         nodes.append(pid)
         tid = tmap.behaviour_trans[key + (k,)]
-        net.add_arc(pid, tid, PTOT, PatLit(UNIT_TOKEN))
+        net.add_arc(pid, tid, PTOT, Lit(UNIT_TOKEN))
         _wire_assignments(net, tid, b, var_order, tmap)
         if last is None:
             first = pid
         else:
-            net.add_arc(pid, last, TTOP, OutLit(UNIT_TOKEN))
+            net.add_arc(pid, last, TTOP, Lit(UNIT_TOKEN))
         last = tid
     return first, last
 
@@ -343,19 +342,19 @@ def _add_dispatch(net: ColouredNet, tmap: TranslationMap, t: Transition,
         guard = ex.rename_variables(t.guard, {v: f"v_{v}" for v in var_order})
     net.add_transition(TransDef(tid, name, guard=guard))
     tmap.dispatch[tid] = t.id
-    net.add_arc(control, tid, PTOT, PatLit(UNIT_TOKEN))
+    net.add_arc(control, tid, PTOT, Lit(UNIT_TOKEN))
     if t.trigger is not None:
-        net.add_arc(tmap.events_place, tid, PTOT, PatLit(t.trigger))
-        net.add_arc(tmap.capacity_place[t.trigger], tid, TTOP, OutLit(UNIT_TOKEN))
+        net.add_arc(tmap.events_place, tid, PTOT, Lit(t.trigger))
+        net.add_arc(tmap.capacity_place[t.trigger], tid, TTOP, Lit(UNIT_TOKEN))
     if t.guard is not None:
-        net.add_arc(tmap.vars_place, tid, PTOT,
-                    PatTuple(tuple(PatVar(f"v_{v}") for v in var_order)))
-        net.add_arc(tmap.vars_place, tid, TTOP,
-                    OutTuple(tuple(OutVar(f"v_{v}") for v in var_order)))
+        # the guard reads the variable vector and puts it back unchanged
+        vector = Tup(tuple(Var(f"v_{v}") for v in var_order))
+        net.add_arc(tmap.vars_place, tid, PTOT, vector)
+        net.add_arc(tmap.vars_place, tid, TTOP, vector)
     for composite, value in route.history_writes.get(x, ()):
         hp = tmap.history_place[composite]
-        net.add_arc(hp, tid, PTOT, PatVar(f"h_{composite}"))
-        net.add_arc(hp, tid, TTOP, OutLit(value))
+        net.add_arc(hp, tid, PTOT, Var(f"h_{composite}"))
+        net.add_arc(hp, tid, TTOP, Lit(value))
     return tid
 
 
@@ -363,8 +362,8 @@ def _add_dispatch(net: ColouredNet, tmap: TranslationMap, t: Transition,
 # Pass 3: history pseudostates
 
 
-def translate_history(model: StateMachine, config: TranslationConfig,
-                      net: ColouredNet, tmap: TranslationMap) -> ColouredNet:
+def translate_history(model: StateMachine, net: ColouredNet,
+                      tmap: TranslationMap) -> ColouredNet:
     """Restore fans: transitions targeting <c>.H pick the re-entered child
     from the ^H token (NONE falls back to the default configuration)."""
     var_order = [v.name for v in model.variables]
@@ -380,24 +379,24 @@ def translate_history(model: StateMachine, config: TranslationConfig,
             label = "default" if value == NO_HISTORY else value
             net.add_transition(TransDef(rid, f"{t.id} resume {label}"))
             nodes.append(rid)
-            net.add_arc(pre, rid, PTOT, PatLit(UNIT_TOKEN))
-            net.add_arc(hist_place, rid, PTOT, PatLit(value))
-            net.add_arc(hist_place, rid, TTOP, OutLit(value))
+            net.add_arc(pre, rid, PTOT, Lit(UNIT_TOKEN))
+            net.add_arc(hist_place, rid, PTOT, Lit(value))
+            net.add_arc(hist_place, rid, TTOP, Lit(value))
             previous = rid
             for j, b in enumerate(behaviours):
                 pid = f"P_{t.id}_restore_{value}_{j}"
                 net.add_place(PlaceDef(pid, f"{t.id}:{label}#{j}", "UNIT", ()))
                 tmap.inflight.add(pid)
                 nodes.append(pid)
-                net.add_arc(pid, previous, TTOP, OutLit(UNIT_TOKEN))
+                net.add_arc(pid, previous, TTOP, Lit(UNIT_TOKEN))
                 bid = f"T_{t.id}_restore_{value}_beh_{j}"
                 net.add_transition(TransDef(bid, b.label, observable_label=b.label))
                 tmap.behaviour_trans[(t.id, "restore", value, j)] = bid
                 nodes.append(bid)
-                net.add_arc(pid, bid, PTOT, PatLit(UNIT_TOKEN))
+                net.add_arc(pid, bid, PTOT, Lit(UNIT_TOKEN))
                 _wire_assignments(net, bid, b, var_order, tmap)
                 previous = bid
-            net.add_arc(tmap.state_place[leaf], previous, TTOP, OutLit(UNIT_TOKEN))
+            net.add_arc(tmap.state_place[leaf], previous, TTOP, Lit(UNIT_TOKEN))
     return net
 
 
@@ -415,7 +414,7 @@ def translate(model: StateMachine,
     config = config or TranslationConfig()
     tmap = TranslationMap()
     net = translate_states(model, config, tmap)
-    net = translate_transitions(model, config, net, tmap)
-    net = translate_history(model, config, net, tmap)
+    net = translate_transitions(model, net, tmap)
+    net = translate_history(model, net, tmap)
     net.check()
     return net, tmap

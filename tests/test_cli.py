@@ -5,6 +5,7 @@ import pytest
 
 import mutations
 from smd2cpn import cli
+from smd2cpn.oracle import MAX_DEPTH
 from smd2cpn.translator import translate
 
 
@@ -90,6 +91,7 @@ def test_usage_error_exit_code(capsys):
     ("translate", "flat.smdl", "-o", "out.cpn", "--event-capacity", "0"),
     ("simulate", "flat.smdl", "--event-capacity", "0"),
     ("equiv", "flat.smdl", "--event-capacity", "-1"),
+    ("equiv", "flat.smdl", "--depth", str(MAX_DEPTH + 1)),
 ])
 def test_out_of_range_options_are_usage_errors(tmp_path, capsys, models_dir, argv):
     argv = [str(models_dir / a) if a.endswith(".smdl") else a for a in argv]

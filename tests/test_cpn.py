@@ -5,8 +5,7 @@ import pytest
 from smd2cpn import expr as ex
 from smd2cpn.net import (
     UNIT_TOKEN, ColouredNet, EnumCS, IntCS, NetError, NotEnabledError,
-    OutInt, OutLit, OutTuple, OutVar, PatLit, PatTuple, PatVar, PlaceDef,
-    ProductCS, TransDef, UnitCS, PTOT, TTOP,
+    Calc, Lit, PlaceDef, ProductCS, TransDef, Tup, UnitCS, Var, PTOT, TTOP,
     enabled_bindings, explore, fire, marking_key,
 )
 from smd2cpn.oracle import (
@@ -45,7 +44,7 @@ def test_guard_failure_blocks_binding():
     net.add_place(PlaceDef("p", "p", "INT", (3,)))
     net.add_transition(TransDef("t", "t",
                                 guard=ex.Cmp(">", ex.VarRead("x"), ex.IntLit(5))))
-    net.add_arc("p", "t", PTOT, PatVar("x"))
+    net.add_arc("p", "t", PTOT, Var("x"))
     for bindings in (enabled_bindings, bindings_via_explore):
         assert bindings(net, net.initial_marking(), "t") == []
 
@@ -56,8 +55,8 @@ def test_binding_join_across_arcs():
     net.add_place(PlaceDef("p1", "p1", "INT", (1, 2)))
     net.add_place(PlaceDef("p2", "p2", "INT", (2, 3)))
     net.add_transition(TransDef("t", "t"))
-    net.add_arc("p1", "t", PTOT, PatVar("x"))
-    net.add_arc("p2", "t", PTOT, PatVar("x"))
+    net.add_arc("p1", "t", PTOT, Var("x"))
+    net.add_arc("p2", "t", PTOT, Var("x"))
     assert enabled_bindings(net, net.initial_marking(), "t") == [{"x": 2}]
 
 
@@ -66,8 +65,8 @@ def test_multiset_demand_needs_enough_copies():
     net.colours["INT"] = IntCS()
     net.add_place(PlaceDef("p", "p", "INT", (7,)))
     net.add_transition(TransDef("t", "t"))
-    net.add_arc("p", "t", PTOT, PatVar("x"))
-    net.add_arc("p", "t", PTOT, PatVar("y"))
+    net.add_arc("p", "t", PTOT, Var("x"))
+    net.add_arc("p", "t", PTOT, Var("y"))
     two = (("p", (7, 7)),)
     for bindings in (enabled_bindings, bindings_via_explore):
         assert bindings(net, net.initial_marking(), "t") == []
@@ -84,8 +83,8 @@ def test_fire_moves_token_and_checks_enabledness():
     net.add_place(PlaceDef("a", "a", "UNIT", (UNIT_TOKEN,)))
     net.add_place(PlaceDef("b", "b", "UNIT", ()))
     net.add_transition(TransDef("t", "t"))
-    net.add_arc("a", "t", PTOT, PatLit(UNIT_TOKEN))
-    net.add_arc("b", "t", TTOP, OutLit(UNIT_TOKEN))
+    net.add_arc("a", "t", PTOT, Lit(UNIT_TOKEN))
+    net.add_arc("b", "t", TTOP, Lit(UNIT_TOKEN))
     after = fire(net, net.initial_marking(), "t", {})
     assert after == (("b", (UNIT_TOKEN,)),)
     with pytest.raises(NotEnabledError):
@@ -97,8 +96,8 @@ def test_fire_is_local():
     for pid in ("a", "b", "far"):
         net.add_place(PlaceDef(pid, pid, "UNIT", (UNIT_TOKEN,)))
     net.add_transition(TransDef("t", "t"))
-    net.add_arc("a", "t", PTOT, PatLit(UNIT_TOKEN))
-    net.add_arc("b", "t", TTOP, OutLit(UNIT_TOKEN))
+    net.add_arc("a", "t", PTOT, Lit(UNIT_TOKEN))
+    net.add_arc("b", "t", TTOP, Lit(UNIT_TOKEN))
     after = fire(net, net.initial_marking(), "t", {})
     assert dict(after)["far"] == (UNIT_TOKEN,)
 
@@ -110,8 +109,8 @@ def test_output_outside_colour_raises():
     net.add_place(PlaceDef("p", "p", "INT", (1,)))
     net.add_place(PlaceDef("q", "q", "E", ()))
     net.add_transition(TransDef("t", "t"))
-    net.add_arc("p", "t", PTOT, PatVar("x"))
-    net.add_arc("q", "t", TTOP, OutVar("x"))  # int token into an enum place
+    net.add_arc("p", "t", PTOT, Var("x"))
+    net.add_arc("q", "t", TTOP, Var("x"))  # int token into an enum place
     with pytest.raises(NetError):
         fire(net, net.initial_marking(), "t", {"x": 1})
     with pytest.raises(NetError):
@@ -124,9 +123,9 @@ def test_product_patterns_and_computed_outputs():
     net.colours["V"] = ProductCS((IntCS(), IntCS()))
     net.add_place(PlaceDef("v", "v", "V", ((2, 5),)))
     net.add_transition(TransDef("t", "t"))
-    net.add_arc("v", "t", PTOT, PatTuple((PatVar("a"), PatVar("b"))))
-    net.add_arc("v", "t", TTOP, OutTuple((
-        OutInt(ex.BinOp("+", ex.VarRead("a"), ex.VarRead("b"))), OutVar("a"))))
+    net.add_arc("v", "t", PTOT, Tup((Var("a"), Var("b"))))
+    net.add_arc("v", "t", TTOP, Tup((
+        Calc(ex.BinOp("+", ex.VarRead("a"), ex.VarRead("b"))), Var("a"))))
     (binding,) = enabled_bindings(net, net.initial_marking(), "t")
     after = fire(net, net.initial_marking(), "t", binding)
     assert after == (("v", ((7, 2),)),)
@@ -146,8 +145,8 @@ def test_token_balance_on_random_unit_nets():
             net.add_transition(TransDef(tid, tid))
             degree = rng.randint(1, 3)
             for _ in range(degree):
-                net.add_arc(rng.choice(places), tid, PTOT, PatLit(UNIT_TOKEN))
-                net.add_arc(rng.choice(places), tid, TTOP, OutLit(UNIT_TOKEN))
+                net.add_arc(rng.choice(places), tid, PTOT, Lit(UNIT_TOKEN))
+                net.add_arc(rng.choice(places), tid, TTOP, Lit(UNIT_TOKEN))
         marking = net.initial_marking()
         total = sum(len(tokens) for _, tokens in marking)
         for _ in range(30):
@@ -165,7 +164,7 @@ def test_enabledness_monotone_in_tokens_without_guards():
     net.colours["E"] = EnumCS(("a", "b"))
     net.add_place(PlaceDef("p", "p", "E", ("a",)))
     net.add_transition(TransDef("t", "t"))
-    net.add_arc("p", "t", PTOT, PatVar("x"))
+    net.add_arc("p", "t", PTOT, Var("x"))
     small = enabled_bindings(net, (("p", ("a",)),), "t")
     large = enabled_bindings(net, (("p", ("a", "b")),), "t")
     assert {tuple(b.items()) for b in small} <= {tuple(b.items()) for b in large}
@@ -200,24 +199,49 @@ def net_with_output(out, input_variables):
     net.colours["INT"] = IntCS()
     net.colours["V"] = ProductCS((IntCS(), ProductCS((IntCS(), IntCS()))))
     net.add_place(PlaceDef("p", "p", "INT", (1,)))
-    net.add_place(PlaceDef("q", "q", "V" if isinstance(out, OutTuple) else "INT", ()))
+    net.add_place(PlaceDef("q", "q", "V" if isinstance(out, Tup) else "INT", ()))
     net.add_transition(TransDef("t", "t"))
     for name in input_variables:
-        net.add_arc("p", "t", PTOT, PatVar(name))
+        net.add_arc("p", "t", PTOT, Var(name))
     net.add_arc("q", "t", TTOP, out)
     return net
 
 
 @pytest.mark.parametrize("out", [
-    OutVar("y"),
-    OutInt(ex.BinOp("+", ex.VarRead("y"), ex.IntLit(1))),
-    OutTuple((OutVar("x"), OutTuple((OutLit(1), OutVar("y"))))),
+    Var("y"),
+    Calc(ex.BinOp("+", ex.VarRead("y"), ex.IntLit(1))),
+    Tup((Var("x"), Tup((Lit(1), Var("y"))))),
 ], ids=["var", "int", "nested-tuple"])
 def test_check_rejects_output_reading_unbound_variable(out):
     with pytest.raises(NetError, match=r"transition t: output arc A_2 "
                                        r"reads unbound variables \['y'\]"):
         net_with_output(out, ["x"]).check()
     net_with_output(out, ["x", "y"]).check()  # fine once an input binds y
+
+
+X_PLUS_1 = Calc(ex.BinOp("+", ex.VarRead("x"), ex.IntLit(1)))
+
+
+@pytest.mark.parametrize("place,orientation,inscription,message", [
+    ("i", PTOT, X_PLUS_1, "pattern does not fit colour INT"),
+    ("v", PTOT, Tup((Var("y"), X_PLUS_1)), "pattern does not fit colour V"),
+    ("e", PTOT, Lit("c"), "pattern does not fit colour E"),
+    ("e", TTOP, Lit("c"), "expression does not fit colour E"),
+], ids=["calc-input", "calc-in-tuple-input", "lit-input", "lit-output"])
+def test_check_rejects_inscription_outside_colour(place, orientation, inscription,
+                                                  message):
+    net = ColouredNet(name="n")
+    net.colours["INT"] = IntCS()
+    net.colours["E"] = EnumCS(("a", "b"))
+    net.colours["V"] = ProductCS((IntCS(), IntCS()))
+    net.add_place(PlaceDef("i", "i", "INT", (1,)))
+    net.add_place(PlaceDef("e", "e", "E", ()))
+    net.add_place(PlaceDef("v", "v", "V", ()))
+    net.add_transition(TransDef("t", "t"))
+    net.add_arc("i", "t", PTOT, Var("x"))
+    net.add_arc(place, "t", orientation, inscription)
+    with pytest.raises(NetError, match=f"^arc A_2: {message}$"):
+        net.check()
 
 
 def test_explore_no_enabled_transitions():
@@ -231,8 +255,8 @@ def test_explore_self_loop_single_state_single_edge():
     net = unit_net()
     net.add_place(PlaceDef("p", "p", "UNIT", (UNIT_TOKEN,)))
     net.add_transition(TransDef("t", "t"))
-    net.add_arc("p", "t", PTOT, PatLit(UNIT_TOKEN))
-    net.add_arc("p", "t", TTOP, OutLit(UNIT_TOKEN))
+    net.add_arc("p", "t", PTOT, Lit(UNIT_TOKEN))
+    net.add_arc("p", "t", TTOP, Lit(UNIT_TOKEN))
     graph = explore(net)
     assert graph.state_count == 1
     assert graph.edges == [(0, "t", (), 0)]
@@ -252,8 +276,8 @@ def test_explore_truncation_flag():
     net.colours["INT"] = IntCS()
     net.add_place(PlaceDef("p", "p", "INT", (0,)))
     net.add_transition(TransDef("t", "t"))
-    net.add_arc("p", "t", PTOT, PatVar("x"))
-    net.add_arc("p", "t", TTOP, OutInt(ex.BinOp("+", ex.VarRead("x"), ex.IntLit(1))))
+    net.add_arc("p", "t", PTOT, Var("x"))
+    net.add_arc("p", "t", TTOP, Calc(ex.BinOp("+", ex.VarRead("x"), ex.IntLit(1))))
     graph = explore(net, bound=10)
     assert graph.truncated and graph.state_count == 10
 

@@ -10,8 +10,7 @@ from smd2cpn.emit import (
     CpnParseError, emit_cpn_xml, emit_dot, layout, parse_cpn_xml,
 )
 from smd2cpn.net import (
-    UNIT_TOKEN, ColouredNet, IntCS, OutLit, PatLit, PlaceDef, TransDef,
-    UnitCS, PTOT, TTOP,
+    UNIT_TOKEN, ColouredNet, IntCS, Lit, PlaceDef, TransDef, UnitCS, PTOT, TTOP,
 )
 from smd2cpn.translator import TranslationConfig, translate
 
@@ -34,7 +33,7 @@ def test_single_node_at_origin():
 def test_two_node_chain_spacing():
     net = tiny_net()
     net.add_transition(TransDef("t", "t"))
-    net.add_arc("p", "t", PTOT, PatLit(UNIT_TOKEN))
+    net.add_arc("p", "t", PTOT, Lit(UNIT_TOKEN))
     positions = layout(net)
     assert positions["p"] == (0.0, 0.0)
     x, y = positions["t"]
@@ -117,8 +116,8 @@ def test_emission_independent_of_insertion_order():
             net.add_place(PlaceDef(pid, pid, "UNIT",
                                    (UNIT_TOKEN,) if pid == "a" else ()))
         net.add_transition(TransDef("t", "t"))
-        net.add_arc("a", "t", PTOT, PatLit(UNIT_TOKEN))
-        net.add_arc("b", "t", TTOP, OutLit(UNIT_TOKEN))
+        net.add_arc("a", "t", PTOT, Lit(UNIT_TOKEN))
+        net.add_arc("b", "t", TTOP, Lit(UNIT_TOKEN))
         return net
 
     assert emit_cpn_xml(build("ab")) == emit_cpn_xml(build("ba"))
@@ -185,7 +184,7 @@ def test_empty_enum_or_product_rejected(kind, message):
 def test_arc_to_unknown_transition_rejected():
     net = tiny_net()
     net.add_transition(TransDef("t", "t"))
-    net.add_arc("p", "t", PTOT, PatLit(UNIT_TOKEN))
+    net.add_arc("p", "t", PTOT, Lit(UNIT_TOKEN))
     document = emit_cpn_xml(net)
     assert parse_cpn_xml(document) == net
     dangling = document.replace('<transend idref="t"/>', '<transend idref="u"/>')
@@ -220,8 +219,8 @@ def test_duplicate_node_id_rejected(tag, node_id):
 
 def test_duplicate_arc_id_rejected():
     net = _with_transition()
-    net.add_arc("p", "t", PTOT, PatLit(UNIT_TOKEN))
-    net.add_arc("p", "t", TTOP, OutLit(UNIT_TOKEN))
+    net.add_arc("p", "t", PTOT, Lit(UNIT_TOKEN))
+    net.add_arc("p", "t", TTOP, Lit(UNIT_TOKEN))
     document = emit_cpn_xml(net)
     assert parse_cpn_xml(document) == net
     renamed = document.replace('<arc id="A_2"', '<arc id="A_1"')
@@ -262,7 +261,7 @@ def _int_arc_net():
     net.colours["UNIT"] = UnitCS()
     net.add_place(PlaceDef("p", "p", "INT", (12,)))
     net.add_transition(TransDef("t", "t"))
-    net.add_arc("p", "t", PTOT, PatLit(12))
+    net.add_arc("p", "t", PTOT, Lit(12))
     return net
 
 
@@ -295,7 +294,7 @@ def test_reader_text_and_error_positions(old, new, outcome):
     edited = document[:at] + new + document[at + len(old):]
     if isinstance(outcome, int):
         net = parse_cpn_xml(edited)
-        assert [a.inscription for a in net.arcs] == [PatLit(outcome)]
+        assert [a.inscription for a in net.arcs] == [Lit(outcome)]
         assert net.places["p"].colour == "INT"
         assert net.places["p"].initial == (12,)
         return

@@ -3,7 +3,7 @@ import pytest
 import mutations
 from smd2cpn.net import NetError
 from smd2cpn.oracle import (
-    NetRunner, NotEnabledStepError,
+    MAX_DEPTH, NetRunner, NotEnabledStepError,
     check_control_safety, check_trace_equivalence, enabled_transitions,
     format_counterexample, format_move, initial_configuration, inject, step,
 )
@@ -186,6 +186,17 @@ def test_corpus_models_equivalent(corpus_models, corpus_nets):
         net, tmap = corpus_nets[name]
         result = check_trace_equivalence(model, net, tmap, depth=5)
         assert result.equivalent, (name, result.counterexample)
+
+
+def test_equivalence_reaches_max_depth(corpus_models, corpus_nets):
+    # the bisimulation keeps no Python frame per move, so MAX_DEPTH runs
+    # even under pytest's own frames; one more is refused before any runs
+    model = corpus_models["flat"]
+    net, tmap = corpus_nets["flat"]
+    result = check_trace_equivalence(model, net, tmap, depth=MAX_DEPTH)
+    assert result.equivalent and result.pairs_checked == MAX_DEPTH
+    with pytest.raises(ValueError, match=f"depth must be at most {MAX_DEPTH}"):
+        check_trace_equivalence(model, net, tmap, depth=MAX_DEPTH + 1)
 
 
 def test_deleted_arc_detected_with_counterexample(cd_model, cd_net):

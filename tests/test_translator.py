@@ -6,7 +6,7 @@ import pytest
 from modelgen import balanced_machine, chain_machine
 from smd2cpn.emit import emit_cpn_xml
 from smd2cpn.net import (
-    UNIT_TOKEN, NetError, OutLit, PatLit, PatVar, PTOT, TTOP,
+    UNIT_TOKEN, NetError, Lit, Var, PTOT, TTOP,
 )
 from smd2cpn.smdl import parse
 from smd2cpn.statemachine import NO_HISTORY
@@ -98,9 +98,9 @@ def test_history_recorded_on_boundary_crossing_dispatches(cd_net):
     for x in ("PLAYING", "PAUSED"):
         tid = f"T_t4__from_{x}"
         write = [a for a in net.output_arcs(tid) if a.place == "P_Busy__H"]
-        assert write and write[0].inscription == OutLit(x)
+        assert write and write[0].inscription == Lit(x)
         read = [a for a in net.input_arcs(tid) if a.place == "P_Busy__H"]
-        assert read and read[0].inscription == PatVar("h_Busy")
+        assert read and read[0].inscription == Var("h_Busy")
     # t2 stays inside Busy: no history arcs
     assert not [a for a in net.output_arcs("T_t2__from_PLAYING")
                 if a.place == "P_Busy__H"]
@@ -114,7 +114,7 @@ def test_completion_dispatch_consumes_final_place(cd_net):
     assert "P_EVENTS" not in inputs  # completion is triggerless
     write = [a for a in net.output_arcs("T_t11__completion")
              if a.place == "P_Busy__H"]
-    assert write[0].inscription == OutLit(NO_HISTORY)
+    assert write[0].inscription == Lit(NO_HISTORY)
 
 
 def test_entering_final_routes_to_final_place(cd_net):
@@ -130,10 +130,10 @@ def test_restore_fan_structure(cd_net, cd_model):
         rid = f"T_t7_restore_{value}"
         assert rid in net.transitions
         ins = {a.place: a.inscription for a in net.input_arcs(rid)}
-        assert ins["P_Busy__H"] == PatLit(value)
-        assert ins["P_t7_hist"] == PatLit(UNIT_TOKEN)
+        assert ins["P_Busy__H"] == Lit(value)
+        assert ins["P_t7_hist"] == Lit(UNIT_TOKEN)
         outs = {a.place: a.inscription for a in net.output_arcs(rid)}
-        assert outs["P_Busy__H"] == OutLit(value)
+        assert outs["P_Busy__H"] == Lit(value)
         assert leaf in outs
 
 
@@ -188,9 +188,9 @@ def test_history_pass_is_identity_without_history_targets(corpus_models):
     model = corpus_models["flat"]
     tmap = TranslationMap()
     net = translate_states(model, TranslationConfig(), tmap)
-    net = translate_transitions(model, TranslationConfig(), net, tmap)
+    net = translate_transitions(model, net, tmap)
     before = emit_cpn_xml(net)
-    net = translate_history(model, TranslationConfig(), net, tmap)
+    net = translate_history(model, net, tmap)
     assert emit_cpn_xml(net) == before
 
 
