@@ -3,11 +3,13 @@ from collections import Counter
 
 import pytest
 
+import mutations
 from modelgen import balanced_machine, chain_machine
 from smd2cpn.emit import emit_cpn_xml
 from smd2cpn.net import (
-    UNIT_TOKEN, NetError, Lit, Var, PTOT, TTOP,
+    UNIT_TOKEN, NetError, Lit, Tup, Var, PTOT, TTOP, evaluate,
 )
+from smd2cpn.oracle import check_control_safety, check_trace_equivalence
 from smd2cpn.smdl import parse
 from smd2cpn.statemachine import NO_HISTORY
 from smd2cpn.translator import (
@@ -136,6 +138,98 @@ def test_restore_fan_structure(cd_net, cd_model):
         assert outs["P_Busy__H"] == Lit(value)
         assert leaf in outs
 
+
+# `models/history.smdl` with entry behaviours on the children of the history
+# composite, so every restore arm runs a chain before it lands.
+RESUME = """machine Workshop {
+  var n : int = 0 ;
+  state Home initial ;
+  state Work history entry Enter {
+    state Alpha initial entry EnA { n := 1 - n } {
+      state A1 initial entry EnA1 ;
+      state A2 exit CloseA2 ;
+    } ;
+    state Beta entry EnB exit LeaveBeta ;
+  } ;
+  trans w1 : Home -> Work on start ;
+  trans w2 : A1 -> A2 on step ;
+  trans w3 : Alpha -> Beta on swap ;
+  trans w4 : Beta -> Alpha on swap ;
+  trans w5 : Work -> Home on pause ;
+  trans w6 : Home -> Work.H on resume ;
+}"""
+
+
+def _restore_arm(net, tmap, value):
+    """The nodes from w6's restore transition for `value` to the place it
+    lands on, following the control token (not VARS or ^H)."""
+    node = f"T_w6_restore_{value}"
+    path = [node]
+    while True:
+        (place,) = [a.place for a in net.output_arcs(node)
+                    if a.place not in ("P_VARS", "P_Work__H")]
+        path.append(place)
+        if place not in tmap.inflight:
+            return path
+        (node,) = [a.trans for a in net.arcs
+                   if a.place == place and a.orientation == PTOT]
+        path.append(node)
+
+
+def test_restore_arms_run_their_entry_behaviours():
+    net, tmap = translate(parse(RESUME))
+    assert _restore_arm(net, tmap, "Alpha") == [
+        "T_w6_restore_Alpha", "P_w6_restore_Alpha_0", "T_w6_restore_Alpha_beh_0",
+        "P_w6_restore_Alpha_1", "T_w6_restore_Alpha_beh_1", "P_A1"]
+    assert _restore_arm(net, tmap, "Beta") == [
+        "T_w6_restore_Beta", "P_w6_restore_Beta_0", "T_w6_restore_Beta_beh_0", "P_Beta"]
+    assert _restore_arm(net, tmap, NO_HISTORY) == [
+        "T_w6_restore_NONE", "P_w6_restore_NONE_0", "T_w6_restore_NONE_beh_0",
+        "P_w6_restore_NONE_1", "T_w6_restore_NONE_beh_1", "P_A1"]
+    labels = {key: net.transitions[tid].observable_label
+              for key, tid in tmap.behaviour_trans.items() if key[:2] == ("w6", "restore")}
+    assert labels == {
+        ("w6", "restore", "Alpha", 0): "EnA", ("w6", "restore", "Alpha", 1): "EnA1",
+        ("w6", "restore", "Beta", 0): "EnB",
+        ("w6", "restore", NO_HISTORY, 0): "EnA", ("w6", "restore", NO_HISTORY, 1): "EnA1"}
+    for value in ("Alpha", NO_HISTORY):
+        tid = f"T_w6_restore_{value}_beh_0"
+        (read,) = [a for a in net.input_arcs(tid) if a.place == "P_VARS"]
+        (write,) = [a for a in net.output_arcs(tid) if a.place == "P_VARS"]
+        assert read.inscription == Tup((Var("v_n"),))
+        assert evaluate(write.inscription, {"v_n": 0}) == (1,)
+    # the restore transitions themselves and the other occurrences leave VARS alone
+    for tid in ("T_w6_restore_Alpha", "T_w6_restore_Alpha_beh_1", "T_w6_restore_Beta_beh_0"):
+        assert "P_VARS" not in {a.place for a in net.input_arcs(tid) + net.output_arcs(tid)}
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_restore_arms_with_behaviours_are_safe_and_equivalent(capacity):
+    model = parse(RESUME)
+    net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
+    if capacity == 1:
+        safety = check_control_safety(net, tmap)
+        assert safety.ok and not safety.truncated and safety.explored == 2880
+    result = check_trace_equivalence(model, net, tmap, depth=10, event_capacity=capacity)
+    assert result.equivalent, result.counterexample
+
+
+def test_every_restore_arc_deletion_is_rejected_or_inequivalent():
+    model = parse(RESUME)
+    net, tmap = translate(model)
+    touching = [a for a in net.arcs if "_restore_" in a.place or "_restore_" in a.trans]
+    rejected, inequivalent = [], []
+    for arc in touching:
+        mutant = mutations.delete_arc_id(net, arc.id)
+        try:
+            mutant.check()
+        except NetError:
+            rejected.append(arc)
+            continue
+        result = check_trace_equivalence(model, mutant, tmap, depth=10)
+        assert not result.equivalent and result.counterexample, arc
+        inequivalent.append(arc)
+    assert (len(rejected), len(inequivalent)) == (2, 24)
 
 def test_guard_renamed_onto_dispatch(cd_net):
     net, _ = cd_net
