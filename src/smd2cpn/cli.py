@@ -165,6 +165,11 @@ def run(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:
+        # the parser and the expression walkers recurse on the model's depth
+        print(f"error: {args.input}: model is nested too deeply to process",
+              file=sys.stderr)
+        return EXIT_INPUT
 
 
 def main():

@@ -359,7 +359,7 @@ def marking_key(tokens_by_place) -> Marking:
 
 
 def binding_key(binding: dict) -> tuple:
-    return tuple(sorted(binding.items(), key=lambda kv: (kv[0], token_sort_key(kv[1]))))
+    return tuple(sorted(binding.items()))  # names are unique: sorting never compares values
 
 
 _BOUND_LATER = object()  # an arc whose token depends on the binding

@@ -1,13 +1,14 @@
 """State machine to coloured net translation.
 
-Three passes: states (places, do self-loops, event plumbing, behaviour
-occurrence transitions), transitions (dispatches, in-flight places, all
-wiring), and history pseudostates (restore fans).  Passes 1 and 2 each
-derive a transition's route from `StateMachine.is_completion`/`boundaries`,
-as the interpreter in `oracle` does; pass 2 lays every in-flight chain with
-`_wire_chain`.  A TranslationMap records what every model element became,
-so later tooling (equivalence checking, safety analysis) never
-reverse-engineers generated ids.
+Three passes: states (places, do self-loops, event plumbing), transitions
+(dispatches and behaviour chains), and history pseudostates (restore fans).
+Pass 2 derives each transition's route once from
+`StateMachine.is_completion`/`boundaries`, as the interpreter in `oracle`
+does.  Passes 2 and 3 lay every behaviour chain with `_wire_chain`, which
+creates each behaviour occurrence and its in-flight place as it wires them.
+A TranslationMap records what every model element became, so later tooling
+(equivalence checking, safety analysis) never reverse-engineers generated
+ids.
 
 Generated id scheme:
   P_<stateName>                 activity place of a simple state
@@ -17,7 +18,8 @@ Generated id scheme:
   T_<t>__completion             dispatch consuming the source's final place
   P_<t>_k, T_<t>_beh_k          shared in-flight places / behaviour occurrences
   P_<t>__from_<x>_k, T_<t>__from_<x>_beh_k   per-substate exit prefixes
-  P_<t>_hist, T_<t>_restore_<k>[, _beh_j]    history restore fan
+  P_<t>_hist, T_<t>_restore_<k>             history restore fan
+  P_<t>_restore_<k>_j, T_<t>_restore_<k>_beh_j   restore arm chains
   T_env_<e>, T_do_<state>[__at_<x>]          event producer, do self-loop
 """
 
@@ -120,7 +122,7 @@ def _route(model: StateMachine, t: Transition) -> _Route:
     """Dispatch sources and behaviour chains of one SMD transition.  A
     completion's one source is its region's final state.  One source: exits,
     effect and entries form the shared chain; several: each source's exits
-    are its own prefix.  Pure; passes 1 and 2 each compute it."""
+    are its own prefix.  Pure; pass 2 computes it once per transition."""
     eb, nb = model.boundaries(t)
     entries, end = _entry_side(model, t, nb)
     effect = (t.effect,) if t.effect is not None else ()
@@ -157,8 +159,8 @@ def _restore_branches(model: StateMachine, composite: str):
 
 def translate_states(model: StateMachine, config: TranslationConfig,
                      tmap: TranslationMap) -> ColouredNet:
-    """Build places, event plumbing, do self-loops, and the (not yet wired)
-    behaviour occurrence transitions."""
+    """Build places, colours, event plumbing and do self-loops; the
+    behaviour occurrences come with their chains in passes 2 and 3."""
     net = ColouredNet(name=model.name)
     net.colours["UNIT"] = UnitCS()
 
@@ -223,21 +225,6 @@ def translate_states(model: StateMachine, config: TranslationConfig,
             _wire_assignments(net, tid, s.do, var_order, tmap)
             tmap.do_loop[tid] = (s.id, x)
 
-    # behaviour occurrences: one transition per chain slot, wired in pass 2
-    for t in model.transitions:
-        route = _route(model, t)
-        nodes = tmap.transition_subnet.setdefault(t.id, [])
-        for x, behaviours in sorted(route.prefix.items()):
-            for k, b in enumerate(behaviours):
-                tid = f"T_{t.id}__from_{x}_beh_{k}"
-                net.add_transition(TransDef(tid, b.label, observable_label=b.label))
-                tmap.behaviour_trans[(t.id, "from", x, k)] = tid
-                nodes.append(tid)
-        for k, b in enumerate(route.shared):
-            tid = f"T_{t.id}_beh_{k}"
-            net.add_transition(TransDef(tid, b.label, observable_label=b.label))
-            tmap.behaviour_trans[(t.id, "chain", k)] = tid
-            nodes.append(tid)
     return net
 
 
@@ -262,14 +249,14 @@ def _wire_assignments(net: ColouredNet, tid: str, behaviour: Behaviour,
 
 def translate_transitions(model: StateMachine, net: ColouredNet,
                           tmap: TranslationMap) -> ColouredNet:
-    """Dispatch transitions, in-flight places, and all arcs."""
+    """Dispatch transitions and the behaviour chains they start."""
     var_order = [v.name for v in model.variables]
     for t in model.transitions:
         route = _route(model, t)
         nodes = tmap.transition_subnet.setdefault(t.id, [])
 
         # shared tail, ending on the route's end place
-        first, last = _wire_chain(net, tmap, nodes, route.shared, f"P_{t.id}_",
+        first, last = _wire_chain(net, tmap, nodes, route.shared, t.id,
                                   f"{t.id}#", (t.id, "chain"), var_order)
         end_place = _end_place(net, tmap, t, route.end, nodes)
         if last is not None:
@@ -281,7 +268,7 @@ def translate_transitions(model: StateMachine, net: ColouredNet,
             nodes.append(dispatch)
             # dispatch -> exit behaviours of x, if split off -> shared tail
             first, last = _wire_chain(net, tmap, nodes, route.prefix.get(x, ()),
-                                      f"P_{t.id}__from_{x}_", f"{t.id}:{x}#",
+                                      f"{t.id}__from_{x}", f"{t.id}:{x}#",
                                       (t.id, "from", x), var_order)
             if last is not None:
                 net.add_arc(tail, last, TTOP, Lit(UNIT_TOKEN))
@@ -290,19 +277,21 @@ def translate_transitions(model: StateMachine, net: ColouredNet,
 
 
 def _wire_chain(net: ColouredNet, tmap: TranslationMap, nodes: list[str],
-                behaviours: tuple[Behaviour, ...], pid_stem: str, name_stem: str,
+                behaviours: tuple[Behaviour, ...], stem: str, name_stem: str,
                 key: tuple, var_order: list[str]) -> tuple[Optional[str], Optional[str]]:
-    """Wire the pass-1 occurrences `key + (k,)` of the behaviours into a
-    chain: each one consumes from a fresh in-flight place that its
-    predecessor feeds.  Returns (first in-flight place, last occurrence),
-    both None for an empty chain."""
+    """Lay the behaviours as a chain: behaviour k becomes the occurrence
+    `T_<stem>_beh_<k>` (recorded under `key + (k,)`), which consumes from
+    the fresh in-flight place `P_<stem>_<k>` that its predecessor feeds.
+    Returns (first in-flight place, last occurrence), both None for an
+    empty chain."""
     first = last = None
     for k, b in enumerate(behaviours):
-        pid = f"{pid_stem}{k}"
+        pid, tid = f"P_{stem}_{k}", f"T_{stem}_beh_{k}"
         net.add_place(PlaceDef(pid, f"{name_stem}{k}", "UNIT", ()))
+        net.add_transition(TransDef(tid, b.label, observable_label=b.label))
         tmap.inflight.add(pid)
-        nodes.append(pid)
-        tid = tmap.behaviour_trans[key + (k,)]
+        tmap.behaviour_trans[key + (k,)] = tid
+        nodes.extend((pid, tid))
         net.add_arc(pid, tid, PTOT, Lit(UNIT_TOKEN))
         _wire_assignments(net, tid, b, var_order, tmap)
         if last is None:
@@ -382,21 +371,13 @@ def translate_history(model: StateMachine, net: ColouredNet,
             net.add_arc(pre, rid, PTOT, Lit(UNIT_TOKEN))
             net.add_arc(hist_place, rid, PTOT, Lit(value))
             net.add_arc(hist_place, rid, TTOP, Lit(value))
-            previous = rid
-            for j, b in enumerate(behaviours):
-                pid = f"P_{t.id}_restore_{value}_{j}"
-                net.add_place(PlaceDef(pid, f"{t.id}:{label}#{j}", "UNIT", ()))
-                tmap.inflight.add(pid)
-                nodes.append(pid)
-                net.add_arc(pid, previous, TTOP, Lit(UNIT_TOKEN))
-                bid = f"T_{t.id}_restore_{value}_beh_{j}"
-                net.add_transition(TransDef(bid, b.label, observable_label=b.label))
-                tmap.behaviour_trans[(t.id, "restore", value, j)] = bid
-                nodes.append(bid)
-                net.add_arc(pid, bid, PTOT, Lit(UNIT_TOKEN))
-                _wire_assignments(net, bid, b, var_order, tmap)
-                previous = bid
-            net.add_arc(tmap.state_place[leaf], previous, TTOP, Lit(UNIT_TOKEN))
+            first, last = _wire_chain(net, tmap, nodes, behaviours,
+                                      f"{t.id}_restore_{value}", f"{t.id}:{label}#",
+                                      (t.id, "restore", value), var_order)
+            landing = tmap.state_place[leaf]
+            if last is not None:
+                net.add_arc(landing, last, TTOP, Lit(UNIT_TOKEN))
+            net.add_arc(first or landing, rid, TTOP, Lit(UNIT_TOKEN))
     return net
 
 

@@ -73,6 +73,33 @@ def test_check_rejects_deep_guard_with_position(tmp_path, capsys):
     assert "line 4, column 125" in stderr and "nested deeper" in stderr
 
 
+def _deep_models():
+    """SMDL texts deep enough to exhaust Python's recursion limit."""
+    assignments = ", ".join(["x := x + 1"] * 1000)
+    total = " + ".join(["1"] * 1200)
+    flat = ("machine M {{\n  var x : int = 0 ;\n  state S initial ;\n  state T ;\n"
+            "  trans t : S -> T on go / B {{ {} }} ;\n}}\n")
+    nested = ("machine M {\n" + "state S initial {\n" * 600
+              + "state L initial ;\n" + "} ;\n" * 600 + "}\n")
+    return {"assignments": flat.format(assignments),
+            "sum": flat.format(f"x := {total}"), "nesting": nested}
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "simulate", "equiv"])
+@pytest.mark.parametrize("model", ["assignments", "sum", "nesting"])
+def test_too_deep_input_is_an_input_error(tmp_path, capsys, model, command):
+    path = tmp_path / f"{model}.smdl"
+    path.write_text(_deep_models()[model], encoding="utf-8")
+    extra = ["-o", str(tmp_path / "out.cpn")] if command == "translate" else []
+    code, stdout, stderr = run_cli(capsys, command, str(path), *extra)
+    if (model, command) == ("assignments", "check"):
+        # 1,000 sequential assignments parse flat; only composing them nests
+        assert (code, stdout.strip(), stderr) == (0, "ok", "")
+    else:
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: {path}: model is nested too deeply to process\n"
+
+
 def test_missing_input_file(capsys):
     code, _, stderr = run_cli(capsys, "check", "/nonexistent.smdl")
     assert code == 2 and "cannot read" in stderr

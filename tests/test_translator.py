@@ -273,9 +273,11 @@ def test_states_pass_runs_standalone(cd_model):
     partial = translate_states(cd_model, TranslationConfig(), tmap)
     assert "P_Busy__F" in partial.places
     assert "P_Busy__H" in partial.places
-    assert any(t.observable_label == "FTS" for t in partial.transitions.values())
+    assert all(tid.startswith(("T_env_", "T_do_")) for tid in partial.transitions)
     assert not partial.arcs or all(
         a.trans.startswith(("T_env_", "T_do_")) for a in partial.arcs)
+    translate_transitions(cd_model, partial, tmap)
+    assert any(t.observable_label == "FTS" for t in partial.transitions.values())
 
 
 def test_history_pass_is_identity_without_history_targets(corpus_models):
