@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import emit, oracle, smdl
 from .statemachine import validate
-from .translator import TranslationConfig, translate
+from .translator import ModelInvalidError, TranslationConfig, translate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,7 +55,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--event-capacity", type=_at_least_one, default=1,
                    help="environment tokens per event (default 1)")
 
-    p = sub.add_parser("check", help="validate an .smdl file")
+    p = sub.add_parser("check", help="validate and translate an .smdl file")
     p.add_argument("input")
 
     p = sub.add_parser("simulate", help="translate and explore the reachable markings")
@@ -92,11 +92,17 @@ class _InputError(Exception):
     pass
 
 
+def _translate(path: str, model, event_capacity: int = 1):
+    try:
+        return translate(model, TranslationConfig(event_capacity=event_capacity))
+    except ModelInvalidError as err:
+        raise _InputError(f"{path}: {err}")
+
+
 def _cmd_translate(args) -> int:
     model = _load_model(args.input)
-    config = TranslationConfig(event_capacity=args.event_capacity)
     started = time.perf_counter()
-    net, _ = translate(model, config)
+    net, _ = _translate(args.input, model, args.event_capacity)
     positions = emit.layout(net)
     document = emit.emit_cpn_xml(net, positions)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -109,15 +115,14 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _load_model(args.input)
+    _translate(args.input, _load_model(args.input))
     print("ok")
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
     model = _load_model(args.input)
-    config = TranslationConfig(event_capacity=args.event_capacity)
-    net, tmap = translate(model, config)
+    net, tmap = _translate(args.input, model, args.event_capacity)
     result = oracle.check_control_safety(net, tmap, bound=args.bound)
     safety = "held" if result.ok else "violated"
     suffix = " (truncated)" if result.truncated else ""
@@ -131,8 +136,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_equiv(args) -> int:
     model = _load_model(args.input)
-    config = TranslationConfig(event_capacity=args.event_capacity)
-    net, tmap = translate(model, config)
+    net, tmap = _translate(args.input, model, args.event_capacity)
     result = oracle.check_trace_equivalence(
         model, net, tmap, depth=args.depth, event_capacity=args.event_capacity)
     if result.equivalent:

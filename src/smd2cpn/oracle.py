@@ -3,7 +3,10 @@ tie the source semantics to a generated net: control-token safety over the
 reachable markings and bounded trace equivalence (a bisimulation over
 observable moves).  A net whose dispatch chain breaks offers a "stuck"
 move that the machine never offers, so a broken chain is reported as a
-divergence with its trace like any other.
+divergence with its trace like any other.  The one search that decides
+equivalence also explains a failure: each failing pair records the first
+mismatch it found, in one canonical move order, and the counterexample is
+read off those records in a loop; nothing in the check recurses.
 
 The interpreter is written directly against the model queries and never
 consults the translator's chain construction, so the two sides stay
@@ -14,6 +17,7 @@ share is model semantics only: `StateMachine.is_completion` and
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -309,9 +313,8 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
 # Bounded trace equivalence (bisimulation over observable moves)
 
 
-# The deepest check_trace_equivalence goes.  The counterexample search
-# recurses once per move of the trace and must stay inside Python's default
-# recursion limit of 1000; the memo grows with the depth too
+# The deepest check_trace_equivalence goes.  The memo grows with the depth,
+# one entry per (configuration, marking, moves left) pair checked
 MAX_DEPTH = 400
 
 
@@ -339,12 +342,17 @@ def _machine_moves(model: StateMachine, config: Configuration, capacity: int):
 
 def _matched(left: dict, right: dict):
     """Whether the machine's and the net's move maps match, as a generator:
-    it yields each (u, v) successor pair it needs decided, is sent whether
-    u and v are bisimilar one move less deep, and returns True when both
-    sides offer the same moves and every successor of a move on either
-    side has a match on the other.  Stops at the first failure."""
-    if set(left) != set(right):
-        return False
+    it yields each (u, v) successor pair it needs decided and is sent
+    whether u and v are bisimilar one move less deep.  Returns None when
+    both sides offer the same moves and every successor of a move on
+    either side has a match on the other.  Otherwise it stops at the first
+    failure in the maps' order and returns it: (side, move) for a move
+    only one side offers, the model's first; (move, u, v) for a successor
+    u or v with no match, paired with the other side's first successor."""
+    for side, offers, other in (("model", left, right), ("net", right, left)):
+        for move in offers:
+            if move not in other:
+                return side, move
     for move, us in left.items():
         vs = right[move]
         for u in us:
@@ -352,22 +360,26 @@ def _matched(left: dict, right: dict):
                 if (yield u, v):
                     break
             else:
-                return False
+                return move, u, vs[0]
         for v in vs:
             for u in us:
                 if (yield u, v):
                     break
             else:
-                return False
-    return True
+                return move, us[0], v
+    return None
 
 
-def _move_map(pairs) -> dict:
-    """{move: frozenset of successors} of (move, successor) pairs."""
+def _move_map(pairs, key) -> dict:
+    """{move: successors} of (move, successor) pairs in one canonical
+    order, so the check and its counterexample do not depend on hashing:
+    moves sorted by `key`, and a move's successors as a tuple, sorted by
+    repr when there are several."""
     moves: dict = {}
     for move, after in pairs:
         moves.setdefault(move, set()).add(after)
-    return {move: frozenset(after) for move, after in moves.items()}
+    return {move: tuple(sorted(after, key=repr)) if len(after) > 1 else tuple(after)
+            for move, after in sorted(moves.items(), key=lambda item: key(item[0]))}
 
 
 def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
@@ -381,38 +393,46 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     reason) where a dispatch chain breaks, which the machine never
     matches.  Equivalent iff the step trees are bisimilar to `depth`
     moves; otherwise the shortest divergent trace is reported.  `depth`
-    runs from 1 to MAX_DEPTH.
+    runs from 1 to MAX_DEPTH, and `event_capacity` must be the capacity
+    the net was translated with.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if depth > MAX_DEPTH:
         raise ValueError(f"depth must be at most {MAX_DEPTH}")
+    for pid in tmap.capacity_place.values():
+        held = len(net.places[pid].initial)
+        if held != event_capacity:
+            raise ValueError(f"event capacity {event_capacity} does not match "
+                             f"the net's capacity {held}")
     runner = NetRunner(net, tmap, model)
-    smd_succ = functools.cache(
-        lambda config: _move_map(_machine_moves(model, config, event_capacity)))
-    net_succ = functools.cache(
-        lambda marking: _move_map(runner.injections(marking) + runner.step_moves(marking)))
+    label_key = functools.cache(repr)
+    smd_succ = functools.cache(lambda config: _move_map(
+        _machine_moves(model, config, event_capacity), label_key))
+    net_succ = functools.cache(lambda marking: _move_map(
+        runner.injections(marking) + runner.step_moves(marking), label_key))
 
-    memo: dict = {}
+    memo: dict = {}  # (configuration, marking, moves left) -> bisimilar
+    why: dict = {}   # failing key of memo -> the first failure _matched found
 
-    def bisim(config, marking, k) -> bool:
-        # depth first over (config, marking, k) on an explicit stack of
-        # _matched checks, so no Python frame is kept per move (deep Python
+    def bisim(key) -> bool:
+        # depth first over the keys on an explicit stack of _matched
+        # checks, so no Python frame is kept per move (deep Python
         # recursion also made CPython 3.11 map and unmap frame-stack chunks
-        # as the successor computations crossed them); well-founded in k,
-        # so no cycle handling is needed
-        if k == 0:
-            return True
-        verdict = memo.get((config, marking, k))
+        # as the successor computations crossed them); well-founded in the
+        # moves left, so no cycle handling is needed
+        verdict = memo.get(key)
         if verdict is not None:
             return verdict
-        stack = [((config, marking, k), _matched(smd_succ(config), net_succ(marking)))]
+        stack = [(key, _matched(smd_succ(key[0]), net_succ(key[1])))]
         while stack:
             key, check = stack[-1]
             try:
                 u, v = check.send(verdict)
             except StopIteration as done:
-                memo[key] = verdict = done.value
+                memo[key] = verdict = done.value is None
+                if not verdict:
+                    why[key] = done.value
                 stack.pop()
                 continue
             child = (u, v, key[2] - 1)
@@ -421,40 +441,26 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
                 stack.append((child, _matched(smd_succ(u), net_succ(v))))
         return verdict
 
-    start_config = initial_configuration(model)
-    start_marking = net.initial_marking()
-
-    if bisim(start_config, start_marking, depth):
+    start = (initial_configuration(model), net.initial_marking())
+    if bisim(start + (depth,)):
         return EquivalenceResult(equivalent=True, pairs_checked=len(memo))
 
-    fail_depth = next(k for k in range(1, depth + 1)
-                      if not bisim(start_config, start_marking, k))
-
-    def extract(config, marking, k):
-        left, right = smd_succ(config), net_succ(marking)
-        only_left = sorted(set(left) - set(right), key=repr)
-        only_right = sorted(set(right) - set(left), key=repr)
-        if only_left:
-            return [only_left[0]], "model"
-        if only_right:
-            return [only_right[0]], "net"
-        for label in sorted(left, key=repr):
-            us, vs = left[label], right[label]
-            for u in sorted(us, key=repr):
-                if not any(bisim(u, v, k - 1) for v in vs):
-                    v = sorted(vs, key=repr)[0]
-                    tail, side = extract(u, v, k - 1)
-                    return [label] + tail, side
-            for v in sorted(vs, key=repr):
-                if not any(bisim(u, v, k - 1) for u in us):
-                    u = sorted(us, key=repr)[0]
-                    tail, side = extract(u, v, k - 1)
-                    return [label] + tail, side
-        # all labels match pointwise yet the pair failed: should not happen
-        raise AssertionError("divergence extraction lost the failing pair")
-
-    trace, side = extract(start_config, start_marking, fail_depth)
-    return EquivalenceResult(equivalent=False, counterexample=trace,
+    # a pair that fails at k moves fails at every depth above k too: double
+    # the depth from 1 until the check fails, then bisect the last doubling,
+    # so a shallow divergence is not searched for at large depths
+    lo = hi = 1
+    while bisim(start + (hi,)):
+        lo, hi = hi + 1, min(2 * hi, depth)
+    depths = range(lo, hi + 1)
+    shortest = depths[bisect.bisect_left(depths, True,
+                                         key=lambda k: not bisim(start + (k,)))]
+    key, trace = start + (shortest,), []
+    while len(why[key]) == 3:
+        move, u, v = why[key]
+        trace.append(move)
+        key = (u, v, key[2] - 1)
+    side, move = why[key]
+    return EquivalenceResult(equivalent=False, counterexample=trace + [move],
                              divergent_side=side, pairs_checked=len(memo))
 
 

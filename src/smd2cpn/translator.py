@@ -35,8 +35,13 @@ from .net import (
 )
 from .statemachine import (
     COMPOSITE, FINAL, NO_HISTORY, SIMPLE,
-    Behaviour, StateMachine, Transition, validate,
+    Behaviour, StateMachine, Transition, ValidationReport, validate,
 )
+
+# The most nodes one composed update may have.  Composing sequential
+# assignments by substitution can double the update with each one
+# (`x := x + x`), and the checks and writers walk it as a tree
+MAX_UPDATE_NODES = 10_000
 
 
 class ModelInvalidError(ValueError):
@@ -231,16 +236,36 @@ def translate_states(model: StateMachine, config: TranslationConfig,
 def _wire_assignments(net: ColouredNet, tid: str, behaviour: Behaviour,
                       var_order: list[str], tmap: TranslationMap):
     """VARS read/write arcs realising the behaviour's sequential assignments
-    as one simultaneous rewrite (composed by substitution)."""
+    as one simultaneous rewrite (composed by substitution).  Raises
+    ModelInvalidError, before any arc is made, when an update would have
+    more than MAX_UPDATE_NODES nodes."""
     if not behaviour.assignments:
         return
     acc: dict[str, ex.IntExpr] = {v: ex.VarRead(f"v_{v}") for v in var_order}
+    size = dict.fromkeys(var_order, 1)  # nodes of acc[v] written out as a tree
     for var, rhs in behaviour.assignments:
+        size[var] = _composed_size(rhs, size)
+        if size[var] > MAX_UPDATE_NODES:
+            report = ValidationReport()
+            report.add("update-too-large", behaviour.id,
+                       f"behaviour {behaviour.label!r} composes its assignments into "
+                       f"a {size[var]}-node update of {var!r}, more than {MAX_UPDATE_NODES}")
+            raise ModelInvalidError(report)
         acc[var] = ex.substitute(rhs, dict(acc))
     net.add_arc(tmap.vars_place, tid, PTOT,
                 Tup(tuple(Var(f"v_{v}") for v in var_order)))
     net.add_arc(tmap.vars_place, tid, TTOP,
                 Tup(tuple(normalise_out(acc[v]) for v in var_order)))
+
+
+def _composed_size(rhs: ex.IntExpr, size: dict[str, int]) -> int:
+    """Nodes of `rhs` once every variable v it reads is replaced by an
+    update of `size[v]` nodes."""
+    if isinstance(rhs, ex.VarRead):
+        return size[rhs.name]
+    if isinstance(rhs, ex.BinOp):
+        return 1 + _composed_size(rhs.left, size) + _composed_size(rhs.right, size)
+    return 1
 
 
 # ---------------------------------------------------------------------------

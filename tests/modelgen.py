@@ -112,6 +112,14 @@ def chain_machine(length: int) -> StateMachine:
     return StateMachine(name="Chain", states=states, transitions=transitions)
 
 
+def doubling_smdl(repeats: int) -> str:
+    """SMDL text of one behaviour of `repeats` sequential `x := x + x`,
+    whose composed update has 2**(repeats + 1) - 1 nodes."""
+    assignments = ", ".join(["x := x + x"] * repeats)
+    return ("machine M {\n  var x : int = 1 ;\n  state S initial ;\n  state T ;\n"
+            f"  trans t : S -> T on go / B {{ {assignments} }} ;\n}}\n")
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracles
 

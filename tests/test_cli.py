@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import mutations
+from modelgen import doubling_smdl
 from smd2cpn import cli
 from smd2cpn.oracle import MAX_DEPTH
 from smd2cpn.translator import translate
@@ -92,12 +93,22 @@ def test_too_deep_input_is_an_input_error(tmp_path, capsys, model, command):
     path.write_text(_deep_models()[model], encoding="utf-8")
     extra = ["-o", str(tmp_path / "out.cpn")] if command == "translate" else []
     code, stdout, stderr = run_cli(capsys, command, str(path), *extra)
-    if (model, command) == ("assignments", "check"):
-        # 1,000 sequential assignments parse flat; only composing them nests
-        assert (code, stdout.strip(), stderr) == (0, "ok", "")
-    else:
-        assert code == 2 and stdout == ""
-        assert stderr == f"error: {path}: model is nested too deeply to process\n"
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {path}: model is nested too deeply to process\n"
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "simulate", "equiv"])
+def test_exponential_update_is_an_input_error(tmp_path, capsys, command):
+    # 30 sequential `x := x + x` would compose into a 2**31-node update
+    path = tmp_path / "doubling.smdl"
+    path.write_text(doubling_smdl(30), encoding="utf-8")
+    extra = ["-o", str(tmp_path / "out.cpn")] if command == "translate" else []
+    code, stdout, stderr = run_cli(capsys, command, str(path), *extra)
+    assert code == 2 and stdout == ""
+    assert stderr == (f"{path}: update-too-large: behaviour 'B' composes its "
+                      "assignments into a 16383-node update of 'x', more than "
+                      "10000 [t.effect]\n")
+    assert not (tmp_path / "out.cpn").exists()
 
 
 def test_missing_input_file(capsys):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import mutations
+from modelgen import chain_machine
 from smd2cpn.net import NetError
 from smd2cpn.oracle import (
     MAX_DEPTH, NetRunner, NotEnabledStepError,
@@ -9,7 +14,7 @@ from smd2cpn.oracle import (
 )
 from smd2cpn.smdl import parse
 from smd2cpn.statemachine import NO_HISTORY, StateMachine
-from smd2cpn.translator import translate
+from smd2cpn.translator import TranslationConfig, translate
 
 
 def drive(model, config, *script):
@@ -209,6 +214,62 @@ def test_deleted_arc_detected_with_counterexample(cd_model, cd_net):
     assert "divergence" in text
     # the spurious step fires without consuming an event
     assert result.counterexample[-1][0] == "step"
+
+
+def test_deep_divergence_is_found_without_rerunning_every_depth():
+    # the 199th step of a 200-state chain never lands; finding the shortest
+    # failing depth by trying every depth from 1 took 79,799 pairs
+    model = chain_machine(200)
+    net, tmap = translate(model)
+    broken = mutations.delete_arc(net, "P_C199", "T_t198__from_C198", "TtoP")
+    result = check_trace_equivalence(model, broken, tmap, depth=MAX_DEPTH)
+    assert not result.equivalent and result.pairs_checked <= 4000
+    assert len(result.counterexample) == 398
+    assert result.counterexample[-1] == ("step", "step", (), "C199")
+    assert result.divergent_side == "model"
+
+
+_NONDETERMINISTIC = """machine M {
+  var x : int = 0 ;
+  state A initial ;
+  state B ;
+  trans t1 : A -> B on go / set { x := 1 } ;
+  trans t2 : A -> B on go / set { x := 0 } ;
+  trans t3 : B -> A on back ;
+}"""
+
+
+def test_pairs_checked_does_not_depend_on_hash_seed():
+    # the same `go / set` move reaches two configurations, so the search
+    # order over them must not come from their hashes
+    script = ("import sys\n"
+              "from smd2cpn.oracle import check_trace_equivalence\n"
+              "from smd2cpn.smdl import parse\n"
+              "from smd2cpn.translator import translate\n"
+              "model = parse(sys.stdin.read())\n"
+              "net, tmap = translate(model)\n"
+              "print(check_trace_equivalence(model, net, tmap, depth=6).pairs_checked)\n")
+    counts = set()
+    for seed in ("0", "2"):
+        proc = subprocess.run([sys.executable, "-c", script], input=_NONDETERMINISTIC,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        counts.add(int(proc.stdout))
+    assert len(counts) == 1
+
+
+def test_event_capacity_must_match_the_net(corpus_models):
+    model = corpus_models["flat"]
+    for translated, checked in ((2, 1), (1, 3)):
+        net, tmap = translate(model, TranslationConfig(event_capacity=translated))
+        with pytest.raises(ValueError, match=f"event capacity {checked} does not "
+                                             f"match the net's capacity {translated}"):
+            check_trace_equivalence(model, net, tmap, event_capacity=checked)
+    # a machine without events has no capacity to disagree with
+    model = parse("machine M { state S initial ; state T ; trans t : S -> T ; }")
+    net, tmap = translate(model)
+    assert check_trace_equivalence(model, net, tmap, event_capacity=3).equivalent
 
 
 def test_verdict_independent_of_declaration_order(corpus_models):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import mutations
-from modelgen import balanced_machine, chain_machine
+from modelgen import balanced_machine, chain_machine, doubling_smdl
 from smd2cpn.emit import emit_cpn_xml
 from smd2cpn.net import (
     UNIT_TOKEN, NetError, Lit, Tup, Var, PTOT, TTOP, evaluate,
@@ -331,6 +331,23 @@ def test_mapping_totality_and_injectivity(corpus_models, corpus_nets):
 def test_invalid_model_rejected():
     with pytest.raises(ModelInvalidError):
         translate(parse("machine M { state A initial ; state A ; }"))
+
+
+def test_composed_update_within_the_bound_translates():
+    net, _ = translate(parse(doubling_smdl(12)))  # 8,191 nodes
+    (out,) = [a for a in net.arcs if a.trans == "T_t_beh_0" and a.orientation == TTOP
+              and a.place == "P_VARS"]
+    assert evaluate(out.inscription, {"v_x": 1}) == (2 ** 12,)
+
+
+def test_composed_update_over_the_bound_is_refused():
+    with pytest.raises(ModelInvalidError) as caught:
+        translate(parse(doubling_smdl(13)))  # 16,383 nodes
+    (violation,) = caught.value.report.violations
+    assert violation.code == "update-too-large" and violation.element == "t.effect"
+    assert str(violation) == (
+        "update-too-large: behaviour 'B' composes its assignments into a 16383-node "
+        "update of 'x', more than 10000 [t.effect]")
 
 
 def test_pathological_double_underscore_name_fails_loudly():
