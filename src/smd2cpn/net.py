@@ -14,7 +14,12 @@ places only, in place-id order, each token tuple holding one entry per
 copy sorted by `token_sort_key`.  That form is canonical, so a marking is
 its own hashable key: `explore` uses markings as BFS keys and the
 equivalence check as bisimulation keys.  `marking_key` builds one from
-any place -> tokens mapping.  The token game runs on each transition's
+any place -> tokens mapping.  The tokens of a place all fit its colour,
+and within one colour `token_sort_key` order is the tokens' natural
+order, so a firing inserts each produced token by plain comparison.
+Markings given to `fire` and `enabled_bindings` must fit their places'
+colours, as every marking `explore` reaches does; `explore` checks the
+start marking it is given.  The token game runs on each transition's
 `CompiledTransition`, which indexes its arcs once and reads `dict(marking)`.
 `explore` compiles the net once into a `CompiledNet` and at each marking
 tries only the candidate transitions: those without input places, and
@@ -24,6 +29,7 @@ ties broken by id) is marked.
 
 from __future__ import annotations
 
+import bisect
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -345,7 +351,9 @@ def _fits(inscription, colour, pattern: bool) -> bool:
 # Token game
 
 # ((place id, token tuple), ...): marked places only, in place-id order,
-# each token tuple sorted by `token_sort_key` with one entry per copy
+# each token tuple sorted by `token_sort_key` with one entry per copy.
+# Every token fits its place's colour, so the order is the colour's natural
+# one; `fire` and `enabled_bindings` rely on it
 Marking = tuple
 
 
@@ -423,6 +431,9 @@ class CompiledTransition:
             have = tokens.get(pid)
             if not have or have.count(token) < copies:
                 return []
+        guard = self.trans.guard
+        if not self.variables:  # the guard reads no variable either
+            return [((), {})] if guard is None or ex.eval_bool(guard, {}) else []
         bindings = [{}]
         for pid, pattern in self.variables:
             have = tokens.get(pid)
@@ -437,7 +448,6 @@ class CompiledTransition:
                 return []
         if self.shared:
             bindings = [b for b in bindings if self._enough_copies(tokens, b)]
-        guard = self.trans.guard
         if guard is not None:
             bindings = [b for b in bindings if ex.eval_bool(guard, b)]
         keyed = [(binding_key(b), b) for b in bindings]
@@ -455,7 +465,8 @@ class CompiledTransition:
 
     def apply(self, tokens: dict, binding: dict) -> dict:
         """The token tuples of the places the firing changes, empty where
-        it empties one.  The guard is not evaluated here.  Raises
+        it empties one, each produced token inserted in order.  The guard
+        is not evaluated here.  Raises
         NotEnabledError for a missing input token and NetError for a
         produced token outside its place's colour."""
         changed: dict[str, tuple] = {}
@@ -475,7 +486,8 @@ class CompiledTransition:
                 raise NetError(f"{self.id}: produced {token!r} outside the colour "
                                f"of {pid}")
             have = changed[pid] if pid in changed else tokens.get(pid, ())
-            changed[pid] = sort_tokens(have + (token,)) if have else (token,)
+            at = bisect.bisect(have, token)
+            changed[pid] = have[:at] + (token,) + have[at:]
         return changed
 
 
@@ -581,12 +593,20 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
 
     The search runs on a `CompiledNet`, with markings as their own keys,
     and tries only the watch-place candidates at each marking.  A given
-    start marking is made canonical with `marking_key` first.
+    start marking is made canonical with `marking_key` first; a token on
+    a place the net lacks, or outside its place's colour, is a NetError.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     compiled = CompiledNet(net)
     start = net.initial_marking() if marking is None else marking_key(marking)
+    for pid, tokens in start:
+        for token in tokens:
+            if pid not in net.places:
+                raise NetError(f"start marking: token {token!r} on unknown place {pid!r}")
+            if not net.colour_of(pid).contains(token):
+                raise NetError(f"start marking: token {token!r} on {pid} is outside "
+                               f"colour {net.places[pid].colour}")
     index = {start: 0}
     found = [start]
     edges = []

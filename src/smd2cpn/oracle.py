@@ -11,8 +11,8 @@ read off those records in a loop; nothing in the check recurses.
 The interpreter is written directly against the model queries and never
 consults the translator's chain construction, so the two sides stay
 independent routes that can disagree when one of them is wrong.  What they
-share is model semantics only: `StateMachine.is_completion` and
-`StateMachine.boundaries`.
+share is model semantics only: `StateMachine.is_completion`,
+`StateMachine.boundaries` and the `StateMachine.transitions_from` index.
 """
 
 from __future__ import annotations
@@ -93,11 +93,16 @@ def _enabled(model: StateMachine, t: Transition, active: str,
 
 def enabled_transitions(model: StateMachine,
                         config: Configuration) -> list[tuple[str, Optional[str]]]:
-    """(transition id, consumed event) pairs fireable in the configuration."""
+    """(transition id, consumed event) pairs fireable in the configuration.
+    Only transitions that leave the active leaf or one of its ancestors
+    can fire; a completed region's final leaf only offers its owner's."""
     valuation = config.valuation_dict()
     pending = config.pending_dict()
-    return sorted((t.id, t.trigger) for t in model.transitions
-                  if _enabled(model, t, config.active, valuation, pending))
+    leaf = model.state(config.active)
+    sources = model.ancestors_or_self(leaf.id) if leaf.kind == SIMPLE else (leaf.parent,)
+    return sorted((t.id, t.trigger) for sid in sources
+                  for t in model.transitions_from.get(sid, ())
+                  if _enabled(model, t, leaf.id, valuation, pending))
 
 
 def _apply(behaviours, valuation: dict, labels: list[str]):
@@ -188,8 +193,8 @@ class NetRunner:
     move.
 
     At each marking only the net's watch-place candidates
-    (`CompiledNet.candidates`) are tried, since no other transition can
-    be enabled there.
+    (`CompiledNet.candidates`) are tried, chain transitions, dispatches and
+    producers alike, since no other transition can be enabled there.
     """
 
     def __init__(self, net: cpn.ColouredNet, tmap: TranslationMap,
@@ -263,9 +268,12 @@ class NetRunner:
 
     def injections(self, marking: cpn.Marking) -> list[tuple[tuple, cpn.Marking]]:
         """(("inject", event), successor) for every producer that can fire."""
+        offered = {trans.id for trans in self.compiled.candidates(marking)}
         out = []
         for event in sorted(self.producer_of_event):
             tid = self.producer_of_event[event]
+            if tid not in offered:
+                continue
             bindings = cpn.enabled_bindings(self.net, marking, tid)
             if bindings:
                 out.append((("inject", event), cpn.fire(self.net, marking, tid, bindings[0])))

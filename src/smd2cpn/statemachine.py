@@ -133,6 +133,15 @@ class StateMachine:
         return {t.id: t for t in self.transitions}
 
     @cached_property
+    def transitions_from(self) -> dict[str, tuple[Transition, ...]]:
+        """Outgoing transitions in declaration order, keyed by source id;
+        a state without any is absent."""
+        out: dict[str, list[Transition]] = {}
+        for t in self.transitions:
+            out.setdefault(t.source, []).append(t)
+        return {k: tuple(v) for k, v in out.items()}
+
+    @cached_property
     def document_position(self) -> dict[str, int]:
         return {s.id: i for i, s in enumerate(self.states)}
 
@@ -415,10 +424,6 @@ def validate(model: StateMachine) -> ValidationReport:
         report.add("bad-identifier", model.name,
                    f"machine name {model.name!r} is not a plain identifier")
 
-    outgoing: dict[str, list[Transition]] = {}
-    for t in model.transitions:
-        outgoing.setdefault(t.source, []).append(t)
-
     for s in model.states:
         children = kids.get(s.id, [])
         if s.kind == SIMPLE and children:
@@ -430,7 +435,7 @@ def validate(model: StateMachine) -> ValidationReport:
                 report.add("final-with-children", s.id, "final state has child states")
             if s.entry or s.exit or s.do:
                 report.add("final-with-behaviour", s.id, "final state declares behaviours")
-            if outgoing.get(s.id):
+            if s.id in model.transitions_from:
                 report.add("final-with-outgoing", s.id,
                            "final state is the source of a transition")
             if s.has_history:

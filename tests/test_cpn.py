@@ -170,13 +170,18 @@ def test_enabledness_monotone_in_tokens_without_guards():
     assert {tuple(b.items()) for b in small} <= {tuple(b.items()) for b in large}
 
 
-def test_marking_key_is_the_canonical_marking(corpus_nets):
+def test_marking_key_is_the_canonical_marking(corpus_models, corpus_nets):
     assert marking_key({"b": (2, 1), "a": (), "c": ("x",)}) == (
         ("b", (1, 2)), ("c", ("x",)))
     net, _ = corpus_nets["guarded"]
     graph = explore(net)
     assert graph.state_count > 1
     assert all(marking_key(m) == m for m in graph.states)
+    for name in CORPUS:
+        net, _ = translate(corpus_models[name], TranslationConfig(event_capacity=2))
+        graph = explore(net, bound=3_000 if name == "cdplayer" else 100_000)
+        assert graph.state_count > 1 and graph.truncated == (name == "cdplayer")
+        assert all(marking_key(m) == m for m in graph.states), name
 
 
 def test_check_rejects_output_reading_unbound_variable_on_mutant(corpus_models, corpus_nets):
@@ -385,3 +390,50 @@ def test_explore_matches_reference_bfs(corpus_models, name, capacity):
     assert [marking_key(m) for m in graph.states] == keys
     assert graph.edges == edges
     assert graph.truncated == truncated == (bound == 3000)
+
+
+def _int_feeder():
+    """Place p (INT) fed 5 by transition t, which consumes q's unit token."""
+    net = unit_net()
+    net.colours["INT"] = IntCS()
+    net.add_place(PlaceDef("p", "p", "INT"))
+    net.add_place(PlaceDef("q", "q", "UNIT", (UNIT_TOKEN,)))
+    net.add_transition(TransDef("t", "t"))
+    net.add_arc("q", "t", PTOT, Lit(UNIT_TOKEN))
+    net.add_arc("p", "t", TTOP, Lit(5))
+    return net
+
+
+@pytest.mark.parametrize("start, message", [
+    ((("p", (1, "x")), ("q", (UNIT_TOKEN,))),
+     r"start marking: token 'x' on p is outside colour INT"),
+    ((("q", (UNIT_TOKEN,)), ("r", (1,))),
+     r"start marking: token 1 on unknown place 'r'"),
+], ids=["outside-colour", "unknown-place"])
+def test_explore_rejects_a_start_marking_the_net_cannot_hold(start, message):
+    net = _int_feeder()
+    with pytest.raises(NetError, match=message):
+        explore(net, start)
+    good = explore(net, (("p", (7, 1)), ("q", (UNIT_TOKEN,))))
+    assert good.states == [(("p", (1, 7)), ("q", ((),))), (("p", (1, 5, 7)),)]
+
+
+def test_tokens_produced_in_descending_order_are_kept_sorted():
+    """Each firing counts n down and adds (n, "b") then (n, "a") to a
+    product place, so every token lands before the ones already there."""
+    net = ColouredNet(name="n")
+    net.colours["INT"] = IntCS()
+    net.colours["PAIR"] = ProductCS((IntCS(), EnumCS(("a", "b"))))
+    net.add_place(PlaceDef("c", "c", "INT", (3,)))
+    net.add_place(PlaceDef("out", "out", "PAIR"))
+    net.add_transition(TransDef("t", "t", guard=ex.Cmp(">", ex.VarRead("n"), ex.IntLit(0))))
+    net.add_arc("c", "t", PTOT, Var("n"))
+    net.add_arc("c", "t", TTOP, Calc(ex.BinOp("-", ex.VarRead("n"), ex.IntLit(1))))
+    net.add_arc("out", "t", TTOP, Tup((Var("n"), Lit("b"))))
+    net.add_arc("out", "t", TTOP, Tup((Var("n"), Lit("a"))))
+    net.check()
+    graph = explore(net)
+    assert graph.state_count == 4
+    assert all(marking_key(m) == m for m in graph.states)
+    assert graph.states[-1] == (("c", (0,)), ("out", ((1, "a"), (1, "b"), (2, "a"),
+                                                      (2, "b"), (3, "a"), (3, "b"))))

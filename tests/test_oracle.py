@@ -5,7 +5,9 @@ import sys
 import pytest
 
 import mutations
-from modelgen import chain_machine
+from conftest import CORPUS, load_model
+from modelgen import balanced_machine, bf_ancestors_or_self, chain_machine
+from smd2cpn import oracle
 from smd2cpn.net import NetError
 from smd2cpn.oracle import (
     MAX_DEPTH, NetRunner, NotEnabledStepError,
@@ -15,6 +17,7 @@ from smd2cpn.oracle import (
 from smd2cpn.smdl import parse
 from smd2cpn.statemachine import NO_HISTORY, StateMachine
 from smd2cpn.translator import TranslationConfig, translate
+from test_translator import RESUME
 
 
 def drive(model, config, *script):
@@ -365,3 +368,70 @@ def test_control_safety_catches_duplicated_control_token(corpus_nets):
                                      (UNIT_TOKEN,))  # second control token
     result = check_control_safety(broken, tmap)
     assert not result.ok and result.violations
+
+
+# ---------------------------------------------------------------------------
+# The indexed enabled_transitions against the full scan it replaced
+
+
+def reference_enabled(model, config):
+    """Every model transition tested by `_enabled`, with no index."""
+    valuation, pending = config.valuation_dict(), config.pending_dict()
+    return sorted((t.id, t.trigger) for t in model.transitions
+                  if oracle._enabled(model, t, config.active, valuation, pending))
+
+
+def reachable_configurations(model, capacity, bound):
+    """Breadth-first over the machine's moves, up to `bound` configurations."""
+    start = initial_configuration(model)
+    seen, queue = {start}, [start]
+    for config in queue:
+        for _, after in oracle._machine_moves(model, config, capacity):
+            if after not in seen and len(seen) < bound:
+                seen.add(after)
+                queue.append(after)
+    return queue
+
+
+ENABLED_CASES = {
+    **{f"{name}@{cap}": (lambda name=name: load_model(name), cap)
+       for name in CORPUS for cap in (1, 2)},
+    "chain-20": (lambda: chain_machine(20), 1),
+    "balanced-3x2": (lambda: balanced_machine(3, 2), 1),
+    **{f"resume@{cap}": (lambda: parse(RESUME), cap) for cap in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENABLED_CASES))
+def test_enabled_transitions_equal_the_full_scan(case):
+    build, capacity = ENABLED_CASES[case]
+    model = build()
+    configs = reachable_configurations(model, capacity, bound=6_000)
+    assert len(configs) > 1
+    for config in configs:
+        assert enabled_transitions(model, config) == reference_enabled(model, config), config
+
+
+@pytest.mark.parametrize("build", [lambda: balanced_machine(8, 2),
+                                   lambda: chain_machine(2000)],
+                         ids=["balanced-8x2", "chain-2000"])
+def test_enabled_transitions_test_only_transitions_leaving_the_active_path(
+        build, monkeypatch):
+    model = build()
+    config = initial_configuration(model)
+    configs = [config]
+    for _ in range(3):
+        config = inject(model, config, "step", 1)
+        (tid, _), = enabled_transitions(model, config)
+        config, _ = step(model, config, tid)
+        configs.append(config)
+    tested = []
+    real = oracle._enabled
+    monkeypatch.setattr(oracle, "_enabled",
+                        lambda model, t, *rest: tested.append(t) or real(model, t, *rest))
+    for config in configs:
+        path = bf_ancestors_or_self(model, config.active)
+        leaving = [t for t in model.transitions if t.source in path]
+        tested.clear()
+        enabled_transitions(model, config)
+        assert 0 < len(tested) <= len(leaving)
