@@ -9,8 +9,10 @@ places, transitions, arcs and their inscription texts; no graphics), reports
 malformed documents with ElementTree's fault text and position, and reads
 inscriptions and guards with expr's lexer, token cursor and expression
 parser in the SML dialect.
-Output is byte-deterministic: nodes are emitted in natural id order, so
-insertion order never shows.
+Output is byte-deterministic: nodes are emitted in natural id order (digit
+runs compare as numbers).  Ids that tie under it, such as P1 and P01, keep
+their input order: insertion order in the writers, arc order in `layout`,
+which keys each id once and sorts by its dense rank.
 """
 
 from __future__ import annotations
@@ -53,9 +55,21 @@ class CpnParseError(ValueError):
         super().__init__(message)
 
 
+_DIGITS = re.compile(r"(\d+)")
+_SPECIAL = re.compile(r'[&<>"\n\r\t]')  # what quoteattr rewrites
+
+
 def _natural_key(text: str):
-    return tuple(int(part) if part.isdigit() else part
-                 for part in re.split(r"(\d+)", text))
+    return tuple([int(part) if part.isdigit() else part
+                  for part in _DIGITS.split(text)])
+
+
+def _quoteattr(text: str) -> str:
+    return quoteattr(text) if _SPECIAL.search(text) else f'"{text}"'
+
+
+def _escape(text: str) -> str:
+    return escape(text) if _SPECIAL.search(text) else text
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +89,14 @@ def layout(net: ColouredNet) -> dict[str, tuple[float, float]]:
         a, b = ((arc.place, arc.trans) if arc.orientation == PTOT
                 else (arc.trans, arc.place))
         succ.setdefault(a, []).append(b)
+    nodes = [*net.places, *net.transitions]
+    strays = set(succ).union(*succ.values()).difference(nodes)  # arc ends the net lacks
+    keys = {node: _natural_key(node) for node in [*nodes, *strays]}
+    # equal keys share a rank, so the stable sorts keep the order of ties
+    dense = {key: n for n, key in enumerate(sorted(set(keys.values())))}
+    rank = {node: dense[key] for node, key in keys.items()}.__getitem__
 
-    roots = sorted((p.id for p in net.places.values() if p.initial),
-                   key=_natural_key)
+    roots = sorted((p.id for p in net.places.values() if p.initial), key=rank)
     layer: dict[str, int] = {}
     queue = deque()
     for r in roots:
@@ -85,20 +104,19 @@ def layout(net: ColouredNet) -> dict[str, tuple[float, float]]:
         queue.append(r)
     while queue:
         node = queue.popleft()
-        for nxt in sorted(succ.get(node, ()), key=_natural_key):
+        for nxt in sorted(succ.get(node, ()), key=rank):
             if nxt not in layer:
                 layer[nxt] = layer[node] + 1
                 queue.append(nxt)
 
-    rest = sorted((n for n in (list(net.places) + list(net.transitions))
-                   if n not in layer), key=_natural_key)
+    rest = sorted((n for n in nodes if n not in layer), key=rank)
     overflow = (max(layer.values()) + 1) if layer else 0
     for node in rest:
         layer[node] = overflow
 
     assignment: dict[str, tuple[float, float]] = {}
     per_layer: dict[int, int] = {}
-    for node in sorted(layer, key=lambda n: (layer[n], _natural_key(n))):
+    for node in sorted(sorted(layer, key=rank), key=layer.__getitem__):
         row = per_layer.get(layer[node], 0)
         per_layer[layer[node]] = row + 1
         assignment[node] = (LAYER_DX * layer[node], ROW_DY * row)
@@ -145,8 +163,8 @@ def inscription_text(inscription) -> str:
 
 def _colour_decl_xml(name: str, colour, net: ColouredNet, out: list[str]):
     cid = f"CS_{name}"
-    out.append(f'        <color id={quoteattr(cid)}>')
-    out.append(f"          <id>{escape(name)}</id>")
+    out.append(f'        <color id={_quoteattr(cid)}>')
+    out.append(f"          <id>{_escape(name)}</id>")
     if isinstance(colour, UnitCS):
         out.append("          <unit/>")
         layout_text = f"colset {name} = unit;"
@@ -156,19 +174,19 @@ def _colour_decl_xml(name: str, colour, net: ColouredNet, out: list[str]):
     elif isinstance(colour, EnumCS):
         out.append("          <enum>")
         for value in colour.values:
-            out.append(f"            <id>{escape(value)}</id>")
+            out.append(f"            <id>{_escape(value)}</id>")
         out.append("          </enum>")
         layout_text = f"colset {name} = with " + " | ".join(colour.values) + ";"
     elif isinstance(colour, ProductCS):
         names = [_declared_name(net, c) for c in colour.components]
         out.append("          <product>")
         for n in names:
-            out.append(f"            <id>{escape(n)}</id>")
+            out.append(f"            <id>{_escape(n)}</id>")
         out.append("          </product>")
         layout_text = f"colset {name} = product " + " * ".join(names) + ";"
     else:
         raise CpnEmitError(f"cannot declare colour {colour!r}")
-    out.append(f"          <layout>{escape(layout_text)}</layout>")
+    out.append(f"          <layout>{_escape(layout_text)}</layout>")
     out.append("        </color>")
 
 
@@ -206,18 +224,21 @@ def _collect_variables(net: ColouredNet) -> dict[str, str]:
     return out
 
 
-def _graphics(position, pad: str) -> str:
+def _xy(x: float, y: float) -> str:
+    return f'x="{x:.6f}" y="{y:.6f}"'
+
+
+def _graphics(xy: str, pad: str) -> str:
     """Position plus the fill/line/text attribute template, one per line."""
-    x, y = position
-    return (f'{pad}<posattr x="{x:.6f}" y="{y:.6f}"/>\n'
+    return (f"{pad}<posattr {xy}/>\n"
             f"{pad}{FILLATTR}\n{pad}{LINEATTR}\n{pad}{TEXTATTR}")
 
 
-def _label(tag: str, label_id: str, position, text: str) -> str:
+def _label(tag: str, label_id: str, xy: str, text: str) -> str:
     """A node's inscription element: type, initmark, cond or annot."""
-    return (f"        <{tag} id={quoteattr(label_id)}>\n"
-            f"{_graphics(position, '          ')}\n"
-            f"          <text>{escape(text)}</text>\n"
+    return (f"        <{tag} id={_quoteattr(label_id)}>\n"
+            f"{_graphics(xy, '          ')}\n"
+            f"          <text>{_escape(text)}</text>\n"
             f"        </{tag}>")
 
 
@@ -242,68 +263,68 @@ def emit_cpn_xml(net: ColouredNet,
     for name in sorted(net.colours, key=_natural_key):
         _colour_decl_xml(name, net.colours[name], net, out)
     for var, colour_name in sorted(_collect_variables(net).items()):
-        out.append(f'        <var id={quoteattr("VAR_" + var)}>')
-        out.append(f"          <type><id>{escape(colour_name)}</id></type>")
-        out.append(f"          <id>{escape(var)}</id>")
-        out.append(f"          <layout>{escape(f'var {var} : {colour_name};')}</layout>")
+        out.append(f'        <var id={_quoteattr("VAR_" + var)}>')
+        out.append(f"          <type><id>{_escape(colour_name)}</id></type>")
+        out.append(f"          <id>{_escape(var)}</id>")
+        out.append(f"          <layout>{_escape(f'var {var} : {colour_name};')}</layout>")
         out.append("        </var>")
     out.append("      </block>")
     out.append("    </globbox>")
     out.append('    <page id="IDpageMain">')
-    out.append(f"      <pageattr name={quoteattr(net.name)}/>")
+    out.append(f"      <pageattr name={_quoteattr(net.name)}/>")
 
     for pid in sorted(net.places, key=_natural_key):
         place = net.places[pid]
         x, y = positions[pid]
-        out.append(f"      <place id={quoteattr(pid)}>")
-        out.append(_graphics((x, y), "        "))
-        out.append(f"        <text>{escape(place.name)}</text>")
+        out.append(f"      <place id={_quoteattr(pid)}>")
+        out.append(_graphics(_xy(x, y), "        "))
+        out.append(f"        <text>{_escape(place.name)}</text>")
         out.append(f'        <ellipse w="{PLACE_W:.6f}" h="{PLACE_H:.6f}"/>')
         out.append('        <token x="-10.000000" y="0.000000"/>')
         out.append('        <marking x="0.000000" y="0.000000" hidden="false"/>')
         out.append(_label("type", pid + "_type",
-                          (x + PLACE_W / 2 + 10, y - PLACE_H / 2), place.colour))
+                          _xy(x + PLACE_W / 2 + 10, y - PLACE_H / 2), place.colour))
         if place.initial:
             out.append(_label("initmark", pid + "_init",
-                              (x + PLACE_W / 2 + 10, y + PLACE_H / 2),
+                              _xy(x + PLACE_W / 2 + 10, y + PLACE_H / 2),
                               marking_text(place.initial)))
         out.append("      </place>")
 
     for tid in sorted(net.transitions, key=_natural_key):
         trans = net.transitions[tid]
         x, y = positions[tid]
-        out.append(f'      <trans id={quoteattr(tid)} explicit="false">')
-        out.append(_graphics((x, y), "        "))
-        out.append(f"        <text>{escape(trans.name)}</text>")
+        out.append(f'      <trans id={_quoteattr(tid)} explicit="false">')
+        out.append(_graphics(_xy(x, y), "        "))
+        out.append(f"        <text>{_escape(trans.name)}</text>")
         out.append(f'        <box w="{TRANS_W:.6f}" h="{TRANS_H:.6f}"/>')
         out.append('        <binding x="7.200000" y="-3.000000"/>')
         if trans.guard is not None:
             out.append(_label("cond", tid + "_cond",
-                              (x - TRANS_W / 2 - 10, y - TRANS_H / 2 - 6),
+                              _xy(x - TRANS_W / 2 - 10, y - TRANS_H / 2 - 6),
                               "[" + ex.to_text(trans.guard, "sml") + "]"))
         out.append("      </trans>")
 
     for arc in sorted(net.arcs, key=lambda a: _natural_key(a.id)):
         px, py = positions[arc.place]
         tx, ty = positions[arc.trans]
-        mid = ((px + tx) / 2, (py + ty) / 2)
-        out.append(f"      <arc id={quoteattr(arc.id)}"
-                   f' orientation="{arc.orientation}" order="1">')
-        out.append(_graphics(mid, "        "))
-        out.append("        " + ARROWATTR)
-        out.append(f"        <transend idref={quoteattr(arc.trans)}/>")
-        out.append(f"        <placeend idref={quoteattr(arc.place)}/>")
-        out.append(_label("annot", arc.id + "_annot", mid,
-                          inscription_text(arc.inscription)))
-        out.append("      </arc>")
+        mid = _xy((px + tx) / 2, (py + ty) / 2)  # the arc's and its annot's
+        # two strings under 512 bytes, which pymalloc serves; as one, the
+        # freed 700-byte strings raised wide-explore's peak RSS by 1 MB
+        out.append(f"      <arc id={_quoteattr(arc.id)}"
+                   f' orientation="{arc.orientation}" order="1">\n'
+                   f"{_graphics(mid, '        ')}\n        {ARROWATTR}\n"
+                   f"        <transend idref={_quoteattr(arc.trans)}/>\n"
+                   f"        <placeend idref={_quoteattr(arc.place)}/>")
+        annot = _label("annot", arc.id + "_annot", mid, inscription_text(arc.inscription))
+        out.append(f"{annot}\n      </arc>")
 
     out.append("    </page>")
     out.append("    <instances>")
     out.append('      <instance id="IDinst1" page="IDpageMain"/>')
     out.append("    </instances>")
     out.append("  </cpnet>")
-    out.append("</workspaceElements>")
-    return "\n".join(out) + "\n"
+    out.append("</workspaceElements>\n")  # the final newline, so join makes the only copy
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +635,8 @@ def emit_dot(net: ColouredNet, marking: Optional[Marking] = None) -> str:
                     else (arc.trans, arc.place))
         text = inscription_text(arc.inscription)
         out.append(f"  {_dot_id(src)} -> {_dot_id(dst)} [label={_dot_id(text)}];")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    out.append("}\n")
+    return "\n".join(out)
 
 
 def _dot_id(text: str) -> str:

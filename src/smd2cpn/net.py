@@ -468,7 +468,8 @@ class CompiledTransition:
         it empties one, each produced token inserted in order.  The guard
         is not evaluated here.  Raises
         NotEnabledError for a missing input token and NetError for a
-        produced token outside its place's colour."""
+        produced token outside its place's colour, or one that a token
+        outside the colour keeps from being put in order."""
         changed: dict[str, tuple] = {}
         for pid, pattern, token in self.inputs:
             if token is _BOUND_LATER:
@@ -486,7 +487,11 @@ class CompiledTransition:
                 raise NetError(f"{self.id}: produced {token!r} outside the colour "
                                f"of {pid}")
             have = changed[pid] if pid in changed else tokens.get(pid, ())
-            at = bisect.bisect(have, token)
+            try:
+                at = bisect.bisect(have, token)
+            except TypeError:  # only a token outside the colour fails to compare
+                raise NetError(f"{self.id}: cannot insert {token!r} in order on {pid}, "
+                               f"which holds a token outside its colour") from None
             changed[pid] = have[:at] + (token,) + have[at:]
         return changed
 

@@ -213,7 +213,7 @@ class NetRunner:
                 if arc.place == tmap.events_place and isinstance(arc.inscription, cpn.Lit):
                     trigger = arc.inscription.value
             self.trigger_of_dispatch[tid] = trigger
-        self.producer_of_event = {e: tid for tid, e in tmap.producer.items()}
+        self.producers = sorted({e: tid for tid, e in tmap.producer.items()}.items())
         self.skip_in_chain = set(tmap.producer) | set(tmap.do_loop)
         self.chain_bound = 2 * len(net.transitions) + 4
 
@@ -246,12 +246,20 @@ class NetRunner:
                 labels.append(label)
         return tuple(labels), marking, f"not stable after {self.chain_bound} firings"
 
-    def step_moves(self, marking: cpn.Marking) -> list[tuple[tuple, cpn.Marking]]:
-        """(move, successor) for every dispatch firing plus its chain: the
-        move is ("step", event, behaviours, leaf) when the chain reaches a
-        stable marking and ("stuck", event, behaviours, reason) when not."""
+    def moves(self, marking: cpn.Marking) -> list[tuple[tuple, cpn.Marking]]:
+        """(move, successor) for every move at the marking, from one list of
+        candidates: ("inject", event) for every producer that can fire, in
+        event order, then every dispatch firing plus its chain, in id order.
+        Such a move is ("step", event, behaviours, leaf) when the chain
+        reaches a stable marking and ("stuck", event, behaviours, reason)
+        when not."""
+        candidates = self.compiled.candidates(marking)
+        offered = {trans.id for trans in candidates}
         moves = []
-        for trans in self.compiled.candidates(marking):
+        for event, tid in self.producers:
+            if tid in offered and (bindings := cpn.enabled_bindings(self.net, marking, tid)):
+                moves.append((("inject", event), cpn.fire(self.net, marking, tid, bindings[0])))
+        for trans in candidates:
             tid = trans.id
             if tid not in self.tmap.dispatch:
                 continue
@@ -265,19 +273,6 @@ class NetRunner:
                     move = ("stuck", event, labels, stuck)
                 moves.append((move, final))
         return moves
-
-    def injections(self, marking: cpn.Marking) -> list[tuple[tuple, cpn.Marking]]:
-        """(("inject", event), successor) for every producer that can fire."""
-        offered = {trans.id for trans in self.compiled.candidates(marking)}
-        out = []
-        for event in sorted(self.producer_of_event):
-            tid = self.producer_of_event[event]
-            if tid not in offered:
-                continue
-            bindings = cpn.enabled_bindings(self.net, marking, tid)
-            if bindings:
-                out.append((("inject", event), cpn.fire(self.net, marking, tid, bindings[0])))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +412,7 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     label_key = functools.cache(repr)
     smd_succ = functools.cache(lambda config: _move_map(
         _machine_moves(model, config, event_capacity), label_key))
-    net_succ = functools.cache(lambda marking: _move_map(
-        runner.injections(marking) + runner.step_moves(marking), label_key))
+    net_succ = functools.cache(lambda marking: _move_map(runner.moves(marking), label_key))
 
     memo: dict = {}  # (configuration, marking, moves left) -> bisimilar
     why: dict = {}   # failing key of memo -> the first failure _matched found

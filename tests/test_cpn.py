@@ -1,12 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from smd2cpn import expr as ex
 from smd2cpn.net import (
-    UNIT_TOKEN, ColouredNet, EnumCS, IntCS, NetError, NotEnabledError,
+    UNIT_TOKEN, ColouredNet, CompiledNet, EnumCS, IntCS, NetError, NotEnabledError,
     Calc, Lit, PlaceDef, ProductCS, TransDef, Tup, UnitCS, Var, PTOT, TTOP,
-    enabled_bindings, explore, fire, marking_key,
+    binding_key, enabled_bindings, evaluate, explore, fire, marking_key, match,
 )
 from smd2cpn.oracle import (
     check_control_safety, check_trace_equivalence, enabled_transitions,
@@ -418,6 +419,15 @@ def test_explore_rejects_a_start_marking_the_net_cannot_hold(start, message):
     assert good.states == [(("p", (1, 7)), ("q", ((),))), (("p", (1, 5, 7)),)]
 
 
+def test_firing_next_to_a_token_outside_the_colour_names_the_place():
+    net = _int_feeder()
+    marking = (("p", ("x",)), ("q", (UNIT_TOKEN,)))
+    with pytest.raises(NetError, match=r"^t: cannot insert 5 in order on p, which holds "
+                                       r"a token outside its colour$"):
+        fire(net, marking, "t", {})
+    assert fire(net, (("p", (7,)), ("q", (UNIT_TOKEN,))), "t", {}) == (("p", (5, 7)),)
+
+
 def test_tokens_produced_in_descending_order_are_kept_sorted():
     """Each firing counts n down and adds (n, "b") then (n, "a") to a
     product place, so every token lands before the ones already there."""
@@ -437,3 +447,61 @@ def test_tokens_produced_in_descending_order_are_kept_sorted():
     assert all(marking_key(m) == m for m in graph.states)
     assert graph.states[-1] == (("c", (0,)), ("out", ((1, "a"), (1, "b"), (2, "a"),
                                                       (2, "b"), (3, "a"), (3, "b"))))
+
+
+def reference_successors(net, marking) -> set:
+    """(transition id, binding key, successor) for every enabled binding,
+    by brute force: every way of giving each input arc its own token of
+    its place, then match, check the guard and move the tokens."""
+    tokens = dict(marking)
+    found = set()
+    for tid, trans in net.transitions.items():
+        inputs = [a for a in net.arcs if a.trans == tid and a.orientation == PTOT]
+        outputs = [a for a in net.arcs if a.trans == tid and a.orientation == TTOP]
+        for taken in itertools.product(*(list(enumerate(tokens.get(a.place, ())))
+                                         for a in inputs)):
+            copies = [(a.place, n) for a, (n, _) in zip(inputs, taken)]
+            if len(set(copies)) < len(copies):
+                continue  # one copy of a token given to two arcs
+            binding = {}
+            for arc, (_, value) in zip(inputs, taken):
+                binding = match(arc.inscription, value, binding)
+                if binding is None:
+                    break
+            if binding is None or (trans.guard is not None
+                                   and not ex.eval_bool(trans.guard, binding)):
+                continue
+            after = {pid: list(values) for pid, values in tokens.items()}
+            for arc, (_, value) in zip(inputs, taken):
+                after[arc.place].remove(value)
+            for arc in outputs:
+                after.setdefault(arc.place, []).append(evaluate(arc.inscription, binding))
+            found.add((tid, binding_key(binding), marking_key(after)))
+    return found
+
+
+def _pairs_net():
+    """Two variable arcs from one place of repeated tokens, and a guard."""
+    net = ColouredNet(name="pairs")
+    net.colours["INT"] = IntCS()
+    net.add_place(PlaceDef("p", "p", "INT", (1, 1, 2, 3)))
+    net.add_place(PlaceDef("q", "q", "INT"))
+    net.add_transition(TransDef("t", "t", guard=ex.Cmp("<=", ex.VarRead("x"),
+                                                       ex.VarRead("y"))))
+    net.add_arc("p", "t", PTOT, Var("x"))
+    net.add_arc("p", "t", PTOT, Var("y"))
+    net.add_arc("q", "t", TTOP, Calc(ex.BinOp("+", ex.VarRead("x"), ex.VarRead("y"))))
+    net.add_arc("p", "t", TTOP, Var("x"))
+    return net
+
+
+@pytest.mark.parametrize("name", CORPUS + ["pairs"])
+def test_successors_agree_with_a_brute_force_token_game(corpus_nets, name):
+    net = _pairs_net() if name == "pairs" else corpus_nets[name][0]
+    compiled = CompiledNet(net)
+    graph = explore(net, bound=4_000 if name == "cdplayer" else 100_000)
+    assert graph.truncated == (name == "cdplayer")
+    for marking in graph.states:
+        successors = list(compiled.successors(marking))
+        assert len(set(successors)) == len(successors)
+        assert set(successors) == reference_successors(net, marking), marking

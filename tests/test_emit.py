@@ -5,12 +5,13 @@ from xml.sax.saxutils import escape
 
 import pytest
 
+import modelgen
 from smd2cpn import expr as ex
 from smd2cpn.emit import (
     CpnParseError, emit_cpn_xml, emit_dot, layout, parse_cpn_xml,
 )
 from smd2cpn.net import (
-    UNIT_TOKEN, ColouredNet, IntCS, Lit, PlaceDef, TransDef, UnitCS, PTOT, TTOP,
+    UNIT_TOKEN, ColouredNet, IntCS, Lit, PlaceDef, TransDef, UnitCS, Var, PTOT, TTOP,
 )
 from smd2cpn.translator import TranslationConfig, translate
 
@@ -106,6 +107,79 @@ def test_corpus_documents_are_byte_identical(corpus_models, name, capacity):
     document = emit_cpn_xml(net) + emit_dot(net)
     assert (hashlib.sha256(document.encode("utf-8")).hexdigest()
             == CORPUS_DIGESTS[name, capacity])
+
+
+AWKWARD = "a&b <c> \"d\" 'e'\tf\ng"
+
+
+def awkward_net():
+    """Names and ids that hold every character the XML writer escapes, and
+    a guard whose text holds < and >."""
+    net = ColouredNet(name="net " + AWKWARD)
+    net.colours["INT"] = IntCS()
+    net.colours["UNIT"] = UnitCS()
+    net.add_place(PlaceDef("P&1", "place " + AWKWARD, "INT", (1, 2)))
+    net.add_place(PlaceDef("P<2>", "'quoted'", "UNIT", ()))
+    net.add_place(PlaceDef('P"3\'', 'say "hi"', "UNIT", ()))
+    guard = ex.And(ex.Cmp("<", ex.VarRead("x"), ex.IntLit(3)),
+                   ex.Cmp(">", ex.VarRead("x"), ex.IntLit(0)))
+    net.add_transition(TransDef("T\t1", "trans " + AWKWARD, guard=guard))
+    net.add_arc("P&1", "T\t1", PTOT, Var("x"))
+    net.add_arc("P<2>", "T\t1", TTOP, Lit(UNIT_TOKEN))
+    net.add_arc('P"3\'', "T\t1", TTOP, Lit(UNIT_TOKEN))
+    return net
+
+
+def _digest(net):
+    document = emit_cpn_xml(net) + emit_dot(net)
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()
+
+
+# sha256 of emit_cpn_xml + emit_dot for nets outside the corpus: two
+# synthetic families at capacity 1 and a net of awkward names
+@pytest.mark.parametrize("build,digest", [
+    (lambda: translate(modelgen.chain_machine(20))[0],
+     "1e7a065912595865fb4250f4f2b912775e78bf8a9b5b7aeab3cca01d4e175b09"),
+    (lambda: translate(modelgen.balanced_machine(3, 2))[0],
+     "d5f25180a95c80b2d50c0252a07952fe153ccc5132ace029148c01033fb494ce"),
+    (awkward_net,
+     "8ed0b53f773c29580ddd2c0f883d5cbc4bdf4c52d34916dd2e5cc28a99e2abe7"),
+], ids=["chain-20", "balanced-3x2", "awkward-names"])
+def test_generated_documents_are_byte_identical(build, digest):
+    assert _digest(build()) == digest
+
+
+def test_awkward_names_round_trip():
+    net = awkward_net()
+    assert parse_cpn_xml(emit_cpn_xml(net)) == net
+
+
+def test_natural_key_ties_keep_arc_order():
+    """P1, P001 and P01 tie under the natural key: layout stacks them in
+    the order of the arcs that reach them, the writers in the order the
+    places were added."""
+    net = tiny_net()
+    net.add_transition(TransDef("t", "t"))
+    net.add_arc("p", "t", PTOT, Lit(UNIT_TOKEN))
+    for pid in ("P1", "P001", "P01"):
+        net.add_place(PlaceDef(pid, pid, "UNIT", ()))
+    for pid in ("P01", "P1", "P001"):
+        net.add_arc(pid, "t", TTOP, Lit(UNIT_TOKEN))
+    positions = layout(net)
+    assert [positions[pid] for pid in ("P01", "P1", "P001")] == [
+        (320.0, 0.0), (320.0, 120.0), (320.0, 240.0)]
+    assert _digest(net) == (
+        "0f34285c8743ad4b5552011fa66bd94672292d30fe86766e096bc5fb9d861179")
+
+
+def test_layout_places_reachable_arc_ends_the_net_lacks():
+    net = tiny_net()
+    net.add_transition(TransDef("t", "t"))
+    net.add_arc("p", "t", PTOT, Lit(UNIT_TOKEN))
+    for pid, tid in (("ghost10", "t"), ("ghost2", "t"), ("ghost1", "t2")):
+        net.add_arc(pid, tid, TTOP, Lit(UNIT_TOKEN))
+    assert layout(net) == {"p": (0.0, 0.0), "t": (160.0, 0.0),
+                           "ghost2": (320.0, 0.0), "ghost10": (320.0, 120.0)}
 
 
 def test_emission_independent_of_insertion_order():

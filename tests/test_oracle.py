@@ -157,8 +157,9 @@ def test_chain_length_conservation(corpus_models, corpus_nets):
     runner = NetRunner(net, tmap, model)
     config = inject(model, initial_configuration(model), "go", 1)
     marking = net.initial_marking()
-    marking = dict(runner.injections(marking))[("inject", "go")]
-    (net_move, _), = runner.step_moves(marking)
+    marking = dict(runner.moves(marking))[("inject", "go")]
+    (net_move, _), = [(move, after) for move, after in runner.moves(marking)
+                      if move[0] != "inject"]
     _, smd_label = step(model, config, "t_go")
     assert smd_label.behaviours == ("Shutdown", "Boot", "MidUp", "LeafUp")
     assert net_move == ("step", "go", smd_label.behaviours, smd_label.active)
@@ -299,10 +300,8 @@ def test_stuck_chain_is_a_divergence(cd_model, cd_net):
     runner = NetRunner(broken, tmap, cd_model)
     marking = broken.initial_marking()
     for move in result.counterexample[:-1]:
-        marking, = [after for offered, after
-                    in runner.injections(marking) + runner.step_moves(marking)
-                    if offered == move]
-    stuck = [move for move, _ in runner.step_moves(marking) if move[0] == "stuck"]
+        marking, = [after for offered, after in runner.moves(marking) if offered == move]
+    stuck = [move for move, _ in runner.moves(marking) if move[0] == "stuck"]
     assert stuck == [("stuck", "pause", (), "0 chain transitions enabled")]
     assert format_move(cd_model, stuck[0]) == "on pause -> stuck (0 chain transitions enabled)"
 
