@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -319,6 +320,30 @@ def test_stuck_chain_offered_by_the_net_ends_the_trace(corpus_models, corpus_net
         "(0 chain transitions enabled)' but the state machine cannot match it")
 
 
+def outcome(result):
+    """Everything a check reports, in a form whose repr can be hashed."""
+    return (result.equivalent, result.pairs_checked, result.counterexample,
+            result.divergent_side)
+
+
+def sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_corpus_outcomes_are_pinned():
+    # verdicts, pair counts, counterexamples and sides of the corpus at the
+    # CLI depth, at event capacity 1 and 2 (cdplayer@2 checks 3,313 pairs)
+    outcomes = []
+    for name in CORPUS:
+        model = load_model(name)
+        for capacity in (1, 2):
+            net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
+            outcomes.append((name, capacity, outcome(check_trace_equivalence(
+                model, net, tmap, depth=8, event_capacity=capacity))))
+    assert sha256(outcomes) == (
+        "bc93363964115e443783c6d5ebc5acd7ca354fbb5093a870c0c095d57cfe3ed2")
+
+
 def test_every_arc_deletion_is_rejected_or_inequivalent(corpus_models, corpus_nets):
     """The mutation score of single-arc deletion at capacity 1: every
     mutant is rejected by `check()` or diverges within depth 10, so the
@@ -327,8 +352,9 @@ def test_every_arc_deletion_is_rejected_or_inequivalent(corpus_models, corpus_ne
     `history` A_71) first diverge at move 10; and `guarded`'s A_29, the
     capacity-return arc of `reset`, first diverges at move 9, past the
     default depth 8, while control safety holds on it.  `cdplayer` is
-    left out: its 102 mutants take about 10 s."""
-    rejected, inequivalent, survivors = [], [], []
+    left out: its 102 mutants take about 10 s.  The outcomes of the 219
+    checks are pinned by a digest."""
+    rejected, inequivalent, survivors, outcomes = [], [], [], []
     for name in ("flat", "nested3", "interlevel", "guarded", "history", "completion"):
         model = corpus_models[name]
         net, tmap = corpus_nets[name]
@@ -340,12 +366,15 @@ def test_every_arc_deletion_is_rejected_or_inequivalent(corpus_models, corpus_ne
                 rejected.append((name, arc.id))
                 continue
             result = check_trace_equivalence(model, mutant, tmap, depth=10)
+            outcomes.append((name, arc.id, outcome(result)))
             if result.equivalent or not result.counterexample:
                 survivors.append((name, arc.id))
             else:
                 inequivalent.append((name, arc.id))
     assert survivors == []
     assert (len(rejected), len(inequivalent)) == (9, 219)
+    assert sha256(outcomes) == (
+        "531f3b3c4242ff103870f3a21bb2a06b0b42b988e4b94054181dcce4bca9d684")
 
 
 def test_control_safety_on_corpus(corpus_nets):
