@@ -60,8 +60,9 @@ _SPECIAL = re.compile(r'[&<>"\n\r\t]')  # what quoteattr rewrites
 
 
 def _natural_key(text: str):
-    return tuple([int(part) if part.isdigit() else part
-                  for part in _DIGITS.split(text)])
+    parts = _DIGITS.split(text)
+    parts[1::2] = map(int, parts[1::2])  # the digit runs
+    return tuple(parts)
 
 
 def _quoteattr(text: str) -> str:
@@ -69,7 +70,8 @@ def _quoteattr(text: str) -> str:
 
 
 def _escape(text: str) -> str:
-    return escape(text) if _SPECIAL.search(text) else text
+    # a raw carriage return would come back from the reader as a newline
+    return escape(text, {"\r": "&#13;"}) if _SPECIAL.search(text) else text
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,16 @@ move that the machine never offers, so a broken chain is reported as a
 divergence with its trace like any other.  The one search that decides
 equivalence also explains a failure: each failing pair records the first
 mismatch it found, in one canonical move order, and the counterexample is
-read off those records in a loop; nothing in the check recurses.
+read off those records in a loop; nothing in the check recurses.  Each side
+keeps each stable point once, numbered as a move map first names it, and
+the search's memo and stack hold those numbers.
 
 The interpreter is written directly against the model queries and never
 consults the translator's chain construction, so the two sides stay
 independent routes that can disagree when one of them is wrong.  What they
 share is model semantics only: `StateMachine.is_completion`,
-`StateMachine.boundaries` and the `StateMachine.transitions_from` index.
+`StateMachine.boundaries` and the model's indices (`transitions_from`,
+`ancestor_paths`).
 """
 
 from __future__ import annotations
@@ -317,7 +320,7 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
 
 
 # The deepest check_trace_equivalence goes.  The memo grows with the depth,
-# one entry per (configuration, marking, moves left) pair checked
+# one entry per (configuration number, marking number, moves left) checked
 MAX_DEPTH = 400
 
 
@@ -373,15 +376,20 @@ def _matched(left: dict, right: dict):
     return None
 
 
-def _move_map(pairs, key) -> dict:
+def _move_map(pairs, key, points: dict, numbered: list) -> dict:
     """{move: successors} of (move, successor) pairs in one canonical
     order, so the check and its counterexample do not depend on hashing:
     moves sorted by `key`, and a move's successors as a tuple, sorted by
-    repr when there are several."""
+    repr when there are several.  Successors are numbers, from `points`
+    (point -> number) and `numbered` (number -> point), which grow here."""
     moves: dict = {}
     for move, after in pairs:
-        moves.setdefault(move, set()).add(after)
-    return {move: tuple(sorted(after, key=repr)) if len(after) > 1 else tuple(after)
+        n = points.setdefault(after, len(numbered))
+        if n == len(numbered):
+            numbered.append(after)
+        moves.setdefault(move, set()).add(n)
+    return {move: tuple(sorted(after, key=lambda n: repr(numbered[n])))
+            if len(after) > 1 else tuple(after)
             for move, after in sorted(moves.items(), key=lambda item: key(item[0]))}
 
 
@@ -410,11 +418,22 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
                              f"the net's capacity {held}")
     runner = NetRunner(net, tmap, model)
     label_key = functools.cache(repr)
-    smd_succ = functools.cache(lambda config: _move_map(
-        _machine_moves(model, config, event_capacity), label_key))
-    net_succ = functools.cache(lambda marking: _move_map(runner.moves(marking), label_key))
 
-    memo: dict = {}  # (configuration, marking, moves left) -> bisimilar
+    def side(start, moves_of):
+        """The move map of a side's point number n, made once; `start` is 0."""
+        points, numbered, maps = {start: 0}, [start], {}
+
+        def succ(n: int) -> dict:
+            if n not in maps:
+                maps[n] = _move_map(moves_of(numbered[n]), label_key, points, numbered)
+            return maps[n]
+        return succ
+
+    smd_succ = side(initial_configuration(model),
+                    lambda config: _machine_moves(model, config, event_capacity))
+    net_succ = side(net.initial_marking(), runner.moves)
+
+    memo: dict = {}  # (configuration no., marking no., moves left) -> bisimilar
     why: dict = {}   # failing key of memo -> the first failure _matched found
 
     def bisim(key) -> bool:
@@ -443,7 +462,7 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
                 stack.append((child, _matched(smd_succ(u), net_succ(v))))
         return verdict
 
-    start = (initial_configuration(model), net.initial_marking())
+    start = (0, 0)
     if bisim(start + (depth,)):
         return EquivalenceResult(equivalent=True, pairs_checked=len(memo))
 

@@ -100,7 +100,9 @@ def _behaviour_key(b: Optional[Behaviour]):
 @dataclass(frozen=True, eq=False)
 class StateMachine:
     """Equality is canonical: sibling/transition/variable declaration order
-    does not matter, so a model survives a print/parse round trip."""
+    does not matter, so a model survives a print/parse round trip.  The
+    structural queries read `ancestor_paths`, an index built whole on first
+    use, not the parent links."""
 
     name: str
     states: tuple[StateNode, ...] = ()
@@ -156,20 +158,37 @@ class StateMachine:
 
     # -- structural queries --------------------------------------------------
 
-    def ancestors_or_self(self, sid: str) -> list[str]:
+    @cached_property
+    def ancestor_paths(self) -> dict[str, tuple[str, ...]]:
+        """Each state's ancestors, innermost first, built whole from the
+        parent links; a state whose links dangle or cycle is absent.  The
+        children of one parent share one tuple, so a flat machine holds
+        no tuple per state."""
+        paths: dict[str, tuple[str, ...]] = {}
+        parent_path: dict[Optional[str], tuple[str, ...]] = {None: ()}
+        for s in self.states:
+            trail, cur = {}, s.id
+            while cur in self.by_id and cur not in paths and cur not in trail:
+                trail[cur] = None
+                cur = self.by_id[cur].parent
+            if cur is None or cur in paths:
+                for sid in reversed(trail):
+                    parent = self.by_id[sid].parent
+                    if parent not in parent_path:
+                        parent_path[parent] = (parent,) + paths[parent]
+                    paths[sid] = parent_path[parent]
+        return paths
+
+    def ancestors_or_self(self, sid: str) -> tuple[str, ...]:
         """Path from the state up to (excluding) the root region."""
-        node = self.state(sid)
-        path = [node.id]
-        while node.parent is not None:
-            node = self.state(node.parent)
-            path.append(node.id)
-        return path
+        try:
+            return (sid,) + self.ancestor_paths[sid]
+        except KeyError:
+            raise UnknownStateError(sid) from None
 
     def is_ancestor_or_self(self, outer: Optional[str], inner: str) -> bool:
-        if outer is None:
-            self.state(inner)
-            return True
-        return outer in self.ancestors_or_self(inner)
+        path = self.ancestors_or_self(inner)
+        return outer is None or outer in path
 
     def substates(self, sid: str) -> tuple[str, ...]:
         """All simple states in the subtree of `sid`, in document order.
@@ -192,31 +211,23 @@ class StateMachine:
         out.sort(key=self.document_position.__getitem__)
         return tuple(out)
 
+    def _up_to(self, boundary: str, sid: str) -> tuple[str, ...]:
+        """Path from `sid` up to `boundary`, both included."""
+        path = self.ancestors_or_self(sid)
+        try:
+            return path[: path.index(boundary) + 1]
+        except ValueError:
+            raise NotAnAncestorError(f"{boundary} does not enclose {sid}") from None
+
     def exit_chain(self, from_sid: str, boundary: str) -> tuple[Behaviour, ...]:
         """Exit behaviours on the way out, innermost first, boundary included."""
-        if not self.is_ancestor_or_self(boundary, from_sid):
-            raise NotAnAncestorError(f"{boundary} does not enclose {from_sid}")
-        chain = []
-        for sid in self.ancestors_or_self(from_sid):
-            node = self.state(sid)
-            if node.exit is not None:
-                chain.append(node.exit)
-            if sid == boundary:
-                break
-        return tuple(chain)
+        nodes = map(self.by_id.__getitem__, self._up_to(boundary, from_sid))
+        return tuple(node.exit for node in nodes if node.exit is not None)
 
     def entry_chain(self, boundary: str, to_sid: str) -> tuple[Behaviour, ...]:
         """Entry behaviours on the way in, outermost first, boundary included."""
-        if not self.is_ancestor_or_self(boundary, to_sid):
-            raise NotAnAncestorError(f"{boundary} does not enclose {to_sid}")
-        path = self.ancestors_or_self(to_sid)
-        path = path[: path.index(boundary) + 1]
-        chain = []
-        for sid in reversed(path):
-            node = self.state(sid)
-            if node.entry is not None:
-                chain.append(node.entry)
-        return tuple(chain)
+        nodes = map(self.by_id.__getitem__, reversed(self._up_to(boundary, to_sid)))
+        return tuple(node.entry for node in nodes if node.entry is not None)
 
     def lca(self, a: str, b: str) -> Optional[str]:
         """Deepest state enclosing both (or being one of) `a` and `b`;
@@ -390,20 +401,11 @@ def validate(model: StateMachine) -> ValidationReport:
         if s.parent is not None and s.parent not in id_set:
             report.add("unknown-parent", s.id, f"parent {s.parent!r} does not exist")
             forest_ok = False
-    if forest_ok:
-        parent_of = {s.id: s.parent for s in model.states}
-        for s in model.states:
-            trail = set()
-            cur = s.id
-            while cur is not None:
-                if cur in trail:
-                    report.add("parent-cycle", s.id, "parent chain forms a cycle")
-                    forest_ok = False
-                    break
-                trail.add(cur)
-                cur = parent_of[cur]
-            if not forest_ok:
-                break
+    if forest_ok:  # every parent exists, so a state lacks a path only in a cycle
+        looped = next((s.id for s in model.states if s.id not in model.ancestor_paths), None)
+        if looped is not None:
+            report.add("parent-cycle", looped, "parent chain forms a cycle")
+            forest_ok = False
     if not forest_ok:
         return report  # the tree queries below need a real forest
 

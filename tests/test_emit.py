@@ -154,6 +154,27 @@ def test_awkward_names_round_trip():
     assert parse_cpn_xml(emit_cpn_xml(net)) == net
 
 
+def test_carriage_returns_in_names_round_trip():
+    net = tiny_net()
+    net.name = "net\r1"
+    net.places["p"] = PlaceDef("p", "place\rone\r\n", "UNIT", (UNIT_TOKEN,))
+    net.add_transition(TransDef("t\r", "trans\rone"))
+    net.add_arc("p", "t\r", PTOT, Lit(UNIT_TOKEN))
+    document = emit_cpn_xml(net)
+    assert "\r" not in document and "<text>place&#13;one&#13;\n</text>" in document
+    assert parse_cpn_xml(document) == net
+
+
+def test_ids_with_non_decimal_digits_are_emitted():
+    # "²" is a digit to str.isdigit but not to int(), nor to the key's \d
+    net = ColouredNet(name="n")
+    net.colours["UNIT"] = UnitCS()
+    net.add_place(PlaceDef("P1\u00b2", "P1\u00b2", "UNIT", (UNIT_TOKEN,)))
+    assert layout(net) == {"P1\u00b2": (0.0, 0.0)}
+    assert '"P1\u00b2"' in emit_dot(net)
+    assert parse_cpn_xml(emit_cpn_xml(net, layout(net))) == net
+
+
 def test_natural_key_ties_keep_arc_order():
     """P1, P001 and P01 tie under the natural key: layout stacks them in
     the order of the arcs that reach them, the writers in the order the

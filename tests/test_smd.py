@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from conftest import CORPUS, load_model
 from modelgen import (
-    balanced_machine, bf_entry_chain, bf_exit_chain, bf_lca, bf_substates,
-    random_machine,
+    balanced_machine, bf_ancestors_or_self, bf_entry_chain, bf_exit_chain, bf_lca,
+    bf_substates, chain_machine, random_machine,
 )
 from smd2cpn.statemachine import (
     COMPOSITE, FINAL, SIMPLE,
@@ -12,6 +13,8 @@ from smd2cpn.statemachine import (
     UnknownStateError, Variable, validate,
 )
 from smd2cpn import expr as ex
+from smd2cpn.smdl import parse
+from test_translator import RESUME
 
 
 def node(id, kind=SIMPLE, parent=None, **kw):
@@ -236,6 +239,73 @@ def test_boundaries_parent_to_child_exit_and_reenter_the_parent():
         transitions=(Transition(id="t", source="outer", target="b"),))
     assert validate(machine).ok
     assert machine.boundaries(machine.transitions[0]) == ("outer", "outer")
+
+
+INDEXED_MODELS = {
+    **{name: (lambda name=name: load_model(name)) for name in CORPUS},
+    "chain-20": lambda: chain_machine(20),
+    "balanced-3x2": lambda: balanced_machine(3, 2),
+    "resume": lambda: parse(RESUME),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEXED_MODELS))
+def test_indices_agree_with_brute_force(case):
+    model = INDEXED_MODELS[case]()
+    for s in model.states:
+        assert list(model.ancestors_or_self(s.id)) == bf_ancestors_or_self(model, s.id)
+    assert model.transitions
+    for t in model.transitions:
+        # the boundaries from the deepest common state found by brute force
+        source_path = bf_ancestors_or_self(model, t.source)
+        target_path = bf_ancestors_or_self(model, t.target)
+        common = [sid for sid in source_path if sid in target_path]
+        scope = common[0] if common else None
+        if scope in (t.source, t.target):
+            expected = (scope, scope)
+        else:
+            expected = tuple(path[path.index(scope) - 1] if scope else path[-1]
+                             for path in (source_path, target_path))
+        assert model.boundaries(t) == expected, t.id
+
+
+def test_every_query_rejects_an_unknown_id(cd_model):
+    ghost = "GHOST"
+    queries = [
+        lambda: cd_model.state(ghost),
+        lambda: cd_model.ancestors_or_self(ghost),
+        lambda: cd_model.is_ancestor_or_self(None, ghost),
+        lambda: cd_model.is_ancestor_or_self("Busy", ghost),
+        lambda: cd_model.lca(ghost, "PLAYING"),
+        lambda: cd_model.lca("PLAYING", ghost),
+        lambda: cd_model.child_of_containing(None, ghost),
+        lambda: cd_model.child_of_containing("Busy", ghost),
+        lambda: cd_model.exit_chain(ghost, "Busy"),
+        lambda: cd_model.entry_chain("Busy", ghost),
+        lambda: cd_model.substates(ghost),
+        lambda: cd_model.boundaries(Transition(id="t2", source=ghost, target="PAUSED")),
+        lambda: cd_model.boundaries(Transition(id="t2", source="PLAYING", target=ghost)),
+    ]
+    for query in queries:
+        with pytest.raises(UnknownStateError):
+            query()
+
+
+def test_states_with_broken_parent_links_are_unknown():
+    # a dangling parent and a parent cycle: the other states still resolve
+    machine = StateMachine(
+        name="M",
+        states=(node("A", is_initial=True), node("B", parent="GHOST"),
+                node("C", parent="D"), node("D", parent="C")),
+        transitions=(Transition(id="ok", source="A", target="A"),
+                     Transition(id="bad", source="A", target="B")))
+    assert machine.ancestors_or_self("A") == ("A",)
+    assert machine.boundaries(machine.transitions[0]) == ("A", "A")
+    for sid in ("B", "C", "D"):
+        with pytest.raises(UnknownStateError):
+            machine.ancestors_or_self(sid)
+    with pytest.raises(UnknownStateError):
+        machine.boundaries(machine.transitions[1])
 
 
 def test_queries_agree_with_brute_force():
