@@ -1,11 +1,12 @@
 import itertools
 import random
+from dataclasses import dataclass, replace
 
 import pytest
 
 from smd2cpn import expr as ex
 from smd2cpn.net import (
-    UNIT_TOKEN, ColouredNet, CompiledNet, EnumCS, IntCS, NetError, NotEnabledError,
+    UNIT_TOKEN, ColouredNet, CompiledNet, CompiledTransition, EnumCS, IntCS, NetError, NotEnabledError,
     Calc, Lit, PlaceDef, ProductCS, TransDef, Tup, UnitCS, Var, PTOT, TTOP,
     binding_key, enabled_bindings, evaluate, explore, fire, marking_key, match,
 )
@@ -505,3 +506,147 @@ def test_successors_agree_with_a_brute_force_token_game(corpus_nets, name):
         successors = list(compiled.successors(marking))
         assert len(set(successors)) == len(successors)
         assert set(successors) == reference_successors(net, marking), marking
+
+
+@pytest.mark.parametrize("name", ["flat", "guarded", "completion", "nested3"])
+def test_successors_agree_with_a_brute_force_token_game_on_mutants(corpus_nets, name):
+    """The same comparison on every arc deletion that `check()` accepts,
+    with one CompiledNet per mutant across its reachable markings.  About
+    half the mutants grow without bound, so each search stops at 200."""
+    net, _ = corpus_nets[name]
+    for arc in net.arcs:
+        mutant = mutations.delete_arc_id(net, arc.id)
+        try:
+            mutant.check()
+        except NetError:
+            continue
+        compiled = CompiledNet(mutant)
+        for marking in explore(mutant, bound=200).states:
+            successors = list(compiled.successors(marking))
+            assert len(set(successors)) == len(successors)
+            assert set(successors) == reference_successors(mutant, marking), (arc.id, marking)
+
+
+# ---------------------------------------------------------------------------
+# A transition's firings depend only on the tokens of the places it touches
+
+
+def _counted_bindings(monkeypatch):
+    """Count the calls of `CompiledTransition.bindings` from here on."""
+    calls = []
+    original = CompiledTransition.bindings
+
+    def bindings(self, tokens):
+        calls.append(self.id)
+        return original(self, tokens)
+
+    monkeypatch.setattr(CompiledTransition, "bindings", bindings)
+    return calls
+
+
+def _output_only_net():
+    """t takes a's unit token and puts 5 on o, which it does not read; u
+    counts c up once, putting c's old value on o and a token back on a.
+    So t meets a's one token twice, first with o empty and then with o
+    holding 0."""
+    net = unit_net()
+    net.colours["INT"] = IntCS()
+    net.add_place(PlaceDef("a", "a", "UNIT", (UNIT_TOKEN,)))
+    net.add_place(PlaceDef("c", "c", "INT", (0,)))
+    net.add_place(PlaceDef("o", "o", "INT"))
+    net.add_transition(TransDef("t", "t"))
+    net.add_arc("a", "t", PTOT, Lit(UNIT_TOKEN))
+    net.add_arc("o", "t", TTOP, Lit(5))
+    net.add_transition(TransDef("u", "u", guard=ex.Cmp("<", ex.VarRead("n"), ex.IntLit(1))))
+    net.add_arc("c", "u", PTOT, Var("n"))
+    net.add_arc("c", "u", TTOP, Calc(ex.BinOp("+", ex.VarRead("n"), ex.IntLit(1))))
+    net.add_arc("o", "u", TTOP, Var("n"))
+    net.add_arc("a", "u", TTOP, Lit(UNIT_TOKEN))
+    net.check()
+    return net
+
+
+def test_a_firing_keeps_the_tokens_of_a_place_it_only_feeds():
+    net = _output_only_net()
+    graph = explore(net)
+    u = UNIT_TOKEN
+    assert graph.states == [
+        (("a", (u,)), ("c", (0,))),
+        (("c", (0,)), ("o", (5,))),
+        (("a", (u, u)), ("c", (1,)), ("o", (0,))),
+        (("a", (u,)), ("c", (1,)), ("o", (0, 5))),
+        (("c", (1,)), ("o", (0, 5, 5))),
+    ]
+    assert graph.edges == [(0, "t", (), 1), (0, "u", (("n", 0),), 2),
+                           (1, "u", (("n", 0),), 3), (2, "t", (), 3),
+                           (3, "t", (), 4)]
+    compiled = CompiledNet(net)
+    for marking in graph.states:
+        assert set(compiled.successors(marking)) == reference_successors(net, marking)
+
+
+def test_each_exploration_fires_each_local_view_once(monkeypatch):
+    """t's bindings are worked out once per distinct (a, o) view in one
+    search, and afresh in the next: nothing is kept between searches."""
+    net = _output_only_net()
+    first = explore(net)
+    calls = _counted_bindings(monkeypatch)
+    assert explore(net) == first
+    views = {(dict(m).get("a"), dict(m).get("o")) for m in first.states if "a" in dict(m)}
+    assert calls.count("t") == len(views) == 3
+    calls.clear()
+    assert explore(net) == first
+    assert calls.count("t") == 3
+
+
+@dataclass(frozen=True)
+class _AtMost:
+    """The integers up to `top`: a colour the net module does not have, so
+    that a computed token can leave it."""
+    top: int
+
+    def contains(self, value) -> bool:
+        return isinstance(value, int) and value <= self.top
+
+
+def test_a_computed_token_outside_its_colour_raises_in_every_search():
+    """t counts c up; s spends a's two tokens.  c's view (0,) comes up
+    twice and fits, then (1,) makes t produce 2, which c's colour lacks."""
+    net = unit_net()
+    net.colours["SMALL"] = _AtMost(1)
+    net.add_place(PlaceDef("a", "a", "UNIT", (UNIT_TOKEN, UNIT_TOKEN)))
+    net.add_place(PlaceDef("c", "c", "SMALL", (0,)))
+    net.add_transition(TransDef("s", "s"))
+    net.add_arc("a", "s", PTOT, Lit(UNIT_TOKEN))
+    net.add_transition(TransDef("t", "t"))
+    net.add_arc("c", "t", PTOT, Var("n"))
+    net.add_arc("c", "t", TTOP, Calc(ex.BinOp("+", ex.VarRead("n"), ex.IntLit(1))))
+    for _ in range(2):
+        with pytest.raises(NetError, match=r"^t: produced 2 outside the colour of c$"):
+            explore(net)
+    assert explore(net, bound=2).truncated
+
+
+def test_a_constant_token_outside_its_colour_raises_when_fired():
+    """A literal output outside its place's colour is found out when the
+    transition fires, not when the net is compiled."""
+    net = _int_feeder()
+    net.arcs = [replace(arc, inscription=Lit("z")) if arc.place == "p" else arc
+                for arc in net.arcs]
+    CompiledNet(net)
+    assert explore(net, (("p", (1,)),)).states == [(("p", (1,)),)]
+    for _ in range(2):
+        with pytest.raises(NetError, match=r"^t: produced 'z' outside the colour of p$"):
+            explore(net)
+
+
+def test_reassigned_arcs_give_the_new_graph():
+    """Dropping u's arc back to a, by reassigning the arcs list, between
+    two searches of one net."""
+    net = _output_only_net()
+    explore(net)
+    net.arcs = [arc for arc in net.arcs if (arc.place, arc.trans) != ("a", "u")]
+    u = UNIT_TOKEN
+    assert explore(net).states == [(("a", (u,)), ("c", (0,))), (("c", (0,)), ("o", (5,))),
+                                   (("a", (u,)), ("c", (1,)), ("o", (0,))),
+                                   (("c", (1,)), ("o", (0, 5)))]

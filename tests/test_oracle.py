@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import os
 import subprocess
@@ -9,7 +10,7 @@ import mutations
 from conftest import CORPUS, load_model
 from modelgen import balanced_machine, bf_ancestors_or_self, chain_machine
 from smd2cpn import oracle
-from smd2cpn.net import NetError
+from smd2cpn.net import NetError, PlaceDef
 from smd2cpn.oracle import (
     MAX_DEPTH, NetRunner, NotEnabledStepError,
     check_control_safety, check_trace_equivalence, enabled_transitions,
@@ -396,6 +397,36 @@ def test_control_safety_catches_duplicated_control_token(corpus_nets):
                                      (UNIT_TOKEN,))  # second control token
     result = check_control_safety(broken, tmap)
     assert not result.ok and result.violations
+
+
+def _with_initial(net, changes: dict):
+    """A copy of the net with the given places' initial tokens replaced."""
+    broken = copy.deepcopy(net)
+    for pid, initial in changes.items():
+        place = broken.places[pid]
+        broken.places[pid] = PlaceDef(place.id, place.name, place.colour, initial)
+    return broken
+
+
+UNIT = ()
+
+
+@pytest.mark.parametrize("name, changes, explored, per_state", [
+    ("flat", {"P_ON": (UNIT,)}, 6, ["2 control tokens"]),
+    ("guarded", {"P_VARS": ()}, 8, ["0 tokens on VARS"]),
+    ("history", {"P_Work__H": ()}, 288, ["0 tokens on history place of Work"]),
+    ("cdplayer", {"P_CLOSED": (UNIT, UNIT), "P_VARS": (), "P_Busy__H": ()}, 4608,
+     ["2 control tokens", "0 tokens on VARS", "0 tokens on history place of Busy"]),
+], ids=["second-control-token", "empty-vars", "empty-history", "all-three"])
+def test_control_safety_violations_are_pinned(corpus_nets, name, changes, explored,
+                                              per_state):
+    """Every violation, in order: state by state, control tokens first,
+    then VARS, then each history place."""
+    net, tmap = corpus_nets[name]
+    result = check_control_safety(_with_initial(net, changes), tmap)
+    assert (result.ok, result.explored, result.truncated) == (False, explored, False)
+    assert result.violations == [f"state {index}: {what}" for index in range(explored)
+                                 for what in per_state]
 
 
 # ---------------------------------------------------------------------------
