@@ -21,16 +21,21 @@ Markings given to `fire` and `enabled_bindings` must fit their places'
 colours, as every marking `explore` reaches does; `explore` checks the
 start marking it is given.  The token game runs on each transition's
 `CompiledTransition`, which indexes its arcs once and reads `dict(marking)`.
+A firing changes only the places it touches, its input and output places,
+and its successor marking is the old one with just those places replaced.
 `explore` compiles the net once into a `CompiledNet` and at each marking
 tries only the candidate transitions: those without input places, and
 those whose watch place (the input place with the fewest consuming arcs,
-ties broken by id) is marked.
+ties broken by id) is marked.  What a transition can fire depends only on
+the tokens of the places it touches, its local view, so the `CompiledNet`
+works each view's firings out once and looks them up when the view comes
+back; the memo lives as long as that `CompiledNet`, one `explore` call.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Optional, Union
@@ -387,11 +392,13 @@ class CompiledTransition:
     an input it becomes a count check, and only the other inputs are
     matched against tokens.
     Raises NetError, as `ColouredNet.check` does, when the guard or an
-    output arc reads a variable that no input pattern binds.
+    output arc reads a variable that no input pattern binds.  `touched`
+    holds the distinct input places, then the other output places, in arc
+    order: `bindings` reads only input places and `apply` only these.
     """
 
     __slots__ = ("id", "trans", "places", "inputs", "literals", "variables",
-                 "shared", "outputs")
+                 "shared", "outputs", "touched")
 
     def __init__(self, net: ColouredNet, trans: TransDef):
         self.id = trans.id
@@ -419,10 +426,17 @@ class CompiledTransition:
             _check_read(trans.id, "guard", ex.variables_of(trans.guard), bound)
         for arc in net.output_arcs(trans.id):
             _check_read(trans.id, f"output arc {arc.id}", variables(arc.inscription), bound)
-        # (place, expression, token or _BOUND_LATER, colour set), in arc order
-        self.outputs = tuple((arc.place, arc.inscription, _constant(arc.inscription),
-                              net.colour_of(arc.place))
-                             for arc in net.output_arcs(trans.id))
+        # (place, expression, token or _BOUND_LATER, colour set), in arc
+        # order; the colour set is None where a constant token fits it, so
+        # that token is checked here once instead of at every firing
+        outputs = []
+        for arc in net.output_arcs(trans.id):
+            token, colour = _constant(arc.inscription), net.colour_of(arc.place)
+            if token is not _BOUND_LATER and colour.contains(token):
+                colour = None
+            outputs.append((arc.place, arc.inscription, token, colour))
+        self.outputs = tuple(outputs)
+        self.touched = tuple(dict.fromkeys([*self.places, *(pid for pid, *_ in outputs)]))
 
     def bindings(self, tokens: dict) -> list[tuple[tuple, dict]]:
         """(binding_key, binding) for every binding under which the
@@ -483,7 +497,7 @@ class CompiledTransition:
         for pid, out, token, colour in self.outputs:
             if token is _BOUND_LATER:
                 token = evaluate(out, binding)
-            if not colour.contains(token):
+            if colour is not None and not colour.contains(token):
                 raise NetError(f"{self.id}: produced {token!r} outside the colour "
                                f"of {pid}")
             have = changed[pid] if pid in changed else tokens.get(pid, ())
@@ -521,20 +535,25 @@ def fire(net: ColouredNet, marking: Marking, trans_id: str, binding: dict) -> Ma
     guard = trans.trans.guard
     if guard is not None and not ex.eval_bool(guard, binding):
         raise NotEnabledError(f"{trans_id}: guard is false under {binding}")
-    tokens = dict(marking)
-    return _successor(tokens, trans.apply(tokens, binding))
+    return _successor(marking, trans.apply(dict(marking), binding).items())
 
 
-def _successor(tokens: dict, changed: dict) -> Marking:
-    """The marking `tokens` (a `dict(marking)`) becomes once the places in
-    `changed` hold their new token tuples."""
-    new = tokens.copy()
-    for pid, after in changed.items():
-        if after:
-            new[pid] = after
-        else:
-            del new[pid]
-    return tuple(sorted(new.items()))
+def _successor(marking: Marking, changed) -> Marking:
+    """The marking once each place of `changed`, (place id, token tuple)
+    pairs, holds its new tokens; an empty tuple unmarks the place.  The
+    other places are not touched: each changed place is found by bisection,
+    as (pid,) sorts just before any (pid, tokens) pair."""
+    new = list(marking)
+    for pid, after in changed:
+        at = bisect.bisect_left(new, (pid,))
+        if at < len(new) and new[at][0] == pid:
+            if after:
+                new[at] = (pid, after)
+            else:
+                del new[at]
+        elif after:
+            new.insert(at, (pid, after))
+    return tuple(new)
 
 
 class CompiledNet:
@@ -544,6 +563,16 @@ class CompiledNet:
     consuming arcs, ties broken by id.  A transition whose watch place is
     empty cannot fire, so the candidates at a marking are the transitions
     without inputs plus those whose watch place is marked.
+
+    `successors` memoises each transition's firings on its local view: the
+    token tuples of its `touched` places, None where a place is unmarked.
+    A view maps to the (binding key, changed places) pairs that `bindings`
+    and `apply` gave, so a view met again is neither matched, evaluated nor
+    colour-checked again.  Nothing is stored for a view whose firing
+    raises, so it raises each time it is met.  The memo is filled one
+    transition at a time as views come up, and belongs to this instance
+    only, never to the `CompiledTransition`s, which the net's arc index
+    keeps across calls: each `explore` starts from an empty memo.
     """
 
     def __init__(self, net: ColouredNet):
@@ -558,6 +587,7 @@ class CompiledNet:
                 self.watchers.setdefault(watch, []).append(position)
             else:
                 self.unwatched.append(position)
+        self.memo: defaultdict[str, dict] = defaultdict(dict)  # id -> view -> firings
 
     def candidates(self, marking: Marking) -> list[CompiledTransition]:
         """The transitions that may be enabled at the marking, in id order."""
@@ -572,8 +602,14 @@ class CompiledNet:
         binding, transitions in id order and bindings in key order."""
         tokens = dict(marking)
         for trans in self.candidates(marking):
-            for key, binding in trans.bindings(tokens):
-                yield trans.id, key, _successor(tokens, trans.apply(tokens, binding))
+            memo = self.memo[trans.id]
+            view = tuple(map(tokens.get, trans.touched))
+            fired = memo.get(view)
+            if fired is None:
+                fired = memo[view] = [(key, tuple(trans.apply(tokens, binding).items()))
+                                      for key, binding in trans.bindings(tokens)]
+            for key, changed in fired:
+                yield trans.id, key, _successor(marking, changed)
 
 
 @dataclass
