@@ -170,13 +170,17 @@ def step(model: StateMachine, config: Configuration,
 
 def inject(model: StateMachine, config: Configuration, event: str,
            capacity: int) -> Optional[Configuration]:
-    """Add one environment event to the pool; None when at capacity."""
-    pending = config.pending_dict()
-    if pending.get(event, 0) >= capacity:
+    """Add one environment event to the pool; None when at capacity.  The
+    pool is sorted by event, so the event's entry is found by bisection
+    and the new pool is the old one with that entry replaced or inserted."""
+    pending = config.pending
+    at = bisect.bisect_left(pending, (event,))
+    held = pending[at][1] if at < len(pending) and pending[at][0] == event else 0
+    if held >= capacity:
         return None
-    pending[event] = pending.get(event, 0) + 1
+    pending = pending[:at] + ((event, held + 1),) + pending[at + (held > 0):]
     return Configuration(active=config.active, valuation=config.valuation,
-                         history=config.history, pending=_freeze_pending(pending))
+                         history=config.history, pending=pending)
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +298,33 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
                          bound: int = 100_000) -> SafetyResult:
     """Explore the net and confirm the single-locus invariants: exactly one
     control token, exactly one VARS token (when present), exactly one token
-    on every history place."""
+    on every history place.
+
+    Each marking's (place, tokens) pairs are walked once, adding each
+    watched place's tokens to its invariant's count.  The violations are
+    listed state by state, and within a state the control count first,
+    then VARS, then the history places in `tmap.history_place` order."""
     graph = cpn.explore(net, bound=bound)
-    control = tmap.control_places()
+    # what each invariant after the control one reports, and its place
+    singles = [(tmap.vars_place, "tokens on VARS")] if tmap.vars_place is not None else []
+    singles += [(pid, f"tokens on history place of {composite}")
+                for composite, pid in tmap.history_place.items()]
+    # place -> position of its invariant's count; the control places share 0
+    slot = dict.fromkeys(tmap.control_places(), 0)
+    slot.update((pid, n) for n, (pid, _) in enumerate(singles, 1))
+    ones = [1] * (1 + len(singles))
     violations = []
     for index, marking in enumerate(graph.states):
-        tokens = dict(marking)
-        total = sum(len(tokens[pid]) for pid in control.intersection(tokens))
-        if total != 1:
-            violations.append(f"state {index}: {total} control tokens")
-        if tmap.vars_place is not None:
-            n = len(tokens.get(tmap.vars_place, ()))
-            if n != 1:
-                violations.append(f"state {index}: {n} tokens on VARS")
-        for composite, pid in tmap.history_place.items():
-            n = len(tokens.get(pid, ()))
-            if n != 1:
-                violations.append(f"state {index}: {n} tokens on history place of {composite}")
+        counts = [0] * len(ones)
+        for pid, tokens in marking:
+            n = slot.get(pid)
+            if n is not None:
+                counts[n] += len(tokens)
+        if counts != ones:
+            if counts[0] != 1:
+                violations.append(f"state {index}: {counts[0]} control tokens")
+            violations.extend(f"state {index}: {n} {what}"
+                              for n, (_, what) in zip(counts[1:], singles) if n != 1)
     return SafetyResult(ok=not violations, explored=len(graph.states),
                         truncated=graph.truncated, violations=violations)
 

@@ -137,6 +137,17 @@ def test_step_rejects_disabled_transition(cd_model):
         step(cd_model, initial_configuration(cd_model), "t2")
 
 
+def test_inject_keeps_the_pool_sorted_and_bounded(cd_model):
+    config = initial_configuration(cd_model)
+    for event in ("stop", "next", "play", "next", "open"):
+        config = inject(cd_model, config, event, 2)
+    assert config.pending == (("next", 2), ("open", 1), ("play", 1), ("stop", 1))
+    assert inject(cd_model, config, "next", 2) is None
+    assert inject(cd_model, config, "open", 1) is None
+    assert inject(cd_model, config, "close", 0) is None
+    assert inject(cd_model, config, "close", 1).pending == (("close", 1),) + config.pending
+
+
 def test_step_is_pure(cd_model):
     config = inject(cd_model, initial_configuration(cd_model), "play", 1)
     one = step(cd_model, config, "t1")
