@@ -76,7 +76,7 @@ def _build_parser() -> _Parser:
 def _load_model(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _InputError(f"cannot read {path}: {err}")
     try:
         model = smdl.parse(text)
@@ -90,6 +90,13 @@ def _load_model(path: str):
 
 class _InputError(Exception):
     pass
+
+
+def _write(path: str, text: str):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise _InputError(f"cannot write {path}: {err}")
 
 
 def _translate(path: str, model, event_capacity: int = 1):
@@ -106,9 +113,9 @@ def _cmd_translate(args) -> int:
     positions = emit.layout(net)
     document = emit.emit_cpn_xml(net, positions)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    Path(args.output).write_text(document, encoding="utf-8")
+    _write(args.output, document)
     if args.dot:
-        Path(args.dot).write_text(emit.emit_dot(net), encoding="utf-8")
+        _write(args.dot, emit.emit_dot(net))
     print(f"places={len(net.places)} transitions={len(net.transitions)} "
           f"arcs={len(net.arcs)} time_ms={elapsed_ms:.1f}")
     return EXIT_OK

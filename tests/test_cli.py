@@ -116,6 +116,25 @@ def test_missing_input_file(capsys):
     assert code == 2 and "cannot read" in stderr
 
 
+def test_input_that_is_not_utf8_cannot_be_read(tmp_path, capsys):
+    bad = tmp_path / "latin1.smdl"
+    bad.write_bytes("machine M { state \xc4 initial ; }".encode("latin-1"))
+    code, stdout, stderr = run_cli(capsys, "check", str(bad))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"cannot read {bad}: 'utf-8' codec can't decode byte 0xc4")
+
+
+@pytest.mark.parametrize("which", ["output", "dot"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, cd_path, which):
+    paths = {"output": tmp_path / "cd.cpn", "dot": tmp_path / "cd.dot"}
+    paths[which] = tmp_path / "missing" / f"cd.{which}"
+    code, stdout, stderr = run_cli(capsys, "translate", cd_path, "-o", str(paths["output"]),
+                                   "--dot", str(paths["dot"]))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"cannot write {paths[which]}: [Errno 2] ")
+    assert "Traceback" not in stderr
+
+
 def test_usage_error_exit_code(capsys):
     code, _, stderr = run_cli(capsys, "translate", "a.smdl")  # -o missing
     assert code == 1 and "usage error" in stderr
