@@ -397,19 +397,6 @@ def test_control_safety_on_corpus(corpus_nets):
         assert result.ok and not result.truncated, (name, result.violations)
 
 
-def test_control_safety_catches_duplicated_control_token(corpus_nets):
-    import copy
-    from collections import Counter
-    from smd2cpn.net import UNIT_TOKEN, PlaceDef
-    net, tmap = corpus_nets["flat"]
-    broken = copy.deepcopy(net)
-    place = broken.places["P_ON"]
-    broken.places["P_ON"] = PlaceDef(place.id, place.name, place.colour,
-                                     (UNIT_TOKEN,))  # second control token
-    result = check_control_safety(broken, tmap)
-    assert not result.ok and result.violations
-
-
 def _with_initial(net, changes: dict):
     """A copy of the net with the given places' initial tokens replaced."""
     broken = copy.deepcopy(net)
