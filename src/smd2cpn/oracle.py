@@ -305,14 +305,17 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
     listed state by state, and within a state the control count first,
     then VARS, then the history places in `tmap.history_place` order."""
     graph = cpn.explore(net, bound=bound)
-    # what each invariant after the control one reports, and its place
-    singles = [(tmap.vars_place, "tokens on VARS")] if tmap.vars_place is not None else []
-    singles += [(pid, f"tokens on history place of {composite}")
-                for composite, pid in tmap.history_place.items()]
-    # place -> position of its invariant's count; the control places share 0
+    # place -> position of its invariant's count and label; the control
+    # places share the first
     slot = dict.fromkeys(tmap.control_places(), 0)
-    slot.update((pid, n) for n, (pid, _) in enumerate(singles, 1))
-    ones = [1] * (1 + len(singles))
+    labels = ["control tokens"]
+    singles = [(tmap.vars_place, "VARS")] if tmap.vars_place is not None else []
+    singles += [(pid, f"history place of {composite}")
+                for composite, pid in tmap.history_place.items()]
+    for pid, name in singles:
+        slot[pid] = len(labels)
+        labels.append(f"tokens on {name}")
+    ones = [1] * len(labels)
     violations = []
     for index, marking in enumerate(graph.states):
         counts = [0] * len(ones)
@@ -321,10 +324,8 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
             if n is not None:
                 counts[n] += len(tokens)
         if counts != ones:
-            if counts[0] != 1:
-                violations.append(f"state {index}: {counts[0]} control tokens")
-            violations.extend(f"state {index}: {n} {what}"
-                              for n, (_, what) in zip(counts[1:], singles) if n != 1)
+            violations.extend(f"state {index}: {n} {label}"
+                              for n, label in zip(counts, labels) if n != 1)
     return SafetyResult(ok=not violations, explored=len(graph.states),
                         truncated=graph.truncated, violations=violations)
 
