@@ -35,7 +35,7 @@ back; the memo lives as long as that `CompiledNet`, one `explore` call.
 from __future__ import annotations
 
 import bisect
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Optional, Union
@@ -535,24 +535,23 @@ def fire(net: ColouredNet, marking: Marking, trans_id: str, binding: dict) -> Ma
     guard = trans.trans.guard
     if guard is not None and not ex.eval_bool(guard, binding):
         raise NotEnabledError(f"{trans_id}: guard is false under {binding}")
-    return _successor(marking, trans.apply(dict(marking), binding).items())
+    changed = trans.apply(dict(marking), binding)
+    return _successor(marking, changed, _marked(changed))
 
 
-def _successor(marking: Marking, changed) -> Marking:
-    """The marking once each place of `changed`, (place id, token tuple)
-    pairs, holds its new tokens; an empty tuple unmarks the place.  The
-    other places are not touched: each changed place is found by bisection,
-    as (pid,) sorts just before any (pid, tokens) pair."""
-    new = list(marking)
-    for pid, after in changed:
-        at = bisect.bisect_left(new, (pid,))
-        if at < len(new) and new[at][0] == pid:
-            if after:
-                new[at] = (pid, after)
-            else:
-                del new[at]
-        elif after:
-            new.insert(at, (pid, after))
+def _marked(changed: dict) -> list:
+    """The (place id, token tuple) pairs of the places `changed` leaves marked."""
+    return [pair for pair in changed.items() if pair[1]]
+
+
+def _successor(marking: Marking, changed: dict, marked: list) -> Marking:
+    """The marking once the places in `changed` hold their new tokens:
+    its pairs on those places are dropped and `marked`, `_marked(changed)`,
+    put in their place.  The other pairs are kept as they are, and the one
+    sort merges two sorted runs."""
+    new = [pair for pair in marking if pair[0] not in changed]
+    new += marked
+    new.sort()
     return tuple(new)
 
 
@@ -566,9 +565,10 @@ class CompiledNet:
 
     `successors` memoises each transition's firings on its local view: the
     token tuples of its `touched` places, None where a place is unmarked.
-    A view maps to the (binding key, changed places) pairs that `bindings`
-    and `apply` gave, so a view met again is neither matched, evaluated nor
-    colour-checked again.  Nothing is stored for a view whose firing
+    A view maps to what `bindings` and `apply` gave there: for each binding
+    its key, the changed places' new token tuples and `_marked` of those,
+    so a view met again is neither matched, evaluated nor colour-checked
+    again.  Nothing is stored for a view whose firing
     raises, so it raises each time it is met.  The memo is filled one
     transition at a time as views come up, and belongs to this instance
     only, never to the `CompiledTransition`s, which the net's arc index
@@ -587,7 +587,8 @@ class CompiledNet:
                 self.watchers.setdefault(watch, []).append(position)
             else:
                 self.unwatched.append(position)
-        self.memo: defaultdict[str, dict] = defaultdict(dict)  # id -> view -> firings
+        # (transition, *view) -> [(binding key, changed, marked), ...]
+        self.memo: dict[tuple, list] = {}
 
     def candidates(self, marking: Marking) -> list[CompiledTransition]:
         """The transitions that may be enabled at the marking, in id order."""
@@ -601,15 +602,18 @@ class CompiledNet:
         """(transition id, binding key, successor) for every enabled
         binding, transitions in id order and bindings in key order."""
         tokens = dict(marking)
+        memo = self.memo
         for trans in self.candidates(marking):
-            memo = self.memo[trans.id]
-            view = tuple(map(tokens.get, trans.touched))
+            view = (trans, *map(tokens.get, trans.touched))
             fired = memo.get(view)
             if fired is None:
-                fired = memo[view] = [(key, tuple(trans.apply(tokens, binding).items()))
-                                      for key, binding in trans.bindings(tokens)]
-            for key, changed in fired:
-                yield trans.id, key, _successor(marking, changed)
+                fired = []
+                for key, binding in trans.bindings(tokens):
+                    changed = trans.apply(tokens, binding)
+                    fired.append((key, changed, _marked(changed)))
+                memo[view] = fired
+            for key, changed, marked in fired:
+                yield trans.id, key, _successor(marking, changed, marked)
 
 
 @dataclass
