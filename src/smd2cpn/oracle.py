@@ -305,16 +305,14 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
     listed state by state, and within a state the control count first,
     then VARS, then the history places in `tmap.history_place` order."""
     graph = cpn.explore(net, bound=bound)
-    # place -> position of its invariant's count and label; the control
-    # places share the first
-    slot = dict.fromkeys(tmap.control_places(), 0)
-    labels = ["control tokens"]
+    control = tmap.control_places()
     singles = [(tmap.vars_place, "VARS")] if tmap.vars_place is not None else []
     singles += [(pid, f"history place of {composite}")
                 for composite, pid in tmap.history_place.items()]
-    for pid, name in singles:
-        slot[pid] = len(labels)
-        labels.append(f"tokens on {name}")
+    # VARS and the history places -> the position of their count; the
+    # control places, many in a large net, share position 0
+    slot = {pid: n for n, (pid, _) in enumerate(singles, 1)}
+    labels = ["control tokens"] + [f"tokens on {name}" for _, name in singles]
     ones = [1] * len(labels)
     violations = []
     for index, marking in enumerate(graph.states):
@@ -323,6 +321,8 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
             n = slot.get(pid)
             if n is not None:
                 counts[n] += len(tokens)
+            elif pid in control:
+                counts[0] += len(tokens)
         if counts != ones:
             violations.extend(f"state {index}: {n} {label}"
                               for n, label in zip(counts, labels) if n != 1)
