@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -650,3 +651,55 @@ def test_reassigned_arcs_give_the_new_graph():
     assert explore(net).states == [(("a", (u,)), ("c", (0,))), (("c", (0,)), ("o", (5,))),
                                    (("a", (u,)), ("c", (1,)), ("o", (0,))),
                                    (("c", (1,)), ("o", (0, 5)))]
+
+
+# ---------------------------------------------------------------------------
+# The compiled form a net keeps is used again only while the net is unchanged
+
+
+def _fresh(net: ColouredNet) -> ColouredNet:
+    """A net with the same parts as `net` that has never been compiled."""
+    return ColouredNet(net.name, dict(net.colours), dict(net.places),
+                       dict(net.transitions), list(net.arcs))
+
+
+def _outcome(net: ColouredNet):
+    """What `explore` gives on the net: its graph, or its NetError's text."""
+    try:
+        return explore(net)
+    except NetError as error:
+        return str(error)
+
+
+def test_a_transition_replaced_in_place_is_recompiled():
+    """u's guard let c count to 1; replaced, it lets c count to 2."""
+    net = _output_only_net()
+    before = explore(net)
+    u = net.transitions["u"]
+    net.transitions["u"] = replace(u, guard=ex.Cmp("<", ex.VarRead("n"), ex.IntLit(2)))
+    after = _outcome(net)
+    assert after == _outcome(_fresh(net))
+    assert len(after.states) > len(before.states)
+
+
+@pytest.mark.parametrize("name", ["guarded", "history"])
+def test_a_deep_copy_of_an_explored_net_explores_to_the_same_graph(corpus_nets, name):
+    net, _ = corpus_nets[name]
+    graph = explore(net)
+    assert explore(copy.deepcopy(net)) == graph
+
+
+def test_safety_then_equivalence_compile_each_transition_once(monkeypatch, corpus_models):
+    model = corpus_models["guarded"]
+    net, tmap = translate(model)
+    built = []
+    original = CompiledTransition.__init__
+
+    def counted(self, *args):
+        original(self, *args)
+        built.append(self.id)
+
+    monkeypatch.setattr(CompiledTransition, "__init__", counted)
+    assert check_control_safety(net, tmap).ok
+    assert check_trace_equivalence(model, net, tmap).equivalent
+    assert sorted(built) == sorted(net.transitions)
