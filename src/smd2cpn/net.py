@@ -13,23 +13,23 @@ A `Marking` is a tuple of (place id, token tuple) pairs for the marked
 places only, in place-id order, each token tuple holding one entry per
 copy sorted by `token_sort_key`.  That form is canonical, so a marking is
 its own hashable key: `explore` uses markings as BFS keys and the
-equivalence check as bisimulation keys.  `marking_key` builds one from
-any place -> tokens mapping.  The tokens of a place all fit its colour,
-and within one colour `token_sort_key` order is the tokens' natural
-order, so a firing inserts each produced token by plain comparison.
-Markings given to `fire` and `enabled_bindings` must fit their places'
-colours, as every marking `explore` reaches does; `explore` checks the
-start marking it is given.  The token game runs on each transition's
-`CompiledTransition`, which indexes its arcs once and reads `dict(marking)`.
-A firing changes only the places it touches, its input and output places,
-and its successor marking is the old one with just those places replaced.
-`explore` compiles the net once into a `CompiledNet` and at each marking
-tries only the candidate transitions: those without input places, and
-those whose watch place (the input place with the fewest consuming arcs,
-ties broken by id) is marked.  What a transition can fire depends only on
-the tokens of the places it touches, its local view, so the `CompiledNet`
-works each view's firings out once and looks them up when the view comes
-back; the memo lives as long as that `CompiledNet`, one `explore` call.
+equivalence check as bisimulation keys.  `marking_key` builds one from any
+place -> tokens mapping.  The tokens of a place all fit its colour, and
+within one colour `token_sort_key` order is the tokens' natural order, so
+a firing inserts each produced token by plain comparison.  Markings given
+to `fire` and `enabled_bindings` must fit their places' colours, as every
+marking `explore` reaches does; `explore` checks the start marking it is
+given.  The token game runs on the net's `CompiledNet`, kept with the net
+while its colours, places, transitions and arcs equal the shallow copies
+taken when it was compiled; every part of a net is frozen, so any edit is
+seen.  A firing changes only the places it touches, its input and output
+places, and its successor marking is the old one with just those places
+replaced.  At each marking `explore` tries only the candidate transitions:
+those without input places, and those whose watch place (the input place
+with the fewest consuming arcs, ties broken by id) is marked.  A
+transition's firings depend only on the tokens of the places it touches,
+its local view, so `explore` works each view's firings out once, in a memo
+that lives for one search.
 """
 
 from __future__ import annotations
@@ -259,30 +259,11 @@ class ColouredNet:
         self.arcs.append(arc)
         return arc
 
-    def _arc_index(self):
-        # rebuilt lazily when the arcs list changes (length or identity);
-        # code that rewires arcs in place must reassign the list.  Kept so a
-        # net compiles once across safety and equivalence: uncached, safety on
-        # chain_machine(5000) took 0.112 s, not 0.0115 s (Python 3.11, 2 cores)
-        stamp = (len(self.arcs), id(self.arcs))
-        cache = getattr(self, "_arc_cache", None)
-        if cache is None or cache[0] != stamp:
-            inputs: dict[str, list[ArcDef]] = {tid: [] for tid in self.transitions}
-            outputs: dict[str, list[ArcDef]] = {tid: [] for tid in self.transitions}
-            for arc in self.arcs:
-                side = inputs if arc.orientation == PTOT else outputs
-                side.setdefault(arc.trans, []).append(arc)
-            # the last entry holds compiled transitions, filled on demand
-            # by _compiled_transition
-            cache = (stamp, inputs, outputs, {})
-            self._arc_cache = cache
-        return cache
-
     def input_arcs(self, trans_id: str) -> list[ArcDef]:
-        return self._arc_index()[1].get(trans_id, [])
+        return [arc for arc in self.arcs if arc.trans == trans_id and arc.orientation == PTOT]
 
     def output_arcs(self, trans_id: str) -> list[ArcDef]:
-        return self._arc_index()[2].get(trans_id, [])
+        return [arc for arc in self.arcs if arc.trans == trans_id and arc.orientation != PTOT]
 
     def check(self):
         """Raise NetError on any violated structural invariant."""
@@ -375,7 +356,13 @@ def binding_key(binding: dict) -> tuple:
     return tuple(sorted(binding.items()))  # names are unique: sorting never compares values
 
 
-_BOUND_LATER = object()  # an arc whose token depends on the binding
+class _BoundLater:
+    """An arc's token that depends on the binding; copies keep its identity."""
+    def __reduce__(self):
+        return "_BOUND_LATER"
+
+
+_BOUND_LATER = _BoundLater()
 
 
 def _constant(inscription: Inscription):
@@ -390,22 +377,22 @@ class CompiledTransition:
     `dict(marking)`, where an absent place is empty.  An arc whose
     inscription has no variable, such as a unit arc, is a fixed token: as
     an input it becomes a count check, and only the other inputs are
-    matched against tokens.
-    Raises NetError, as `ColouredNet.check` does, when the guard or an
-    output arc reads a variable that no input pattern binds.  `touched`
-    holds the distinct input places, then the other output places, in arc
-    order: `bindings` reads only input places and `apply` only these.
+    matched against tokens.  Raises NetError, as `ColouredNet.check` does,
+    when the guard or an output arc reads a variable no input pattern
+    binds.  `touched` holds the distinct input places, then the other
+    output places, in arc order: `bindings` reads only input places and
+    `apply` only these.
     """
 
     __slots__ = ("id", "trans", "places", "inputs", "literals", "variables",
                  "shared", "outputs", "touched")
 
-    def __init__(self, net: ColouredNet, trans: TransDef):
+    def __init__(self, net: ColouredNet, trans: TransDef, in_arcs: list, out_arcs: list):
         self.id = trans.id
         self.trans = trans
         # (place, pattern, token or _BOUND_LATER), in arc order
         self.inputs = tuple((arc.place, arc.inscription, _constant(arc.inscription))
-                            for arc in net.input_arcs(trans.id))
+                            for arc in in_arcs)
         by_place: dict[str, list] = {}
         fixed: Counter = Counter()
         for pid, pattern, token in self.inputs:
@@ -424,13 +411,13 @@ class CompiledTransition:
         bound = set().union(*(variables(p) for _, p in self.variables))
         if trans.guard is not None:
             _check_read(trans.id, "guard", ex.variables_of(trans.guard), bound)
-        for arc in net.output_arcs(trans.id):
+        for arc in out_arcs:
             _check_read(trans.id, f"output arc {arc.id}", variables(arc.inscription), bound)
         # (place, expression, token or _BOUND_LATER, colour set), in arc
         # order; the colour set is None where a constant token fits it, so
         # that token is checked here once instead of at every firing
         outputs = []
-        for arc in net.output_arcs(trans.id):
+        for arc in out_arcs:
             token, colour = _constant(arc.inscription), net.colour_of(arc.place)
             if token is not _BOUND_LATER and colour.contains(token):
                 colour = None
@@ -510,35 +497,6 @@ class CompiledTransition:
         return changed
 
 
-def _compiled_transition(net: ColouredNet, trans_id: str) -> CompiledTransition:
-    """The compiled form of one transition, kept with the net's arc index and
-    rebuilt when the arcs change or the transition is replaced."""
-    cache = net._arc_index()[3]
-    trans = net.transitions[trans_id]
-    compiled = cache.get(trans_id)
-    if compiled is None or compiled.trans is not trans:
-        compiled = cache[trans_id] = CompiledTransition(net, trans)
-    return compiled
-
-
-def enabled_bindings(net: ColouredNet, marking: Marking, trans_id: str) -> list[dict]:
-    """All variable bindings under which the transition may fire at the
-    marking, in a canonical deterministic order."""
-    trans = _compiled_transition(net, trans_id)
-    return [binding for _, binding in trans.bindings(dict(marking))]
-
-
-def fire(net: ColouredNet, marking: Marking, trans_id: str, binding: dict) -> Marking:
-    """The marking after firing the transition under the binding.  Raises
-    NotEnabledError when the binding is not enabled."""
-    trans = _compiled_transition(net, trans_id)
-    guard = trans.trans.guard
-    if guard is not None and not ex.eval_bool(guard, binding):
-        raise NotEnabledError(f"{trans_id}: guard is false under {binding}")
-    changed = trans.apply(dict(marking), binding)
-    return _successor(marking, changed, _marked(changed))
-
-
 def _marked(changed: dict) -> list:
     """The (place id, token tuple) pairs of the places `changed` leaves marked."""
     return [pair for pair in changed.items() if pair[1]]
@@ -558,27 +516,38 @@ def _successor(marking: Marking, changed: dict, marked: list) -> Marking:
 class CompiledNet:
     """A net prepared once for the token game over many markings.
 
+    `CompiledNet.of(net)` returns the form kept with the net, compiled
+    afresh when the net's containers no longer equal their copies in
+    `source`: a comparison in C that short-cuts on identity.
+
     Each transition watches one input place: the one with the fewest
     consuming arcs, ties broken by id.  A transition whose watch place is
     empty cannot fire, so the candidates at a marking are the transitions
     without inputs plus those whose watch place is marked.
 
-    `successors` memoises each transition's firings on its local view: the
-    token tuples of its `touched` places, None where a place is unmarked.
-    A view maps to what `bindings` and `apply` gave there: for each binding
-    its key, the changed places' new token tuples and `_marked` of those,
-    so a view met again is neither matched, evaluated nor colour-checked
-    again.  Nothing is stored for a view whose firing
-    raises, so it raises each time it is met.  The memo is filled one
-    transition at a time as views come up, and belongs to this instance
-    only, never to the `CompiledTransition`s, which the net's arc index
-    keeps across calls: each `explore` starts from an empty memo.
+    `successors` memoises each transition's firings on its local view, in
+    a memo its caller owns for one search: the token tuples of the
+    transition's `touched` places, None where a place is unmarked.  A view
+    maps to what `bindings` and `apply` gave there: for each binding its
+    key, the changed places' new token tuples and `_marked` of those, so a
+    view met again is neither matched, evaluated nor colour-checked again.
+    Nothing is stored for a view whose firing raises, so it raises each
+    time it is met.  The compiled form outlives a search and the memo
+    does not, so each search starts from an empty memo.
     """
 
     def __init__(self, net: ColouredNet):
-        self.transitions = [_compiled_transition(net, tid)
-                            for tid in sorted(net.transitions)]
-        consumers = Counter(arc.place for arc in net.arcs if arc.orientation == PTOT)
+        # all the compile reads; equal containers of frozen parts compile alike
+        self.source = (dict(net.colours), dict(net.places), dict(net.transitions), list(net.arcs))
+        arcs = {tid: ([], []) for tid in net.transitions}  # (input arcs, output arcs)
+        consumers: dict[str, int] = {}
+        for arc in net.arcs:
+            consumed = arc.orientation == PTOT
+            arcs.setdefault(arc.trans, ([], []))[not consumed].append(arc)
+            consumers[arc.place] = consumers.get(arc.place, 0) + consumed
+        self.transitions = [CompiledTransition(net, trans, *arcs[tid])
+                            for tid, trans in sorted(net.transitions.items())]
+        self.by_id = {trans.id: trans for trans in self.transitions}
         self.unwatched: list[int] = []  # positions of transitions without inputs
         self.watchers: dict[str, list[int]] = {}
         for position, trans in enumerate(self.transitions):
@@ -587,8 +556,17 @@ class CompiledNet:
                 self.watchers.setdefault(watch, []).append(position)
             else:
                 self.unwatched.append(position)
-        # (transition, *view) -> [(binding key, changed, marked), ...]
-        self.memo: dict[tuple, list] = {}
+
+    @classmethod
+    def of(cls, net: Union[ColouredNet, CompiledNet]) -> CompiledNet:
+        """The form kept with `net`, compiled afresh if the net changed."""
+        if isinstance(net, CompiledNet):
+            return net
+        compiled = getattr(net, "_compiled", None)
+        if compiled is None or compiled.source != (net.colours, net.places,
+                                                   net.transitions, net.arcs):
+            compiled = net._compiled = cls(net)
+        return compiled
 
     def candidates(self, marking: Marking) -> list[CompiledTransition]:
         """The transitions that may be enabled at the marking, in id order."""
@@ -598,11 +576,11 @@ class CompiledNet:
         positions.sort()
         return [self.transitions[p] for p in positions]
 
-    def successors(self, marking: Marking):
+    def successors(self, marking: Marking, memo: dict):
         """(transition id, binding key, successor) for every enabled
-        binding, transitions in id order and bindings in key order."""
+        binding, transitions in id order and bindings in key order.  `memo`
+        maps (transition, *view) to [(binding key, changed, marked), ...]."""
         tokens = dict(marking)
-        memo = self.memo
         for trans in self.candidates(marking):
             view = (trans, *map(tokens.get, trans.touched))
             fired = memo.get(view)
@@ -614,6 +592,27 @@ class CompiledNet:
                 memo[view] = fired
             for key, changed, marked in fired:
                 yield trans.id, key, _successor(marking, changed, marked)
+
+
+def enabled_bindings(net: Union[ColouredNet, CompiledNet], marking: Marking,
+                     trans_id: str) -> list[dict]:
+    """All variable bindings under which the transition may fire at the
+    marking, in a canonical deterministic order.  `net` may be the
+    CompiledNet, which spares repeated calls comparing the net's parts."""
+    trans = CompiledNet.of(net).by_id[trans_id]
+    return [binding for _, binding in trans.bindings(dict(marking))]
+
+
+def fire(net: Union[ColouredNet, CompiledNet], marking: Marking, trans_id: str,
+         binding: dict) -> Marking:
+    """The marking after firing the transition under the binding, `net` as
+    for `enabled_bindings`.  Raises NotEnabledError when it is not enabled."""
+    trans = CompiledNet.of(net).by_id[trans_id]
+    guard = trans.trans.guard
+    if guard is not None and not ex.eval_bool(guard, binding):
+        raise NotEnabledError(f"{trans_id}: guard is false under {binding}")
+    changed = trans.apply(dict(marking), binding)
+    return _successor(marking, changed, _marked(changed))
 
 
 @dataclass
@@ -636,14 +635,15 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     identical graphs.  Every listed state is fully expanded; `truncated`
     reports whether some discovered successor had to be dropped.
 
-    The search runs on a `CompiledNet`, with markings as their own keys,
-    and tries only the watch-place candidates at each marking.  A given
+    The search runs on the net's `CompiledNet`, with markings as their own
+    keys and a firing memo of its own, and tries only the watch-place
+    candidates at each marking.  A given
     start marking is made canonical with `marking_key` first; a token on
     a place the net lacks, or outside its place's colour, is a NetError.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    compiled = CompiledNet(net)
+    compiled = CompiledNet.of(net)
     start = net.initial_marking() if marking is None else marking_key(marking)
     for pid, tokens in start:
         for token in tokens:
@@ -656,9 +656,10 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     found = [start]
     edges = []
     truncated = False
+    memo: dict = {}
     current = 0
     while current < len(found):
-        for tid, key, succ in compiled.successors(found[current]):
+        for tid, key, succ in compiled.successors(found[current], memo):
             target = index.get(succ)
             if target is None:
                 if len(found) >= bound:

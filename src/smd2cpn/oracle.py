@@ -208,18 +208,16 @@ class NetRunner:
                  model: StateMachine):
         self.net = net
         self.tmap = tmap
-        self.compiled = cpn.CompiledNet(net)
+        self.compiled = compiled = cpn.CompiledNet.of(net)
         self.control = tmap.control_places()
         self.leaf_of_place = {pid: sid for sid, pid in tmap.state_place.items()}
         for owner, pid in tmap.final_place.items():
             self.leaf_of_place[pid] = model.final_child_of(owner)
-        self.trigger_of_dispatch: dict[str, Optional[str]] = {}
+        self.trigger_of_dispatch: dict[str, Optional[str]] = dict.fromkeys(tmap.dispatch)
         for tid in tmap.dispatch:
-            trigger = None
-            for arc in net.input_arcs(tid):
-                if arc.place == tmap.events_place and isinstance(arc.inscription, cpn.Lit):
-                    trigger = arc.inscription.value
-            self.trigger_of_dispatch[tid] = trigger
+            for pid, pattern, _ in compiled.by_id[tid].inputs:
+                if pid == tmap.events_place and isinstance(pattern, cpn.Lit):
+                    self.trigger_of_dispatch[tid] = pattern.value
         self.producers = sorted({e: tid for tid, e in tmap.producer.items()}.items())
         self.skip_in_chain = set(tmap.producer) | set(tmap.do_loop)
         self.chain_bound = 2 * len(net.transitions) + 4
@@ -243,11 +241,11 @@ class NetRunner:
             candidates = [(trans.id, binding)
                           for trans in self.compiled.candidates(marking)
                           if trans.id not in self.skip_in_chain
-                          for binding in cpn.enabled_bindings(self.net, marking, trans.id)]
+                          for binding in cpn.enabled_bindings(self.compiled, marking, trans.id)]
             if len(candidates) != 1:
                 return tuple(labels), marking, f"{len(candidates)} chain transitions enabled"
             tid, binding = candidates[0]
-            marking = cpn.fire(self.net, marking, tid, binding)
+            marking = cpn.fire(self.compiled, marking, tid, binding)
             label = self.net.transitions[tid].observable_label
             if label is not None:
                 labels.append(label)
@@ -264,15 +262,15 @@ class NetRunner:
         offered = {trans.id for trans in candidates}
         moves = []
         for event, tid in self.producers:
-            if tid in offered and (bindings := cpn.enabled_bindings(self.net, marking, tid)):
-                moves.append((("inject", event), cpn.fire(self.net, marking, tid, bindings[0])))
+            if tid in offered and (bindings := cpn.enabled_bindings(self.compiled, marking, tid)):
+                moves.append((("inject", event), cpn.fire(self.compiled, marking, tid, bindings[0])))
         for trans in candidates:
             tid = trans.id
             if tid not in self.tmap.dispatch:
                 continue
             event = self.trigger_of_dispatch[tid]
-            for binding in cpn.enabled_bindings(self.net, marking, tid):
-                after = cpn.fire(self.net, marking, tid, binding)
+            for binding in cpn.enabled_bindings(self.compiled, marking, tid):
+                after = cpn.fire(self.compiled, marking, tid, binding)
                 labels, final, stuck = self.run_chain(after)
                 if stuck is None:
                     move = ("step", event, labels, self.stable_leaf(final))

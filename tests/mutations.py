@@ -1,7 +1,7 @@
 """Structural surgery on generated nets for the inequivalence tests.
 
-Every helper works on a deep copy and reassigns the arcs list, so the
-net's lazy arc index never sees stale wiring.
+Every helper works on a deep copy of the net, so the net itself is left
+as it was.
 """
 
 from __future__ import annotations
@@ -20,19 +20,19 @@ def _clone(net: ColouredNet) -> ColouredNet:
 def delete_arc(net: ColouredNet, place: str, trans: str,
                orientation: str) -> ColouredNet:
     mutated = _clone(net)
-    keep = [a for a in mutated.arcs
-            if not (a.place == place and a.trans == trans
-                    and a.orientation == orientation)]
-    assert len(keep) < len(mutated.arcs), "arc to delete not found"
-    mutated.arcs = keep
+    hits = [i for i, a in enumerate(mutated.arcs)
+            if a.place == place and a.trans == trans and a.orientation == orientation]
+    assert hits, "arc to delete not found"
+    for i in reversed(hits):
+        del mutated.arcs[i]
     return mutated
 
 
 def delete_arc_id(net: ColouredNet, arc_id: str) -> ColouredNet:
     mutated = _clone(net)
-    keep = [a for a in mutated.arcs if a.id != arc_id]
-    assert len(keep) == len(mutated.arcs) - 1, "arc to delete not found"
-    mutated.arcs = keep
+    hits = [i for i, a in enumerate(mutated.arcs) if a.id == arc_id]
+    assert len(hits) == 1, "arc to delete not found"
+    del mutated.arcs[hits[0]]
     return mutated
 
 

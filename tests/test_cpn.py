@@ -501,10 +501,11 @@ def _pairs_net():
 def test_successors_agree_with_a_brute_force_token_game(corpus_nets, name):
     net = _pairs_net() if name == "pairs" else corpus_nets[name][0]
     compiled = CompiledNet(net)
+    memo = {}
     graph = explore(net, bound=4_000 if name == "cdplayer" else 100_000)
     assert graph.truncated == (name == "cdplayer")
     for marking in graph.states:
-        successors = list(compiled.successors(marking))
+        successors = list(compiled.successors(marking, memo))
         assert len(set(successors)) == len(successors)
         assert set(successors) == reference_successors(net, marking), marking
 
@@ -522,8 +523,9 @@ def test_successors_agree_with_a_brute_force_token_game_on_mutants(corpus_nets, 
         except NetError:
             continue
         compiled = CompiledNet(mutant)
+        memo = {}
         for marking in explore(mutant, bound=200).states:
-            successors = list(compiled.successors(marking))
+            successors = list(compiled.successors(marking, memo))
             assert len(set(successors)) == len(successors)
             assert set(successors) == reference_successors(mutant, marking), (arc.id, marking)
 
@@ -582,8 +584,9 @@ def test_a_firing_keeps_the_tokens_of_a_place_it_only_feeds():
                            (1, "u", (("n", 0),), 3), (2, "t", (), 3),
                            (3, "t", (), 4)]
     compiled = CompiledNet(net)
+    memo = {}
     for marking in graph.states:
-        assert set(compiled.successors(marking)) == reference_successors(net, marking)
+        assert set(compiled.successors(marking, memo)) == reference_successors(net, marking)
 
 
 def test_each_exploration_fires_each_local_view_once(monkeypatch):
@@ -703,3 +706,56 @@ def test_safety_then_equivalence_compile_each_transition_once(monkeypatch, corpu
     assert check_control_safety(net, tmap).ok
     assert check_trace_equivalence(model, net, tmap).equivalent
     assert sorted(built) == sorted(net.transitions)
+
+
+def _writer_net():
+    """t spends s's token and puts 'a' on p, whose colour E holds 'a' and 'b'."""
+    net = unit_net()
+    net.colours["E"] = EnumCS(("a", "b"))
+    net.colours["F"] = EnumCS(("b",))
+    net.add_place(PlaceDef("s", "s", "UNIT", (UNIT_TOKEN,)))
+    net.add_place(PlaceDef("p", "p", "E"))
+    net.add_transition(TransDef("t", "t"))
+    net.add_arc("s", "t", PTOT, Lit(UNIT_TOKEN))
+    net.add_arc("p", "t", TTOP, Lit("a"))
+    net.check()
+    return net
+
+
+def _recolour_place(net):
+    net.places["p"] = replace(net.places["p"], colour="F")
+
+
+def _rewrite_arc(net):
+    net.arcs[1] = replace(net.arcs[1], inscription=Lit("b"))
+
+
+def _replace_colour(net):
+    net.colours["E"] = EnumCS(("b",))
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (_recolour_place, "t: produced 'a' outside the colour of p"),
+    (_rewrite_arc, (("p", ("b",)),)),
+    (_replace_colour, "t: produced 'a' outside the colour of p"),
+], ids=["place", "arc", "colour"])
+def test_an_edit_in_place_after_a_search_gives_what_a_fresh_net_gives(edit, expected):
+    """Each edit keeps every container of the net, and the arcs list its
+    length; the next search sees it all the same."""
+    net = _writer_net()
+    assert explore(net).states == [(("s", (UNIT_TOKEN,)),), (("p", ("a",)),)]
+    edit(net)
+    outcome = _outcome(net)
+    assert outcome == _outcome(_fresh(net))
+    if isinstance(expected, str):
+        assert outcome == expected
+    else:
+        assert outcome.states == [(("s", (UNIT_TOKEN,)),), expected]
+
+
+def test_an_unchanged_net_keeps_one_compiled_form():
+    net = _output_only_net()
+    compiled = CompiledNet.of(net)
+    explore(net)
+    assert CompiledNet.of(net) is compiled
+    assert CompiledNet.of(compiled) is compiled
