@@ -377,11 +377,11 @@ class CompiledTransition:
     `dict(marking)`, where an absent place is empty.  An arc whose
     inscription has no variable, such as a unit arc, is a fixed token: as
     an input it becomes a count check, and only the other inputs are
-    matched against tokens.  Raises NetError, as `ColouredNet.check` does,
-    when the guard or an output arc reads a variable no input pattern
-    binds.  `touched` holds the distinct input places, then the other
-    output places, in arc order: `bindings` reads only input places and
-    `apply` only these.
+    matched against tokens.
+    Raises NetError, as `ColouredNet.check` does, when the guard or an
+    output arc reads a variable that no input pattern binds.  `touched`
+    holds the distinct input places, then the other output places, in arc
+    order: `bindings` reads only input places and `apply` only these.
     """
 
     __slots__ = ("id", "trans", "places", "inputs", "literals", "variables",
@@ -637,9 +637,9 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
 
     The search runs on the net's `CompiledNet`, with markings as their own
     keys and a firing memo of its own, and tries only the watch-place
-    candidates at each marking.  A given
-    start marking is made canonical with `marking_key` first; a token on
-    a place the net lacks, or outside its place's colour, is a NetError.
+    candidates at each marking.  A given start marking is made canonical
+    with `marking_key` first; a token on a place the net lacks, or outside
+    its place's colour, is a NetError.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")

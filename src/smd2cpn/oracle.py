@@ -214,7 +214,7 @@ class NetRunner:
         for owner, pid in tmap.final_place.items():
             self.leaf_of_place[pid] = model.final_child_of(owner)
         self.trigger_of_dispatch: dict[str, Optional[str]] = dict.fromkeys(tmap.dispatch)
-        for tid in tmap.dispatch:
+        for tid in tmap.dispatch.keys() & compiled.by_id.keys():  # a mutant may lack one
             for pid, pattern, _ in compiled.by_id[tid].inputs:
                 if pid == tmap.events_place and isinstance(pattern, cpn.Lit):
                     self.trigger_of_dispatch[tid] = pattern.value

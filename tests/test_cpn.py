@@ -734,23 +734,17 @@ def _replace_colour(net):
     net.colours["E"] = EnumCS(("b",))
 
 
-@pytest.mark.parametrize("edit, expected", [
-    (_recolour_place, "t: produced 'a' outside the colour of p"),
-    (_rewrite_arc, (("p", ("b",)),)),
-    (_replace_colour, "t: produced 'a' outside the colour of p"),
-], ids=["place", "arc", "colour"])
-def test_an_edit_in_place_after_a_search_gives_what_a_fresh_net_gives(edit, expected):
+@pytest.mark.parametrize("edit", [_recolour_place, _rewrite_arc, _replace_colour],
+                         ids=["place", "arc", "colour"])
+def test_an_edit_in_place_after_a_search_gives_what_a_fresh_net_gives(edit):
     """Each edit keeps every container of the net, and the arcs list its
-    length; the next search sees it all the same."""
+    length; the next search sees it all the same.  The place and colour
+    edits leave 'a' outside p's colour, and the arc edit makes t put 'b'."""
     net = _writer_net()
-    assert explore(net).states == [(("s", (UNIT_TOKEN,)),), (("p", ("a",)),)]
+    before = explore(net)
+    assert before.states == [(("s", (UNIT_TOKEN,)),), (("p", ("a",)),)]
     edit(net)
-    outcome = _outcome(net)
-    assert outcome == _outcome(_fresh(net))
-    if isinstance(expected, str):
-        assert outcome == expected
-    else:
-        assert outcome.states == [(("s", (UNIT_TOKEN,)),), expected]
+    assert _outcome(net) == _outcome(_fresh(net)) != before
 
 
 def test_an_unchanged_net_keeps_one_compiled_form():

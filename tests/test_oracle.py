@@ -233,6 +233,17 @@ def test_deleted_arc_detected_with_counterexample(cd_model, cd_net):
     assert result.counterexample[-1][0] == "step"
 
 
+def test_a_net_without_a_dispatch_transition_never_offers_its_step(corpus_models):
+    model = corpus_models["guarded"]
+    net, tmap = translate(model)
+    del net.transitions["T_flip__from_Z"]
+    net.arcs = [arc for arc in net.arcs if arc.trans != "T_flip__from_Z"]
+    net.check()
+    result = check_trace_equivalence(model, net, tmap)
+    assert not result.equivalent
+    assert result.counterexample[-1] == ("step", "flip", (), "P")
+
+
 def test_deep_divergence_is_found_without_rerunning_every_depth():
     # the 199th step of a 200-state chain never lands; finding the shortest
     # failing depth by trying every depth from 1 took 79,799 pairs
