@@ -343,28 +343,57 @@ def test_stuck_chain_offered_by_the_net_ends_the_trace(corpus_models, corpus_net
         "(0 chain transitions enabled)' but the state machine cannot match it")
 
 
-def outcome(result):
-    """Everything a check reports, in a form whose repr can be hashed."""
-    return (result.equivalent, result.pairs_checked, result.counterexample,
-            result.divergent_side)
+def verdict(result):
+    """What a check tells its user, in a form whose repr can be hashed; the
+    pair count, a measure of its cost, is pinned apart from it."""
+    return result.equivalent, result.counterexample, result.divergent_side
 
 
 def sha256(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
+def accepted_arc_deletions(net):
+    """(arc id, mutant) for every single-arc deletion that `check()` accepts."""
+    for arc in net.arcs:
+        mutant = mutations.delete_arc_id(net, arc.id)
+        try:
+            mutant.check()
+        except NetError:
+            continue
+        yield arc.id, mutant
+
+
 def test_corpus_outcomes_are_pinned():
-    # verdicts, pair counts, counterexamples and sides of the corpus at the
-    # CLI depth, at event capacity 1 and 2 (cdplayer@2 checks 3,313 pairs)
-    outcomes = []
+    # verdicts, counterexamples and sides of the corpus at the CLI depth, at
+    # event capacity 1 and 2, and of the nondeterministic model and its 24
+    # accepted arc-deletion mutants at depths 1 to 8
+    outcomes, pairs = [], {}
     for name in CORPUS:
         model = load_model(name)
         for capacity in (1, 2):
             net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
-            outcomes.append((name, capacity, outcome(check_trace_equivalence(
-                model, net, tmap, depth=8, event_capacity=capacity))))
+            result = check_trace_equivalence(model, net, tmap, depth=8,
+                                             event_capacity=capacity)
+            outcomes.append((name, capacity, verdict(result)))
+            pairs[f"{name}@{capacity}"] = result.pairs_checked
+    model = parse(_NONDETERMINISTIC)
+    net, tmap = translate(model)
+    nondeterministic = []
+    for arc_id, mutant in [(None, net), *accepted_arc_deletions(net)]:
+        for depth in range(1, 9):
+            result = check_trace_equivalence(model, mutant, tmap, depth=depth)
+            outcomes.append((arc_id, depth, verdict(result)))
+            nondeterministic.append(result.pairs_checked)
+    assert len(outcomes) == 14 + 25 * 8
     assert sha256(outcomes) == (
-        "bc93363964115e443783c6d5ebc5acd7ca354fbb5093a870c0c095d57cfe3ed2")
+        "8070f8076d744360f058437fe69fd89521b78145ddb8fd133e2df8443dcc9dad")
+    assert pairs == {
+        "flat@1": 8, "flat@2": 11, "nested3@1": 15, "nested3@2": 29,
+        "interlevel@1": 77, "interlevel@2": 223, "guarded@1": 32, "guarded@2": 78,
+        "history@1": 172, "history@2": 552, "completion@1": 45, "completion@2": 100,
+        "cdplayer@1": 961, "cdplayer@2": 3313}
+    assert sum(nondeterministic) == 2459
 
 
 def test_every_arc_deletion_is_rejected_or_inequivalent(corpus_models, corpus_nets):
@@ -375,29 +404,27 @@ def test_every_arc_deletion_is_rejected_or_inequivalent(corpus_models, corpus_ne
     `history` A_71) first diverge at move 10; and `guarded`'s A_29, the
     capacity-return arc of `reset`, first diverges at move 9, past the
     default depth 8, while control safety holds on it.  `cdplayer` is
-    left out: its 102 mutants take about 10 s.  The outcomes of the 219
-    checks are pinned by a digest."""
-    rejected, inequivalent, survivors, outcomes = [], [], [], []
+    left out: its 102 mutants take about 10 s.  The verdicts of the 219
+    checks are pinned by a digest, and their pair counts by their total."""
+    rejected, inequivalent, survivors, outcomes, pairs = [], [], [], [], 0
     for name in ("flat", "nested3", "interlevel", "guarded", "history", "completion"):
         model = corpus_models[name]
         net, tmap = corpus_nets[name]
-        for arc in net.arcs:
-            mutant = mutations.delete_arc_id(net, arc.id)
-            try:
-                mutant.check()
-            except NetError:
-                rejected.append((name, arc.id))
-                continue
+        accepted = dict(accepted_arc_deletions(net))
+        rejected += [(name, arc.id) for arc in net.arcs if arc.id not in accepted]
+        for arc_id, mutant in accepted.items():
             result = check_trace_equivalence(model, mutant, tmap, depth=10)
-            outcomes.append((name, arc.id, outcome(result)))
+            outcomes.append((name, arc_id, verdict(result)))
+            pairs += result.pairs_checked
             if result.equivalent or not result.counterexample:
-                survivors.append((name, arc.id))
+                survivors.append((name, arc_id))
             else:
-                inequivalent.append((name, arc.id))
+                inequivalent.append((name, arc_id))
     assert survivors == []
     assert (len(rejected), len(inequivalent)) == (9, 219)
     assert sha256(outcomes) == (
-        "531f3b3c4242ff103870f3a21bb2a06b0b42b988e4b94054181dcce4bca9d684")
+        "4534a2857daec0c74a1a3e640be17d9f4e3a98bd2ff2675d7461619e677f6ffa")
+    assert pairs == 12143
 
 
 def test_control_safety_on_corpus(corpus_nets):
