@@ -3,12 +3,12 @@ tie the source semantics to a generated net: control-token safety over the
 reachable markings and bounded trace equivalence (a bisimulation over
 observable moves).  A net whose dispatch chain breaks offers a "stuck"
 move that the machine never offers, so a broken chain is reported as a
-divergence with its trace like any other.  The one search that decides
-equivalence also explains a failure: each failing pair records the first
-mismatch it found, in one canonical move order, and the counterexample is
-read off those records in a loop; nothing in the check recurses.  Each side
-keeps each stable point once, numbered as a move map first names it, and
-the search's memo and stack hold those numbers.
+divergence with its trace like any other.  One breadth-first walk over
+(configuration, marking) pairs, each compared once whatever the depth,
+decides equivalence, with rounds that count the fewest moves within which
+a failing pair's sides differ; the shortest counterexample is read off
+those counts in one canonical move order.  Each side numbers its stable
+points as a move map first names them, and the walk's pairs are numbers.
 
 The interpreter is written directly against the model queries and never
 consults the translator's chain construction, so the two sides stay
@@ -332,17 +332,12 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
 # Bounded trace equivalence (bisimulation over observable moves)
 
 
-# The deepest check_trace_equivalence goes.  The memo grows with the depth,
-# one entry per (configuration number, marking number, moves left) checked
-MAX_DEPTH = 400
-
-
 @dataclass
 class EquivalenceResult:
     equivalent: bool
     counterexample: Optional[list] = None  # move labels; the last one diverges
     divergent_side: Optional[str] = None   # which side offers the last move
-    pairs_checked: int = 0
+    pairs_checked: int = 0  # distinct (configuration, marking) pairs compared
 
     def __bool__(self):
         return self.equivalent
@@ -359,15 +354,12 @@ def _machine_moves(model: StateMachine, config: Configuration, capacity: int):
         yield ("step", label.event, label.behaviours, label.active), after
 
 
-def _matched(left: dict, right: dict):
-    """Whether the machine's and the net's move maps match, as a generator:
-    it yields each (u, v) successor pair it needs decided and is sent
-    whether u and v are bisimilar one move less deep.  Returns None when
-    both sides offer the same moves and every successor of a move on
-    either side has a match on the other.  Otherwise it stops at the first
-    failure in the maps' order and returns it: (side, move) for a move
-    only one side offers, the model's first; (move, u, v) for a successor
-    u or v with no match, paired with the other side's first successor."""
+def _first_failure(left: dict, right: dict, fails):
+    """The first reason two move maps do not match, in the maps' order, or
+    None: (side, move) for a move only one side offers, the model's first;
+    else (move, u, v) for a successor u of a move whose every pairing with
+    the other side's successors `fails`, paired with the first of them,
+    and then the same for a successor v."""
     for side, offers, other in (("model", left, right), ("net", right, left)):
         for move in offers:
             if move not in other:
@@ -375,18 +367,80 @@ def _matched(left: dict, right: dict):
     for move, us in left.items():
         vs = right[move]
         for u in us:
-            for v in vs:
-                if (yield u, v):
-                    break
-            else:
+            if all(fails((u, v)) for v in vs):
                 return move, u, vs[0]
         for v in vs:
-            for u in us:
-                if (yield u, v):
-                    break
-            else:
+            if all(fails((u, v)) for u in us):
                 return move, us[0], v
     return None
+
+
+def _fail_depths(sides, compared: list, differ: list, rounds: int) -> dict:
+    """{pair: the fewest moves within which its sides differ} for the
+    `compared` pairs that differ within `rounds` moves.  Round 1 is the
+    pairs whose move sets differ; a pair first failing at k moves has a
+    successor pair first failing at k - 1, so round k checks only the
+    predecessors of round k - 1's finds, against the pairs found so far."""
+    predecessors: dict = {}
+    for pair in compared:
+        left, right = sides(pair)
+        for move, us in left.items():
+            for v in right.get(move, ()):
+                for u in us:
+                    predecessors.setdefault((u, v), []).append(pair)
+    fails = dict.fromkeys(differ, 1)
+    found = differ
+    for k in range(2, rounds + 1):
+        suspects = {pair for after in found for pair in predecessors.get(after, ())
+                    if pair not in fails}
+        found = [pair for pair in suspects if _first_failure(*sides(pair), fails.__contains__)]
+        if not found:
+            break
+        fails.update(dict.fromkeys(found, k))
+    return fails
+
+
+def _walk_pairs(sides, depth: int) -> EquivalenceResult:
+    """Bisimulation to `depth` moves of two move graphs from their points 0;
+    `sides(pair)` is the move maps of a (model point, net point) pair.  The
+    walk compares the pairs fewer than `depth` moves out, a layer at a
+    time, until a layer adds none.  Once some move sets differ, each layer
+    ends with failure rounds, capped at the layers walked until the walk is
+    complete, as a pair is compared only as deep as the walk went past it.
+    From a start pair failing within k moves, the first failure against
+    the pairs failing within k - 1 gives the next move and pair."""
+    start = (0, 0)
+    seen, layer, compared, differ = {start}, [start], [], []
+    fails: dict = {}
+    for walked in range(1, depth + 1):
+        following = []
+        for pair in layer:
+            left, right = sides(pair)
+            if left.keys() != right.keys():
+                differ.append(pair)
+            for move, us in left.items():
+                for v in right.get(move, ()):
+                    for u in us:
+                        if (u, v) not in seen:
+                            seen.add((u, v))
+                            following.append((u, v))
+        compared += layer
+        if differ:
+            fails = _fail_depths(sides, compared, differ, walked if following else depth)
+            if start in fails:
+                break
+        if not following:
+            break
+        layer = following
+    if start not in fails:
+        return EquivalenceResult(equivalent=True, pairs_checked=len(compared))
+    trace, pair, within = [], start, fails[start]
+    while len(why := _first_failure(*sides(pair), lambda p: fails.get(p, within) < within)) == 3:
+        trace.append(why[0])
+        pair, within = why[1:], within - 1
+    side, move = why
+    return EquivalenceResult(equivalent=False, counterexample=trace + [move],
+                             divergent_side=side, pairs_checked=len(compared))
 
 
 def _move_map(pairs, key, points: dict, numbered: list) -> dict:
@@ -416,14 +470,13 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     behaviours, leaf).  The net also offers ("stuck", event, behaviours,
     reason) where a dispatch chain breaks, which the machine never
     matches.  Equivalent iff the step trees are bisimilar to `depth`
-    moves; otherwise the shortest divergent trace is reported.  `depth`
-    runs from 1 to MAX_DEPTH, and `event_capacity` must be the capacity
-    the net was translated with.
+    moves; otherwise the shortest divergent trace is reported.  `depth` is
+    at least 1 and unbounded, since each reachable pair is compared once;
+    a pair failing at k moves is found in round k of the failure rounds.
+    `event_capacity` must be the capacity the net was translated with.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if depth > MAX_DEPTH:
-        raise ValueError(f"depth must be at most {MAX_DEPTH}")
     for pid in tmap.capacity_place.values():
         held = len(net.places[pid].initial)
         if held != event_capacity:
@@ -445,57 +498,7 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     smd_succ = side(initial_configuration(model),
                     lambda config: _machine_moves(model, config, event_capacity))
     net_succ = side(net.initial_marking(), runner.moves)
-
-    memo: dict = {}  # (configuration no., marking no., moves left) -> bisimilar
-    why: dict = {}   # failing key of memo -> the first failure _matched found
-
-    def bisim(key) -> bool:
-        # depth first over the keys on an explicit stack of _matched
-        # checks, so no Python frame is kept per move (deep Python
-        # recursion also made CPython 3.11 map and unmap frame-stack chunks
-        # as the successor computations crossed them); well-founded in the
-        # moves left, so no cycle handling is needed
-        verdict = memo.get(key)
-        if verdict is not None:
-            return verdict
-        stack = [(key, _matched(smd_succ(key[0]), net_succ(key[1])))]
-        while stack:
-            key, check = stack[-1]
-            try:
-                u, v = check.send(verdict)
-            except StopIteration as done:
-                memo[key] = verdict = done.value is None
-                if not verdict:
-                    why[key] = done.value
-                stack.pop()
-                continue
-            child = (u, v, key[2] - 1)
-            verdict = True if child[2] == 0 else memo.get(child)
-            if verdict is None:
-                stack.append((child, _matched(smd_succ(u), net_succ(v))))
-        return verdict
-
-    start = (0, 0)
-    if bisim(start + (depth,)):
-        return EquivalenceResult(equivalent=True, pairs_checked=len(memo))
-
-    # a pair that fails at k moves fails at every depth above k too: double
-    # the depth from 1 until the check fails, then bisect the last doubling,
-    # so a shallow divergence is not searched for at large depths
-    lo = hi = 1
-    while bisim(start + (hi,)):
-        lo, hi = hi + 1, min(2 * hi, depth)
-    depths = range(lo, hi + 1)
-    shortest = depths[bisect.bisect_left(depths, True,
-                                         key=lambda k: not bisim(start + (k,)))]
-    key, trace = start + (shortest,), []
-    while len(why[key]) == 3:
-        move, u, v = why[key]
-        trace.append(move)
-        key = (u, v, key[2] - 1)
-    side, move = why[key]
-    return EquivalenceResult(equivalent=False, counterexample=trace + [move],
-                             divergent_side=side, pairs_checked=len(memo))
+    return _walk_pairs(lambda pair: (smd_succ(pair[0]), net_succ(pair[1])), depth)
 
 
 # ---------------------------------------------------------------------------

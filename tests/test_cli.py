@@ -6,7 +6,6 @@ import pytest
 import mutations
 from modelgen import doubling_smdl
 from smd2cpn import cli
-from smd2cpn.oracle import MAX_DEPTH
 from smd2cpn.translator import translate
 
 
@@ -148,7 +147,6 @@ def test_usage_error_exit_code(capsys):
     ("translate", "flat.smdl", "-o", "out.cpn", "--event-capacity", "0"),
     ("simulate", "flat.smdl", "--event-capacity", "0"),
     ("equiv", "flat.smdl", "--event-capacity", "-1"),
-    ("equiv", "flat.smdl", "--depth", str(MAX_DEPTH + 1)),
 ])
 def test_out_of_range_options_are_usage_errors(tmp_path, capsys, models_dir, argv):
     argv = [str(models_dir / a) if a.endswith(".smdl") else a for a in argv]
@@ -180,6 +178,14 @@ def test_equiv_reports_equivalent(capsys, models_dir):
                                    "--depth", "5")
     assert code == 0 and stderr == ""
     assert stdout.strip() == "equivalent depth=5"
+
+
+def test_equiv_takes_a_depth_past_the_pair_space(capsys, models_dir):
+    # flat has 4 reachable pairs, so depth 1000 checks no more than depth 8
+    code, stdout, stderr = run_cli(capsys, "equiv", str(models_dir / "flat.smdl"),
+                                   "--depth", "1000")
+    assert code == 0 and stderr == ""
+    assert stdout.strip() == "equivalent depth=1000"
 
 
 def test_equiv_stuck_chain_prints_a_trace(capsys, monkeypatch, cd_path):

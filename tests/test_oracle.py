@@ -1,6 +1,8 @@
 import copy
+import functools
 import hashlib
 import os
+import random
 import subprocess
 import sys
 
@@ -12,7 +14,7 @@ from modelgen import balanced_machine, bf_ancestors_or_self, chain_machine
 from smd2cpn import oracle
 from smd2cpn.net import NetError, PlaceDef
 from smd2cpn.oracle import (
-    MAX_DEPTH, NetRunner, NotEnabledStepError,
+    NetRunner, NotEnabledStepError,
     check_control_safety, check_trace_equivalence, enabled_transitions,
     format_counterexample, format_move, initial_configuration, inject, step,
 )
@@ -210,15 +212,19 @@ def test_corpus_models_equivalent(corpus_models, corpus_nets):
         assert result.equivalent, (name, result.counterexample)
 
 
-def test_equivalence_reaches_max_depth(corpus_models, corpus_nets):
-    # the bisimulation keeps no Python frame per move, so MAX_DEPTH runs
-    # even under pytest's own frames; one more is refused before any runs
+def test_a_deeper_check_costs_no_more_than_the_pair_space(corpus_models, corpus_nets):
+    # each reachable (configuration, marking) pair is compared once: flat's
+    # are (OFF | ON) x (toggle pending or not), and cdplayer's 5,760
     model = corpus_models["flat"]
     net, tmap = corpus_nets["flat"]
-    result = check_trace_equivalence(model, net, tmap, depth=MAX_DEPTH)
-    assert result.equivalent and result.pairs_checked == MAX_DEPTH
-    with pytest.raises(ValueError, match=f"depth must be at most {MAX_DEPTH}"):
-        check_trace_equivalence(model, net, tmap, depth=MAX_DEPTH + 1)
+    for depth in (400, 10**6):
+        result = check_trace_equivalence(model, net, tmap, depth=depth)
+        assert result.equivalent and result.pairs_checked == 4
+    net, tmap = corpus_nets["cdplayer"]
+    result = check_trace_equivalence(corpus_models["cdplayer"], net, tmap, depth=400)
+    assert result.equivalent and result.pairs_checked == 5760
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        check_trace_equivalence(model, net, tmap, depth=0)
 
 
 def test_deleted_arc_detected_with_counterexample(cd_model, cd_net):
@@ -244,17 +250,98 @@ def test_a_net_without_a_dispatch_transition_never_offers_its_step(corpus_models
     assert result.counterexample[-1] == ("step", "flip", (), "P")
 
 
-def test_deep_divergence_is_found_without_rerunning_every_depth():
-    # the 199th step of a 200-state chain never lands; finding the shortest
-    # failing depth by trying every depth from 1 took 79,799 pairs
+def test_deep_divergence_is_found_in_one_walk():
+    # the 199th step of a 200-state chain never lands: the walk compares
+    # each of the 398 pairs on the way once
     model = chain_machine(200)
     net, tmap = translate(model)
     broken = mutations.delete_arc(net, "P_C199", "T_t198__from_C198", "TtoP")
-    result = check_trace_equivalence(model, broken, tmap, depth=MAX_DEPTH)
-    assert not result.equivalent and result.pairs_checked <= 4000
+    result = check_trace_equivalence(model, broken, tmap, depth=400)
+    assert not result.equivalent and result.pairs_checked == 398
     assert len(result.counterexample) == 398
     assert result.counterexample[-1] == ("step", "step", (), "C199")
     assert result.divergent_side == "model"
+
+
+def reference_bisimulation(left: list, right: list, depth: int):
+    """(counterexample, divergent side) of two move graphs from their points
+    0, or (None, None) when they are bisimilar to `depth` moves: a plain
+    recursive depth-k bisimulation, memoised on (u, v, k), that tries the
+    depths from 1 and reads each failure in the move maps' order."""
+    @functools.cache
+    def failure(u, v, k):
+        if k == 0:
+            return None
+        here, there = left[u], right[v]
+        for side, offers, other in (("model", here, there), ("net", there, here)):
+            for move in offers:
+                if move not in other:
+                    return side, move
+        for move, us in here.items():
+            vs = there[move]
+            for a in us:
+                if all(failure(a, b, k - 1) for b in vs):
+                    return move, a, vs[0]
+            for b in vs:
+                if all(failure(a, b, k - 1) for a in us):
+                    return move, us[0], b
+        return None
+
+    shortest = next((k for k in range(1, depth + 1) if failure(0, 0, k)), None)
+    if shortest is None:
+        return None, None
+    trace, u, v, k = [], 0, 0, shortest
+    while len(why := failure(u, v, k)) == 3:
+        trace.append(why[0])
+        _, u, v = why
+        k -= 1
+    return trace + [why[1]], why[0]
+
+
+def random_successors(rng, points: int) -> tuple:
+    return tuple(sorted(rng.sample(range(points), rng.randint(1, 3))))
+
+
+def random_move_map(rng, points: int) -> dict:
+    """Up to 3 labels, each leading to 1 to 3 of `points` points."""
+    return {label: random_successors(rng, points) for label in "abc" if rng.random() < 0.7}
+
+
+def random_move_graph(rng, points: int) -> list:
+    return [random_move_map(rng, points) for _ in range(points)]
+
+
+def perturbed(rng, graph: list) -> list:
+    """`graph` with one or two of its move maps changed: one move's
+    successors drawn again, or the whole map."""
+    graph = [dict(moves) for moves in graph]
+    for _ in range(rng.randint(1, 2)):
+        n = rng.randrange(len(graph))
+        if graph[n] and rng.random() < 0.5:
+            graph[n][rng.choice(sorted(graph[n]))] = random_successors(rng, len(graph))
+        else:
+            graph[n] = random_move_map(rng, len(graph))
+    return graph
+
+
+def test_pair_walk_matches_a_recursive_reference_on_random_graphs():
+    # nondeterministic graphs of 3 to 9 points, most compared with a copy
+    # changed in one or two places; with its failure rounds not capped at
+    # the layers walked, the walk gave a wrong trace on 60 of these checks
+    rng = random.Random(1405)
+    equivalent, longest = 0, 0
+    for _ in range(600):
+        left = random_move_graph(rng, rng.randint(3, 9))
+        right = (perturbed(rng, left) if rng.random() < 0.8
+                 else random_move_graph(rng, rng.randint(3, 9)))
+        for depth in (3, 5, 8, 12):
+            result = oracle._walk_pairs(lambda pair: (left[pair[0]], right[pair[1]]), depth)
+            expected = reference_bisimulation(left, right, depth)
+            assert (result.counterexample, result.divergent_side) == expected
+            assert result.equivalent == (expected[0] is None)
+            equivalent += result.equivalent
+            longest = max(longest, len(result.counterexample or ()))
+    assert (equivalent, longest) == (199, 5)
 
 
 _NONDETERMINISTIC = """machine M {
@@ -389,11 +476,11 @@ def test_corpus_outcomes_are_pinned():
     assert sha256(outcomes) == (
         "8070f8076d744360f058437fe69fd89521b78145ddb8fd133e2df8443dcc9dad")
     assert pairs == {
-        "flat@1": 8, "flat@2": 11, "nested3@1": 15, "nested3@2": 29,
-        "interlevel@1": 77, "interlevel@2": 223, "guarded@1": 32, "guarded@2": 78,
-        "history@1": 172, "history@2": 552, "completion@1": 45, "completion@2": 100,
-        "cdplayer@1": 961, "cdplayer@2": 3313}
-    assert sum(nondeterministic) == 2459
+        "flat@1": 4, "flat@2": 6, "nested3@1": 8, "nested3@2": 18,
+        "interlevel@1": 67, "interlevel@2": 213, "guarded@1": 32, "guarded@2": 78,
+        "history@1": 154, "history@2": 534, "completion@1": 28, "completion@2": 74,
+        "cdplayer@1": 745, "cdplayer@2": 2992}
+    assert sum(nondeterministic) == 1484
 
 
 def test_every_arc_deletion_is_rejected_or_inequivalent(corpus_models, corpus_nets):
@@ -424,7 +511,7 @@ def test_every_arc_deletion_is_rejected_or_inequivalent(corpus_models, corpus_ne
     assert (len(rejected), len(inequivalent)) == (9, 219)
     assert sha256(outcomes) == (
         "4534a2857daec0c74a1a3e640be17d9f4e3a98bd2ff2675d7461619e677f6ffa")
-    assert pairs == 12143
+    assert pairs == 5667
 
 
 def test_control_safety_on_corpus(corpus_nets):
