@@ -375,19 +375,12 @@ def _first_failure(left: dict, right: dict, fails):
     return None
 
 
-def _fail_depths(sides, compared: list, differ: list, rounds: int) -> dict:
-    """{pair: the fewest moves within which its sides differ} for the
-    `compared` pairs that differ within `rounds` moves.  Round 1 is the
-    pairs whose move sets differ; a pair first failing at k moves has a
-    successor pair first failing at k - 1, so round k checks only the
-    predecessors of round k - 1's finds, against the pairs found so far."""
-    predecessors: dict = {}
-    for pair in compared:
-        left, right = sides(pair)
-        for move, us in left.items():
-            for v in right.get(move, ()):
-                for u in us:
-                    predecessors.setdefault((u, v), []).append(pair)
+def _fail_depths(sides, predecessors: dict, differ: list, rounds: int) -> dict:
+    """{pair: the fewest moves within which its sides differ} for the pairs
+    that differ within `rounds` moves.  Round 1 is the pairs whose move
+    sets differ; a pair first failing at k moves has a successor pair first
+    failing at k - 1, so round k checks only the compared `predecessors`
+    of round k - 1's finds, against the pairs found so far."""
     fails = dict.fromkeys(differ, 1)
     found = differ
     for k in range(2, rounds + 1):
@@ -411,7 +404,7 @@ def _walk_pairs(sides, depth: int) -> EquivalenceResult:
     the pairs failing within k - 1 gives the next move and pair."""
     start = (0, 0)
     seen, layer, compared, differ = {start}, [start], [], []
-    fails: dict = {}
+    predecessors, indexed, fails = {}, 0, {}
     for walked in range(1, depth + 1):
         following = []
         for pair in layer:
@@ -425,8 +418,15 @@ def _walk_pairs(sides, depth: int) -> EquivalenceResult:
                             seen.add((u, v))
                             following.append((u, v))
         compared += layer
-        if differ:
-            fails = _fail_depths(sides, compared, differ, walked if following else depth)
+        if differ:  # index the pairs compared since the last rounds
+            for pair in compared[indexed:]:
+                left, right = sides(pair)
+                for move, us in left.items():
+                    for v in right.get(move, ()):
+                        for u in us:
+                            predecessors.setdefault((u, v), []).append(pair)
+            indexed = len(compared)
+            fails = _fail_depths(sides, predecessors, differ, walked if following else depth)
             if start in fails:
                 break
         if not following:
