@@ -375,6 +375,11 @@ def _first_failure(left: dict, right: dict, fails):
     return None
 
 
+def _pairs_after(left: dict, right: dict) -> list:
+    """The successor pairs of two move maps, over the moves both offer."""
+    return [(u, v) for move, us in left.items() for v in right.get(move, ()) for u in us]
+
+
 def _fail_depths(sides, predecessors: dict, differ: list, rounds: int) -> dict:
     """{pair: the fewest moves within which its sides differ} for the pairs
     that differ within `rounds` moves.  Round 1 is the pairs whose move
@@ -411,20 +416,15 @@ def _walk_pairs(sides, depth: int) -> EquivalenceResult:
             left, right = sides(pair)
             if left.keys() != right.keys():
                 differ.append(pair)
-            for move, us in left.items():
-                for v in right.get(move, ()):
-                    for u in us:
-                        if (u, v) not in seen:
-                            seen.add((u, v))
-                            following.append((u, v))
+            for after in _pairs_after(left, right):
+                if after not in seen:
+                    seen.add(after)
+                    following.append(after)
         compared += layer
         if differ:  # index the pairs compared since the last rounds
             for pair in compared[indexed:]:
-                left, right = sides(pair)
-                for move, us in left.items():
-                    for v in right.get(move, ()):
-                        for u in us:
-                            predecessors.setdefault((u, v), []).append(pair)
+                for after in _pairs_after(*sides(pair)):
+                    predecessors.setdefault(after, []).append(pair)
             indexed = len(compared)
             fails = _fail_depths(sides, predecessors, differ, walked if following else depth)
             if start in fails:
