@@ -344,6 +344,23 @@ def test_pair_walk_matches_a_recursive_reference_on_random_graphs():
     assert (equivalent, longest) == (199, 5)
 
 
+def test_a_harmless_difference_keeps_the_walk_linear():
+    # both sides go 0 -a-> {1, 2}, so the pairs (1, 2) and (2, 1) differ
+    # from the second layer on while the start pair never fails, and the
+    # walk goes on round a cycle of 1,000 points; rebuilding the failure
+    # rounds' predecessor index after every layer read 507,511 move maps
+    graph = ([{"a": (1, 2)}, {"a": (3,)}, {"b": (2,)}]
+             + [{"a": (n + 1,)} for n in range(3, 1002)] + [{"a": (1,)}])
+    reads = []
+
+    def sides(pair):
+        reads.append(pair)
+        return graph[pair[0]], graph[pair[1]]
+    result = oracle._walk_pairs(sides, 2000)
+    assert result.equivalent and result.pairs_checked == 1005
+    assert len(reads) < 4 * 1005
+
+
 _NONDETERMINISTIC = """machine M {
   var x : int = 0 ;
   state A initial ;
