@@ -435,10 +435,10 @@ def _walk_pairs(sides, depth: int) -> EquivalenceResult:
     if start not in fails:
         return EquivalenceResult(equivalent=True, pairs_checked=len(compared))
     trace, pair, within = [], start, fails[start]
-    while len(why := _first_failure(*sides(pair), lambda p: fails.get(p, within) < within)) == 3:
-        trace.append(why[0])
-        pair, within = why[1:], within - 1
-    side, move = why
+    while len(first := _first_failure(*sides(pair), lambda p: fails.get(p, within) < within)) == 3:
+        trace.append(first[0])
+        pair, within = first[1:], within - 1
+    side, move = first
     return EquivalenceResult(equivalent=False, counterexample=trace + [move],
                              divergent_side=side, pairs_checked=len(compared))
 

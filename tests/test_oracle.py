@@ -220,11 +220,11 @@ def test_a_deeper_check_costs_no_more_than_the_pair_space(corpus_models, corpus_
     for depth in (400, 10**6):
         result = check_trace_equivalence(model, net, tmap, depth=depth)
         assert result.equivalent and result.pairs_checked == 4
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        check_trace_equivalence(model, net, tmap, depth=0)
     net, tmap = corpus_nets["cdplayer"]
     result = check_trace_equivalence(corpus_models["cdplayer"], net, tmap, depth=400)
     assert result.equivalent and result.pairs_checked == 5760
-    with pytest.raises(ValueError, match="depth must be at least 1"):
-        check_trace_equivalence(model, net, tmap, depth=0)
 
 
 def test_deleted_arc_detected_with_counterexample(cd_model, cd_net):
