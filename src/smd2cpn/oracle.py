@@ -9,6 +9,9 @@ decides equivalence, with rounds that count the fewest moves within which
 a failing pair's sides differ; the shortest counterexample is read off
 those counts in one canonical move order.  Each side numbers its stable
 points as a move map first names them, and the walk's pairs are numbers.
+A step reads the event pool only to find its trigger there and take it,
+so a check works each step out once, keyed on (active leaf, valuation,
+history), and takes the trigger from each configuration's own pool.
 
 The interpreter is written directly against the model queries and never
 consults the translator's chain construction, so the two sides stay
@@ -69,10 +72,6 @@ def _freeze(mapping: dict) -> tuple:
     return tuple(sorted(mapping.items()))
 
 
-def _freeze_pending(pending: dict) -> tuple:
-    return tuple(sorted((e, n) for e, n in pending.items() if n > 0))
-
-
 def initial_configuration(model: StateMachine) -> Configuration:
     return Configuration(
         active=model.default_configuration(None),
@@ -116,31 +115,24 @@ def _apply(behaviours, valuation: dict, labels: list[str]):
             valuation[var] = ex.eval_int(rhs, valuation)
 
 
-def step(model: StateMachine, config: Configuration,
-         transition_id: str) -> tuple[Configuration, StepLabel]:
-    """Execute one run-to-completion step: exit chain (innermost out),
+def _run_step(model: StateMachine, t: Transition, active: str, valuation: tuple,
+              history: tuple) -> tuple[tuple[str, ...], str, tuple, tuple]:
+    """(behaviours, leaf, valuation, history) of one run-to-completion step
+    of `t` from leaf `active`, with no pool: exit chain (innermost out),
     effect, entry chain (outermost in); history memories of every exited
     history composite are updated before any history target is resolved."""
-    t = model.transitions_by_id[transition_id]
-    x = config.active
-    valuation = config.valuation_dict()
-    pending = config.pending_dict()
-    if not _enabled(model, t, x, valuation, pending):
-        raise NotEnabledStepError(f"{transition_id} is not enabled")
+    valuation, history = dict(valuation), dict(history)
     eb, nb = model.boundaries(t)
-    history = config.history_dict()
     labels: list[str] = []
 
-    _apply(model.exit_chain(x, eb), valuation, labels)
+    _apply(model.exit_chain(active, eb), valuation, labels)
 
-    exit_path = model.ancestors_or_self(x)
+    exit_path = model.ancestors_or_self(active)
     exit_path = exit_path[: exit_path.index(eb) + 1]
     for sid in exit_path:
-        if model.state(sid).has_history and sid != x:
-            child = model.state(model.child_of_containing(sid, x))
+        if model.state(sid).has_history and sid != active:
+            child = model.state(model.child_of_containing(sid, active))
             history[sid] = NO_HISTORY if child.kind == FINAL else child.name
-    if t.trigger is not None:
-        pending[t.trigger] -= 1
 
     if t.effect is not None:
         _apply([t.effect], valuation, labels)
@@ -162,29 +154,53 @@ def step(model: StateMachine, config: Configuration,
         leaf = (t.target if model.state(t.target).kind in (FINAL, SIMPLE)
                 else model.default_configuration(t.target))
         _apply(model.entry_chain(nb, leaf), valuation, labels)
+    return tuple(labels), leaf, _freeze(valuation), _freeze(history)
 
-    new = Configuration(active=leaf, valuation=_freeze(valuation),
-                        history=_freeze(history), pending=_freeze_pending(pending))
-    return new, StepLabel(event=t.trigger, behaviours=tuple(labels), active=leaf)
+
+def step(model: StateMachine, config: Configuration,
+         transition_id: str) -> tuple[Configuration, StepLabel]:
+    """Execute one run-to-completion step (`_run_step`), taking its trigger
+    from the pool; NotEnabledStepError where it cannot fire.  The tests
+    check the steps `_machine_moves` keeps against this."""
+    t = model.transitions_by_id[transition_id]
+    pending = config.pending_dict()
+    if not _enabled(model, t, config.active, config.valuation_dict(), pending):
+        raise NotEnabledStepError(f"{transition_id} is not enabled")
+    behaviours, leaf, *after = _run_step(model, t, config.active, config.valuation,
+                                         config.history)
+    pending = (config.pending if t.trigger is None
+               else _moved(config.pending, t.trigger, -1, capacity=pending[t.trigger]))
+    return Configuration(leaf, *after, pending), StepLabel(t.trigger, behaviours, leaf)
+
+
+def _moved(pending: tuple, event: str, change: int, capacity: int) -> Optional[tuple]:
+    """The sorted pool with `event`'s count moved by `change`, or None
+    where the count would leave the range 0 to `capacity`."""
+    at = bisect.bisect_left(pending, (event,))
+    held = pending[at][1] if at < len(pending) and pending[at][0] == event else 0
+    count = held + change
+    if not 0 <= count <= capacity:
+        return None
+    return pending[:at] + (((event, count),) if count else ()) + pending[at + (held > 0):]
 
 
 def inject(model: StateMachine, config: Configuration, event: str,
            capacity: int) -> Optional[Configuration]:
-    """Add one environment event to the pool; None when at capacity.  The
-    pool is sorted by event, so the event's entry is found by bisection
-    and the new pool is the old one with that entry replaced or inserted."""
-    pending = config.pending
-    at = bisect.bisect_left(pending, (event,))
-    held = pending[at][1] if at < len(pending) and pending[at][0] == event else 0
-    if held >= capacity:
-        return None
-    pending = pending[:at] + ((event, held + 1),) + pending[at + (held > 0):]
-    return Configuration(active=config.active, valuation=config.valuation,
-                         history=config.history, pending=pending)
+    """Add one environment event to the pool; None when at capacity."""
+    pending = _moved(config.pending, event, 1, capacity)
+    return None if pending is None else Configuration(config.active, config.valuation,
+                                                      config.history, pending)
 
 
 # ---------------------------------------------------------------------------
 # Net-side projection: run dispatch chains between stable markings
+
+
+def _fired(trans: cpn.CompiledTransition, marking, tokens: dict, binding: dict):
+    """`marking`, whose `dict` is `tokens`, after `trans` fires under a
+    binding whose guard holds; raises as `CompiledTransition.apply`."""
+    changed = trans.apply(tokens, binding)
+    return cpn._successor(marking, changed, cpn._marked(changed))
 
 
 class NetRunner:
@@ -201,13 +217,14 @@ class NetRunner:
 
     At each marking only the net's watch-place candidates
     (`CompiledNet.candidates`) are tried, chain transitions, dispatches and
-    producers alike, since no other transition can be enabled there.
+    producers alike, since no other transition can be enabled there.  The
+    bindings come from the public `enabled_bindings`, whose calls the
+    benchmark counts, and fire by the compiled `apply` on one token map per
+    marking.  A firing memo like `explore`'s did not pay here at depth 8.
     """
 
     def __init__(self, net: cpn.ColouredNet, tmap: TranslationMap,
                  model: StateMachine):
-        self.net = net
-        self.tmap = tmap
         self.compiled = compiled = cpn.CompiledNet.of(net)
         self.control = tmap.control_places()
         self.leaf_of_place = {pid: sid for sid, pid in tmap.state_place.items()}
@@ -238,15 +255,15 @@ class NetRunner:
         for _ in range(self.chain_bound):
             if self.stable_leaf(marking) is not None:
                 return tuple(labels), marking, None
-            candidates = [(trans.id, binding)
+            candidates = [(trans, binding)
                           for trans in self.compiled.candidates(marking)
                           if trans.id not in self.skip_in_chain
                           for binding in cpn.enabled_bindings(self.compiled, marking, trans.id)]
             if len(candidates) != 1:
                 return tuple(labels), marking, f"{len(candidates)} chain transitions enabled"
-            tid, binding = candidates[0]
-            marking = cpn.fire(self.compiled, marking, tid, binding)
-            label = self.net.transitions[tid].observable_label
+            trans, binding = candidates[0]
+            marking = _fired(trans, marking, dict(marking), binding)
+            label = trans.trans.observable_label
             if label is not None:
                 labels.append(label)
         return tuple(labels), marking, f"not stable after {self.chain_bound} firings"
@@ -258,20 +275,19 @@ class NetRunner:
         Such a move is ("step", event, behaviours, leaf) when the chain
         reaches a stable marking and ("stuck", event, behaviours, reason)
         when not."""
+        tokens = dict(marking)
         candidates = self.compiled.candidates(marking)
-        offered = {trans.id for trans in candidates}
+        offered = {trans.id: trans for trans in candidates}
         moves = []
         for event, tid in self.producers:
             if tid in offered and (bindings := cpn.enabled_bindings(self.compiled, marking, tid)):
-                moves.append((("inject", event), cpn.fire(self.compiled, marking, tid, bindings[0])))
+                moves.append((("inject", event), _fired(offered[tid], marking, tokens, bindings[0])))
         for trans in candidates:
-            tid = trans.id
-            if tid not in self.tmap.dispatch:
+            if trans.id not in self.trigger_of_dispatch:
                 continue
-            event = self.trigger_of_dispatch[tid]
-            for binding in cpn.enabled_bindings(self.compiled, marking, tid):
-                after = cpn.fire(self.compiled, marking, tid, binding)
-                labels, final, stuck = self.run_chain(after)
+            event = self.trigger_of_dispatch[trans.id]
+            for binding in cpn.enabled_bindings(self.compiled, marking, trans.id):
+                labels, final, stuck = self.run_chain(_fired(trans, marking, tokens, binding))
                 if stuck is None:
                     move = ("step", event, labels, self.stable_leaf(final))
                 else:
@@ -343,15 +359,27 @@ class EquivalenceResult:
         return self.equivalent
 
 
-def _machine_moves(model: StateMachine, config: Configuration, capacity: int):
-    """(move, successor) for every injection and step of the machine."""
+def _machine_moves(model: StateMachine, config: Configuration, capacity: int,
+                   steps: dict):
+    """(move, successor) for every injection and step of the machine.
+    `steps`, kept for one check, maps (active, valuation, history) to the
+    trigger and `_run_step` of every transition whose source and guard hold
+    there, in `enabled_transitions` order, which a pool holding every event
+    leaves none out of.  A step is offered where its trigger is pending."""
     for event in model.events:
         after = inject(model, config, event, capacity)
         if after is not None:
             yield ("inject", event), after
-    for tid, _ in enabled_transitions(model, config):
-        after, label = step(model, config, tid)
-        yield ("step", label.event, label.behaviours, label.active), after
+    key = (config.active, config.valuation, config.history)
+    if key not in steps:
+        every = Configuration(*key, pending=tuple((event, 1) for event in model.events))
+        steps[key] = [(trigger, *_run_step(model, model.transitions_by_id[tid], *key))
+                      for tid, trigger in enabled_transitions(model, every)]
+    for trigger, behaviours, *after in steps[key]:
+        pending = (config.pending if trigger is None
+                   else _moved(config.pending, trigger, -1, capacity))
+        if pending is not None:
+            yield ("step", trigger, behaviours, after[0]), Configuration(*after, pending)
 
 
 def _first_failure(left: dict, right: dict, fails):
@@ -495,8 +523,9 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
             return maps[n]
         return succ
 
+    steps: dict = {}
     smd_succ = side(initial_configuration(model),
-                    lambda config: _machine_moves(model, config, event_capacity))
+                    lambda config: _machine_moves(model, config, event_capacity, steps))
     net_succ = side(net.initial_marking(), runner.moves)
     return _walk_pairs(lambda pair: (smd_succ(pair[0]), net_succ(pair[1])), depth)
 

@@ -12,7 +12,7 @@ import mutations
 from conftest import CORPUS, load_model
 from modelgen import balanced_machine, bf_ancestors_or_self, chain_machine
 from smd2cpn import oracle
-from smd2cpn.net import NetError, PlaceDef
+from smd2cpn.net import EnumCS, NetError, PlaceDef, enabled_bindings, fire
 from smd2cpn.oracle import (
     NetRunner, NotEnabledStepError,
     check_control_safety, check_trace_equivalence, enabled_transitions,
@@ -580,12 +580,24 @@ def reference_enabled(model, config):
                   if oracle._enabled(model, t, config.active, valuation, pending))
 
 
+def reference_machine_moves(model, config, capacity):
+    """(move, successor) for every injection and step of the machine, from
+    the public `inject`, `enabled_transitions` and `step` alone."""
+    for event in model.events:
+        after = inject(model, config, event, capacity)
+        if after is not None:
+            yield ("inject", event), after
+    for tid, _ in enabled_transitions(model, config):
+        after, label = step(model, config, tid)
+        yield ("step", label.event, label.behaviours, label.active), after
+
+
 def reachable_configurations(model, capacity, bound):
     """Breadth-first over the machine's moves, up to `bound` configurations."""
     start = initial_configuration(model)
     seen, queue = {start}, [start]
     for config in queue:
-        for _, after in oracle._machine_moves(model, config, capacity):
+        for _, after in reference_machine_moves(model, config, capacity):
             if after not in seen and len(seen) < bound:
                 seen.add(after)
                 queue.append(after)
@@ -634,3 +646,156 @@ def test_enabled_transitions_test_only_transitions_leaving_the_active_path(
         tested.clear()
         enabled_transitions(model, config)
         assert 0 < len(tested) <= len(leaving)
+
+
+# ---------------------------------------------------------------------------
+# The step memo against the public step, and NetRunner against the public
+# token game
+
+
+MOVE_CASES = {**ENABLED_CASES,
+              **{f"nondeterministic@{cap}": (lambda: parse(_NONDETERMINISTIC), cap)
+                 for cap in (1, 2)}}
+
+
+@pytest.mark.parametrize("case", sorted(MOVE_CASES))
+def test_memoised_machine_moves_equal_the_public_step(case):
+    # one memo across the configurations, as in one check, so that most of
+    # them read steps worked out at another configuration
+    build, capacity = MOVE_CASES[case]
+    model = build()
+    configs = reachable_configurations(model, capacity, bound=6_000)
+    steps = {}
+    for config in configs:
+        assert (list(oracle._machine_moves(model, config, capacity, steps))
+                == list(reference_machine_moves(model, config, capacity))), config
+    assert 0 < len(steps) < len(configs)
+
+
+def test_each_check_works_each_step_out_once(cd_model, cd_net, monkeypatch):
+    """The step memo lives for one check: two checks in a row work out the
+    same steps, fewer than the step moves the walk compares."""
+    net, tmap = cd_net
+    worked, offered = [], []
+    real_step, real_moves = oracle._run_step, oracle._machine_moves
+    monkeypatch.setattr(oracle, "_run_step",
+                        lambda model, t, *key: worked.append(t) or real_step(model, t, *key))
+
+    def counted(*args):
+        for move, after in real_moves(*args):
+            offered.append(move[0] == "step")
+            yield move, after
+    monkeypatch.setattr(oracle, "_machine_moves", counted)
+    counts = []
+    for _ in range(2):
+        worked.clear()
+        offered.clear()
+        assert check_trace_equivalence(cd_model, net, tmap, depth=8).equivalent
+        counts.append((len(worked), sum(offered)))
+    assert counts[0] == counts[1]
+    assert 0 < counts[0][0] < counts[0][1]
+
+
+class ReferenceRunner(NetRunner):
+    """`NetRunner`'s chains and moves on the public token game alone: every
+    binding from `enabled_bindings` and every firing by `fire`."""
+
+    def run_chain(self, marking):
+        labels = []
+        for _ in range(self.chain_bound):
+            if self.stable_leaf(marking) is not None:
+                return tuple(labels), marking, None
+            candidates = [(trans.id, binding)
+                          for trans in self.compiled.candidates(marking)
+                          if trans.id not in self.skip_in_chain
+                          for binding in enabled_bindings(self.compiled, marking, trans.id)]
+            if len(candidates) != 1:
+                return tuple(labels), marking, f"{len(candidates)} chain transitions enabled"
+            tid, binding = candidates[0]
+            marking = fire(self.compiled, marking, tid, binding)
+            label = self.compiled.by_id[tid].trans.observable_label
+            if label is not None:
+                labels.append(label)
+        return tuple(labels), marking, f"not stable after {self.chain_bound} firings"
+
+    def moves(self, marking):
+        candidates = self.compiled.candidates(marking)
+        offered = {trans.id for trans in candidates}
+        moves = []
+        for event, tid in self.producers:
+            if tid in offered and (bindings := enabled_bindings(self.compiled, marking, tid)):
+                moves.append((("inject", event), fire(self.compiled, marking, tid, bindings[0])))
+        for trans in candidates:
+            tid = trans.id
+            if tid not in self.trigger_of_dispatch:  # the dispatch transitions
+                continue
+            event = self.trigger_of_dispatch[tid]
+            for binding in enabled_bindings(self.compiled, marking, tid):
+                labels, final, stuck = self.run_chain(fire(self.compiled, marking, tid, binding))
+                if stuck is None:
+                    move = ("step", event, labels, self.stable_leaf(final))
+                else:
+                    move = ("stuck", event, labels, stuck)
+                moves.append((move, final))
+        return moves
+
+
+def _moves_or_error(moves, marking):
+    try:
+        return moves(marking)
+    except NetError as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def assert_runner_matches_the_reference(model, net, tmap, bound):
+    """Breadth-first over the moves that do not get stuck, up to `bound`
+    markings, comparing `NetRunner.moves` with the reference at each: the
+    same moves in the same order, or the same error.  Returns the markings
+    compared and how many raised."""
+    runner, reference = NetRunner(net, tmap, model), ReferenceRunner(net, tmap, model)
+    start = net.initial_marking()
+    seen, queue, raised = {start}, [start], 0
+    for marking in queue:
+        moves = _moves_or_error(runner.moves, marking)
+        assert moves == _moves_or_error(reference.moves, marking), marking
+        if isinstance(moves, str):
+            raised += 1
+            continue
+        for move, after in moves:
+            if move[0] != "stuck" and after not in seen and len(seen) < bound:
+                seen.add(after)
+                queue.append(after)
+    return len(queue), raised
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_net_moves_equal_the_public_token_game_on_the_corpus(capacity):
+    # every stable marking, but cdplayer@2's first 3,000 of 98,415
+    compared = {}
+    for name in CORPUS:
+        model = load_model(name)
+        net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
+        bound = 3_000 if (name, capacity) == ("cdplayer", 2) else 10_000
+        compared[name] = assert_runner_matches_the_reference(model, net, tmap, bound)
+    assert compared == {
+        1: {"flat": (4, 0), "nested3": (8, 0), "interlevel": (112, 0), "guarded": (48, 0),
+            "history": (384, 0), "completion": (32, 0), "cdplayer": (5_760, 0)},
+        2: {"flat": (6, 0), "nested3": (18, 0), "interlevel": (567, 0), "guarded": (162, 0),
+            "history": (2_916, 0), "completion": (108, 0), "cdplayer": (3_000, 0)},
+    }[capacity]
+
+
+@pytest.mark.parametrize("name", ["flat", "nested3", "interlevel", "guarded", "history",
+                                  "completion"])
+def test_net_moves_equal_the_public_token_game_on_mutants(corpus_models, corpus_nets, name):
+    net, tmap = corpus_nets[name]
+    for _, mutant in accepted_arc_deletions(net):
+        assert_runner_matches_the_reference(corpus_models[name], mutant, tmap, bound=200)
+
+
+def test_net_moves_raise_as_the_public_token_game_does(cd_model, cd_net):
+    # a history colour without PAUSED: storing it raises at 480 markings
+    net, tmap = cd_net
+    narrowed = copy.deepcopy(net)
+    narrowed.colours["HIST_Busy"] = EnumCS(("PLAYING", "NONE"))
+    assert assert_runner_matches_the_reference(cd_model, narrowed, tmap, 10_000) == (3_744, 480)
