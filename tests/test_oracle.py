@@ -610,6 +610,7 @@ ENABLED_CASES = {
     "chain-20": (lambda: chain_machine(20), 1),
     "balanced-3x2": (lambda: balanced_machine(3, 2), 1),
     **{f"resume@{cap}": (lambda: parse(RESUME), cap) for cap in (1, 2)},
+    **{f"nondeterministic@{cap}": (lambda: parse(_NONDETERMINISTIC), cap) for cap in (1, 2)},
 }
 
 
@@ -653,16 +654,11 @@ def test_enabled_transitions_test_only_transitions_leaving_the_active_path(
 # token game
 
 
-MOVE_CASES = {**ENABLED_CASES,
-              **{f"nondeterministic@{cap}": (lambda: parse(_NONDETERMINISTIC), cap)
-                 for cap in (1, 2)}}
-
-
-@pytest.mark.parametrize("case", sorted(MOVE_CASES))
+@pytest.mark.parametrize("case", sorted(ENABLED_CASES))
 def test_memoised_machine_moves_equal_the_public_step(case):
     # one memo across the configurations, as in one check, so that most of
     # them read steps worked out at another configuration
-    build, capacity = MOVE_CASES[case]
+    build, capacity = ENABLED_CASES[case]
     model = build()
     configs = reachable_configurations(model, capacity, bound=6_000)
     steps = {}
