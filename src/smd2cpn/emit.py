@@ -4,11 +4,11 @@ The XML writer targets the CPN Tools 4 document layout (single page).
 Graphical attribute defaults below are the template copied from a document
 saved by CPN Tools itself.  The reader accepts exactly the subset this
 writer produces, for round-trip checking; it is not a general .cpn loader.
-It makes one expat pass that keeps only the elements it reads (declarations,
-places, transitions, arcs and their inscription texts; no graphics), reports
-malformed documents with ElementTree's fault text and position, and reads
-inscriptions and guards with expr's lexer, token cursor and expression
-parser in the SML dialect.
+One expat pass follows a table of the element paths it reads, where each
+field takes its first match; any other element, graphics included, only
+moves a skip depth.  It reports malformed documents with ElementTree's fault
+text and position, and reads inscriptions and guards with expr's lexer,
+token cursor and expression parser in the SML dialect.
 Output is byte-deterministic: nodes are emitted in natural id order (digit
 runs compare as numbers).  Ids that tie under it, such as P1 and P01, keep
 their input order: insertion order in the writers, arc order in `layout`,
@@ -400,106 +400,102 @@ def _parse_marking(text: str, colour) -> tuple:
     return tuple(sorted(tokens, key=token_sort_key))
 
 
-def _parse_colour_decl(element) -> tuple[str, object]:
-    name = element.findtext("id")
-    if name is None:
-        raise CpnParseError("colour declaration without a name")
-    if element.find("unit") is not None:
-        return name, UnitCS()
-    if element.find("int") is not None:
-        return name, IntCS()
-    enum = element.find("enum")
-    if enum is not None:
-        values = tuple(v.text or "" for v in enum.findall("id"))
-        if not values:
-            raise CpnParseError(f"enumeration colour {name!r} has no values")
-        return name, EnumCS(values)
-    product = element.find("product")
-    if product is not None:
-        return name, tuple(v.text or "" for v in product.findall("id"))  # resolved later
-    raise CpnParseError(f"unsupported colour declaration {name!r}")
+# The element paths parse_cpn_xml reads, below the root, as {tag: (action,
+# field, children)}.  A record is the root's dict of lists, or the attribute
+# dict of a colour, the first page, a place, a trans or an arc.  Its fields
+# hold their first match, under keys that start with "/", as no attribute
+# name can; "@name" records that attribute.  Every other element, and every
+# child of an element without children here, only moves a skip depth.
+_PATHS = {"cpnet": ("step", None, {
+    "globbox": ("step", None, {"block": ("step", None, {"color": ("each", "/color", {
+        "id": ("text", "/id", None),
+        "unit": ("flag", "/unit", None), "int": ("flag", "/int", None),
+        "enum": ("ids", "/enum", {"id": ("item", None, None)}),
+        "product": ("ids", "/product", {"id": ("item", None, None)})})})}),
+    "page": ("first", "/page", {
+        "pageattr": ("@name", "/pageattr", None),
+        "place": ("each", "/place", {
+            "text": ("text", "/text", None),
+            "type": ("step", None, {"text": ("text", "/type/text", None)}),
+            "initmark": ("step", None, {"text": ("text", "/initmark/text", None)})}),
+        "trans": ("each", "/trans", {
+            "text": ("text", "/text", None),
+            "cond": ("step", None, {"text": ("text", "/cond/text", None)})}),
+        "arc": ("each", "/arc", {
+            "transend": ("@idref", "/transend", None),
+            "placeend": ("@idref", "/placeend", None),
+            "annot": ("step", None, {"text": ("text", "/annot/text", None)})})})})}
 
 
-# The elements parse_cpn_xml reads; every other element and its subtree is
-# dropped while parsing.  Text is kept only for the _TEXT_TAGS.
-_KEPT_TAGS = frozenset((
-    "cpnet", "globbox", "block", "color", "page", "pageattr", "place", "trans",
-    "arc", "type", "initmark", "text", "cond", "annot", "transend", "placeend",
-    "id", "unit", "int", "enum", "product"))
-_TEXT_TAGS = frozenset(("text", "id"))
-
-
-class _Element(list):
-    """A kept element: the subset of ElementTree's Element that the reader
-    uses.  Like an Element, it is the list of its (kept) children.  `text`
-    is the character data before the first child for the _TEXT_TAGS, and
-    None when there is none or for any other tag."""
-
-    __slots__ = ("tag", "attrib", "text")
-
-    def get(self, key: str):
-        return self.attrib.get(key)
-
-    def findall(self, path: str) -> list["_Element"]:
-        """Matches of a child path such as "./type/text", in document order."""
-        found = [self]
-        for step in path.removeprefix("./").split("/"):
-            found = [child for node in found for child in node if child.tag == step]
-        return found
-
-    def find(self, path: str) -> Optional["_Element"]:
-        found = self.findall(path)
-        return found[0] if found else None
-
-    def findtext(self, path: str) -> Optional[str]:
-        node = self.find(path)
-        return None if node is None else node.text or ""
-
-
-def _read_elements(text: str) -> _Element:
-    """The root of `text` with only its kept descendants, read in one expat
-    pass.  Errors name the first fault at the position ElementTree gives."""
+def _read_records(text: str) -> dict:
+    """The root record of `text`, read in one expat pass along _PATHS.
+    Errors name the first fault at the position ElementTree gives."""
     parser = expat.ParserCreate(namespace_separator="}")
-    open_elements: list[Optional[_Element]] = []  # None marks a dropped element
-    root = None
-    reading = None  # the text/id element whose text is being collected
+    found = {"/color": [], "/place": [], "/trans": [], "/arc": []}
+    frames = []  # (children, record) of the open elements whose children are read
+    skip = 0  # the open elements below them
+    target = key = None  # where the text being collected goes
     chunks: list[str] = []
 
     def stop_reading():
-        nonlocal reading
+        nonlocal target
         parser.CharacterDataHandler = None
-        reading.text = "".join(chunks) or None
-        reading = None
+        target[key] = "".join(chunks)
+        target = None
         chunks.clear()
 
     def start(tag, attrib):
-        nonlocal root, reading
-        if reading is not None:  # a child ends its parent's text
+        nonlocal skip, target, key
+        if target is not None:  # a child ends its parent's text
             stop_reading()
-        if not open_elements:
-            root = element = _Element()
-        elif open_elements[-1] is not None and tag in _KEPT_TAGS:
-            element = _Element()
-            open_elements[-1].append(element)
-        else:
-            open_elements.append(None)
+        step = None if skip else frames[-1][0].get(tag)
+        if step is None:
+            skip += 1
             return
-        element.tag, element.attrib, element.text = tag, attrib, None
-        open_elements.append(element)
-        if tag in _TEXT_TAGS:
-            reading = element
+        action, field, children = step
+        record = frames[-1][1]
+        if action == "each":
+            found[field].append(attrib)
+            record = attrib
+        elif action == "item":  # the record is the list of ids
+            target, key = record, len(record)
+            record.append("")
+        elif action != "step":
+            if field in record:  # a later match
+                children = None
+            elif action == "first":
+                record[field] = record = attrib
+            elif action == "ids":
+                record[field] = record = []
+            elif action == "text":
+                target, key, record[field] = record, field, ""
+            else:
+                record[field] = True if action == "flag" else attrib.get(action[1:])
+        if target is not None:
             parser.CharacterDataHandler = chunks.append
+        if children is None:
+            skip = 1
+        else:
+            frames.append((children, record))
+
+    def start_root(tag, attrib):
+        frames.append((_PATHS, found))
+        parser.StartElementHandler = start
 
     def end(tag):
-        if reading is not None and reading is open_elements[-1]:
+        nonlocal skip
+        if target is not None:
             stop_reading()
-        open_elements.pop()
+        if skip:
+            skip -= 1
+        else:
+            frames.pop()
 
     def undefined_entity(name):
         raise CpnParseError(f"malformed document: undefined entity &{name};",
                             (parser.CurrentLineNumber, parser.CurrentColumnNumber))
 
-    parser.StartElementHandler = start
+    parser.StartElementHandler = start_root
     parser.EndElementHandler = end
     # Expat skips a reference to an entity that an external DOCTYPE may
     # declare, or to a declared external entity; ElementTree rejects both at
@@ -513,17 +509,17 @@ def _read_elements(text: str) -> _Element:
     except expat.ExpatError as err:
         raise CpnParseError(f"malformed document: {expat.ErrorString(err.code)}",
                             (err.lineno, err.offset)) from None
-    return root
+    return found
 
 
-def _node_id(seen: set, element) -> str:
-    """The id of a place, trans or arc element, added to `seen`, the ids of
-    the elements read before it; the three share one namespace."""
-    nid = element.get("id")
+def _node_id(seen: set, tag: str, record) -> str:
+    """The id of a place, trans or arc record, added to `seen`, the ids of
+    the records read before it; the three share one namespace."""
+    nid = record.get("id")
     if nid is None:
-        raise CpnParseError(f"<{element.tag}> has no id")
+        raise CpnParseError(f"<{tag}> has no id")
     if nid in seen:
-        raise CpnParseError(f"duplicate node id {nid!r} in <{element.tag}>")
+        raise CpnParseError(f"duplicate node id {nid!r} in <{tag}>")
     seen.add(nid)
     return nid
 
@@ -533,26 +529,34 @@ def parse_cpn_xml(text: str) -> ColouredNet:
     graphical attributes are discarded; observable labels are trace
     metadata and come back unset.
 
-    The document is read in one expat pass that keeps only the elements
-    named in _KEPT_TAGS whose parents are kept, under the root; where
-    several match, the first in document order counts, and a text is the
-    character data before its first child.  A malformed document raises
-    CpnParseError with ElementTree's fault text and (line, column).
+    One expat pass reads the paths in _PATHS: the colours of every cpnet,
+    and the name and nodes of the first cpnet/page.  A field takes its
+    first match in document order; a text is the character data before
+    its element's first child.  A malformed document raises CpnParseError
+    with ElementTree's fault text and (line, column).
     """
-    root = _read_elements(text)
-    page = root.find("./cpnet/page")
+    found = _read_records(text)
+    page = found.get("/page")
     if page is None:
         raise CpnParseError("document has no page element")
-    name_attr = page.find("pageattr")
-    net = ColouredNet(name=name_attr.get("name") if name_attr is not None else "net")
+    name = page.get("/pageattr")
+    net = ColouredNet(name="net" if name is None else name)
 
     pending_products = {}
-    for decl in root.findall("./cpnet/globbox/block/color"):
-        cname, colour = _parse_colour_decl(decl)
-        if isinstance(colour, tuple):
-            pending_products[cname] = colour
+    for decl in found["/color"]:
+        cname = decl.get("/id")
+        if cname is None:
+            raise CpnParseError("colour declaration without a name")
+        if "/unit" in decl or "/int" in decl:
+            net.colours[cname] = UnitCS() if "/unit" in decl else IntCS()
+        elif "/enum" in decl:
+            if not decl["/enum"]:
+                raise CpnParseError(f"enumeration colour {cname!r} has no values")
+            net.colours[cname] = EnumCS(tuple(decl["/enum"]))
+        elif "/product" in decl:
+            pending_products[cname] = decl["/product"]  # resolved below
         else:
-            net.colours[cname] = colour
+            raise CpnParseError(f"unsupported colour declaration {cname!r}")
     for cname, component_names in pending_products.items():
         if not component_names:
             raise CpnParseError(f"product colour {cname!r} has no components")
@@ -564,44 +568,40 @@ def parse_cpn_xml(text: str) -> ColouredNet:
         net.colours[cname] = ProductCS(tuple(components))
 
     seen: set = set()
-    for element in page.findall("place"):
-        pid = _node_id(seen, element)
-        colour_name = element.findtext("./type/text")
+    for record in found["/place"]:
+        pid = _node_id(seen, "place", record)
+        colour_name = record.get("/type/text")
         if colour_name is None or colour_name not in net.colours:
             raise CpnParseError(f"place {pid!r} has no usable colour")
-        init_text = element.findtext("./initmark/text")
+        init_text = record.get("/initmark/text")
         initial = _parse_marking(init_text, net.colours[colour_name]) if init_text else ()
-        net.add_place(PlaceDef(pid, element.findtext("text") or pid,
-                               colour_name, initial))
+        net.add_place(PlaceDef(pid, record.get("/text") or pid, colour_name, initial))
 
-    for element in page.findall("trans"):
-        tid = _node_id(seen, element)
+    for record in found["/trans"]:
+        tid = _node_id(seen, "trans", record)
         guard = None
-        cond = element.findtext("./cond/text")
+        cond = record.get("/cond/text")
         if cond:
             body = cond.strip()
             if not (body.startswith("[") and body.endswith("]")):
                 raise CpnParseError(f"guard of {tid!r} is not bracketed: {cond!r}")
             guard = _read_sml(body[1:-1], ex.parse_bool, f"guard on {tid!r}")
-        net.add_transition(TransDef(tid, element.findtext("text") or tid, guard=guard))
+        net.add_transition(TransDef(tid, record.get("/text") or tid, guard=guard))
 
     inscriptions = {}  # (text, colour name, orientation) -> inscription
-    for element in page.findall("arc"):
-        aid = _node_id(seen, element)
-        orientation = element.get("orientation")
+    for record in found["/arc"]:
+        aid = _node_id(seen, "arc", record)
+        orientation = record.get("orientation")
         if orientation not in (PTOT, TTOP):
             raise CpnParseError(f"arc {aid!r} has bad orientation {orientation!r}")
-        trans_ref = element.find("transend")
-        place_ref = element.find("placeend")
-        if trans_ref is None or place_ref is None:
+        if "/transend" not in record or "/placeend" not in record:
             raise CpnParseError(f"arc {aid!r} is missing an endpoint")
-        place_id = place_ref.get("idref")
-        trans_id = trans_ref.get("idref")
+        place_id, trans_id = record["/placeend"], record["/transend"]
         if place_id not in net.places:
             raise CpnParseError(f"arc {aid!r} references unknown place {place_id!r}")
         if trans_id not in net.transitions:
             raise CpnParseError(f"arc {aid!r} references unknown transition {trans_id!r}")
-        annot = element.findtext("./annot/text") or "()"
+        annot = record.get("/annot/text") or "()"
         key = (annot, net.places[place_id].colour, orientation)
         inscription = inscriptions.get(key)
         if inscription is None:

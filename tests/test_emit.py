@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import math
+import random
+import re
+from typing import Optional
+from xml.parsers import expat
 from xml.sax.saxutils import escape
 
 import pytest
@@ -8,10 +12,12 @@ import pytest
 import modelgen
 from smd2cpn import expr as ex
 from smd2cpn.emit import (
-    CpnParseError, emit_cpn_xml, emit_dot, layout, parse_cpn_xml,
+    CpnParseError, _node_id, _parse_inscription, _parse_marking, _read_sml, emit_cpn_xml,
+    emit_dot, layout, parse_cpn_xml,
 )
 from smd2cpn.net import (
-    UNIT_TOKEN, ColouredNet, IntCS, Lit, PlaceDef, TransDef, UnitCS, Var, PTOT, TTOP,
+    UNIT_TOKEN, ArcDef, ColouredNet, EnumCS, IntCS, Lit, PlaceDef, ProductCS, TransDef,
+    UnitCS, Var, PTOT, TTOP,
 )
 from smd2cpn.translator import TranslationConfig, translate
 
@@ -352,6 +358,7 @@ def test_bad_guard_text_rejected(guard):
 
 def _int_arc_net():
     net = ColouredNet(name="pin")
+    net.colours["E"] = EnumCS(("u",))
     net.colours["INT"] = IntCS()
     net.colours["UNIT"] = UnitCS()
     net.add_place(PlaceDef("p", "p", "INT", (12,)))
@@ -378,11 +385,18 @@ def _line_column(document, at):
     (ANNOT_TEXT, "<text>1<b/>2</text></annot>", 1),
     (TYPE_TEXT, "<text>INT</text></type><type><text>UNIT</text></type>", 12),
     ("</page>", '</page><page id="x"><place id="p"/></page>', 12),
+    (TYPE_TEXT, "</type><type><text>INT</text></type>", 12),
+    ('<transend idref="t"/>', "<transend/>", "arc 'A_1' references unknown transition None"),
+    ("</enum>", "</enum><enum><id>v</id></enum>", 12),
 ], ids=["undefined-entity", "colon-entity", "comment", "cdata", "pi",
-        "text-after-child", "first-type-wins", "second-page-ignored"])
+        "text-after-child", "first-type-wins", "second-page-ignored",
+        "first-type-text-wins", "transend-without-idref", "second-enum-ignored"])
 def test_reader_text_and_error_positions(old, new, outcome):
     """What the reader takes from mixed content, repeated elements and
-    malformed entity references, and where it reports the failure."""
+    malformed entity references, and where it reports the failure: an int
+    is the arc value of a net that reads, a str the message of a net that
+    does not, and a pair a malformed document's message and the text at
+    its position."""
     document = emit_cpn_xml(_int_arc_net())
     assert document.count(old) == 1
     at = document.index(old)
@@ -392,6 +406,12 @@ def test_reader_text_and_error_positions(old, new, outcome):
         assert [a.inscription for a in net.arcs] == [Lit(outcome)]
         assert net.places["p"].colour == "INT"
         assert net.places["p"].initial == (12,)
+        assert net.colours == _int_arc_net().colours
+        return
+    if isinstance(outcome, str):
+        with pytest.raises(CpnParseError, match=re.escape(outcome)) as err:
+            parse_cpn_xml(edited)
+        assert err.value.position is None
         return
     message, marker = outcome
     with pytest.raises(CpnParseError, match=f"malformed document: {message}") as err:
@@ -399,6 +419,18 @@ def test_reader_text_and_error_positions(old, new, outcome):
     assert err.value.position == _line_column(edited, at + new.index(marker))
     assert str(err.value).endswith(" (line %d, column %d)" % err.value.position)
     assert str(err.value).count("line") == 1
+
+
+def test_pageattr_without_a_name_names_the_net_net():
+    """As a missing <pageattr> does; the net then writes back."""
+    document = emit_cpn_xml(tiny_net())
+    unnamed = document.replace('<pageattr name="tiny"/>', "<pageattr/>")
+    assert unnamed != document
+    net = parse_cpn_xml(unnamed)
+    assert net.name == "net"
+    assert net == parse_cpn_xml(unnamed.replace("<pageattr/>", ""))
+    assert parse_cpn_xml(emit_cpn_xml(net)) == net
+    assert emit_dot(net).startswith('digraph "net" {')
 
 
 def test_external_entity_reference_is_undefined():
@@ -416,6 +448,279 @@ def test_layout_missing_node_rejected():
     net = tiny_net()
     with pytest.raises(Exception):
         emit_cpn_xml(net, positions={})
+
+
+# ---------------------------------------------------------------------------
+# The reference for parse_cpn_xml: a tree reader that keeps every element
+# whose tag it reads anywhere, then walks the tree with path searches.
+
+
+_KEPT_TAGS = frozenset((
+    "cpnet", "globbox", "block", "color", "page", "pageattr", "place", "trans",
+    "arc", "type", "initmark", "text", "cond", "annot", "transend", "placeend",
+    "id", "unit", "int", "enum", "product"))
+_TEXT_TAGS = frozenset(("text", "id"))
+
+
+class _Element(list):
+    """A kept element: the subset of ElementTree's Element that the reader
+    uses.  Like an Element, it is the list of its (kept) children.  `text`
+    is the character data before the first child for the _TEXT_TAGS, and
+    None when there is none or for any other tag."""
+
+    __slots__ = ("tag", "attrib", "text")
+
+    def get(self, key: str):
+        return self.attrib.get(key)
+
+    def findall(self, path: str) -> list["_Element"]:
+        """Matches of a child path such as "./type/text", in document order."""
+        found = [self]
+        for step in path.removeprefix("./").split("/"):
+            found = [child for node in found for child in node if child.tag == step]
+        return found
+
+    def find(self, path: str) -> Optional["_Element"]:
+        found = self.findall(path)
+        return found[0] if found else None
+
+    def findtext(self, path: str) -> Optional[str]:
+        node = self.find(path)
+        return None if node is None else node.text or ""
+
+
+def _read_elements(text: str) -> _Element:
+    """The root of `text` with only its kept descendants, read in one expat
+    pass.  Errors name the first fault at the position ElementTree gives."""
+    parser = expat.ParserCreate(namespace_separator="}")
+    open_elements: list[Optional[_Element]] = []  # None marks a dropped element
+    root = None
+    reading = None  # the text/id element whose text is being collected
+    chunks: list[str] = []
+
+    def stop_reading():
+        nonlocal reading
+        parser.CharacterDataHandler = None
+        reading.text = "".join(chunks) or None
+        reading = None
+        chunks.clear()
+
+    def start(tag, attrib):
+        nonlocal root, reading
+        if reading is not None:  # a child ends its parent's text
+            stop_reading()
+        if not open_elements:
+            root = element = _Element()
+        elif open_elements[-1] is not None and tag in _KEPT_TAGS:
+            element = _Element()
+            open_elements[-1].append(element)
+        else:
+            open_elements.append(None)
+            return
+        element.tag, element.attrib, element.text = tag, attrib, None
+        open_elements.append(element)
+        if tag in _TEXT_TAGS:
+            reading = element
+            parser.CharacterDataHandler = chunks.append
+
+    def end(tag):
+        if reading is not None and reading is open_elements[-1]:
+            stop_reading()
+        open_elements.pop()
+
+    def undefined_entity(name):
+        raise CpnParseError(f"malformed document: undefined entity &{name};",
+                            (parser.CurrentLineNumber, parser.CurrentColumnNumber))
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    # Expat skips a reference to an entity that an external DOCTYPE may
+    # declare, or to a declared external entity; ElementTree rejects both at
+    # the reference.  The context names the open entities, innermost last.
+    parser.SkippedEntityHandler = lambda name, is_parameter: undefined_entity(name)
+    parser.ExternalEntityRefHandler = (
+        lambda context, base, system_id, public_id:
+            undefined_entity(context.rsplit("\x0c", 1)[-1]))
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as err:
+        raise CpnParseError(f"malformed document: {expat.ErrorString(err.code)}",
+                            (err.lineno, err.offset)) from None
+    return root
+
+
+def _parse_colour_decl(element) -> tuple[str, object]:
+    name = element.findtext("id")
+    if name is None:
+        raise CpnParseError("colour declaration without a name")
+    if element.find("unit") is not None:
+        return name, UnitCS()
+    if element.find("int") is not None:
+        return name, IntCS()
+    enum = element.find("enum")
+    if enum is not None:
+        values = tuple(v.text or "" for v in enum.findall("id"))
+        if not values:
+            raise CpnParseError(f"enumeration colour {name!r} has no values")
+        return name, EnumCS(values)
+    product = element.find("product")
+    if product is not None:
+        return name, tuple(v.text or "" for v in product.findall("id"))  # resolved later
+    raise CpnParseError(f"unsupported colour declaration {name!r}")
+
+
+def reference_parse_cpn_xml(text: str) -> ColouredNet:
+    root = _read_elements(text)
+    page = root.find("./cpnet/page")
+    if page is None:
+        raise CpnParseError("document has no page element")
+    name_attr = page.find("pageattr")
+    # a <pageattr> without a name names the net "net", as a missing one does
+    net = ColouredNet(name=name_attr.attrib.get("name", "net")
+                      if name_attr is not None else "net")
+
+    pending_products = {}
+    for decl in root.findall("./cpnet/globbox/block/color"):
+        cname, colour = _parse_colour_decl(decl)
+        if isinstance(colour, tuple):
+            pending_products[cname] = colour
+        else:
+            net.colours[cname] = colour
+    for cname, component_names in pending_products.items():
+        if not component_names:
+            raise CpnParseError(f"product colour {cname!r} has no components")
+        components = []
+        for ref in component_names:
+            if ref not in net.colours:
+                raise CpnParseError(f"product {cname!r} references unknown colour {ref!r}")
+            components.append(net.colours[ref])
+        net.colours[cname] = ProductCS(tuple(components))
+
+    seen: set = set()
+    for element in page.findall("place"):
+        pid = _node_id(seen, element.tag, element)
+        colour_name = element.findtext("./type/text")
+        if colour_name is None or colour_name not in net.colours:
+            raise CpnParseError(f"place {pid!r} has no usable colour")
+        init_text = element.findtext("./initmark/text")
+        initial = _parse_marking(init_text, net.colours[colour_name]) if init_text else ()
+        net.add_place(PlaceDef(pid, element.findtext("text") or pid,
+                               colour_name, initial))
+
+    for element in page.findall("trans"):
+        tid = _node_id(seen, element.tag, element)
+        guard = None
+        cond = element.findtext("./cond/text")
+        if cond:
+            body = cond.strip()
+            if not (body.startswith("[") and body.endswith("]")):
+                raise CpnParseError(f"guard of {tid!r} is not bracketed: {cond!r}")
+            guard = _read_sml(body[1:-1], ex.parse_bool, f"guard on {tid!r}")
+        net.add_transition(TransDef(tid, element.findtext("text") or tid, guard=guard))
+
+    inscriptions = {}  # (text, colour name, orientation) -> inscription
+    for element in page.findall("arc"):
+        aid = _node_id(seen, element.tag, element)
+        orientation = element.get("orientation")
+        if orientation not in (PTOT, TTOP):
+            raise CpnParseError(f"arc {aid!r} has bad orientation {orientation!r}")
+        trans_ref = element.find("transend")
+        place_ref = element.find("placeend")
+        if trans_ref is None or place_ref is None:
+            raise CpnParseError(f"arc {aid!r} is missing an endpoint")
+        place_id = place_ref.get("idref")
+        trans_id = trans_ref.get("idref")
+        if place_id not in net.places:
+            raise CpnParseError(f"arc {aid!r} references unknown place {place_id!r}")
+        if trans_id not in net.transitions:
+            raise CpnParseError(f"arc {aid!r} references unknown transition {trans_id!r}")
+        annot = element.findtext("./annot/text") or "()"
+        key = (annot, net.places[place_id].colour, orientation)
+        inscription = inscriptions.get(key)
+        if inscription is None:
+            inscription = inscriptions[key] = _parse_inscription(
+                annot, net.colour_of(place_id), as_pattern=(orientation == PTOT))
+        net.arcs.append(ArcDef(aid, place_id, trans_id, orientation, inscription))
+    return net
+
+
+FUZZ_CASES = 250  # per capacity; the whole fuzz takes about 2.5 s on a 2-core machine
+_PAGE = '<page id="x"><place id="q"><type><text>UNIT</text></type></place></page>'
+# what the fuzz inserts after a ">"
+SNIPPETS = [
+    "&foo;", "&amp;", "<!--c-->", "<![CDATA[c]]>", "<?pi x?>", "<b/>", "<text>q</text>",
+    "<type/>", "<type><text>INT</text></type>", "<transend/>", "<placeend/>",
+    "<enum><id>v</id></enum>", "<product><id>UNIT</id></product>", "<pageattr name='q'/>",
+    # a second page holding a place: whole, or closing the first page so
+    # that the first page's remaining nodes fall into the second
+    _PAGE, "</page>" + _PAGE[:-len("</page>")],
+    "</text>",
+]
+_TAG = re.compile(r"<(/?)[^>]*?(/?)>")
+
+
+def _insertion_points(document):
+    """The offsets just after a tag's ">", grouped by the depth of the
+    content that follows, so that every depth is as likely to be drawn."""
+    by_depth: dict[int, list[int]] = {}
+    depth = 0
+    for match in _TAG.finditer(document):
+        if match.group(0)[1] not in "?!":
+            depth += -1 if match.group(1) else 0 if match.group(2) else 1
+        by_depth.setdefault(depth, []).append(match.end())
+    return list(by_depth.values())
+
+
+def _mutate(document, points, rng):
+    """One seeded corruption of `document`, whose _insertion_points are
+    `points`: half of them insert snippets."""
+    lines = document.split("\n")
+    kind = rng.randrange(10)
+    if kind == 0:
+        return document[:rng.randrange(len(document))]
+    if kind == 1:
+        del lines[rng.randrange(len(lines))]
+    elif kind == 2:
+        at = rng.randrange(len(lines))
+        lines.insert(at, lines[at])
+    elif kind == 3:
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == 4:
+        at = rng.randrange(len(document))
+        return document[:at] + document[at + 1:]
+    else:  # one or two snippets, the later offset first
+        offsets = sorted((rng.choice(rng.choice(points)) for _ in range(rng.randint(1, 2))),
+                         reverse=True)
+        for at in offsets:
+            document = document[:at] + rng.choice(SNIPPETS) + document[at:]
+        return document
+    return "\n".join(lines)
+
+
+def _outcome(read, document):
+    """The net's repr, or the error's type, message and position."""
+    try:
+        return repr(read(document))
+    except Exception as err:  # compared, not swallowed
+        return type(err).__name__, str(err), getattr(err, "position", None)
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_reader_agrees_with_the_tree_reader_on_mutated_documents(corpus_models, capacity):
+    """The same outcome from both readers on seeded mutations of the corpus
+    documents, of which about half read and the rest raise."""
+    documents = [emit_cpn_xml(translate(model, TranslationConfig(event_capacity=capacity))[0])
+                 for model in corpus_models.values()]
+    documents = [(document, _insertion_points(document)) for document in documents]
+    rng = random.Random(capacity)
+    read = 0
+    for case in range(FUZZ_CASES):
+        document = _mutate(*rng.choice(documents), rng)
+        outcome = _outcome(parse_cpn_xml, document)
+        assert outcome == _outcome(reference_parse_cpn_xml, document), case
+        read += isinstance(outcome, str)
+    assert 0 < read < FUZZ_CASES
 
 
 # ---------------------------------------------------------------------------
