@@ -7,7 +7,8 @@ divergence with its trace like any other.  One breadth-first walk over
 (configuration, marking) pairs, each compared once whatever the depth,
 decides equivalence, with rounds that count the fewest moves within which
 a failing pair's sides differ; the shortest counterexample is read off
-those counts in one canonical move order.  Each side numbers its stable
+those counts in one canonical move order.  The pairs `depth` - 1 moves
+out are compared by their move labels alone.  Each side numbers its stable
 points as a move map first names them, and the walk's pairs are numbers.
 A step reads the event pool only to find its trigger there and take it,
 so a check works each step out once, keyed on (active leaf, valuation,
@@ -196,11 +197,12 @@ def inject(model: StateMachine, config: Configuration, event: str,
 # Net-side projection: run dispatch chains between stable markings
 
 
-def _fired(trans: cpn.CompiledTransition, marking, tokens: dict, binding: dict):
-    """`marking`, whose `dict` is `tokens`, after `trans` fires under a
-    binding whose guard holds; raises as `CompiledTransition.apply`."""
+def _fired(trans: cpn.CompiledTransition, marking, tokens: dict, binding: dict,
+           successor: bool = True):
+    """`marking`, whose `dict` is `tokens`, after `trans` fires under a binding
+    whose guard holds, or None where not `successor`; raises as `apply` does."""
     changed = trans.apply(tokens, binding)
-    return cpn._successor(marking, changed, cpn._marked(changed))
+    return cpn._successor(marking, changed, cpn._marked(changed)) if successor else None
 
 
 class NetRunner:
@@ -268,20 +270,23 @@ class NetRunner:
                 labels.append(label)
         return tuple(labels), marking, f"not stable after {self.chain_bound} firings"
 
-    def moves(self, marking: cpn.Marking) -> list[tuple[tuple, cpn.Marking]]:
+    def moves(self, marking: cpn.Marking, successors: bool = True
+              ) -> list[tuple[tuple, Optional[cpn.Marking]]]:
         """(move, successor) for every move at the marking, from one list of
         candidates: ("inject", event) for every producer that can fire, in
         event order, then every dispatch firing plus its chain, in id order.
         Such a move is ("step", event, behaviours, leaf) when the chain
         reaches a stable marking and ("stuck", event, behaviours, reason)
-        when not."""
+        when not.  Where not `successors`, a producer's firing is only run
+        for its errors and its successor is None."""
         tokens = dict(marking)
         candidates = self.compiled.candidates(marking)
         offered = {trans.id: trans for trans in candidates}
         moves = []
         for event, tid in self.producers:
             if tid in offered and (bindings := cpn.enabled_bindings(self.compiled, marking, tid)):
-                moves.append((("inject", event), _fired(offered[tid], marking, tokens, bindings[0])))
+                fired = _fired(offered[tid], marking, tokens, bindings[0], successors)
+                moves.append((("inject", event), fired))
         for trans in candidates:
             if trans.id not in self.trigger_of_dispatch:
                 continue
@@ -360,15 +365,18 @@ class EquivalenceResult:
 
 
 def _machine_moves(model: StateMachine, config: Configuration, capacity: int,
-                   steps: dict):
+                   steps: dict, successors: bool = True):
     """(move, successor) for every injection and step of the machine.
     `steps`, kept for one check, maps (active, valuation, history) to the
     trigger and `_run_step` of every transition whose source and guard hold
     there, in `enabled_transitions` order, which a pool holding every event
-    leaves none out of.  A step is offered where its trigger is pending."""
+    leaves none out of.  A step is offered where its trigger is pending.
+    Where not `successors`, only the pool is checked and a successor is None."""
     for event in model.events:
-        after = inject(model, config, event, capacity)
-        if after is not None:
+        if not successors:
+            if _moved(config.pending, event, 1, capacity) is not None:
+                yield ("inject", event), None
+        elif (after := inject(model, config, event, capacity)) is not None:
             yield ("inject", event), after
     key = (config.active, config.valuation, config.history)
     if key not in steps:
@@ -379,7 +387,8 @@ def _machine_moves(model: StateMachine, config: Configuration, capacity: int,
         pending = (config.pending if trigger is None
                    else _moved(config.pending, trigger, -1, capacity))
         if pending is not None:
-            yield ("step", trigger, behaviours, after[0]), Configuration(*after, pending)
+            yield (("step", trigger, behaviours, after[0]),
+                   Configuration(*after, pending) if successors else None)
 
 
 def _first_failure(left: dict, right: dict, fails):
@@ -426,22 +435,25 @@ def _fail_depths(sides, predecessors: dict, differ: list, rounds: int) -> dict:
     return fails
 
 
-def _walk_pairs(sides, depth: int) -> EquivalenceResult:
+def _walk_pairs(sides, labels, depth: int) -> EquivalenceResult:
     """Bisimulation to `depth` moves of two move graphs from their points 0;
-    `sides(pair)` is the move maps of a (model point, net point) pair.  The
-    walk compares the pairs fewer than `depth` moves out, a layer at a
-    time, until a layer adds none.  Once some move sets differ, each layer
-    ends with failure rounds, capped at the layers walked until the walk is
-    complete, as a pair is compared only as deep as the walk went past it.
-    From a start pair failing within k moves, the first failure against
-    the pairs failing within k - 1 gives the next move and pair."""
+    `sides(pair)` is the move maps of a (model point, net point) pair, and
+    `labels(pair)` maps of the same moves that lead nowhere.  The walk
+    compares the pairs fewer than `depth` moves out, a layer at a time,
+    until a layer adds none; the last layer, `depth` - 1 moves out, by
+    `labels`, and `sides` reads it only where a counterexample ends there.
+    Once some move sets differ, each layer ends with failure rounds,
+    capped at the layers walked until the walk is complete, as a pair is
+    compared only as deep as the walk went past it.  From a start pair
+    failing within k moves, the first failure against the pairs failing
+    within k - 1 gives the next move and pair."""
     start = (0, 0)
     seen, layer, compared, differ = {start}, [start], [], []
     predecessors, indexed, fails = {}, 0, {}
     for walked in range(1, depth + 1):
         following = []
         for pair in layer:
-            left, right = sides(pair)
+            left, right = (labels if walked == depth else sides)(pair)
             if left.keys() != right.keys():
                 differ.append(pair)
             for after in _pairs_after(left, right):
@@ -449,8 +461,9 @@ def _walk_pairs(sides, depth: int) -> EquivalenceResult:
                     seen.add(after)
                     following.append(after)
         compared += layer
-        if differ:  # index the pairs compared since the last rounds
-            for pair in compared[indexed:]:
+        if differ:  # index the pairs compared since the last rounds, but the
+            # last layer's, which cannot make the start fail within `depth`
+            for pair in compared[indexed:len(compared) - len(layer) * (walked == depth)]:
                 for after in _pairs_after(*sides(pair)):
                     predecessors.setdefault(after, []).append(pair)
             indexed = len(compared)
@@ -501,6 +514,8 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     moves; otherwise the shortest divergent trace is reported.  `depth` is
     at least 1 and unbounded, since each reachable pair is compared once;
     a pair failing at k moves is found in round k of the failure rounds.
+    A pair `depth` - 1 moves out is compared by the labels of its moves:
+    only a counterexample that ends there builds its successors.
     `event_capacity` must be the capacity the net was translated with.
     """
     if depth < 1:
@@ -514,20 +529,24 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     label_key = functools.cache(repr)
 
     def side(start, moves_of):
-        """The move map of a side's point number n, made once; `start` is 0."""
-        points, numbered, maps = {start: 0}, [start], {}
+        """The move map of a side's point number n, made once, or where
+        `view` and it is not made, its label view, made once; `start` is 0."""
+        points, numbered, maps, views = {start: 0}, [start], {}, {}
 
-        def succ(n: int) -> dict:
-            if n not in maps:
+        def moves(n: int, view: bool = False) -> dict:
+            if n not in maps and not view:
                 maps[n] = _move_map(moves_of(numbered[n]), label_key, points, numbered)
-            return maps[n]
-        return succ
+            elif n not in maps and n not in views:
+                views[n] = dict.fromkeys([move for move, _ in moves_of(numbered[n], False)], ())
+            return maps[n] if n in maps else views[n]
+        return moves
 
     steps: dict = {}
-    smd_succ = side(initial_configuration(model),
-                    lambda config: _machine_moves(model, config, event_capacity, steps))
-    net_succ = side(net.initial_marking(), runner.moves)
-    return _walk_pairs(lambda pair: (smd_succ(pair[0]), net_succ(pair[1])), depth)
+    smd_moves = side(initial_configuration(model), lambda config, successors=True:
+                     _machine_moves(model, config, event_capacity, steps, successors))
+    net_moves = side(net.initial_marking(), runner.moves)
+    return _walk_pairs(lambda pair: (smd_moves(pair[0]), net_moves(pair[1])),
+                       lambda pair: (smd_moves(pair[0], True), net_moves(pair[1], True)), depth)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,7 @@ import mutations
 from conftest import CORPUS, load_model
 from modelgen import balanced_machine, bf_ancestors_or_self, chain_machine
 from smd2cpn import oracle
-from smd2cpn.net import EnumCS, NetError, PlaceDef, enabled_bindings, fire
+from smd2cpn.net import EnumCS, Lit, NetError, PlaceDef, enabled_bindings, fire
 from smd2cpn.oracle import (
     NetRunner, NotEnabledStepError,
     check_control_safety, check_trace_equivalence, enabled_transitions,
@@ -250,6 +251,40 @@ def test_a_net_without_a_dispatch_transition_never_offers_its_step(corpus_models
     assert result.counterexample[-1] == ("step", "flip", (), "P")
 
 
+def test_the_last_layer_builds_no_move_map(corpus_models, monkeypatch):
+    # a passing check compares the pairs first reached after depth - 1
+    # moves by their labels alone: cdplayer@1's layers 0 to 6 hold 477
+    # pairs, and each side builds a move map for each of them, where
+    # building the last layer's too made 1,490 maps
+    built = []
+    real = oracle._move_map
+    monkeypatch.setattr(oracle, "_move_map", lambda *args: built.append(1) or real(*args))
+    counts = {}
+    for name, capacity in (("cdplayer", 1), ("history", 2)):
+        model = corpus_models[name]
+        net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
+        built.clear()
+        result = check_trace_equivalence(model, net, tmap, depth=8, event_capacity=capacity)
+        assert result.equivalent
+        counts[name] = (result.pairs_checked, len(built))
+    assert counts == {"cdplayer": (745, 954), "history": (534, 706)}
+
+
+def test_a_firing_error_surfaces_at_the_last_layer(corpus_models, corpus_nets):
+    # the label view still fires a producer, so its output outside the
+    # colour raises at depth 1 too, where the start pair is the last layer
+    model = corpus_models["flat"]
+    net, tmap = corpus_nets["flat"]
+    broken = copy.deepcopy(net)
+    broken.arcs = [replace(arc, inscription=Lit("bogus")) if arc.id == "A_2" else arc
+                   for arc in broken.arcs]
+    for depth in (1, 2, 8):
+        with pytest.raises(NetError) as raised:
+            check_trace_equivalence(model, broken, tmap, depth=depth)
+        assert str(raised.value) == (
+            "T_env_toggle: produced 'bogus' outside the colour of P_EVENTS")
+
+
 def test_deep_divergence_is_found_in_one_walk():
     # the 199th step of a 200-state chain never lands: the walk compares
     # each of the 398 pairs on the way once
@@ -324,21 +359,47 @@ def perturbed(rng, graph: list) -> list:
     return graph
 
 
+def label_view(left: list, right: list):
+    """The walk's `labels` for two move graphs: their move maps with every
+    move leading nowhere."""
+    return lambda pair: (dict.fromkeys(left[pair[0]], ()), dict.fromkeys(right[pair[1]], ()))
+
+
+def first_reached(left: list, right: list) -> dict:
+    """{pair: the fewest moves to it from (0, 0)} over the moves both sides offer."""
+    moves, queue = {(0, 0): 0}, [(0, 0)]
+    for pair in queue:
+        for after in oracle._pairs_after(left[pair[0]], right[pair[1]]):
+            if after not in moves:
+                moves[after] = moves[pair] + 1
+                queue.append(after)
+    return moves
+
+
 def test_pair_walk_matches_a_recursive_reference_on_random_graphs():
     # nondeterministic graphs of 3 to 9 points, most compared with a copy
     # changed in one or two places; with its failure rounds not capped at
-    # the layers walked, the walk gave a wrong trace on 60 of these checks
+    # the layers walked, the walk gave a wrong trace on 60 of these checks.
+    # The last layer is compared by labels: an equivalent result reads no
+    # move map of a pair first reached after depth - 1 moves, also the 113
+    # whose walk meets a harmless difference and so runs failure rounds
     rng = random.Random(1405)
     equivalent, longest = 0, 0
     for _ in range(600):
         left = random_move_graph(rng, rng.randint(3, 9))
         right = (perturbed(rng, left) if rng.random() < 0.8
                  else random_move_graph(rng, rng.randint(3, 9)))
+        reached = first_reached(left, right)
         for depth in (3, 5, 8, 12):
-            result = oracle._walk_pairs(lambda pair: (left[pair[0]], right[pair[1]]), depth)
+            read = set()
+            result = oracle._walk_pairs(
+                lambda pair: read.add(pair) or (left[pair[0]], right[pair[1]]),
+                label_view(left, right), depth)
             expected = reference_bisimulation(left, right, depth)
             assert (result.counterexample, result.divergent_side) == expected
             assert result.equivalent == (expected[0] is None)
+            if result.equivalent:
+                assert max(reached[pair] for pair in read) < depth - 1
             equivalent += result.equivalent
             longest = max(longest, len(result.counterexample or ()))
     assert (equivalent, longest) == (199, 5)
@@ -356,7 +417,7 @@ def test_a_harmless_difference_keeps_the_walk_linear():
     def sides(pair):
         reads.append(pair)
         return graph[pair[0]], graph[pair[1]]
-    result = oracle._walk_pairs(sides, 2000)
+    result = oracle._walk_pairs(sides, label_view(graph, graph), 2000)
     assert result.equivalent and result.pairs_checked == 1005
     assert len(reads) < 4 * 1005
 
@@ -663,8 +724,11 @@ def test_memoised_machine_moves_equal_the_public_step(case):
     configs = reachable_configurations(model, capacity, bound=6_000)
     steps = {}
     for config in configs:
-        assert (list(oracle._machine_moves(model, config, capacity, steps))
-                == list(reference_machine_moves(model, config, capacity))), config
+        moves = list(oracle._machine_moves(model, config, capacity, steps))
+        assert moves == list(reference_machine_moves(model, config, capacity)), config
+        # the label view lists the same moves and builds no successor
+        assert (list(oracle._machine_moves(model, config, capacity, steps, successors=False))
+                == [(move, None) for move, _ in moves]), config
     assert 0 < len(steps) < len(configs)
 
 
@@ -743,17 +807,24 @@ def _moves_or_error(moves, marking):
         return f"{type(error).__name__}: {error}"
 
 
+def _labels_or_error(moves):
+    return moves if isinstance(moves, str) else [move for move, _ in moves]
+
+
 def assert_runner_matches_the_reference(model, net, tmap, bound):
     """Breadth-first over the moves that do not get stuck, up to `bound`
     markings, comparing `NetRunner.moves` with the reference at each: the
-    same moves in the same order, or the same error.  Returns the markings
-    compared and how many raised."""
+    same moves in the same order, or the same error, and the same from its
+    label view.  Returns the markings compared and how many raised."""
     runner, reference = NetRunner(net, tmap, model), ReferenceRunner(net, tmap, model)
+    labels = functools.partial(runner.moves, successors=False)
     start = net.initial_marking()
     seen, queue, raised = {start}, [start], 0
     for marking in queue:
         moves = _moves_or_error(runner.moves, marking)
         assert moves == _moves_or_error(reference.moves, marking), marking
+        assert (_labels_or_error(_moves_or_error(labels, marking))
+                == _labels_or_error(moves)), marking
         if isinstance(moves, str):
             raised += 1
             continue
