@@ -618,29 +618,29 @@ def parse_cpn_xml(text: str) -> ColouredNet:
 def emit_dot(net: ColouredNet, marking: Optional[Marking] = None) -> str:
     """Places as ellipses, transitions as boxes; optional marking shown in
     place labels."""
-    out = [f"digraph {_dot_id(net.name)} {{", "  rankdir=LR;"]
+    out = [f'digraph "{_dot_escape(net.name)}" {{', "  rankdir=LR;"]
     held = dict(marking or ())
     for pid in sorted(net.places, key=_natural_key):
-        place = net.places[pid]
-        label = place.name
+        label = _dot_escape(net.places[pid].name)
         if pid in held:
-            label += r"\n" + marking_text(held[pid])
-        out.append(f"  {_dot_id(pid)} [shape=ellipse, label={_dot_id(label)}];")
+            label += r"\n" + _dot_escape(marking_text(held[pid]))
+        out.append(f'  "{_dot_escape(pid)}" [shape=ellipse, label="{label}"];')
     for tid in sorted(net.transitions, key=_natural_key):
         trans = net.transitions[tid]
-        label = trans.name
+        label = _dot_escape(trans.name)
         if trans.guard is not None:
-            label += r"\n[" + ex.to_text(trans.guard, "sml") + "]"
-        out.append(f"  {_dot_id(tid)} [shape=box, label={_dot_id(label)}];")
+            label += r"\n" + _dot_escape("[" + ex.to_text(trans.guard, "sml") + "]")
+        out.append(f'  "{_dot_escape(tid)}" [shape=box, label="{label}"];')
     for arc in sorted(net.arcs, key=lambda a: _natural_key(a.id)):
         src, dst = ((arc.place, arc.trans) if arc.orientation == PTOT
                     else (arc.trans, arc.place))
-        text = inscription_text(arc.inscription)
-        out.append(f"  {_dot_id(src)} -> {_dot_id(dst)} [label={_dot_id(text)}];")
+        text = _dot_escape(inscription_text(arc.inscription))
+        out.append(f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}" [label="{text}"];')
     out.append("}\n")
     return "\n".join(out)
 
 
-def _dot_id(text: str) -> str:
-    # intentional \n escapes in labels must survive, so only quotes are escaped
-    return '"' + text.replace('"', '\\"') + '"'
+def _dot_escape(text: str) -> str:
+    """The net's own text inside a quoted DOT string, where the writer's
+    `\\n` line breaks are the only unescaped backslashes."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')

@@ -18,7 +18,9 @@ The interpreter is written directly against the model queries and never
 consults the translator's chain construction, so the two sides stay
 independent routes that can disagree when one of them is wrong.  What they
 share is model semantics only: `StateMachine.is_completion`,
-`StateMachine.boundaries` and the model's indices (`transitions_from`,
+`boundaries`, `exit_chain`, `entry_chain`, `history_writes` (what each
+exited history composite remembers) and `resumed` (where a history
+target lands), and the model's indices (`transitions_from`,
 `ancestor_paths`).
 """
 
@@ -108,14 +110,6 @@ def enabled_transitions(model: StateMachine,
                   if _enabled(model, t, leaf.id, valuation, pending))
 
 
-def _apply(behaviours, valuation: dict, labels: list[str]):
-    """Run the behaviours in order, recording each one's label."""
-    for behaviour in behaviours:
-        labels.append(behaviour.label)
-        for var, rhs in behaviour.assignments:
-            valuation[var] = ex.eval_int(rhs, valuation)
-
-
 def _run_step(model: StateMachine, t: Transition, active: str, valuation: tuple,
               history: tuple) -> tuple[tuple[str, ...], str, tuple, tuple]:
     """(behaviours, leaf, valuation, history) of one run-to-completion step
@@ -124,38 +118,20 @@ def _run_step(model: StateMachine, t: Transition, active: str, valuation: tuple,
     history composite are updated before any history target is resolved."""
     valuation, history = dict(valuation), dict(history)
     eb, nb = model.boundaries(t)
-    labels: list[str] = []
-
-    _apply(model.exit_chain(active, eb), valuation, labels)
-
-    exit_path = model.ancestors_or_self(active)
-    exit_path = exit_path[: exit_path.index(eb) + 1]
-    for sid in exit_path:
-        if model.state(sid).has_history and sid != active:
-            child = model.state(model.child_of_containing(sid, active))
-            history[sid] = NO_HISTORY if child.kind == FINAL else child.name
-
-    if t.effect is not None:
-        _apply([t.effect], valuation, labels)
-
+    history.update(model.history_writes(active, eb))
     if t.to_history:
-        composite = t.target
-        _apply(model.entry_chain(nb, composite), valuation, labels)
-        memory = history[composite]
-        if memory == NO_HISTORY:
-            leaf = model.default_configuration(composite)
-            start = model.child_of_containing(composite, leaf)
-        else:
-            start = next(c.id for c in model.children[composite]
-                         if c.name == memory)
-            leaf = (start if model.state(start).kind == SIMPLE
-                    else model.default_configuration(start))
-        _apply(model.entry_chain(start, leaf), valuation, labels)
+        start, leaf = model.resumed(t.target, history[t.target])
+        entries = model.entry_chain(nb, t.target) + model.entry_chain(start, leaf)
     else:
-        leaf = (t.target if model.state(t.target).kind in (FINAL, SIMPLE)
+        leaf = (t.target if model.state(t.target).kind == FINAL
                 else model.default_configuration(t.target))
-        _apply(model.entry_chain(nb, leaf), valuation, labels)
-    return tuple(labels), leaf, _freeze(valuation), _freeze(history)
+        entries = model.entry_chain(nb, leaf)
+    effect = (t.effect,) if t.effect is not None else ()
+    behaviours = model.exit_chain(active, eb) + effect + entries
+    for behaviour in behaviours:
+        for var, rhs in behaviour.assignments:
+            valuation[var] = ex.eval_int(rhs, valuation)
+    return tuple(b.label for b in behaviours), leaf, _freeze(valuation), _freeze(history)
 
 
 def step(model: StateMachine, config: Configuration,
@@ -183,6 +159,12 @@ def _moved(pending: tuple, event: str, change: int, capacity: int) -> Optional[t
     if not 0 <= count <= capacity:
         return None
     return pending[:at] + (((event, count),) if count else ()) + pending[at + (held > 0):]
+
+
+@functools.cache
+def _injection(event: str) -> tuple[str, str]:
+    """The move ("inject", `event`), one tuple that both sides' moves share."""
+    return ("inject", event)
 
 
 def inject(model: StateMachine, config: Configuration, event: str,
@@ -286,7 +268,7 @@ class NetRunner:
         for event, tid in self.producers:
             if tid in offered and (bindings := cpn.enabled_bindings(self.compiled, marking, tid)):
                 fired = _fired(offered[tid], marking, tokens, bindings[0], successors)
-                moves.append((("inject", event), fired))
+                moves.append((_injection(event), fired))
         for trans in candidates:
             if trans.id not in self.trigger_of_dispatch:
                 continue
@@ -375,9 +357,9 @@ def _machine_moves(model: StateMachine, config: Configuration, capacity: int,
     for event in model.events:
         if not successors:
             if _moved(config.pending, event, 1, capacity) is not None:
-                yield ("inject", event), None
+                yield _injection(event), None
         elif (after := inject(model, config, event, capacity)) is not None:
-            yield ("inject", event), after
+            yield _injection(event), after
     key = (config.active, config.valuation, config.history)
     if key not in steps:
         every = Configuration(*key, pending=tuple((event, 1) for event in model.events))

@@ -282,6 +282,24 @@ class StateMachine:
                 raise ValueError(f"no usable initial state under {owner}")
             current = marked[0].id
 
+    def history_writes(self, leaf: str, boundary: str) -> list[tuple[str, str]]:
+        """(composite, memory) for each history composite exited on the way
+        out from `leaf` through `boundary`, innermost first: the name of the
+        child it was active in, or NO_HISTORY where its region had completed."""
+        nodes = [self.by_id[sid] for sid in self._up_to(boundary, leaf)]
+        return [(outer.id, NO_HISTORY if inner.kind == FINAL else inner.name)
+                for inner, outer in zip(nodes, nodes[1:]) if outer.has_history]
+
+    def resumed(self, composite: str, memory: str) -> tuple[str, str]:
+        """(child re-entered, leaf landed on) where a history target resumes
+        `composite` holding `memory`: the named child at its default leaf,
+        or for NO_HISTORY the composite's default configuration."""
+        if memory == NO_HISTORY:
+            leaf = self.default_configuration(composite)
+            return self.child_of_containing(composite, leaf), leaf
+        child = next(c.id for c in self.children[composite] if c.name == memory)
+        return child, self.default_configuration(child)
+
     def final_child_of(self, owner: Optional[str]) -> Optional[str]:
         for child in self.children.get(owner, ()):
             if child.kind == FINAL:
@@ -409,10 +427,6 @@ def validate(model: StateMachine) -> ValidationReport:
     if not forest_ok:
         return report  # the tree queries below need a real forest
 
-    kids: dict[Optional[str], list[StateNode]] = {None: []}
-    for s in model.states:
-        kids.setdefault(s.parent, []).append(s)
-
     declared = {v.name for v in model.variables}
     var_seen: set[str] = set()
     for v in model.variables:
@@ -427,7 +441,7 @@ def validate(model: StateMachine) -> ValidationReport:
                    f"machine name {model.name!r} is not a plain identifier")
 
     for s in model.states:
-        children = kids.get(s.id, [])
+        children = model.children[s.id]
         if s.kind == SIMPLE and children:
             report.add("simple-with-children", s.id, "simple state has child states")
         if s.kind == COMPOSITE and not children:
@@ -450,7 +464,7 @@ def validate(model: StateMachine) -> ValidationReport:
         if s.has_history and s.kind == SIMPLE:
             report.add("history-on-simple", s.id, "only composites can hold history")
         if s.has_history:
-            for child in kids.get(s.id, []):
+            for child in model.children[s.id]:
                 if child.name == NO_HISTORY:
                     report.add("reserved-name", child.id,
                                f"{NO_HISTORY!r} is reserved inside history composite {s.name!r}")
@@ -461,7 +475,7 @@ def validate(model: StateMachine) -> ValidationReport:
     # one initial, at most one final, per region
     regions: list[Optional[str]] = [None] + [s.id for s in model.states if s.kind == COMPOSITE]
     for region in regions:
-        children = kids.get(region, [])
+        children = model.children[region]
         owner = region if region is not None else "<root>"
         initials = [c for c in children if c.is_initial]
         if len(initials) != 1:

@@ -2,10 +2,12 @@
 
 Three passes: states (places, do self-loops, event plumbing), transitions
 (dispatches and behaviour chains), and history pseudostates (restore fans).
-Pass 2 derives each transition's route once from
-`StateMachine.is_completion`/`boundaries`, as the interpreter in `oracle`
-does.  Passes 2 and 3 lay every behaviour chain with `_wire_chain`, which
-creates each behaviour occurrence and its in-flight place as it wires them.
+Pass 2 derives each transition's route once from the `StateMachine`
+queries `is_completion`, `boundaries` and `history_writes`; pass 3 lays a
+restore arm per value of a history place's colour, landing where `resumed`
+says.  The interpreter in `oracle` reads the same queries.  Passes 2 and 3
+lay every behaviour chain with `_wire_chain`, which creates each behaviour
+occurrence and its in-flight place as it wires them.
 A TranslationMap records what every model element became, so later tooling
 (equivalence checking, safety analysis) never reverse-engineers generated
 ids.
@@ -105,22 +107,8 @@ def _entry_side(model: StateMachine, t: Transition, nb: str):
     target = model.state(t.target)
     if target.kind == FINAL:
         return model.entry_chain(nb, t.target), ("final", target.parent)
-    leaf = t.target if target.kind == SIMPLE else model.default_configuration(t.target)
+    leaf = model.default_configuration(t.target)
     return model.entry_chain(nb, leaf), ("state", leaf)
-
-
-def _history_writes(model: StateMachine, x: str, eb: str) -> list[tuple[str, str]]:
-    """^H rewrites for a dispatch leaving leaf x through boundary eb: every
-    history composite exited records its active direct child (NONE when the
-    region had completed)."""
-    writes = []
-    path = model.ancestors_or_self(x)
-    path = path[: path.index(eb) + 1]
-    for sid in path:
-        if sid != x and model.state(sid).has_history:
-            child = model.state(model.child_of_containing(sid, x))
-            writes.append((sid, NO_HISTORY if child.kind == FINAL else child.name))
-    return writes
 
 
 def _route(model: StateMachine, t: Transition) -> _Route:
@@ -141,21 +129,7 @@ def _route(model: StateMachine, t: Transition) -> _Route:
         prefix, shared = exits, effect + entries
     return _Route(completion=completion, sources=sources, prefix=prefix,
                   shared=shared, end=end,
-                  history_writes={x: _history_writes(model, x, eb) for x in sources})
-
-
-def _restore_branches(model: StateMachine, composite: str):
-    """(history value, branch entry behaviours, landing leaf) per restore arm."""
-    branches = []
-    for child in model.children[composite]:
-        if child.kind == FINAL:
-            continue
-        leaf = child.id if child.kind == SIMPLE else model.default_configuration(child.id)
-        branches.append((child.name, model.entry_chain(child.id, leaf), leaf))
-    default_leaf = model.default_configuration(composite)
-    start = model.child_of_containing(composite, default_leaf)
-    branches.append((NO_HISTORY, model.entry_chain(start, default_leaf), default_leaf))
-    return branches
+                  history_writes={x: model.history_writes(x, eb) for x in sources})
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +353,8 @@ def _add_dispatch(net: ColouredNet, tmap: TranslationMap, t: Transition,
 def translate_history(model: StateMachine, net: ColouredNet,
                       tmap: TranslationMap) -> ColouredNet:
     """Restore fans: transitions targeting <c>.H pick the re-entered child
-    from the ^H token (NONE falls back to the default configuration)."""
+    from the ^H token, one arm per value of the place's colour, resumed as
+    `StateMachine.resumed` says (NONE at the default configuration)."""
     var_order = [v.name for v in model.variables]
     for t in model.transitions:
         if not t.to_history:
@@ -388,7 +363,8 @@ def translate_history(model: StateMachine, net: ColouredNet,
         hist_place = tmap.history_place[composite]
         pre = f"P_{t.id}_hist"
         nodes = tmap.transition_subnet.setdefault(t.id, [])
-        for value, behaviours, leaf in _restore_branches(model, composite):
+        for value in net.colours[net.places[hist_place].colour].values:
+            start, leaf = model.resumed(composite, value)
             rid = f"T_{t.id}_restore_{value}"
             label = "default" if value == NO_HISTORY else value
             net.add_transition(TransDef(rid, f"{t.id} resume {label}"))
@@ -396,7 +372,7 @@ def translate_history(model: StateMachine, net: ColouredNet,
             net.add_arc(pre, rid, PTOT, Lit(UNIT_TOKEN))
             net.add_arc(hist_place, rid, PTOT, Lit(value))
             net.add_arc(hist_place, rid, TTOP, Lit(value))
-            first, last = _wire_chain(net, tmap, nodes, behaviours,
+            first, last = _wire_chain(net, tmap, nodes, model.entry_chain(start, leaf),
                                       f"{t.id}_restore_{value}", f"{t.id}:{label}#",
                                       (t.id, "restore", value), var_order)
             landing = tmap.state_place[leaf]

@@ -739,6 +739,41 @@ def test_dot_marking_rendered_in_labels():
     assert "1`()" in text
 
 
+def _dot_text(quoted: str) -> str:
+    """The text of a DOT string: escapes undone, `\\n` read as a line break."""
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], quoted)
+
+
+def test_dot_strings_close_around_backslashes():
+    """Names that end in a backslash or hold the two characters \\n stay
+    inside their own quoted strings and read back whole."""
+    net = ColouredNet(name="net\\")
+    net.colours["UNIT"] = UnitCS()
+    net.add_place(PlaceDef("dir\\", "dir\\", "UNIT", (UNIT_TOKEN,)))
+    net.add_place(PlaceDef("p\\n", 'say "hi\\n', "UNIT", ()))
+    net.add_transition(TransDef("t\\", "line\\nbreak\\"))
+    net.add_arc("dir\\", "t\\", PTOT, Lit(UNIT_TOKEN))
+    net.add_arc("p\\n", "t\\", TTOP, Lit(UNIT_TOKEN))
+    string = r'"((?:[^"\\]|\\.)*)"'
+    node = re.compile(rf"  {string} \[shape=(?:ellipse|box), label={string}\];")
+    arc = re.compile(rf"  {string} -> {string} \[label={string}\];")
+    lines = emit_dot(net, marking=net.initial_marking()).split("\n")
+    head = re.fullmatch(rf"digraph {string} {{", lines[0])
+    assert head and _dot_text(head[1]) == net.name
+    assert lines[1] == "  rankdir=LR;" and lines[-2:] == ["}", ""]
+    labels, arcs = {}, []
+    for line in lines[2:-2]:
+        found = node.fullmatch(line) or arc.fullmatch(line)
+        assert found, line
+        if found.re is node:
+            labels[_dot_text(found[1])] = _dot_text(found[2])
+        else:
+            arcs.append(tuple(map(_dot_text, found.groups())))
+    assert labels == {"dir\\": "dir\\\n1`()", "p\\n": 'say "hi\\n',
+                      "t\\": "line\\nbreak\\"}
+    assert arcs == [("dir\\", "t\\", "()"), ("t\\", "p\\n", "()")]
+
+
 def test_dot_node_count_matches_net(cd_net):
     net, _ = cd_net
     text = emit_dot(net)

@@ -8,7 +8,7 @@ from modelgen import (
     bf_substates, chain_machine, random_machine,
 )
 from smd2cpn.statemachine import (
-    COMPOSITE, FINAL, SIMPLE,
+    COMPOSITE, FINAL, NO_HISTORY, SIMPLE,
     Behaviour, NotAnAncestorError, StateMachine, StateNode, Transition,
     UnknownStateError, Variable, validate,
 )
@@ -209,6 +209,57 @@ def test_default_configuration_three_level_chain():
     assert machine.default_configuration("A") == "D"
 
 
+def two_histories():
+    # root > Outer (history) > {Inner (history) > {X, Y}, Z}
+    return StateMachine(name="M", states=(
+        node("Outer", COMPOSITE, is_initial=True, has_history=True),
+        node("Inner", COMPOSITE, parent="Outer", is_initial=True, has_history=True),
+        node("X", parent="Inner", is_initial=True),
+        node("Y", parent="Inner"),
+        node("Z", parent="Outer"),
+    ))
+
+
+HISTORY_MODELS = {"cdplayer": lambda: load_model("cdplayer"),
+                  "history": lambda: load_model("history"), "two": two_histories}
+
+
+@pytest.mark.parametrize("case,leaf,boundary,expected", [
+    ("cdplayer", "PAUSED", "Busy", [("Busy", "PAUSED")]),
+    ("cdplayer", "PLAYING", "Busy", [("Busy", "PLAYING")]),
+    ("cdplayer", "Busy.final", "Busy", [("Busy", NO_HISTORY)]),  # region completed
+    ("history", "A2", "Work", [("Work", "Alpha")]),  # the child, not the leaf
+    ("two", "Y", "Outer", [("Inner", "Y"), ("Outer", "Inner")]),  # innermost first
+    ("two", "Y", "Inner", [("Inner", "Y")]),
+    ("two", "Z", "Outer", [("Outer", "Z")]),
+    ("cdplayer", "PAUSED", "PAUSED", []),
+    ("two", "X", "X", []),
+])
+def test_history_writes(case, leaf, boundary, expected):
+    assert HISTORY_MODELS[case]().history_writes(leaf, boundary) == expected
+
+
+def test_history_writes_needs_an_enclosing_boundary(cd_model):
+    with pytest.raises(NotAnAncestorError):
+        cd_model.history_writes("PAUSED", "NONPLAYING")
+
+
+@pytest.mark.parametrize("case,composite,memory,expected", [
+    ("cdplayer", "Busy", "PLAYING", ("PLAYING", "PLAYING")),
+    ("cdplayer", "Busy", "PAUSED", ("PAUSED", "PAUSED")),
+    ("cdplayer", "Busy", NO_HISTORY, ("PLAYING", "PLAYING")),
+    ("history", "Work", "Alpha", ("Alpha", "A1")),  # a composite child at its default leaf
+    ("history", "Work", "Beta", ("Beta", "Beta")),
+    ("history", "Work", NO_HISTORY, ("Alpha", "A1")),
+    ("two", "Outer", "Inner", ("Inner", "X")),
+    ("two", "Outer", "Z", ("Z", "Z")),
+    ("two", "Outer", NO_HISTORY, ("Inner", "X")),
+    ("two", "Inner", "Y", ("Y", "Y")),
+])
+def test_resumed(case, composite, memory, expected):
+    assert HISTORY_MODELS[case]().resumed(composite, memory) == expected
+
+
 # ---------------------------------------------------------------------------
 # properties on random hierarchies
 
@@ -282,6 +333,8 @@ def test_every_query_rejects_an_unknown_id(cd_model):
         lambda: cd_model.child_of_containing("Busy", ghost),
         lambda: cd_model.exit_chain(ghost, "Busy"),
         lambda: cd_model.entry_chain("Busy", ghost),
+        lambda: cd_model.history_writes(ghost, "Busy"),
+        lambda: cd_model.resumed(ghost, NO_HISTORY),
         lambda: cd_model.substates(ghost),
         lambda: cd_model.boundaries(Transition(id="t2", source=ghost, target="PAUSED")),
         lambda: cd_model.boundaries(Transition(id="t2", source="PLAYING", target=ghost)),
