@@ -75,7 +75,7 @@ class TranslationMap:
     producer: dict[str, str] = field(default_factory=dict)       # net transition -> event
     do_loop: dict[str, tuple[str, str]] = field(default_factory=dict)  # net trans -> (state, at)
     capacity_place: dict[str, str] = field(default_factory=dict)  # event -> place
-    inflight: set[str] = field(default_factory=set)
+    inflight: list[str] = field(default_factory=list)  # in-flight places, in creation order
     vars_place: Optional[str] = None
     events_place: Optional[str] = None
 
@@ -288,7 +288,7 @@ def _wire_chain(net: ColouredNet, tmap: TranslationMap, nodes: list[str],
         pid, tid = f"P_{stem}_{k}", f"T_{stem}_beh_{k}"
         net.add_place(PlaceDef(pid, f"{name_stem}{k}", "UNIT", ()))
         net.add_transition(TransDef(tid, b.label, observable_label=b.label))
-        tmap.inflight.add(pid)
+        tmap.inflight.append(pid)
         tmap.behaviour_trans[key + (k,)] = tid
         nodes.extend((pid, tid))
         net.add_arc(pid, tid, PTOT, Lit(UNIT_TOKEN))
@@ -310,7 +310,7 @@ def _end_place(net: ColouredNet, tmap: TranslationMap, t: Transition,
         return tmap.final_place[ref]
     pid = f"P_{t.id}_hist"
     net.add_place(PlaceDef(pid, f"{t.id}#hist", "UNIT", ()))
-    tmap.inflight.add(pid)
+    tmap.inflight.append(pid)
     nodes.append(pid)
     return pid
 

@@ -115,6 +115,35 @@ def test_corpus_documents_are_byte_identical(corpus_models, name, capacity):
             == CORPUS_DIGESTS[name, capacity])
 
 
+# sha256 of repr(TranslationMap) for each model, the same at event capacity
+# 1 and 2: pins the order of `transition_subnet`, `inflight` and the
+# behaviour, dispatch and producer maps, which the documents do not show
+TMAP_DIGESTS = {
+    "flat": "c7505e0aeab4e3c46ac288f4036ed549a4307422b7e429b18a530cf38b7e293b",
+    "nested3": "f8836d20059b2821943df7563fbd548c5bfa45ac8dda28db87a8d22e336a3025",
+    "interlevel": "887734d8c9a2353fabcb87c634072153fbc394d6f1564102b9eba533049fdee0",
+    "guarded": "28073d16d6de21196f1535054a693ec53890afea6ad6a70a2142bbbd612e77f6",
+    "history": "981e517f52ddc3ceba29667ae33adc7abaf68eb3a6e8eea6d432dcd1b62e0342",
+    "completion": "b0f4b4b12a31334fe3c8ec659f623e96516f9004b98bdc140bcb2038af0007c9",
+    "cdplayer": "5060ed42a2d39895ac98fb768593ea582f4af1c944a523311d711df4e8ce10ab",
+    "chain_machine(20)": "c94910942988410e9b02de0f6e67b6bb208e4d0fba9dad0e4858f22c45352d08",
+    "balanced_machine(3, 2)":
+        "593304884171e380f6450d19f319bc28d8f06a160b385d1b0b95e09afb39aa24",
+}
+
+
+GENERATED = {"chain_machine(20)": lambda: modelgen.chain_machine(20),
+             "balanced_machine(3, 2)": lambda: modelgen.balanced_machine(3, 2)}
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+@pytest.mark.parametrize("name", sorted(TMAP_DIGESTS))
+def test_translation_maps_are_unchanged(corpus_models, name, capacity):
+    model = corpus_models[name] if name in corpus_models else GENERATED[name]()
+    _, tmap = translate(model, TranslationConfig(event_capacity=capacity))
+    assert hashlib.sha256(repr(tmap).encode("utf-8")).hexdigest() == TMAP_DIGESTS[name]
+
+
 AWKWARD = "a&b <c> \"d\" 'e'\tf\ng"
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -371,3 +374,20 @@ def test_balanced_tree_translates_with_linear_growth():
     model = balanced_machine(depth=6, branching=2)  # 127 states, 63 transitions
     net, _ = translate(model)
     assert len(net.places) + len(net.transitions) < 40 * len(model.states)
+
+
+def test_translation_map_does_not_depend_on_hash_seed(models_dir):
+    script = ("import sys\n"
+              "from smd2cpn.smdl import parse\n"
+              "from smd2cpn.translator import TranslationConfig, translate\n"
+              "_, tmap = translate(parse(sys.stdin.read()), TranslationConfig(event_capacity=2))\n"
+              "print(repr(tmap))\n")
+    text = (models_dir / "cdplayer.smdl").read_text(encoding="utf-8")
+    maps = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", script], input=text,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        maps.add(proc.stdout)
+    assert len(maps) == 1
