@@ -259,12 +259,6 @@ class ColouredNet:
         self.arcs.append(arc)
         return arc
 
-    def input_arcs(self, trans_id: str) -> list[ArcDef]:
-        return [arc for arc in self.arcs if arc.trans == trans_id and arc.orientation == PTOT]
-
-    def output_arcs(self, trans_id: str) -> list[ArcDef]:
-        return [arc for arc in self.arcs if arc.trans == trans_id and arc.orientation != PTOT]
-
     def check(self):
         """Raise NetError on any violated structural invariant."""
         ids = Counter([*self.places, *self.transitions, *(arc.id for arc in self.arcs)])
@@ -620,10 +614,6 @@ class ReachabilityGraph:
     states: list[Marking]
     edges: list[tuple[int, str, tuple, int]]  # (source, transition, binding, target)
     truncated: bool
-
-    @property
-    def state_count(self) -> int:
-        return len(self.states)
 
 
 def explore(net: ColouredNet, marking: Optional[Marking] = None,

@@ -55,9 +55,6 @@ class Configuration:
     def valuation_dict(self) -> dict[str, int]:
         return dict(self.valuation)
 
-    def history_dict(self) -> dict[str, str]:
-        return dict(self.history)
-
     def pending_dict(self) -> dict[str, int]:
         return dict(self.pending)
 

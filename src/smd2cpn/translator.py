@@ -2,12 +2,14 @@
 
 Three passes: states (places, do self-loops, event plumbing), transitions
 (dispatches and behaviour chains), and history pseudostates (restore fans).
-Pass 2 derives each transition's route once from the `StateMachine`
-queries `is_completion`, `boundaries` and `history_writes`; pass 3 lays a
-restore arm per value of a history place's colour, landing where `resumed`
-says.  The interpreter in `oracle` reads the same queries.  Passes 2 and 3
-lay every behaviour chain with `_wire_chain`, which creates each behaviour
-occurrence and its in-flight place as it wires them.
+Pass 2 lays each model transition in one loop body, reading the
+`StateMachine` queries `boundaries`, `is_completion`, `exit_chain`,
+`entry_chain` and `history_writes` directly; pass 3 lays a restore arm per
+value of a history place's colour, landing where `resumed` says.  The
+interpreter in `oracle` reads the same queries.  Passes 2 and 3 lay every
+behaviour chain with `_wire_chain`, which creates each behaviour
+occurrence and its in-flight place as it wires them, closes the chain onto
+the end place it is given and returns the place the chain starts at.
 A TranslationMap records what every model element became, so later tooling
 (equivalence checking, safety analysis) never reverse-engineers generated
 ids.
@@ -37,7 +39,7 @@ from .net import (
 )
 from .statemachine import (
     COMPOSITE, FINAL, NO_HISTORY, SIMPLE,
-    Behaviour, StateMachine, Transition, ValidationReport, validate,
+    Behaviour, StateMachine, ValidationReport, validate,
 )
 
 # The most nodes one composed update may have.  Composing sequential
@@ -84,52 +86,6 @@ class TranslationMap:
         return (set(self.state_place.values())
                 | set(self.final_place.values())
                 | set(self.inflight))
-
-
-# ---------------------------------------------------------------------------
-# Route computation: what one SMD transition does, statically
-
-
-@dataclass
-class _Route:
-    completion: bool
-    sources: list[str]                     # dispatch origins (substates / final child)
-    prefix: dict[str, tuple[Behaviour, ...]]   # per-source exit behaviours
-    shared: tuple[Behaviour, ...]          # behaviours after the split, firing order
-    history_writes: dict[str, list[tuple[str, str]]]  # per-source (^H composite, value)
-    end: tuple                             # ("state", leaf) | ("final", owner) | ("history", c)
-
-
-def _entry_side(model: StateMachine, t: Transition, nb: str):
-    """Entry behaviours and chain end for the transition's target side."""
-    if t.to_history:
-        return model.entry_chain(nb, t.target), ("history", t.target)
-    target = model.state(t.target)
-    if target.kind == FINAL:
-        return model.entry_chain(nb, t.target), ("final", target.parent)
-    leaf = model.default_configuration(t.target)
-    return model.entry_chain(nb, leaf), ("state", leaf)
-
-
-def _route(model: StateMachine, t: Transition) -> _Route:
-    """Dispatch sources and behaviour chains of one SMD transition.  A
-    completion's one source is its region's final state.  One source: exits,
-    effect and entries form the shared chain; several: each source's exits
-    are its own prefix.  Pure; pass 2 computes it once per transition."""
-    eb, nb = model.boundaries(t)
-    entries, end = _entry_side(model, t, nb)
-    effect = (t.effect,) if t.effect is not None else ()
-    completion = model.is_completion(t)
-    sources = ([model.final_child_of(t.source)] if completion
-               else list(model.substates(t.source)))
-    exits = {x: model.exit_chain(x, eb) for x in sources}
-    if len(sources) == 1:
-        prefix, shared = {}, exits[sources[0]] + effect + entries
-    else:
-        prefix, shared = exits, effect + entries
-    return _Route(completion=completion, sources=sources, prefix=prefix,
-                  shared=shared, end=end,
-                  history_writes={x: model.history_writes(x, eb) for x in sources})
 
 
 # ---------------------------------------------------------------------------
@@ -248,42 +204,80 @@ def _composed_size(rhs: ex.IntExpr, size: dict[str, int]) -> int:
 
 def translate_transitions(model: StateMachine, net: ColouredNet,
                           tmap: TranslationMap) -> ColouredNet:
-    """Dispatch transitions and the behaviour chains they start."""
+    """Dispatch transitions and the behaviour chains they start.  Each
+    transition gets a dispatch per source: every substate of its source,
+    or for a completion the region's final state.  With one source, exits,
+    effect and entries form one shared chain; with several, each dispatch
+    first runs its own source's exits."""
     var_order = [v.name for v in model.variables]
+    renaming = {v: f"v_{v}" for v in var_order}
+    vector = Tup(tuple(Var(f"v_{v}") for v in var_order))
     for t in model.transitions:
-        route = _route(model, t)
+        eb, nb = model.boundaries(t)
+        completion = model.is_completion(t)
+        sources = ([model.final_child_of(t.source)] if completion
+                   else model.substates(t.source))
+        target = model.state(t.target)
+        if t.to_history:
+            leaf, end = t.target, f"P_{t.id}_hist"
+        elif target.kind == FINAL:
+            leaf, end = t.target, tmap.final_place[target.parent]
+        else:
+            leaf = model.default_configuration(t.target)
+            end = tmap.state_place[leaf]
+        effect = (t.effect,) if t.effect is not None else ()
+        shared = effect + model.entry_chain(nb, leaf)
+        if len(sources) == 1:
+            shared = model.exit_chain(sources[0], eb) + shared
         nodes = tmap.transition_subnet.setdefault(t.id, [])
+        tail = _wire_chain(net, tmap, nodes, shared, t.id, f"{t.id}#",
+                           (t.id, "chain"), var_order, end)
+        if t.to_history:  # after the chain's places; pass 3's restore fan consumes it
+            net.add_place(PlaceDef(end, f"{t.id}#hist", "UNIT", ()))
+            tmap.inflight.append(end)
+            nodes.append(end)
+        guard = None if t.guard is None else ex.rename_variables(t.guard, renaming)
 
-        # shared tail, ending on the route's end place
-        first, last = _wire_chain(net, tmap, nodes, route.shared, t.id,
-                                  f"{t.id}#", (t.id, "chain"), var_order)
-        end_place = _end_place(net, tmap, t, route.end, nodes)
-        if last is not None:
-            net.add_arc(end_place, last, TTOP, Lit(UNIT_TOKEN))
-        tail = first or end_place
-
-        for x in route.sources:
-            dispatch = _add_dispatch(net, tmap, t, route, x, var_order)
-            nodes.append(dispatch)
+        for x in sources:
+            if completion:
+                tid, name = f"T_{t.id}__completion", f"{t.id} completion"
+                control = tmap.final_place[t.source]
+            else:
+                tid = f"T_{t.id}__from_{x}"
+                name = t.id if len(sources) == 1 else f"{t.id} from {x}"
+                control = tmap.state_place[x]
+            net.add_transition(TransDef(tid, name, guard=guard))
+            tmap.dispatch[tid] = t.id
+            nodes.append(tid)
+            net.add_arc(control, tid, PTOT, Lit(UNIT_TOKEN))
+            if t.trigger is not None:
+                net.add_arc(tmap.events_place, tid, PTOT, Lit(t.trigger))
+                net.add_arc(tmap.capacity_place[t.trigger], tid, TTOP, Lit(UNIT_TOKEN))
+            if guard is not None:
+                # the guard reads the variable vector and puts it back unchanged
+                net.add_arc(tmap.vars_place, tid, PTOT, vector)
+                net.add_arc(tmap.vars_place, tid, TTOP, vector)
+            for composite, value in model.history_writes(x, eb):
+                hp = tmap.history_place[composite]
+                net.add_arc(hp, tid, PTOT, Var(f"h_{composite}"))
+                net.add_arc(hp, tid, TTOP, Lit(value))
             # dispatch -> exit behaviours of x, if split off -> shared tail
-            first, last = _wire_chain(net, tmap, nodes, route.prefix.get(x, ()),
-                                      f"{t.id}__from_{x}", f"{t.id}:{x}#",
-                                      (t.id, "from", x), var_order)
-            if last is not None:
-                net.add_arc(tail, last, TTOP, Lit(UNIT_TOKEN))
-            net.add_arc(first or tail, dispatch, TTOP, Lit(UNIT_TOKEN))
+            prefix = model.exit_chain(x, eb) if len(sources) > 1 else ()
+            start = _wire_chain(net, tmap, nodes, prefix, f"{t.id}__from_{x}",
+                                f"{t.id}:{x}#", (t.id, "from", x), var_order, tail)
+            net.add_arc(start, tid, TTOP, Lit(UNIT_TOKEN))
     return net
 
 
 def _wire_chain(net: ColouredNet, tmap: TranslationMap, nodes: list[str],
                 behaviours: tuple[Behaviour, ...], stem: str, name_stem: str,
-                key: tuple, var_order: list[str]) -> tuple[Optional[str], Optional[str]]:
-    """Lay the behaviours as a chain: behaviour k becomes the occurrence
-    `T_<stem>_beh_<k>` (recorded under `key + (k,)`), which consumes from
-    the fresh in-flight place `P_<stem>_<k>` that its predecessor feeds.
-    Returns (first in-flight place, last occurrence), both None for an
-    empty chain."""
-    first = last = None
+                key: tuple, var_order: list[str], end: str) -> str:
+    """Lay the behaviours as a chain onto the place `end`: behaviour k
+    becomes the occurrence `T_<stem>_beh_<k>` (recorded under `key + (k,)`),
+    which consumes from the fresh in-flight place `P_<stem>_<k>` that its
+    predecessor feeds, and the last one feeds `end`.  Returns the place the
+    chain starts at, `end` itself for an empty chain."""
+    start = last = None
     for k, b in enumerate(behaviours):
         pid, tid = f"P_{stem}_{k}", f"T_{stem}_beh_{k}"
         net.add_place(PlaceDef(pid, f"{name_stem}{k}", "UNIT", ()))
@@ -294,56 +288,14 @@ def _wire_chain(net: ColouredNet, tmap: TranslationMap, nodes: list[str],
         net.add_arc(pid, tid, PTOT, Lit(UNIT_TOKEN))
         _wire_assignments(net, tid, b, var_order, tmap)
         if last is None:
-            first = pid
+            start = pid
         else:
             net.add_arc(pid, last, TTOP, Lit(UNIT_TOKEN))
         last = tid
-    return first, last
-
-
-def _end_place(net: ColouredNet, tmap: TranslationMap, t: Transition,
-               end: tuple, nodes: list[str]) -> str:
-    kind, ref = end
-    if kind == "state":
-        return tmap.state_place[ref]
-    if kind == "final":
-        return tmap.final_place[ref]
-    pid = f"P_{t.id}_hist"
-    net.add_place(PlaceDef(pid, f"{t.id}#hist", "UNIT", ()))
-    tmap.inflight.append(pid)
-    nodes.append(pid)
-    return pid
-
-
-def _add_dispatch(net: ColouredNet, tmap: TranslationMap, t: Transition,
-                  route: _Route, x: str, var_order: list[str]) -> str:
-    if route.completion:
-        tid = f"T_{t.id}__completion"
-        name = f"{t.id} completion"
-        control = tmap.final_place[t.source]
-    else:
-        tid = f"T_{t.id}__from_{x}"
-        name = t.id if len(route.sources) == 1 else f"{t.id} from {x}"
-        control = tmap.state_place[x]
-    guard = None
-    if t.guard is not None:
-        guard = ex.rename_variables(t.guard, {v: f"v_{v}" for v in var_order})
-    net.add_transition(TransDef(tid, name, guard=guard))
-    tmap.dispatch[tid] = t.id
-    net.add_arc(control, tid, PTOT, Lit(UNIT_TOKEN))
-    if t.trigger is not None:
-        net.add_arc(tmap.events_place, tid, PTOT, Lit(t.trigger))
-        net.add_arc(tmap.capacity_place[t.trigger], tid, TTOP, Lit(UNIT_TOKEN))
-    if t.guard is not None:
-        # the guard reads the variable vector and puts it back unchanged
-        vector = Tup(tuple(Var(f"v_{v}") for v in var_order))
-        net.add_arc(tmap.vars_place, tid, PTOT, vector)
-        net.add_arc(tmap.vars_place, tid, TTOP, vector)
-    for composite, value in route.history_writes.get(x, ()):
-        hp = tmap.history_place[composite]
-        net.add_arc(hp, tid, PTOT, Var(f"h_{composite}"))
-        net.add_arc(hp, tid, TTOP, Lit(value))
-    return tid
+    if last is None:
+        return end
+    net.add_arc(end, last, TTOP, Lit(UNIT_TOKEN))
+    return start
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +324,10 @@ def translate_history(model: StateMachine, net: ColouredNet,
             net.add_arc(pre, rid, PTOT, Lit(UNIT_TOKEN))
             net.add_arc(hist_place, rid, PTOT, Lit(value))
             net.add_arc(hist_place, rid, TTOP, Lit(value))
-            first, last = _wire_chain(net, tmap, nodes, model.entry_chain(start, leaf),
-                                      f"{t.id}_restore_{value}", f"{t.id}:{label}#",
-                                      (t.id, "restore", value), var_order)
-            landing = tmap.state_place[leaf]
-            if last is not None:
-                net.add_arc(landing, last, TTOP, Lit(UNIT_TOKEN))
-            net.add_arc(first or landing, rid, TTOP, Lit(UNIT_TOKEN))
+            first = _wire_chain(net, tmap, nodes, model.entry_chain(start, leaf),
+                                f"{t.id}_restore_{value}", f"{t.id}:{label}#",
+                                (t.id, "restore", value), var_order, tmap.state_place[leaf])
+            net.add_arc(first, rid, TTOP, Lit(UNIT_TOKEN))
     return net
 
 

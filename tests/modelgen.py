@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from smd2cpn import expr as ex
 from smd2cpn.statemachine import (
     COMPOSITE, FINAL, SIMPLE,
     Behaviour, StateMachine, StateNode, Transition, Variable,
@@ -62,6 +63,37 @@ def random_machine(rng: random.Random, max_states: int = 50,
     ordered = [by_id[s.id] for s in states]
     ordered += [s for sid, s in by_id.items() if s.kind == FINAL]
     return StateMachine(name="R", states=tuple(ordered))
+
+
+def random_transition_machine(rng: random.Random) -> StateMachine:
+    """A `random_machine` hierarchy of at most 8 states over one variable
+    x, with 1 to 6 transitions.  Each has trigger a, b or none (none out of
+    a composite with a final state makes a completion transition), maybe a
+    guard over x and maybe the effect x := 1 - x; targets are any named
+    state, which makes cross-level transitions, and sometimes a history
+    composite or a final state."""
+    hierarchy = random_machine(rng, max_states=8)
+    named = [s.id for s in hierarchy.states if s.kind != FINAL]
+    finals = [s.id for s in hierarchy.states if s.kind == FINAL]
+    historied = [s.id for s in hierarchy.states if s.has_history]
+    flip = (("x", ex.BinOp("-", ex.IntLit(1), ex.VarRead("x"))),)
+    transitions = []
+    for i in range(rng.randint(1, 6)):
+        roll = rng.random()
+        if historied and roll < 0.2:
+            target, to_history = rng.choice(historied), True
+        elif finals and roll < 0.4:
+            target, to_history = rng.choice(finals), False
+        else:
+            target, to_history = rng.choice(named), False
+        guard = (ex.Cmp("=", ex.VarRead("x"), ex.IntLit(rng.randint(0, 1)))
+                 if rng.random() < 0.4 else None)
+        effect = Behaviour(f"t{i}.effect", "flip", flip) if rng.random() < 0.5 else None
+        transitions.append(Transition(
+            id=f"t{i}", source=rng.choice(named), target=target, to_history=to_history,
+            trigger=rng.choice(["a", "b", None]), guard=guard, effect=effect))
+    return StateMachine(name="R", states=hierarchy.states,
+                        transitions=tuple(transitions), variables=(Variable("x", 0),))
 
 
 def _with_initial(node: StateNode) -> StateNode:

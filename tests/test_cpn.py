@@ -178,12 +178,12 @@ def test_marking_key_is_the_canonical_marking(corpus_models, corpus_nets):
         ("b", (1, 2)), ("c", ("x",)))
     net, _ = corpus_nets["guarded"]
     graph = explore(net)
-    assert graph.state_count > 1
+    assert len(graph.states) > 1
     assert all(marking_key(m) == m for m in graph.states)
     for name in CORPUS:
         net, _ = translate(corpus_models[name], TranslationConfig(event_capacity=2))
         graph = explore(net, bound=3_000 if name == "cdplayer" else 100_000)
-        assert graph.state_count > 1 and graph.truncated == (name == "cdplayer")
+        assert len(graph.states) > 1 and graph.truncated == (name == "cdplayer")
         assert all(marking_key(m) == m for m in graph.states), name
 
 
@@ -256,7 +256,7 @@ def test_explore_no_enabled_transitions():
     net = unit_net()
     net.add_place(PlaceDef("p", "p", "UNIT", (UNIT_TOKEN,)))
     graph = explore(net)
-    assert graph.state_count == 1 and graph.edges == [] and not graph.truncated
+    assert len(graph.states) == 1 and graph.edges == [] and not graph.truncated
 
 
 def test_explore_self_loop_single_state_single_edge():
@@ -266,7 +266,7 @@ def test_explore_self_loop_single_state_single_edge():
     net.add_arc("p", "t", PTOT, Lit(UNIT_TOKEN))
     net.add_arc("p", "t", TTOP, Lit(UNIT_TOKEN))
     graph = explore(net)
-    assert graph.state_count == 1
+    assert len(graph.states) == 1
     assert graph.edges == [(0, "t", (), 0)]
 
 
@@ -287,7 +287,7 @@ def test_explore_truncation_flag():
     net.add_arc("p", "t", PTOT, Var("x"))
     net.add_arc("p", "t", TTOP, Calc(ex.BinOp("+", ex.VarRead("x"), ex.IntLit(1))))
     graph = explore(net, bound=10)
-    assert graph.truncated and graph.state_count == 10
+    assert graph.truncated and len(graph.states) == 10
 
 
 def test_reachable_markings_respect_colours(corpus_nets):
@@ -340,10 +340,10 @@ def test_cd_fts_consumes_inflight_and_marks_playing(cd_net):
 def test_cd_reachable_count_matches_frozen_hand_values(corpus_nets, expectations):
     net, _ = corpus_nets["flat"]
     graph = explore(net)
-    assert graph.state_count == expectations["flat"]["reachable_states"]
+    assert len(graph.states) == expectations["flat"]["reachable_states"]
     assert len(graph.edges) == expectations["flat"]["reachable_edges"]
     net3, _ = corpus_nets["nested3"]
-    assert explore(net3).state_count == expectations["nested3"]["reachable_states"]
+    assert len(explore(net3).states) == expectations["nested3"]["reachable_states"]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +445,7 @@ def test_tokens_produced_in_descending_order_are_kept_sorted():
     net.add_arc("out", "t", TTOP, Tup((Var("n"), Lit("a"))))
     net.check()
     graph = explore(net)
-    assert graph.state_count == 4
+    assert len(graph.states) == 4
     assert all(marking_key(m) == m for m in graph.states)
     assert graph.states[-1] == (("c", (0,)), ("out", ((1, "a"), (1, "b"), (2, "a"),
                                                       (2, "b"), (3, "a"), (3, "b"))))

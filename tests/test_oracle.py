@@ -13,7 +13,9 @@ import mutations
 from conftest import CORPUS, load_model
 from modelgen import balanced_machine, bf_ancestors_or_self, chain_machine
 from smd2cpn import oracle
-from smd2cpn.net import EnumCS, Lit, NetError, PlaceDef, enabled_bindings, fire
+from smd2cpn.net import (
+    EnumCS, Lit, NetError, PlaceDef, PTOT, TTOP, enabled_bindings, fire,
+)
 from smd2cpn.oracle import (
     NetRunner, NotEnabledStepError,
     check_control_safety, check_trace_equivalence, enabled_transitions,
@@ -22,7 +24,7 @@ from smd2cpn.oracle import (
 from smd2cpn.smdl import parse
 from smd2cpn.statemachine import NO_HISTORY, StateMachine
 from smd2cpn.translator import TranslationConfig, translate
-from test_translator import RESUME
+from test_translator import RESUME, arcs
 
 
 def drive(model, config, *script):
@@ -42,7 +44,7 @@ def test_initial_configuration(cd_model):
     config = initial_configuration(cd_model)
     assert config.active == "CLOSED"
     assert config.valuation_dict() == {"track": 1}
-    assert config.history_dict() == {"Busy": NO_HISTORY}
+    assert dict(config.history) == {"Busy": NO_HISTORY}
     assert config.pending == ()
 
 
@@ -79,7 +81,7 @@ def test_history_reentry_restores_paused(cd_model):
         ("in", "play"), ("do", "t7"))      # resume via history
     assert config.active == "PAUSED"
     assert labels[-1].behaviours == ("FTS",)
-    assert config.history_dict()["Busy"] == "PAUSED"
+    assert dict(config.history)["Busy"] == "PAUSED"
 
 
 def test_completion_resets_history_memory(cd_model):
@@ -89,7 +91,7 @@ def test_completion_resets_history_memory(cd_model):
         ("in", "last"), ("do", "t10"),     # enter Busy's final state
         ("do", "t11"))                      # completion, spontaneous
     assert config.active == "CLOSED"
-    assert config.history_dict()["Busy"] == NO_HISTORY
+    assert dict(config.history)["Busy"] == NO_HISTORY
     assert labels[-2].active == "Busy.final"
 
 
@@ -189,8 +191,8 @@ def test_do_loops_present_iff_declared(corpus_models, corpus_nets):
         assert set(tmap.do_loop.values()) == declared, name
         for tid, (sid, x) in tmap.do_loop.items():
             place = tmap.state_place[x]
-            assert [a.place for a in net.input_arcs(tid)].count(place) == 1
-            assert [a.place for a in net.output_arcs(tid)].count(place) == 1
+            assert [a.place for a in arcs(net, tid, PTOT)].count(place) == 1
+            assert [a.place for a in arcs(net, tid, TTOP)].count(place) == 1
             assert (net.transitions[tid].observable_label
                     == model.by_id[sid].do.label)
 

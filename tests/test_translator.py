@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,8 +8,10 @@ from collections import Counter
 import pytest
 
 import mutations
-from modelgen import balanced_machine, chain_machine, doubling_smdl
-from smd2cpn.emit import emit_cpn_xml
+from modelgen import (
+    balanced_machine, chain_machine, doubling_smdl, random_transition_machine,
+)
+from smd2cpn.emit import emit_cpn_xml, parse_cpn_xml
 from smd2cpn.net import (
     UNIT_TOKEN, NetError, Lit, Tup, Var, PTOT, TTOP, evaluate,
 )
@@ -20,6 +23,10 @@ from smd2cpn.translator import (
     translate, translate_states, translate_transitions, translate_history,
 )
 from smd2cpn import expr as ex
+
+
+def arcs(net, tid, orientation):
+    return [a for a in net.arcs if a.trans == tid and a.orientation == orientation]
 
 
 def test_cd_counts_match_hand_applied_rules(cd_net, expectations):
@@ -83,7 +90,7 @@ def test_sibling_transition_collapses_to_direct_arc(cd_net):
     assert "T_t2__from_PLAYING" in net.transitions
     nodes = tmap.transition_subnet["t2"]
     assert [n for n in nodes if n.startswith("P_")] == []  # no in-flight places
-    outputs = {a.place for a in net.output_arcs("T_t2__from_PLAYING")}
+    outputs = {a.place for a in arcs(net, "T_t2__from_PLAYING", TTOP)}
     assert "P_PAUSED" in outputs
 
 
@@ -93,7 +100,7 @@ def test_composite_source_dispatches_per_substate(cd_net):
     assert sorted(dispatches) == ["T_t4__from_PAUSED", "T_t4__from_PLAYING"]
     # both merge into the shared effect chain
     for tid in dispatches:
-        assert {a.place for a in net.output_arcs(tid)} >= {"P_t4_0"}
+        assert {a.place for a in arcs(net, tid, TTOP)} >= {"P_t4_0"}
     reset = net.transitions["T_t4_beh_0"]
     assert reset.observable_label == "Reset"
 
@@ -102,29 +109,29 @@ def test_history_recorded_on_boundary_crossing_dispatches(cd_net):
     net, _ = cd_net
     for x in ("PLAYING", "PAUSED"):
         tid = f"T_t4__from_{x}"
-        write = [a for a in net.output_arcs(tid) if a.place == "P_Busy__H"]
+        write = [a for a in arcs(net, tid, TTOP) if a.place == "P_Busy__H"]
         assert write and write[0].inscription == Lit(x)
-        read = [a for a in net.input_arcs(tid) if a.place == "P_Busy__H"]
+        read = [a for a in arcs(net, tid, PTOT) if a.place == "P_Busy__H"]
         assert read and read[0].inscription == Var("h_Busy")
     # t2 stays inside Busy: no history arcs
-    assert not [a for a in net.output_arcs("T_t2__from_PLAYING")
+    assert not [a for a in arcs(net, "T_t2__from_PLAYING", TTOP)
                 if a.place == "P_Busy__H"]
 
 
 def test_completion_dispatch_consumes_final_place(cd_net):
     net, tmap = cd_net
     assert tmap.dispatch["T_t11__completion"] == "t11"
-    inputs = {a.place for a in net.input_arcs("T_t11__completion")}
+    inputs = {a.place for a in arcs(net, "T_t11__completion", PTOT)}
     assert "P_Busy__F" in inputs
     assert "P_EVENTS" not in inputs  # completion is triggerless
-    write = [a for a in net.output_arcs("T_t11__completion")
+    write = [a for a in arcs(net, "T_t11__completion", TTOP)
              if a.place == "P_Busy__H"]
     assert write[0].inscription == Lit(NO_HISTORY)
 
 
 def test_entering_final_routes_to_final_place(cd_net):
     net, _ = cd_net
-    outputs = {a.place for a in net.output_arcs("T_t10__from_PLAYING")}
+    outputs = {a.place for a in arcs(net, "T_t10__from_PLAYING", TTOP)}
     assert "P_Busy__F" in outputs
 
 
@@ -134,10 +141,10 @@ def test_restore_fan_structure(cd_net, cd_model):
                         (NO_HISTORY, "P_PLAYING")):
         rid = f"T_t7_restore_{value}"
         assert rid in net.transitions
-        ins = {a.place: a.inscription for a in net.input_arcs(rid)}
+        ins = {a.place: a.inscription for a in arcs(net, rid, PTOT)}
         assert ins["P_Busy__H"] == Lit(value)
         assert ins["P_t7_hist"] == Lit(UNIT_TOKEN)
-        outs = {a.place: a.inscription for a in net.output_arcs(rid)}
+        outs = {a.place: a.inscription for a in arcs(net, rid, TTOP)}
         assert outs["P_Busy__H"] == Lit(value)
         assert leaf in outs
 
@@ -169,7 +176,7 @@ def _restore_arm(net, tmap, value):
     node = f"T_w6_restore_{value}"
     path = [node]
     while True:
-        (place,) = [a.place for a in net.output_arcs(node)
+        (place,) = [a.place for a in arcs(net, node, TTOP)
                     if a.place not in ("P_VARS", "P_Work__H")]
         path.append(place)
         if place not in tmap.inflight:
@@ -197,13 +204,13 @@ def test_restore_arms_run_their_entry_behaviours():
         ("w6", "restore", NO_HISTORY, 0): "EnA", ("w6", "restore", NO_HISTORY, 1): "EnA1"}
     for value in ("Alpha", NO_HISTORY):
         tid = f"T_w6_restore_{value}_beh_0"
-        (read,) = [a for a in net.input_arcs(tid) if a.place == "P_VARS"]
-        (write,) = [a for a in net.output_arcs(tid) if a.place == "P_VARS"]
+        (read,) = [a for a in arcs(net, tid, PTOT) if a.place == "P_VARS"]
+        (write,) = [a for a in arcs(net, tid, TTOP) if a.place == "P_VARS"]
         assert read.inscription == Tup((Var("v_n"),))
         assert evaluate(write.inscription, {"v_n": 0}) == (1,)
     # the restore transitions themselves and the other occurrences leave VARS alone
     for tid in ("T_w6_restore_Alpha", "T_w6_restore_Alpha_beh_1", "T_w6_restore_Beta_beh_0"):
-        assert "P_VARS" not in {a.place for a in net.input_arcs(tid) + net.output_arcs(tid)}
+        assert "P_VARS" not in {a.place for a in arcs(net, tid, PTOT) + arcs(net, tid, TTOP)}
 
 
 @pytest.mark.parametrize("capacity", [1, 2])
@@ -238,19 +245,19 @@ def test_guard_renamed_onto_dispatch(cd_net):
     net, _ = cd_net
     dispatch = net.transitions["T_t9__from_PLAYING"]
     assert dispatch.guard == ex.Cmp("<", ex.VarRead("v_track"), ex.IntLit(3))
-    vars_arcs = [a for a in net.input_arcs("T_t9__from_PLAYING")
+    vars_arcs = [a for a in arcs(net, "T_t9__from_PLAYING", PTOT)
                  if a.place == "P_VARS"]
     assert vars_arcs, "guarded dispatch must read VARS"
     # unguarded dispatches leave VARS alone
-    assert not [a for a in net.input_arcs("T_t1__from_CLOSED")
+    assert not [a for a in arcs(net, "T_t1__from_CLOSED", PTOT)
                 if a.place == "P_VARS"]
 
 
 def test_do_behaviour_self_loop(cd_net):
     net, tmap = cd_net
     assert tmap.do_loop["T_do_PLAYING"] == ("PLAYING", "PLAYING")
-    ins = [a.place for a in net.input_arcs("T_do_PLAYING")]
-    outs = [a.place for a in net.output_arcs("T_do_PLAYING")]
+    ins = [a.place for a in arcs(net, "T_do_PLAYING", PTOT)]
+    outs = [a.place for a in arcs(net, "T_do_PLAYING", TTOP)]
     assert ins == ["P_PLAYING"] and outs == ["P_PLAYING"]
     assert net.transitions["T_do_PLAYING"].observable_label == "Play"
 
@@ -259,7 +266,7 @@ def test_event_pool_and_capacity(cd_model):
     net, tmap = translate(cd_model, TranslationConfig(event_capacity=2))
     assert net.places["P_cap_play"].initial == (UNIT_TOKEN, UNIT_TOKEN)
     # consuming dispatch returns the capacity token
-    returns = {a.place for a in net.output_arcs("T_t1__from_CLOSED")}
+    returns = {a.place for a in arcs(net, "T_t1__from_CLOSED", TTOP)}
     assert "P_cap_play" in returns
 
 
@@ -391,3 +398,17 @@ def test_translation_map_does_not_depend_on_hash_seed(models_dir):
         assert proc.returncode == 0, proc.stderr
         maps.add(proc.stdout)
     assert len(maps) == 1
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_random_machines_give_safe_equivalent_nets_that_read_back(capacity):
+    for seed in range(150):
+        model = random_transition_machine(random.Random(seed))
+        net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
+        assert parse_cpn_xml(emit_cpn_xml(net)) == net, seed
+        safety = check_control_safety(net, tmap)
+        assert safety.ok and not safety.truncated, (seed, safety)
+        # no depth caps the walk: it stops when a layer adds no pair
+        result = check_trace_equivalence(model, net, tmap, depth=1_000_000,
+                                         event_capacity=capacity)
+        assert result.equivalent, (seed, result.counterexample)
