@@ -99,11 +99,7 @@ def layout(net: ColouredNet) -> dict[str, tuple[float, float]]:
     rank = {node: dense[key] for node, key in keys.items()}.__getitem__
 
     roots = sorted((p.id for p in net.places.values() if p.initial), key=rank)
-    layer: dict[str, int] = {}
-    queue = deque()
-    for r in roots:
-        layer[r] = 0
-        queue.append(r)
+    layer, queue = dict.fromkeys(roots, 0), deque(roots)
     while queue:
         node = queue.popleft()
         for nxt in sorted(succ.get(node, ()), key=rank):
@@ -113,8 +109,7 @@ def layout(net: ColouredNet) -> dict[str, tuple[float, float]]:
 
     rest = sorted((n for n in nodes if n not in layer), key=rank)
     overflow = (max(layer.values()) + 1) if layer else 0
-    for node in rest:
-        layer[node] = overflow
+    layer.update(dict.fromkeys(rest, overflow))
 
     assignment: dict[str, tuple[float, float]] = {}
     per_layer: dict[int, int] = {}
@@ -542,7 +537,7 @@ def parse_cpn_xml(text: str) -> ColouredNet:
     name = page.get("/pageattr")
     net = ColouredNet(name="net" if name is None else name)
 
-    pending_products = {}
+    products = {}  # name -> component names
     for decl in found["/color"]:
         cname = decl.get("/id")
         if cname is None:
@@ -554,18 +549,29 @@ def parse_cpn_xml(text: str) -> ColouredNet:
                 raise CpnParseError(f"enumeration colour {cname!r} has no values")
             net.colours[cname] = EnumCS(tuple(decl["/enum"]))
         elif "/product" in decl:
-            pending_products[cname] = decl["/product"]  # resolved below
+            products[cname] = decl["/product"]  # resolved below
         else:
             raise CpnParseError(f"unsupported colour declaration {cname!r}")
-    for cname, component_names in pending_products.items():
-        if not component_names:
+    for cname, refs in products.items():
+        if not refs:
             raise CpnParseError(f"product colour {cname!r} has no components")
-        components = []
-        for ref in component_names:
-            if ref not in net.colours:
+        for ref in refs:
+            if ref not in net.colours and ref not in products:
                 raise CpnParseError(f"product {cname!r} references unknown colour {ref!r}")
-            components.append(net.colours[ref])
-        net.colours[cname] = ProductCS(tuple(components))
+    made: dict = {}  # each product is made after its components, declared before it or not
+    for root in products:
+        path = {root: None}  # each a component of the one before
+        while root not in made:
+            cname = next(reversed(path))
+            ref = next((r for r in products[cname] if r in products and r not in made), None)
+            if ref in path:
+                raise CpnParseError(f"product {ref!r} contains itself")
+            elif ref is None:
+                made[path.popitem()[0]] = ProductCS(tuple(
+                    made[r] if r in made else net.colours[r] for r in products[cname]))
+            else:
+                path[ref] = None
+    net.colours.update((cname, made[cname]) for cname in products)
 
     seen: set = set()
     for record in found["/place"]:

@@ -367,8 +367,9 @@ def _constant(inscription: Inscription):
 class CompiledTransition:
     """One transition's arcs, indexed once for the token game.
 
-    The methods read and return token maps: place id -> token tuple, as in
-    `dict(marking)`, where an absent place is empty.  An arc whose
+    The methods read token maps: place id -> token tuple, as in
+    `dict(marking)`, where an absent place is empty.  `apply` returns the
+    map of the places it changes, `fire` the successor marking.  An arc whose
     inscription has no variable, such as a unit arc, is a fixed token: as
     an input it becomes a count check, and only the other inputs are
     matched against tokens.
@@ -490,6 +491,13 @@ class CompiledTransition:
             changed[pid] = have[:at] + (token,) + have[at:]
         return changed
 
+    def fire(self, marking: Marking, tokens: dict, binding: dict) -> Marking:
+        """`marking`, whose `dict` is `tokens`, after the transition fires
+        under the binding; the guard is not evaluated, and it raises as
+        `apply` does."""
+        changed = self.apply(tokens, binding)
+        return _successor(marking, changed, _marked(changed))
+
 
 def _marked(changed: dict) -> list:
     """The (place id, token tuple) pairs of the places `changed` leaves marked."""
@@ -605,8 +613,7 @@ def fire(net: Union[ColouredNet, CompiledNet], marking: Marking, trans_id: str,
     guard = trans.trans.guard
     if guard is not None and not ex.eval_bool(guard, binding):
         raise NotEnabledError(f"{trans_id}: guard is false under {binding}")
-    changed = trans.apply(dict(marking), binding)
-    return _successor(marking, changed, _marked(changed))
+    return trans.fire(marking, dict(marking), binding)
 
 
 @dataclass

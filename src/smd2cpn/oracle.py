@@ -8,8 +8,8 @@ divergence with its trace like any other.  One breadth-first walk over
 decides equivalence, with rounds that count the fewest moves within which
 a failing pair's sides differ; the shortest counterexample is read off
 those counts in one canonical move order.  The pairs `depth` - 1 moves
-out are compared by their move labels alone.  Each side numbers its stable
-points as a move map first names them, and the walk's pairs are numbers.
+out are compared by their move labels alone, with no move map.  Each side
+numbers its stable points as a move map names them; the pairs are numbers.
 A step reads the event pool only to find its trigger there and take it,
 so a check works each step out once, keyed on (active leaf, valuation,
 history), and takes the trigger from each configuration's own pool.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import expr as ex
 from . import net as cpn
@@ -41,8 +41,7 @@ class NotEnabledStepError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """A stable point of the machine: active leaf (simple state, or the
     final state of a completed region), variable valuation, per-composite
     history memory, and the pending event pool."""
@@ -76,8 +75,7 @@ def initial_configuration(model: StateMachine) -> Configuration:
     return Configuration(
         active=model.default_configuration(None),
         valuation=_freeze(model.initial_valuation()),
-        history=_freeze({s.id: NO_HISTORY for s in model.states if s.has_history}),
-        pending=())
+        history=_freeze({s.id: NO_HISTORY for s in model.states if s.has_history}))
 
 
 def _enabled(model: StateMachine, t: Transition, active: str,
@@ -176,14 +174,6 @@ def inject(model: StateMachine, config: Configuration, event: str,
 # Net-side projection: run dispatch chains between stable markings
 
 
-def _fired(trans: cpn.CompiledTransition, marking, tokens: dict, binding: dict,
-           successor: bool = True):
-    """`marking`, whose `dict` is `tokens`, after `trans` fires under a binding
-    whose guard holds, or None where not `successor`; raises as `apply` does."""
-    changed = trans.apply(tokens, binding)
-    return cpn._successor(marking, changed, cpn._marked(changed)) if successor else None
-
-
 class NetRunner:
     """Drives a generated net in observable moves, the same
     (move, successor) pairs the machine side offers.
@@ -200,8 +190,8 @@ class NetRunner:
     (`CompiledNet.candidates`) are tried, chain transitions, dispatches and
     producers alike, since no other transition can be enabled there.  The
     bindings come from the public `enabled_bindings`, whose calls the
-    benchmark counts, and fire by the compiled `apply` on one token map per
-    marking.  A firing memo like `explore`'s did not pay here at depth 8.
+    benchmark counts, and fire by `CompiledTransition.fire` on one token map
+    per marking.  A firing memo like `explore`'s did not pay here at depth 8.
     """
 
     def __init__(self, net: cpn.ColouredNet, tmap: TranslationMap,
@@ -243,35 +233,32 @@ class NetRunner:
             if len(candidates) != 1:
                 return tuple(labels), marking, f"{len(candidates)} chain transitions enabled"
             trans, binding = candidates[0]
-            marking = _fired(trans, marking, dict(marking), binding)
+            marking = trans.fire(marking, dict(marking), binding)
             label = trans.trans.observable_label
             if label is not None:
                 labels.append(label)
         return tuple(labels), marking, f"not stable after {self.chain_bound} firings"
 
-    def moves(self, marking: cpn.Marking, successors: bool = True
-              ) -> list[tuple[tuple, Optional[cpn.Marking]]]:
+    def moves(self, marking: cpn.Marking) -> list[tuple[tuple, cpn.Marking]]:
         """(move, successor) for every move at the marking, from one list of
         candidates: ("inject", event) for every producer that can fire, in
         event order, then every dispatch firing plus its chain, in id order.
         Such a move is ("step", event, behaviours, leaf) when the chain
         reaches a stable marking and ("stuck", event, behaviours, reason)
-        when not.  Where not `successors`, a producer's firing is only run
-        for its errors and its successor is None."""
+        when not."""
         tokens = dict(marking)
         candidates = self.compiled.candidates(marking)
         offered = {trans.id: trans for trans in candidates}
         moves = []
         for event, tid in self.producers:
             if tid in offered and (bindings := cpn.enabled_bindings(self.compiled, marking, tid)):
-                fired = _fired(offered[tid], marking, tokens, bindings[0], successors)
-                moves.append((_injection(event), fired))
+                moves.append((_injection(event), offered[tid].fire(marking, tokens, bindings[0])))
         for trans in candidates:
             if trans.id not in self.trigger_of_dispatch:
                 continue
             event = self.trigger_of_dispatch[trans.id]
             for binding in cpn.enabled_bindings(self.compiled, marking, trans.id):
-                labels, final, stuck = self.run_chain(_fired(trans, marking, tokens, binding))
+                labels, final, stuck = self.run_chain(trans.fire(marking, tokens, binding))
                 if stuck is None:
                     move = ("step", event, labels, self.stable_leaf(final))
                 else:
@@ -343,19 +330,15 @@ class EquivalenceResult:
         return self.equivalent
 
 
-def _machine_moves(model: StateMachine, config: Configuration, capacity: int,
-                   steps: dict, successors: bool = True):
+def _machine_moves(model: StateMachine, config: Configuration, capacity: int, steps: dict):
     """(move, successor) for every injection and step of the machine.
     `steps`, kept for one check, maps (active, valuation, history) to the
     trigger and `_run_step` of every transition whose source and guard hold
     there, in `enabled_transitions` order, which a pool holding every event
     leaves none out of.  A step is offered where its trigger is pending.
-    Where not `successors`, only the pool is checked and a successor is None."""
+    The last layer's label view drops the successors, numbering none."""
     for event in model.events:
-        if not successors:
-            if _moved(config.pending, event, 1, capacity) is not None:
-                yield _injection(event), None
-        elif (after := inject(model, config, event, capacity)) is not None:
+        if (after := inject(model, config, event, capacity)) is not None:
             yield _injection(event), after
     key = (config.active, config.valuation, config.history)
     if key not in steps:
@@ -366,8 +349,7 @@ def _machine_moves(model: StateMachine, config: Configuration, capacity: int,
         pending = (config.pending if trigger is None
                    else _moved(config.pending, trigger, -1, capacity))
         if pending is not None:
-            yield (("step", trigger, behaviours, after[0]),
-                   Configuration(*after, pending) if successors else None)
+            yield ("step", trigger, behaviours, after[0]), Configuration(*after, pending)
 
 
 def _first_failure(left: dict, right: dict, fails):
@@ -493,8 +475,9 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     moves; otherwise the shortest divergent trace is reported.  `depth` is
     at least 1 and unbounded, since each reachable pair is compared once;
     a pair failing at k moves is found in round k of the failure rounds.
-    A pair `depth` - 1 moves out is compared by the labels of its moves:
-    only a counterexample that ends there builds its successors.
+    A pair `depth` - 1 moves out is compared by the labels of its moves,
+    read off the one list of its moves and successors: only a counterexample
+    that ends there makes its move map and numbers its successors.
     `event_capacity` must be the capacity the net was translated with.
     """
     if depth < 1:
@@ -516,13 +499,13 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
             if n not in maps and not view:
                 maps[n] = _move_map(moves_of(numbered[n]), label_key, points, numbered)
             elif n not in maps and n not in views:
-                views[n] = dict.fromkeys([move for move, _ in moves_of(numbered[n], False)], ())
+                views[n] = dict.fromkeys([move for move, _ in moves_of(numbered[n])], ())
             return maps[n] if n in maps else views[n]
         return moves
 
     steps: dict = {}
-    smd_moves = side(initial_configuration(model), lambda config, successors=True:
-                     _machine_moves(model, config, event_capacity, steps, successors))
+    smd_moves = side(initial_configuration(model),
+                     lambda config: _machine_moves(model, config, event_capacity, steps))
     net_moves = side(net.initial_marking(), runner.moves)
     return _walk_pairs(lambda pair: (smd_moves(pair[0]), net_moves(pair[1])),
                        lambda pair: (smd_moves(pair[0], True), net_moves(pair[1], True)), depth)

@@ -294,6 +294,35 @@ def _declarations_document(colour_xml):
 </block></globbox><page id="pg"><pageattr name="x"/></page></cpnet></workspaceElements>"""
 
 
+def test_products_read_back_whatever_their_declaration_order():
+    # natural order declares P1 before its component P2
+    net = tiny_net()
+    net.colours["INT"] = IntCS()
+    net.colours["P2"] = ProductCS((IntCS(),))
+    net.colours["P1"] = ProductCS((net.colours["P2"], UnitCS()))
+    net.add_place(PlaceDef("q", "q", "P1", (((3,), ()),)))
+    document = emit_cpn_xml(net)
+    assert document.index("<id>P1</id>") < document.index("<id>P2</id>")
+    assert parse_cpn_xml(document) == net
+    assert reference_parse_cpn_xml(document) == net
+
+
+@pytest.mark.parametrize("products,message", [
+    ({"S": ["INT", "S"]}, "product 'S' contains itself"),
+    ({"A": ["B"], "B": ["A"]}, "product 'A' contains itself"),
+    ({"A": ["B"], "B": ["INT", "C"], "C": ["B"]}, "product 'B' contains itself"),
+    ({"A": ["INT", "Q"]}, "product 'A' references unknown colour 'Q'"),
+], ids=["itself", "a-pair", "below-the-first", "undeclared"])
+def test_product_cycles_and_undeclared_components_are_rejected(products, message):
+    document = _declarations_document('<color id="i"><id>INT</id><int/></color>' + "".join(
+        f'<color id="c{cname}"><id>{cname}</id><product>'
+        + "".join(f"<id>{ref}</id>" for ref in refs) + "</product></color>"
+        for cname, refs in products.items()))
+    for read in (parse_cpn_xml, reference_parse_cpn_xml):
+        with pytest.raises(CpnParseError, match=f"^{message}$"):
+            read(document)
+
+
 def test_unsupported_colour_declaration_rejected():
     document = _declarations_document(
         '<color id="c"><id>L</id><list><id>INT</id></list></color>')
@@ -618,12 +647,26 @@ def reference_parse_cpn_xml(text: str) -> ColouredNet:
     for cname, component_names in pending_products.items():
         if not component_names:
             raise CpnParseError(f"product colour {cname!r} has no components")
-        components = []
         for ref in component_names:
-            if ref not in net.colours:
+            if ref not in net.colours and ref not in pending_products:
                 raise CpnParseError(f"product {cname!r} references unknown colour {ref!r}")
-            components.append(net.colours[ref])
-        net.colours[cname] = ProductCS(tuple(components))
+    # each round makes every product whose product components are made
+    made = {}
+    while len(made) < len(pending_products):
+        left = {cname: [ref for ref in refs if ref in pending_products and ref not in made]
+                for cname, refs in pending_products.items() if cname not in made}
+        ready = [cname for cname, refs in left.items() if not refs]
+        if not ready:  # every product left reaches a cycle: follow first components onto it
+            cname, walked = next(iter(left)), set()
+            while cname not in walked:
+                walked.add(cname)
+                cname = left[cname][0]
+            raise CpnParseError(f"product {cname!r} contains itself")
+        for cname in ready:
+            made[cname] = ProductCS(tuple(made.get(ref, net.colours.get(ref))
+                                          for ref in pending_products[cname]))
+    for cname in pending_products:
+        net.colours[cname] = made[cname]
 
     seen: set = set()
     for element in page.findall("place"):
