@@ -13,10 +13,13 @@ A `Marking` is a tuple of (place id, token tuple) pairs for the marked
 places only, in place-id order, each token tuple holding one entry per
 copy sorted by `token_sort_key`.  That form is canonical, so a marking is
 its own hashable key: `explore` uses markings as BFS keys and the
-equivalence check as bisimulation keys.  `marking_key` builds one from any
-place -> tokens mapping.  The tokens of a place all fit its colour, and
-within one colour `token_sort_key` order is the tokens' natural order, so
-a firing inserts each produced token by plain comparison.  Markings given
+equivalence check as bisimulation keys.  Where at least a quarter of the
+places is marked at the start, `explore` keys markings by a dense form
+instead, one code per place, which pays only there: it costs O(places) at
+each edge.  `marking_key` builds a `Marking` from any place -> tokens
+mapping.  The tokens of a place all fit its colour, and within one colour
+`token_sort_key` order is the tokens' natural order, so a firing inserts
+each produced token by plain comparison.  Markings given
 to `fire` and `enabled_bindings` must fit their places' colours, as every
 marking `explore` reaches does; `explore` checks the start marking it is
 given.  The token game runs on the net's `CompiledNet`, kept with the net
@@ -35,8 +38,11 @@ that lives for one search.
 from __future__ import annotations
 
 import bisect
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
@@ -535,7 +541,8 @@ class CompiledNet:
     view met again is neither matched, evaluated nor colour-checked again.
     Nothing is stored for a view whose firing raises, so it raises each
     time it is met.  The compiled form outlives a search and the memo
-    does not, so each search starts from an empty memo.
+    does not, so each search starts from an empty memo.  `dense` is built
+    on first use, so a net searched sparsely never builds it.
     """
 
     def __init__(self, net: ColouredNet):
@@ -558,6 +565,18 @@ class CompiledNet:
                 self.watchers.setdefault(watch, []).append(position)
             else:
                 self.unwatched.append(position)
+
+    @cached_property
+    def dense(self) -> tuple:
+        """The numbering `explore`'s dense search reads: the place ids in id
+        order; each id's position; by transition position, an itemgetter
+        of the codes of its `touched` places; by place position, the
+        positions of the transitions watching it."""
+        pids = sorted(self.source[1])
+        at = {pid: p for p, pid in enumerate(pids)}
+        views = [itemgetter(*ps) if ps else (lambda codes: ())
+                 for ps in (tuple(map(at.__getitem__, t.touched)) for t in self.transitions)]
+        return pids, at, views, [self.watchers.get(pid, ()) for pid in pids]
 
     @classmethod
     def of(cls, net: Union[ColouredNet, CompiledNet]) -> CompiledNet:
@@ -616,6 +635,10 @@ def fire(net: Union[ColouredNet, CompiledNet], marking: Marking, trans_id: str,
     return trans.fire(marking, dict(marking), binding)
 
 
+#: `explore` codes markings densely when places <= DENSE_FILL * marked places at the start
+DENSE_FILL = 4
+
+
 @dataclass
 class ReachabilityGraph:
     states: list[Marking]
@@ -637,6 +660,10 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     candidates at each marking.  A given start marking is made canonical
     with `marking_key` first; a token on a place the net lacks, or outside
     its place's colour, is a NetError.
+
+    Where at most `DENSE_FILL` places per marked place are in the net at
+    the start, the search keys markings by their dense form instead and
+    gives the same graph.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -649,6 +676,8 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
             if not net.colour_of(pid).contains(token):
                 raise NetError(f"start marking: token {token!r} on {pid} is outside "
                                f"colour {net.places[pid].colour}")
+    if len(net.places) <= DENSE_FILL * len(start):
+        return _explore_dense(compiled, start, bound)
     index = {start: 0}
     found = [start]
     edges = []
@@ -667,4 +696,69 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
                 found.append(succ)
             edges.append((current, tid, key, target))
         current += 1
+    return ReachabilityGraph(states=found, edges=edges, truncated=truncated)
+
+
+def _explore_dense(compiled: CompiledNet, start: Marking, bound: int) -> ReachabilityGraph:
+    """`explore`'s search with each marking an array('I') of place codes,
+    kept as its bytes.  A place's code numbers its token tuples in the order
+    this search meets them, 0 for empty.  The memo of a transition position
+    maps the codes of its touched places to (id, binding key, [(position,
+    new code), ...]), so a successor is a copy with a few codes replaced."""
+    pids, at, views, watchers = compiled.dense
+    transitions, unwatched = compiled.transitions, compiled.unwatched
+    pairs = [[(pid, ())] for pid in pids]  # by place position: code -> (id, tokens)
+    numbers = [{(): 0} for _ in pids]  # by place position: tokens -> code
+
+    def code(p: int, tokens: tuple) -> int:
+        number = numbers[p].get(tokens)
+        if number is None:
+            number = numbers[p][tokens] = len(pairs[p])
+            pairs[p].append((pids[p], tokens))
+        return number
+
+    codes = array("I", [0]) * len(pids)
+    for pid, tokens in start:
+        codes[at[pid]] = code(at[pid], tokens)
+    index = {codes.tobytes(): 0}
+    found = [*index]
+    edges = []
+    truncated = False
+    memos = [{} for _ in transitions]
+    current = 0
+    while current < len(found):
+        codes = array("I", found[current])
+        positions = [*unwatched]
+        for watching in compress(watchers, codes):
+            positions += watching
+        positions.sort()
+        for t in positions:
+            view = views[t](codes)
+            fired = memos[t].get(view)
+            if fired is None:
+                trans = transitions[t]
+                tokens = dict(pairs[at[pid]][codes[at[pid]]] for pid in trans.touched)
+                fired = memos[t][view] = [
+                    (trans.id, key, [(at[pid], code(at[pid], new))
+                                     for pid, new in trans.apply(tokens, binding).items()])
+                    for key, binding in trans.bindings(tokens)]
+            for tid, key, changes in fired:
+                succ = codes[:]
+                for p, number in changes:
+                    succ[p] = number
+                succ = succ.tobytes()
+                target = index.get(succ)
+                if target is None:
+                    if len(found) >= bound:
+                        truncated = True
+                        continue
+                    target = len(found)
+                    index[succ] = target
+                    found.append(succ)
+                edges.append((current, tid, key, target))
+        current += 1
+    del index  # decoding in place then reuses its memory
+    for n, key in enumerate(found):
+        codes = array("I", key)
+        found[n] = tuple(compress(map(list.__getitem__, pairs, codes), codes))
     return ReachabilityGraph(states=found, edges=edges, truncated=truncated)

@@ -19,7 +19,7 @@ from smd2cpn.translator import TranslationConfig, translate
 
 import mutations
 from conftest import CORPUS
-from modelgen import balanced_machine, chain_machine
+from modelgen import balanced_machine, chain_machine, random_transition_machine
 
 
 def unit_net():
@@ -350,10 +350,10 @@ def test_cd_reachable_count_matches_frozen_hand_values(corpus_nets, expectations
 # explore against a breadth-first search over the public token game
 
 
-def reference_explore(net, bound):
+def reference_explore(net, bound, start=None):
     """BFS that only uses `enabled_bindings`, `fire` and `marking_key`:
     (state keys, edges, truncated) in explore's numbering."""
-    start = net.initial_marking()
+    start = net.initial_marking() if start is None else marking_key(start)
     states, index = [start], {marking_key(start): 0}
     edges, truncated = [], False
     current = 0
@@ -393,6 +393,107 @@ def test_explore_matches_reference_bfs(corpus_models, name, capacity):
     assert [marking_key(m) for m in graph.states] == keys
     assert graph.edges == edges
     assert graph.truncated == truncated == (bound == 3000)
+
+
+def _successors_calls(monkeypatch):
+    """The markings `CompiledNet.successors` is called at from here on:
+    one per marking in a sparse search, none in a dense one."""
+    calls = []
+    original = CompiledNet.successors
+
+    def successors(self, marking, memo):
+        calls.append(marking)
+        return original(self, marking, memo)
+
+    monkeypatch.setattr(CompiledNet, "successors", successors)
+    return calls
+
+
+def assert_explores_as_the_reference(net, bound=100_000, start=None):
+    graph = explore(net, start, bound=bound)
+    keys, edges, truncated = reference_explore(net, bound, start)
+    assert graph.states == keys
+    assert graph.edges == edges
+    assert graph.truncated == truncated
+    return graph
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_dense_searches_of_random_machines_match_the_reference(monkeypatch, capacity):
+    """Guards, history, finals and completions.  45 of the 60 nets are at
+    least a quarter marked at the start, so they are searched densely."""
+    calls = _successors_calls(monkeypatch)
+    dense = 0
+    for seed in range(60):
+        net, _ = translate(random_transition_machine(random.Random(seed)),
+                           TranslationConfig(event_capacity=capacity))
+        calls.clear()
+        assert_explores_as_the_reference(net)
+        dense += not calls
+        assert (not calls) == (len(net.places) <= 4 * len(net.initial_marking())), seed
+    assert dense == 45
+
+
+def test_a_truncated_dense_search_matches_the_reference(corpus_models):
+    net, _ = translate(corpus_models["history"], TranslationConfig(event_capacity=2))
+    assert assert_explores_as_the_reference(net, bound=1000).truncated
+
+
+def test_a_dense_search_from_a_given_start_matches_the_reference(corpus_models):
+    """guarded@2 from its last reachable marking, given as a map with each
+    place's tokens reversed, then with a second control token on P_Z,
+    which no firing from the initial marking gives."""
+    net, _ = translate(corpus_models["guarded"], TranslationConfig(event_capacity=2))
+    last = {pid: tokens[::-1] for pid, tokens in explore(net).states[-1]}
+    assert_explores_as_the_reference(net, start=last)
+    last["P_Z"] = (UNIT_TOKEN,)
+    assert_explores_as_the_reference(net, start=last)
+
+
+def test_a_place_may_take_more_values_than_a_byte_can_code():
+    """c counts from 0 to 299 beside an unread unit token, so its one
+    place holds 300 distinct token tuples in one dense search."""
+    net = unit_net()
+    net.colours["INT"] = IntCS()
+    net.add_place(PlaceDef("a", "a", "UNIT", (UNIT_TOKEN,)))
+    net.add_place(PlaceDef("c", "c", "INT", (0,)))
+    net.add_transition(TransDef("t", "t", guard=ex.Cmp("<", ex.VarRead("n"), ex.IntLit(299))))
+    net.add_arc("c", "t", PTOT, Var("n"))
+    net.add_arc("c", "t", TTOP, Calc(ex.BinOp("+", ex.VarRead("n"), ex.IntLit(1))))
+    graph = assert_explores_as_the_reference(net)
+    assert [dict(m)["c"] for m in graph.states] == [(n,) for n in range(300)]
+
+
+def test_a_transition_without_arcs_loops_in_either_search(monkeypatch):
+    """With no place the net is searched densely; with five empty places,
+    sparsely.  Either way t fires once, back onto the empty marking."""
+    calls = _successors_calls(monkeypatch)
+    net = unit_net()
+    net.add_transition(TransDef("t", "t"))
+    assert assert_explores_as_the_reference(net).edges == [(0, "t", (), 0)]
+    assert calls == []
+    for n in range(5):
+        net.add_place(PlaceDef(f"p{n}", f"p{n}", "UNIT"))
+    assert assert_explores_as_the_reference(net).edges == [(0, "t", (), 0)]
+    assert calls == [()]
+
+
+def test_the_start_marking_picks_the_search(monkeypatch, corpus_models):
+    """Sparse where under a quarter of the places is marked at the start,
+    dense elsewhere: every corpus net is at least a quarter marked."""
+    calls = _successors_calls(monkeypatch)
+    for model in (chain_machine(20), balanced_machine(3, 2), chain_machine(1000)):
+        net, _ = translate(model)
+        assert len(net.places) > 4 * len(net.initial_marking())
+        graph = explore(net)
+        assert calls == graph.states
+        calls.clear()
+    for model in corpus_models.values():
+        for capacity in (1, 2):
+            net, _ = translate(model, TranslationConfig(event_capacity=capacity))
+            assert len(net.places) <= 4 * len(net.initial_marking())
+            explore(net, bound=3000)
+    assert calls == []
 
 
 def _int_feeder():
