@@ -31,8 +31,9 @@ replaced.  At each marking `explore` tries only the candidate transitions:
 those without input places, and those whose watch place (the input place
 with the fewest consuming arcs, ties broken by id) is marked.  A
 transition's firings depend only on the tokens of the places it touches,
-its local view, so `explore` works each view's firings out once, in a memo
-that lives for one search.
+its local view, so `explore`'s dense search works each view's firings out
+once, in a memo that lives for one search; the sparse search fires every
+binding it meets.
 """
 
 from __future__ import annotations
@@ -356,18 +357,10 @@ def binding_key(binding: dict) -> tuple:
     return tuple(sorted(binding.items()))  # names are unique: sorting never compares values
 
 
-class _BoundLater:
-    """An arc's token that depends on the binding; copies keep its identity."""
-    def __reduce__(self):
-        return "_BOUND_LATER"
-
-
-_BOUND_LATER = _BoundLater()
-
-
 def _constant(inscription: Inscription):
-    """The token of an inscription without variables, else _BOUND_LATER."""
-    return _BOUND_LATER if variables(inscription) else evaluate(inscription, {})
+    """The token of an inscription without variables, else None, which no
+    colour contains."""
+    return None if variables(inscription) else evaluate(inscription, {})
 
 
 class CompiledTransition:
@@ -391,19 +384,19 @@ class CompiledTransition:
     def __init__(self, net: ColouredNet, trans: TransDef, in_arcs: list, out_arcs: list):
         self.id = trans.id
         self.trans = trans
-        # (place, pattern, token or _BOUND_LATER), in arc order
+        # (place, pattern, token or None), in arc order
         self.inputs = tuple((arc.place, arc.inscription, _constant(arc.inscription))
                             for arc in in_arcs)
         by_place: dict[str, list] = {}
         fixed: Counter = Counter()
         for pid, pattern, token in self.inputs:
             by_place.setdefault(pid, []).append(pattern)
-            if token is not _BOUND_LATER:
+            if token is not None:
                 fixed[pid, token] += 1
         self.places = tuple(by_place)  # distinct input places
         self.literals = tuple((pid, token, n) for (pid, token), n in fixed.items())
         self.variables = tuple((pid, pattern) for pid, pattern, token in self.inputs
-                               if token is _BOUND_LATER)
+                               if token is None)
         # places read by several arcs, at least one with variables: only
         # there can a binding need more copies of a token than are present
         varied = {pid for pid, _ in self.variables}
@@ -414,13 +407,13 @@ class CompiledTransition:
             _check_read(trans.id, "guard", ex.variables_of(trans.guard), bound)
         for arc in out_arcs:
             _check_read(trans.id, f"output arc {arc.id}", variables(arc.inscription), bound)
-        # (place, expression, token or _BOUND_LATER, colour set), in arc
-        # order; the colour set is None where a constant token fits it, so
-        # that token is checked here once instead of at every firing
+        # (place, expression, token or None, colour set), in arc order; the
+        # colour set is None where a constant token fits it, so that token
+        # is checked here once instead of at every firing
         outputs = []
         for arc in out_arcs:
             token, colour = _constant(arc.inscription), net.colour_of(arc.place)
-            if token is not _BOUND_LATER and colour.contains(token):
+            if token is not None and colour.contains(token):
                 colour = None
             outputs.append((arc.place, arc.inscription, token, colour))
         self.outputs = tuple(outputs)
@@ -474,7 +467,7 @@ class CompiledTransition:
         outside the colour keeps from being put in order."""
         changed: dict[str, tuple] = {}
         for pid, pattern, token in self.inputs:
-            if token is _BOUND_LATER:
+            if token is None:
                 token = evaluate(pattern, binding)
             have = changed[pid] if pid in changed else tokens.get(pid, ())
             try:
@@ -483,7 +476,7 @@ class CompiledTransition:
                 raise NotEnabledError(f"{self.id}: no token {token!r} in {pid}") from None
             changed[pid] = have[:at] + have[at + 1:]
         for pid, out, token, colour in self.outputs:
-            if token is _BOUND_LATER:
+            if token is None:
                 token = evaluate(out, binding)
             if colour is not None and not colour.contains(token):
                 raise NetError(f"{self.id}: produced {token!r} outside the colour "
@@ -502,23 +495,10 @@ class CompiledTransition:
         under the binding; the guard is not evaluated, and it raises as
         `apply` does."""
         changed = self.apply(tokens, binding)
-        return _successor(marking, changed, _marked(changed))
-
-
-def _marked(changed: dict) -> list:
-    """The (place id, token tuple) pairs of the places `changed` leaves marked."""
-    return [pair for pair in changed.items() if pair[1]]
-
-
-def _successor(marking: Marking, changed: dict, marked: list) -> Marking:
-    """The marking once the places in `changed` hold their new tokens:
-    its pairs on those places are dropped and `marked`, `_marked(changed)`,
-    put in their place.  The other pairs are kept as they are, and the one
-    sort merges two sorted runs."""
-    new = [pair for pair in marking if pair[0] not in changed]
-    new += marked
-    new.sort()
-    return tuple(new)
+        new = [pair for pair in marking if pair[0] not in changed]
+        new += [pair for pair in changed.items() if pair[1]]
+        new.sort()  # merges two sorted runs
+        return tuple(new)
 
 
 class CompiledNet:
@@ -533,16 +513,9 @@ class CompiledNet:
     empty cannot fire, so the candidates at a marking are the transitions
     without inputs plus those whose watch place is marked.
 
-    `successors` memoises each transition's firings on its local view, in
-    a memo its caller owns for one search: the token tuples of the
-    transition's `touched` places, None where a place is unmarked.  A view
-    maps to what `bindings` and `apply` gave there: for each binding its
-    key, the changed places' new token tuples and `_marked` of those, so a
-    view met again is neither matched, evaluated nor colour-checked again.
-    Nothing is stored for a view whose firing raises, so it raises each
-    time it is met.  The compiled form outlives a search and the memo
-    does not, so each search starts from an empty memo.  `dense` is built
-    on first use, so a net searched sparsely never builds it.
+    `successors` fires each candidate under each of its bindings through
+    `CompiledTransition.fire`, keeping nothing between markings.  `dense`
+    is built on first use, so a net searched sparsely never builds it.
     """
 
     def __init__(self, net: ColouredNet):
@@ -570,11 +543,12 @@ class CompiledNet:
     def dense(self) -> tuple:
         """The numbering `explore`'s dense search reads: the place ids in id
         order; each id's position; by transition position, an itemgetter
-        of the codes of its `touched` places; by place position, the
-        positions of the transitions watching it."""
+        of the codes of its `touched` places, or `len` where it touches
+        none, as the codes' length is the same at every marking; by place
+        position, the positions of the transitions watching it."""
         pids = sorted(self.source[1])
         at = {pid: p for p, pid in enumerate(pids)}
-        views = [itemgetter(*ps) if ps else (lambda codes: ())
+        views = [itemgetter(*ps) if ps else len
                  for ps in (tuple(map(at.__getitem__, t.touched)) for t in self.transitions)]
         return pids, at, views, [self.watchers.get(pid, ()) for pid in pids]
 
@@ -597,22 +571,13 @@ class CompiledNet:
         positions.sort()
         return [self.transitions[p] for p in positions]
 
-    def successors(self, marking: Marking, memo: dict):
+    def successors(self, marking: Marking):
         """(transition id, binding key, successor) for every enabled
-        binding, transitions in id order and bindings in key order.  `memo`
-        maps (transition, *view) to [(binding key, changed, marked), ...]."""
+        binding, transitions in id order and bindings in key order."""
         tokens = dict(marking)
         for trans in self.candidates(marking):
-            view = (trans, *map(tokens.get, trans.touched))
-            fired = memo.get(view)
-            if fired is None:
-                fired = []
-                for key, binding in trans.bindings(tokens):
-                    changed = trans.apply(tokens, binding)
-                    fired.append((key, changed, _marked(changed)))
-                memo[view] = fired
-            for key, changed, marked in fired:
-                yield trans.id, key, _successor(marking, changed, marked)
+            for key, binding in trans.bindings(tokens):
+                yield trans.id, key, trans.fire(marking, tokens, binding)
 
 
 def enabled_bindings(net: Union[ColouredNet, CompiledNet], marking: Marking,
@@ -656,10 +621,9 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     reports whether some discovered successor had to be dropped.
 
     The search runs on the net's `CompiledNet`, with markings as their own
-    keys and a firing memo of its own, and tries only the watch-place
-    candidates at each marking.  A given start marking is made canonical
-    with `marking_key` first; a token on a place the net lacks, or outside
-    its place's colour, is a NetError.
+    keys, and tries only the watch-place candidates at each marking.  A
+    given start marking is made canonical with `marking_key` first; a token
+    on a place the net lacks, or outside its place's colour, is a NetError.
 
     Where at most `DENSE_FILL` places per marked place are in the net at
     the start, the search keys markings by their dense form instead and
@@ -682,10 +646,9 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     found = [start]
     edges = []
     truncated = False
-    memo: dict = {}
     current = 0
     while current < len(found):
-        for tid, key, succ in compiled.successors(found[current], memo):
+        for tid, key, succ in compiled.successors(found[current]):
             target = index.get(succ)
             if target is None:
                 if len(found) >= bound:

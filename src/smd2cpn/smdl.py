@@ -12,15 +12,15 @@
     }
 
 `X.H` targets the history pseudostate of composite X; `X.F` targets the
-final state of region X (the machine name addresses the root region).
+final state of region X (the machine name addresses the root region unless a
+state carries that name).
 Comments run from `#` to end of line.  Printing is canonical: stable
 ordering, two-space indentation, byte-identical for equal models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import replace
 
 from . import expr
 from .statemachine import (
@@ -74,12 +74,16 @@ class _Parser(expr.TokenStream):
         name = self.take("ident", "machine name")
         self.expect("{")
         states: list[StateNode] = []
-        transitions: list[_RawTransition] = []
+        transitions: list[Transition] = []
         variables: list[Variable] = []
         self.region_items(None, "", states, transitions, variables, top=True)
         self.expect("}")
         self.expect_end()
-        return _assemble(name, states, transitions, variables)
+        if all(s.id != name for s in states):  # `name.F` is the root region's final
+            transitions = [replace(t, target=".final") if t.target == f"{name}.final" else t
+                           for t in transitions]
+        return StateMachine(name=name, states=tuple(states),
+                            transitions=tuple(transitions), variables=tuple(variables))
 
     def region_items(self, parent, owner_name, states, transitions, variables, top):
         while True:
@@ -172,6 +176,8 @@ class _Parser(expr.TokenStream):
             if suffix not in ("H", "F"):
                 self.fail("H", "F")
             self.next()
+        if suffix == "F":  # region X's final; an unknown X is left for validate
+            target = f"{target}.final"
         trigger = None
         if self.accept("on"):
             trigger = self.take("ident", "event name")
@@ -184,41 +190,9 @@ class _Parser(expr.TokenStream):
         if self.accept("/"):
             effect = self.behaviour(tid, "effect")
         self.expect(";")
-        transitions.append(_RawTransition(tid, source, target, suffix,
-                                          trigger, guard, effect))
-
-
-@dataclass
-class _RawTransition:
-    id: str
-    source: str
-    target: str
-    suffix: Optional[str]  # None, "H" or "F"
-    trigger: Optional[str]
-    guard: object
-    effect: Optional[Behaviour]
-
-
-def _assemble(name, states, raw_transitions, variables) -> StateMachine:
-    known = {s.id for s in states}
-    transitions = []
-    for raw in raw_transitions:
-        target = raw.target
-        to_history = False
-        if raw.suffix == "H":
-            to_history = True
-        elif raw.suffix == "F":
-            if target in known:
-                target = f"{target}.final"
-            elif target == name:
-                target = ".final"  # the root region's final state
-            else:
-                target = f"{target}.final"  # left dangling for validation
-        transitions.append(Transition(
-            id=raw.id, source=raw.source, target=target, to_history=to_history,
-            trigger=raw.trigger, guard=raw.guard, effect=raw.effect))
-    return StateMachine(name=name, states=tuple(states),
-                        transitions=tuple(transitions), variables=tuple(variables))
+        transitions.append(Transition(id=tid, source=source, target=target,
+                                      to_history=suffix == "H", trigger=trigger,
+                                      guard=guard, effect=effect))
 
 
 def parse(text: str) -> StateMachine:

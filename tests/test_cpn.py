@@ -1,5 +1,6 @@
 import copy
 import itertools
+import pickle
 import random
 from dataclasses import dataclass, replace
 
@@ -401,12 +402,26 @@ def _successors_calls(monkeypatch):
     calls = []
     original = CompiledNet.successors
 
-    def successors(self, marking, memo):
+    def successors(self, marking):
         calls.append(marking)
-        return original(self, marking, memo)
+        return original(self, marking)
 
     monkeypatch.setattr(CompiledNet, "successors", successors)
     return calls
+
+
+def _add_empty_places(net, n):
+    """Add n empty unit places that no arc touches, so that a net marked a
+    quarter full or more at the start may be searched sparsely."""
+    for k in range(n):
+        net.add_place(PlaceDef(f"e{k}", f"e{k}", "UNIT"))
+    return net
+
+
+def _arcless_net():
+    net = unit_net()
+    net.add_transition(TransDef("t", "t"))
+    return net
 
 
 def assert_explores_as_the_reference(net, bound=100_000, start=None):
@@ -468,12 +483,10 @@ def test_a_transition_without_arcs_loops_in_either_search(monkeypatch):
     """With no place the net is searched densely; with five empty places,
     sparsely.  Either way t fires once, back onto the empty marking."""
     calls = _successors_calls(monkeypatch)
-    net = unit_net()
-    net.add_transition(TransDef("t", "t"))
+    net = _arcless_net()
     assert assert_explores_as_the_reference(net).edges == [(0, "t", (), 0)]
     assert calls == []
-    for n in range(5):
-        net.add_place(PlaceDef(f"p{n}", f"p{n}", "UNIT"))
+    _add_empty_places(net, 5)
     assert assert_explores_as_the_reference(net).edges == [(0, "t", (), 0)]
     assert calls == [()]
 
@@ -602,11 +615,10 @@ def _pairs_net():
 def test_successors_agree_with_a_brute_force_token_game(corpus_nets, name):
     net = _pairs_net() if name == "pairs" else corpus_nets[name][0]
     compiled = CompiledNet(net)
-    memo = {}
     graph = explore(net, bound=4_000 if name == "cdplayer" else 100_000)
     assert graph.truncated == (name == "cdplayer")
     for marking in graph.states:
-        successors = list(compiled.successors(marking, memo))
+        successors = list(compiled.successors(marking))
         assert len(set(successors)) == len(successors)
         assert set(successors) == reference_successors(net, marking), marking
 
@@ -624,9 +636,8 @@ def test_successors_agree_with_a_brute_force_token_game_on_mutants(corpus_nets, 
         except NetError:
             continue
         compiled = CompiledNet(mutant)
-        memo = {}
         for marking in explore(mutant, bound=200).states:
-            successors = list(compiled.successors(marking, memo))
+            successors = list(compiled.successors(marking))
             assert len(set(successors)) == len(successors)
             assert set(successors) == reference_successors(mutant, marking), (arc.id, marking)
 
@@ -685,9 +696,8 @@ def test_a_firing_keeps_the_tokens_of_a_place_it_only_feeds():
                            (1, "u", (("n", 0),), 3), (2, "t", (), 3),
                            (3, "t", (), 4)]
     compiled = CompiledNet(net)
-    memo = {}
     for marking in graph.states:
-        assert set(compiled.successors(marking, memo)) == reference_successors(net, marking)
+        assert set(compiled.successors(marking)) == reference_successors(net, marking)
 
 
 def test_each_exploration_fires_each_local_view_once(monkeypatch):
@@ -714,35 +724,45 @@ class _AtMost:
         return isinstance(value, int) and value <= self.top
 
 
-def test_a_computed_token_outside_its_colour_raises_in_every_search():
+def test_a_computed_token_outside_its_colour_raises_in_every_search(monkeypatch):
     """t counts c up; s spends a's two tokens.  c's view (0,) comes up
-    twice and fits, then (1,) makes t produce 2, which c's colour lacks."""
-    net = unit_net()
-    net.colours["SMALL"] = _AtMost(1)
-    net.add_place(PlaceDef("a", "a", "UNIT", (UNIT_TOKEN, UNIT_TOKEN)))
-    net.add_place(PlaceDef("c", "c", "SMALL", (0,)))
-    net.add_transition(TransDef("s", "s"))
-    net.add_arc("a", "s", PTOT, Lit(UNIT_TOKEN))
-    net.add_transition(TransDef("t", "t"))
-    net.add_arc("c", "t", PTOT, Var("n"))
-    net.add_arc("c", "t", TTOP, Calc(ex.BinOp("+", ex.VarRead("n"), ex.IntLit(1))))
-    for _ in range(2):
-        with pytest.raises(NetError, match=r"^t: produced 2 outside the colour of c$"):
-            explore(net)
-    assert explore(net, bound=2).truncated
+    twice and fits, then (1,) makes t produce 2, which c's colour lacks.
+    Searched densely, then sparsely beside seven empty places."""
+    calls = _successors_calls(monkeypatch)
+    for empty in (0, 7):
+        net = _add_empty_places(unit_net(), empty)
+        net.colours["SMALL"] = _AtMost(1)
+        net.add_place(PlaceDef("a", "a", "UNIT", (UNIT_TOKEN, UNIT_TOKEN)))
+        net.add_place(PlaceDef("c", "c", "SMALL", (0,)))
+        net.add_transition(TransDef("s", "s"))
+        net.add_arc("a", "s", PTOT, Lit(UNIT_TOKEN))
+        net.add_transition(TransDef("t", "t"))
+        net.add_arc("c", "t", PTOT, Var("n"))
+        net.add_arc("c", "t", TTOP, Calc(ex.BinOp("+", ex.VarRead("n"), ex.IntLit(1))))
+        calls.clear()
+        for _ in range(2):
+            with pytest.raises(NetError, match=r"^t: produced 2 outside the colour of c$"):
+                explore(net)
+        assert explore(net, bound=2).truncated
+        assert bool(calls) == bool(empty)
 
 
-def test_a_constant_token_outside_its_colour_raises_when_fired():
+def test_a_constant_token_outside_its_colour_raises_when_fired(monkeypatch):
     """A literal output outside its place's colour is found out when the
-    transition fires, not when the net is compiled."""
-    net = _int_feeder()
-    net.arcs = [replace(arc, inscription=Lit("z")) if arc.place == "p" else arc
-                for arc in net.arcs]
-    CompiledNet(net)
-    assert explore(net, (("p", (1,)),)).states == [(("p", (1,)),)]
-    for _ in range(2):
-        with pytest.raises(NetError, match=r"^t: produced 'z' outside the colour of p$"):
-            explore(net)
+    transition fires, not when the net is compiled.  Searched densely, then
+    sparsely beside three empty places."""
+    calls = _successors_calls(monkeypatch)
+    for empty in (0, 3):
+        net = _add_empty_places(_int_feeder(), empty)
+        net.arcs = [replace(arc, inscription=Lit("z")) if arc.place == "p" else arc
+                    for arc in net.arcs]
+        CompiledNet(net)
+        calls.clear()
+        assert explore(net, (("p", (1,)),)).states == [(("p", (1,)),)]
+        for _ in range(2):
+            with pytest.raises(NetError, match=r"^t: produced 'z' outside the colour of p$"):
+                explore(net)
+        assert bool(calls) == bool(empty)
 
 
 def test_reassigned_arcs_give_the_new_graph():
@@ -791,6 +811,25 @@ def test_a_deep_copy_of_an_explored_net_explores_to_the_same_graph(corpus_nets, 
     net, _ = corpus_nets[name]
     graph = explore(net)
     assert explore(copy.deepcopy(net)) == graph
+
+
+@pytest.mark.parametrize("build, empty", [
+    (_arcless_net, 0), (_arcless_net, 5), (_output_only_net, 0), (_output_only_net, 6),
+], ids=["arcless-dense", "arcless-sparse", "variables-dense", "variables-sparse"])
+def test_an_explored_net_copies_with_its_compiled_form(monkeypatch, build, empty):
+    """A copy made by pickle or deepcopy keeps the compiled form, dense
+    numbering included once a dense search built it, and explores on it
+    to the same graph.  In the compiled form of `_output_only_net`, None
+    marks the arc tokens that a binding gives; each copy must keep it."""
+    calls = _successors_calls(monkeypatch)
+    net = _add_empty_places(build(), empty)
+    graph = explore(net)
+    assert bool(calls) == bool(empty)
+    for copied in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        kept = copied._compiled
+        assert kept is not net._compiled
+        assert explore(copied) == graph
+        assert copied._compiled is kept
 
 
 def test_safety_then_equivalence_compile_each_transition_once(monkeypatch, corpus_models):

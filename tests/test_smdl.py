@@ -182,6 +182,33 @@ def test_history_and_final_targets_round_trip():
     assert again == model
 
 
+def test_a_state_named_like_the_machine_owns_its_final_target():
+    """`M.F` names the region of state M, not the root region, once a state
+    carries the machine's name."""
+    text = """machine M {
+  state M initial {
+    state A initial ;
+    final ;
+  } ;
+  final ;
+  trans t : A -> M.F ;
+}
+"""
+    model = parse(text)
+    assert validate(model).ok
+    t = model.transitions_by_id["t"]
+    assert t.target == "M.final" and model.by_id[t.target].parent == "M"
+    assert print_model(model) == text
+    assert parse(print_model(model)) == model
+
+
+def test_the_final_of_an_unknown_region_is_left_for_validate():
+    model = parse("machine M { state A initial ; trans t : A -> Q.F ; }")
+    assert model.transitions_by_id["t"].target == "Q.final"
+    assert [(v.code, v.element) for v in validate(model).violations] == [
+        ("unknown-target", "t")]
+
+
 def test_negative_variable_initials_round_trip():
     model = parse("machine M { var x : int = -3 ; state S initial ; }")
     assert model.variables[0].initial == -3
