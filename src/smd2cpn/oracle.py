@@ -18,10 +18,10 @@ The interpreter is written directly against the model queries and never
 consults the translator's chain construction, so the two sides stay
 independent routes that can disagree when one of them is wrong.  What they
 share is model semantics only: `StateMachine.is_completion`,
-`boundaries`, `exit_chain`, `entry_chain`, `history_writes` (what each
-exited history composite remembers) and `resumed` (where a history
-target lands), and the model's indices (`transitions_from`,
-`ancestor_paths`).
+`boundaries`, `default_configuration` (where a step lands), `exit_chain`,
+`entry_chain`, `history_writes` (what each exited history composite
+remembers) and `resumed` (where a history target lands), and the model's
+indices (`transitions_from`, `ancestor_paths`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 
 from . import expr as ex
 from . import net as cpn
-from .statemachine import FINAL, NO_HISTORY, SIMPLE, StateMachine, Transition
+from .statemachine import NO_HISTORY, SIMPLE, StateMachine, Transition
 from .translator import TranslationMap
 
 
@@ -78,31 +78,27 @@ def initial_configuration(model: StateMachine) -> Configuration:
         history=_freeze({s.id: NO_HISTORY for s in model.states if s.has_history}))
 
 
-def _enabled(model: StateMachine, t: Transition, active: str,
-             valuation: dict, pending: dict) -> bool:
-    """Whether `t` may fire from leaf `active` under the valuation and the
-    pending event pool."""
-    if model.is_completion(t):
-        from_source = active == model.final_child_of(t.source)
-    else:  # a completed region only offers its completion transitions
-        from_source = (model.state(active).kind == SIMPLE
-                       and model.is_ancestor_or_self(t.source, active))
-    return (from_source and (t.trigger is None or pending.get(t.trigger, 0) >= 1)
-            and (t.guard is None or ex.eval_bool(t.guard, valuation)))
+def _offered(model: StateMachine, active: str, valuation: dict) -> list[Transition]:
+    """The transitions that may fire from leaf `active` whatever the pool
+    holds, in id order, each only where its guard holds: from a simple
+    leaf the non-completion transitions leaving it or an ancestor, from a
+    region's final state its owner's completions."""
+    leaf = model.state(active)
+    simple = leaf.kind == SIMPLE
+    sources = model.ancestors_or_self(active) if simple else (leaf.parent,)
+    return sorted((t for sid in sources for t in model.transitions_from.get(sid, ())
+                   if model.is_completion(t) != simple
+                   and (t.guard is None or ex.eval_bool(t.guard, valuation))), key=lambda t: t.id)
 
 
 def enabled_transitions(model: StateMachine,
                         config: Configuration) -> list[tuple[str, Optional[str]]]:
-    """(transition id, consumed event) pairs fireable in the configuration.
-    Only transitions that leave the active leaf or one of its ancestors
-    can fire; a completed region's final leaf only offers its owner's."""
-    valuation = config.valuation_dict()
+    """(transition id, consumed event) pairs fireable in the configuration,
+    in id order: those `_offered` from its leaf whose trigger, if any, is
+    pending."""
     pending = config.pending_dict()
-    leaf = model.state(config.active)
-    sources = model.ancestors_or_self(leaf.id) if leaf.kind == SIMPLE else (leaf.parent,)
-    return sorted((t.id, t.trigger) for sid in sources
-                  for t in model.transitions_from.get(sid, ())
-                  if _enabled(model, t, leaf.id, valuation, pending))
+    return [(t.id, t.trigger) for t in _offered(model, config.active, config.valuation_dict())
+            if t.trigger is None or pending.get(t.trigger, 0) >= 1]
 
 
 def _run_step(model: StateMachine, t: Transition, active: str, valuation: tuple,
@@ -118,8 +114,7 @@ def _run_step(model: StateMachine, t: Transition, active: str, valuation: tuple,
         start, leaf = model.resumed(t.target, history[t.target])
         entries = model.entry_chain(nb, t.target) + model.entry_chain(start, leaf)
     else:
-        leaf = (t.target if model.state(t.target).kind == FINAL
-                else model.default_configuration(t.target))
+        leaf = model.default_configuration(t.target)
         entries = model.entry_chain(nb, leaf)
     effect = (t.effect,) if t.effect is not None else ()
     behaviours = model.exit_chain(active, eb) + effect + entries
@@ -135,13 +130,12 @@ def step(model: StateMachine, config: Configuration,
     from the pool; NotEnabledStepError where it cannot fire.  The tests
     check the steps `_machine_moves` keeps against this."""
     t = model.transitions_by_id[transition_id]
-    pending = config.pending_dict()
-    if not _enabled(model, t, config.active, config.valuation_dict(), pending):
+    if (t.id, t.trigger) not in enabled_transitions(model, config):
         raise NotEnabledStepError(f"{transition_id} is not enabled")
     behaviours, leaf, *after = _run_step(model, t, config.active, config.valuation,
                                          config.history)
-    pending = (config.pending if t.trigger is None
-               else _moved(config.pending, t.trigger, -1, capacity=pending[t.trigger]))
+    pending = (config.pending if t.trigger is None else
+               _moved(config.pending, t.trigger, -1, capacity=config.pending_dict()[t.trigger]))
     return Configuration(leaf, *after, pending), StepLabel(t.trigger, behaviours, leaf)
 
 
@@ -206,7 +200,7 @@ class NetRunner:
             for pid, pattern, _ in compiled.by_id[tid].inputs:
                 if pid == tmap.events_place and isinstance(pattern, cpn.Lit):
                     self.trigger_of_dispatch[tid] = pattern.value
-        self.producers = sorted({e: tid for tid, e in tmap.producer.items()}.items())
+        self.producer = tmap.producer
         self.skip_in_chain = set(tmap.producer) | set(tmap.do_loop)
         self.chain_bound = 2 * len(net.transitions) + 4
 
@@ -240,31 +234,29 @@ class NetRunner:
         return tuple(labels), marking, f"not stable after {self.chain_bound} firings"
 
     def moves(self, marking: cpn.Marking) -> list[tuple[tuple, cpn.Marking]]:
-        """(move, successor) for every move at the marking, from one list of
-        candidates: ("inject", event) for every producer that can fire, in
-        event order, then every dispatch firing plus its chain, in id order.
-        Such a move is ("step", event, behaviours, leaf) when the chain
-        reaches a stable marking and ("stuck", event, behaviours, reason)
-        when not."""
+        """(move, successor) for every move at the marking, from one pass
+        over its candidates: ("inject", event) for every producer that can
+        fire, then every dispatch firing plus its chain.  Such a move is
+        ("step", event, behaviours, leaf) when the chain reaches a stable
+        marking and ("stuck", event, behaviours, reason) when not.  Both
+        kinds come in id order, so injections in event order for the
+        translator's `T_env_<e>` ids; no outcome depends on the order, as
+        `_move_map` sorts moves by label and a label view compares key sets."""
         tokens = dict(marking)
-        candidates = self.compiled.candidates(marking)
-        offered = {trans.id: trans for trans in candidates}
-        moves = []
-        for event, tid in self.producers:
-            if tid in offered and (bindings := cpn.enabled_bindings(self.compiled, marking, tid)):
-                moves.append((_injection(event), offered[tid].fire(marking, tokens, bindings[0])))
-        for trans in candidates:
-            if trans.id not in self.trigger_of_dispatch:
-                continue
-            event = self.trigger_of_dispatch[trans.id]
-            for binding in cpn.enabled_bindings(self.compiled, marking, trans.id):
-                labels, final, stuck = self.run_chain(trans.fire(marking, tokens, binding))
-                if stuck is None:
-                    move = ("step", event, labels, self.stable_leaf(final))
-                else:
-                    move = ("stuck", event, labels, stuck)
-                moves.append((move, final))
-        return moves
+        injections, steps = [], []
+        for trans in self.compiled.candidates(marking):
+            if trans.id in self.producer:
+                if bindings := cpn.enabled_bindings(self.compiled, marking, trans.id):
+                    injections.append((_injection(self.producer[trans.id]),
+                                       trans.fire(marking, tokens, bindings[0])))
+            elif trans.id in self.trigger_of_dispatch:
+                event = self.trigger_of_dispatch[trans.id]
+                for binding in cpn.enabled_bindings(self.compiled, marking, trans.id):
+                    labels, final, stuck = self.run_chain(trans.fire(marking, tokens, binding))
+                    move = (("step", event, labels, self.stable_leaf(final)) if stuck is None
+                            else ("stuck", event, labels, stuck))
+                    steps.append((move, final))
+        return injections + steps
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +325,16 @@ class EquivalenceResult:
 def _machine_moves(model: StateMachine, config: Configuration, capacity: int, steps: dict):
     """(move, successor) for every injection and step of the machine.
     `steps`, kept for one check, maps (active, valuation, history) to the
-    trigger and `_run_step` of every transition whose source and guard hold
-    there, in `enabled_transitions` order, which a pool holding every event
-    leaves none out of.  A step is offered where its trigger is pending.
+    trigger and `_run_step` of every transition `_offered` there, in id
+    order.  A step is offered where its trigger is pending.
     The last layer's label view drops the successors, numbering none."""
     for event in model.events:
         if (after := inject(model, config, event, capacity)) is not None:
             yield _injection(event), after
     key = (config.active, config.valuation, config.history)
     if key not in steps:
-        every = Configuration(*key, pending=tuple((event, 1) for event in model.events))
-        steps[key] = [(trigger, *_run_step(model, model.transitions_by_id[tid], *key))
-                      for tid, trigger in enabled_transitions(model, every)]
+        steps[key] = [(t.trigger, *_run_step(model, t, *key))
+                      for t in _offered(model, config.active, config.valuation_dict())]
     for trigger, behaviours, *after in steps[key]:
         pending = (config.pending if trigger is None
                    else _moved(config.pending, trigger, -1, capacity))

@@ -186,10 +186,6 @@ class StateMachine:
         except KeyError:
             raise UnknownStateError(sid) from None
 
-    def is_ancestor_or_self(self, outer: Optional[str], inner: str) -> bool:
-        path = self.ancestors_or_self(inner)
-        return outer is None or outer in path
-
     def substates(self, sid: str) -> tuple[str, ...]:
         """All simple states in the subtree of `sid`, in document order.
 
@@ -270,11 +266,12 @@ class StateMachine:
                 self.child_of_containing(scope, t.target))
 
     def default_configuration(self, sid: Optional[str]) -> str:
-        """Follow initial children from `sid` (None = root region) down to a
-        simple state."""
+        """The leaf a step into `sid` (None = root region) lands on: follow
+        initial children down to a simple state.  A final state is its own
+        leaf, where its completed region rests."""
         current = sid
         while True:
-            if current is not None and self.state(current).kind == SIMPLE:
+            if current is not None and self.state(current).kind in (SIMPLE, FINAL):
                 return current
             marked = [c for c in self.children.get(current, ()) if c.is_initial]
             if len(marked) != 1 or marked[0].kind == FINAL:
@@ -487,6 +484,8 @@ def validate(model: StateMachine) -> ValidationReport:
         if len(finals) > 1:
             report.add("multiple-finals", owner, "region contains more than one final state")
 
+    # SMDL spells the root region's final `<machine>.F`, unless a state has that name
+    shadowed = any(s.kind != FINAL and s.name == model.name for s in model.states)
     trans_seen: set[str] = set()
     for t in model.transitions:
         if t.id in trans_seen:
@@ -511,6 +510,9 @@ def validate(model: StateMachine) -> ValidationReport:
             if t.to_history and not (target.kind == COMPOSITE and target.has_history):
                 report.add("bad-history-target", t.id,
                            f"history target {t.target!r} is not a composite with history")
+            if shadowed and target.kind == FINAL and target.parent is None:
+                report.add("shadowed-final", t.id, f"target {model.name}.F would name "
+                           f"the final state of state {model.name!r}, not the root's")
         if t.guard is not None:
             for read in expr.variables_of(t.guard):
                 if read not in declared:

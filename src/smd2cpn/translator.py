@@ -217,14 +217,11 @@ def translate_transitions(model: StateMachine, net: ColouredNet,
         completion = model.is_completion(t)
         sources = ([model.final_child_of(t.source)] if completion
                    else model.substates(t.source))
-        target = model.state(t.target)
         if t.to_history:
             leaf, end = t.target, f"P_{t.id}_hist"
-        elif target.kind == FINAL:
-            leaf, end = t.target, tmap.final_place[target.parent]
-        else:
+        else:  # a simple leaf's place, or a final state's region's place
             leaf = model.default_configuration(t.target)
-            end = tmap.state_place[leaf]
+            end = tmap.state_place.get(leaf) or tmap.final_place[model.state(leaf).parent]
         effect = (t.effect,) if t.effect is not None else ()
         shared = effect + model.entry_chain(nb, leaf)
         if len(sources) == 1:

@@ -6,6 +6,7 @@ import pytest
 import mutations
 from modelgen import doubling_smdl
 from smd2cpn import cli
+from smd2cpn.net import UNIT_TOKEN, PlaceDef
 from smd2cpn.translator import translate
 
 
@@ -203,6 +204,22 @@ def test_equiv_stuck_chain_prints_a_trace(capsys, monkeypatch, cd_path):
                       "  on play / FTS -> PLAYING\n"
                       "divergence: state machine offers 'on pause -> PAUSED' "
                       "but the net cannot match it\n")
+
+
+def test_simulate_prints_the_first_twenty_safety_violations(capsys, monkeypatch,
+                                                            models_dir):
+    def translate_with_two_control_tokens(model, config):
+        net, tmap = translate(model, config)
+        place = net.places["P_Z"]
+        net.places["P_Z"] = PlaceDef(place.id, place.name, place.colour,
+                                     (UNIT_TOKEN, UNIT_TOKEN))
+        return net, tmap
+
+    monkeypatch.setattr(cli, "translate", translate_with_two_control_tokens)
+    code, stdout, stderr = run_cli(capsys, "simulate", str(models_dir / "guarded.smdl"))
+    assert code == cli.EXIT_PROPERTY == 3
+    assert stdout == "reachable_states=312 one_safety=violated\n"
+    assert stderr == "".join(f"state {n}: 2 control tokens\n" for n in range(20))
 
 
 def test_console_entry_point_smoke(tmp_path, cd_path):

@@ -13,6 +13,7 @@ import mutations
 from conftest import CORPUS, load_model
 from modelgen import balanced_machine, bf_ancestors_or_self, chain_machine
 from smd2cpn import oracle
+from smd2cpn.expr import eval_bool
 from smd2cpn.net import (
     EnumCS, Lit, NetError, PlaceDef, PTOT, TTOP, enabled_bindings, fire,
 )
@@ -22,7 +23,7 @@ from smd2cpn.oracle import (
     format_counterexample, format_move, initial_configuration, inject, step,
 )
 from smd2cpn.smdl import parse
-from smd2cpn.statemachine import NO_HISTORY, StateMachine
+from smd2cpn.statemachine import FINAL, NO_HISTORY, SIMPLE, StateMachine
 from smd2cpn.translator import TranslationConfig, translate
 from test_translator import RESUME, arcs
 
@@ -647,14 +648,29 @@ def test_control_safety_violations_are_pinned(corpus_nets, name, changes, explor
 
 
 # ---------------------------------------------------------------------------
-# The indexed enabled_transitions against the full scan it replaced
+# The indexed enabled_transitions against the firing rule, restated
 
 
 def reference_enabled(model, config):
-    """Every model transition tested by `_enabled`, with no index."""
+    """The firing rule over every model transition, with no index: a
+    completion (triggerless, out of a state whose region has a final state)
+    fires from that final state, any other transition from a simple leaf
+    at or below its source; its trigger must be pending and its guard hold."""
     valuation, pending = config.valuation_dict(), config.pending_dict()
-    return sorted((t.id, t.trigger) for t in model.transitions
-                  if oracle._enabled(model, t, config.active, valuation, pending))
+    leaf = next(s for s in model.states if s.id == config.active)
+    path = bf_ancestors_or_self(model, leaf.id) if leaf.kind == SIMPLE else []
+    enabled = []
+    for t in model.transitions:
+        final = next((s.id for s in model.states
+                      if s.parent == t.source and s.kind == FINAL), None)
+        if t.trigger is None and final is not None:
+            from_here = leaf.id == final
+        else:
+            from_here = t.source in path
+        if (from_here and (t.trigger is None or pending.get(t.trigger, 0) >= 1)
+                and (t.guard is None or eval_bool(t.guard, valuation))):
+            enabled.append((t.id, t.trigger))
+    return sorted(enabled)
 
 
 def reference_machine_moves(model, config, capacity):
@@ -715,9 +731,9 @@ def test_enabled_transitions_test_only_transitions_leaving_the_active_path(
         config, _ = step(model, config, tid)
         configs.append(config)
     tested = []
-    real = oracle._enabled
-    monkeypatch.setattr(oracle, "_enabled",
-                        lambda model, t, *rest: tested.append(t) or real(model, t, *rest))
+    real = StateMachine.is_completion
+    monkeypatch.setattr(StateMachine, "is_completion",
+                        lambda model, t: tested.append(t) or real(model, t))
     for config in configs:
         path = bf_ancestors_or_self(model, config.active)
         leaving = [t for t in model.transitions if t.source in path]
@@ -771,7 +787,12 @@ def test_each_check_works_each_step_out_once(cd_model, cd_net, monkeypatch):
 
 class ReferenceRunner(NetRunner):
     """`NetRunner`'s chains and moves on the public token game alone: every
-    binding from `enabled_bindings` and every firing by `fire`."""
+    binding from `enabled_bindings` and every firing by `fire`, with the
+    producers tried in event order."""
+
+    def __init__(self, net, tmap, model):
+        super().__init__(net, tmap, model)
+        self.producers = sorted((event, tid) for tid, event in tmap.producer.items())
 
     def run_chain(self, marking):
         labels = []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import CORPUS, load_model
@@ -8,6 +10,7 @@ from smd2cpn.statemachine import (
     COMPOSITE, FINAL, SIMPLE, Behaviour, StateMachine, StateNode, Transition,
     validate,
 )
+from smd2cpn.translator import ModelInvalidError, translate
 
 
 def test_parse_cd_player_structure(cd_model):
@@ -200,6 +203,18 @@ def test_a_state_named_like_the_machine_owns_its_final_target():
     assert t.target == "M.final" and model.by_id[t.target].parent == "M"
     assert print_model(model) == text
     assert parse(print_model(model)) == model
+
+
+def test_a_root_final_target_shadowed_by_a_state_is_rejected():
+    """With a state named like the machine, SMDL cannot spell the root
+    region's final: `M.F` would read back as state M's final."""
+    model = replace(parse("machine X { state M initial ; final ; trans t : M -> X.F ; }"),
+                    name="M")
+    assert "trans t : M -> M.F ;" in print_model(model)
+    assert [(v.code, v.element) for v in validate(model).violations] == [
+        ("shadowed-final", "t")]
+    with pytest.raises(ModelInvalidError):
+        translate(model)
 
 
 def test_the_final_of_an_unknown_region_is_left_for_validate():

@@ -400,15 +400,22 @@ def test_translation_map_does_not_depend_on_hash_seed(models_dir):
     assert len(maps) == 1
 
 
+def check_random_machine(seed: int, capacity: int):
+    """Translate generated machine `seed` at `capacity` and assert that its
+    net reads back from XML, is safe to exhaustion and is equivalent to
+    the machine with no depth cap."""
+    model = random_transition_machine(random.Random(seed))
+    net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
+    assert parse_cpn_xml(emit_cpn_xml(net)) == net, seed
+    safety = check_control_safety(net, tmap)
+    assert safety.ok and not safety.truncated, (seed, safety)
+    # no depth caps the walk: it stops when a layer adds no pair
+    result = check_trace_equivalence(model, net, tmap, depth=1_000_000,
+                                     event_capacity=capacity)
+    assert result.equivalent, (seed, result.counterexample)
+
+
 @pytest.mark.parametrize("capacity", [1, 2])
 def test_random_machines_give_safe_equivalent_nets_that_read_back(capacity):
     for seed in range(150):
-        model = random_transition_machine(random.Random(seed))
-        net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
-        assert parse_cpn_xml(emit_cpn_xml(net)) == net, seed
-        safety = check_control_safety(net, tmap)
-        assert safety.ok and not safety.truncated, (seed, safety)
-        # no depth caps the walk: it stops when a layer adds no pair
-        result = check_trace_equivalence(model, net, tmap, depth=1_000_000,
-                                         event_capacity=capacity)
-        assert result.equivalent, (seed, result.counterexample)
+        check_random_machine(seed, capacity)
