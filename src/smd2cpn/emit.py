@@ -521,8 +521,7 @@ def _node_id(seen: set, tag: str, record) -> str:
 
 def parse_cpn_xml(text: str) -> ColouredNet:
     """Rebuild a net from a document this module emitted.  Layout and
-    graphical attributes are discarded; observable labels are trace
-    metadata and come back unset.
+    graphical attributes are discarded.
 
     One expat pass reads the paths in _PATHS: the colours of every cpnet,
     and the name and nodes of the first cpnet/page.  A field takes its

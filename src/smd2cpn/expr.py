@@ -142,7 +142,8 @@ def rename_variables(expr, mapping: Mapping[str, str]):
 
 
 # ---------------------------------------------------------------------------
-# Printing.  Dialects differ only in a handful of lexemes.
+# Printing.  Dialects differ in a handful of lexemes, and SML's `not` is a
+# function, so its operand is printed as an atom there.
 
 _DIALECTS = {
     "smdl": {"and": "and", "or": "or", "not": "not", "!=": "!=", "true": "true", "false": "false"},
@@ -192,7 +193,7 @@ def to_text(expr, dialect: str = "smdl") -> str:
         elif isinstance(e, Or):
             s = f"{emit(e.left, p)} {lex['or']} {emit(e.right, p + 1)}"
         elif isinstance(e, Not):
-            s = f"{lex['not']} {emit(e.operand, p + 1)}"
+            s = f"{lex['not']} {emit(e.operand, _PREC_ATOM if dialect == 'sml' else p + 1)}"
         else:
             raise TypeError(f"not an expression: {e!r}")
         return f"({s})" if p < parent_prec else s
@@ -361,6 +362,9 @@ def _parse_and(s):
 
 def _parse_not(s):
     if s.peek()[1] == s.lex["not"]:
+        if s.peek(1)[1] == "(":  # `not (` is one level: the parenthesis opens it
+            s.next()
+            return Not(_parse_not(s))
         s.open()
         e = Not(_parse_not(s))
         s.depth -= 1

@@ -209,9 +209,6 @@ class TransDef:
     id: str
     name: str
     guard: Optional[ex.BoolExpr] = None
-    # trace metadata (the behaviour label a firing makes observable); not
-    # serialised and not part of structural equality
-    observable_label: Optional[str] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,6 @@ class Configuration(NamedTuple):
     history: tuple[tuple[str, str], ...]
     pending: tuple[tuple[str, int], ...] = ()
 
-    def valuation_dict(self) -> dict[str, int]:
-        return dict(self.valuation)
-
-    def pending_dict(self) -> dict[str, int]:
-        return dict(self.pending)
-
 
 @dataclass(frozen=True)
 class StepLabel:
@@ -96,8 +90,8 @@ def enabled_transitions(model: StateMachine,
     """(transition id, consumed event) pairs fireable in the configuration,
     in id order: those `_offered` from its leaf whose trigger, if any, is
     pending."""
-    pending = config.pending_dict()
-    return [(t.id, t.trigger) for t in _offered(model, config.active, config.valuation_dict())
+    pending = dict(config.pending)
+    return [(t.id, t.trigger) for t in _offered(model, config.active, dict(config.valuation))
             if t.trigger is None or pending.get(t.trigger, 0) >= 1]
 
 
@@ -135,7 +129,7 @@ def step(model: StateMachine, config: Configuration,
     behaviours, leaf, *after = _run_step(model, t, config.active, config.valuation,
                                          config.history)
     pending = (config.pending if t.trigger is None else
-               _moved(config.pending, t.trigger, -1, capacity=config.pending_dict()[t.trigger]))
+               _moved(config.pending, t.trigger, -1, capacity=dict(config.pending)[t.trigger]))
     return Configuration(leaf, *after, pending), StepLabel(t.trigger, behaviours, leaf)
 
 
@@ -178,7 +172,8 @@ class NetRunner:
     injections) are fired only as explicit moves, and do self-loops are
     never taken (they are excluded from step labels on both sides).  A
     chain that cannot reach a stable marking this way ends in a "stuck"
-    move.
+    move.  Firing a behaviour occurrence (in `tmap.behaviour_trans`) makes
+    its name observable, so a net read back from its XML moves alike.
 
     At each marking only the net's watch-place candidates
     (`CompiledNet.candidates`) are tried, chain transitions, dispatches and
@@ -201,6 +196,7 @@ class NetRunner:
                 if pid == tmap.events_place and isinstance(pattern, cpn.Lit):
                     self.trigger_of_dispatch[tid] = pattern.value
         self.producer = tmap.producer
+        self.behaviours = set(tmap.behaviour_trans.values())
         self.skip_in_chain = set(tmap.producer) | set(tmap.do_loop)
         self.chain_bound = 2 * len(net.transitions) + 4
 
@@ -228,9 +224,8 @@ class NetRunner:
                 return tuple(labels), marking, f"{len(candidates)} chain transitions enabled"
             trans, binding = candidates[0]
             marking = trans.fire(marking, dict(marking), binding)
-            label = trans.trans.observable_label
-            if label is not None:
-                labels.append(label)
+            if trans.id in self.behaviours:
+                labels.append(trans.trans.name)
         return tuple(labels), marking, f"not stable after {self.chain_bound} firings"
 
     def moves(self, marking: cpn.Marking) -> list[tuple[tuple, cpn.Marking]]:
@@ -334,7 +329,7 @@ def _machine_moves(model: StateMachine, config: Configuration, capacity: int, st
     key = (config.active, config.valuation, config.history)
     if key not in steps:
         steps[key] = [(t.trigger, *_run_step(model, t, *key))
-                      for t in _offered(model, config.active, config.valuation_dict())]
+                      for t in _offered(model, config.active, dict(config.valuation))]
     for trigger, behaviours, *after in steps[key]:
         pending = (config.pending if trigger is None
                    else _moved(config.pending, trigger, -1, capacity))

@@ -153,7 +153,7 @@ def translate_states(model: StateMachine, config: TranslationConfig,
             continue
         for x in model.substates(s.id):
             tid = f"T_do_{s.name}" if x == s.id else f"T_do_{s.name}__at_{x}"
-            net.add_transition(TransDef(tid, s.do.label, observable_label=s.do.label))
+            net.add_transition(TransDef(tid, s.do.label))
             place = tmap.state_place[x]
             net.add_arc(place, tid, PTOT, Lit(UNIT_TOKEN))
             net.add_arc(place, tid, TTOP, Lit(UNIT_TOKEN))
@@ -278,7 +278,7 @@ def _wire_chain(net: ColouredNet, tmap: TranslationMap, nodes: list[str],
     for k, b in enumerate(behaviours):
         pid, tid = f"P_{stem}_{k}", f"T_{stem}_beh_{k}"
         net.add_place(PlaceDef(pid, f"{name_stem}{k}", "UNIT", ()))
-        net.add_transition(TransDef(tid, b.label, observable_label=b.label))
+        net.add_transition(TransDef(tid, b.label))
         tmap.inflight.append(pid)
         tmap.behaviour_trans[key + (k,)] = tid
         nodes.extend((pid, tid))

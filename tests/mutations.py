@@ -10,7 +10,7 @@ import copy
 from dataclasses import replace
 
 from smd2cpn import expr as ex
-from smd2cpn.net import ArcDef, ColouredNet, TransDef, PTOT, TTOP
+from smd2cpn.net import ArcDef, ColouredNet, PTOT, TTOP
 
 
 def _clone(net: ColouredNet) -> ColouredNet:
@@ -45,11 +45,12 @@ def flip_guard(net: ColouredNet, trans: str) -> ColouredNet:
 
 
 def swap_labels(net: ColouredNet, first: str, second: str) -> ColouredNet:
-    """Swap what two transitions make observable (and their display names)."""
+    """Swap the names of two transitions: for behaviour occurrences, what
+    their firings make observable."""
     mutated = _clone(net)
     a, b = mutated.transitions[first], mutated.transitions[second]
-    mutated.transitions[first] = TransDef(a.id, b.name, a.guard, b.observable_label)
-    mutated.transitions[second] = TransDef(b.id, a.name, b.guard, a.observable_label)
+    mutated.transitions[first] = replace(a, name=b.name)
+    mutated.transitions[second] = replace(b, name=a.name)
     return mutated
 
 

@@ -332,7 +332,8 @@ def test_cd_fts_consumes_inflight_and_marks_playing(cd_net):
     marking = fire(net, marking, "T_t1__from_CLOSED", {})
     assert dict(marking)["P_t1_0"] == (UNIT_TOKEN,)  # token in flight
     (binding,) = enabled_bindings(net, marking, "T_t1_beh_0")
-    assert net.transitions["T_t1_beh_0"].observable_label == "FTS"
+    assert tmap.behaviour_trans[("t1", "chain", 0)] == "T_t1_beh_0"
+    assert net.transitions["T_t1_beh_0"].name == "FTS"
     marking = fire(net, marking, "T_t1_beh_0", binding)
     assert "P_t1_0" not in dict(marking)
     assert dict(marking)["P_PLAYING"] == (UNIT_TOKEN,)

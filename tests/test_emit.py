@@ -19,7 +19,9 @@ from smd2cpn.net import (
     UNIT_TOKEN, ArcDef, ColouredNet, EnumCS, IntCS, Lit, PlaceDef, ProductCS, TransDef,
     UnitCS, Var, PTOT, TTOP,
 )
+from smd2cpn.smdl import parse
 from smd2cpn.translator import TranslationConfig, translate
+from test_smdl import _nested_guard
 
 
 def tiny_net(marked=True):
@@ -270,6 +272,14 @@ def test_guards_and_markings_round_trip(corpus_nets):
     dispatch = next(t for t in again.transitions.values() if t.guard is not None)
     assert dispatch.guard == net.transitions[dispatch.id].guard
     assert again.places["P_VARS"].initial == ((0,),)
+
+
+def test_a_negated_guard_is_written_as_an_sml_function_application():
+    # SML applies `not` before `<`, so `not v_x < 1` would read `(not v_x) < 1`
+    net, _ = translate(parse(_nested_guard("not", 1)))
+    assert "<text>[not (v_x &lt; 1)]</text>" in emit_cpn_xml(net)
+    net, _ = translate(parse(_nested_guard("not", ex.MAX_NESTING)))
+    assert parse_cpn_xml(emit_cpn_xml(net)) == net
 
 
 def test_multiplicity_marking_round_trip(cd_model):

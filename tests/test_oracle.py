@@ -13,6 +13,7 @@ import mutations
 from conftest import CORPUS, load_model
 from modelgen import balanced_machine, bf_ancestors_or_self, chain_machine
 from smd2cpn import oracle
+from smd2cpn.emit import emit_cpn_xml, parse_cpn_xml
 from smd2cpn.expr import eval_bool
 from smd2cpn.net import (
     EnumCS, Lit, NetError, PlaceDef, PTOT, TTOP, enabled_bindings, fire,
@@ -44,7 +45,7 @@ def drive(model, config, *script):
 def test_initial_configuration(cd_model):
     config = initial_configuration(cd_model)
     assert config.active == "CLOSED"
-    assert config.valuation_dict() == {"track": 1}
+    assert dict(config.valuation) == {"track": 1}
     assert dict(config.history) == {"Busy": NO_HISTORY}
     assert config.pending == ()
 
@@ -67,7 +68,7 @@ def test_initial_configuration_trivial_cases():
     single = parse("machine M { state S initial ; }")
     assert initial_configuration(single).active == "S"
     with_var = parse("machine M { var x : int = 5 ; state S initial ; }")
-    assert initial_configuration(with_var).valuation_dict() == {"x": 5}
+    assert dict(initial_configuration(with_var).valuation) == {"x": 5}
 
 
 def test_step_into_busy_runs_fts_first(cd_model):
@@ -116,11 +117,11 @@ def test_effect_and_guard(cd_model):
         ("in", "play"), ("do", "t1"),
         ("in", "next"), ("do", "t9"))
     assert labels[-1].behaviours == ("NextTrack",)
-    assert config.valuation_dict() == {"track": 2}
+    assert dict(config.valuation) == {"track": 2}
     # at track = 3 the guard shuts t9 off
     config, _ = drive(cd_model, config,
                       ("in", "next"), ("do", "t9"))
-    assert config.valuation_dict() == {"track": 3}
+    assert dict(config.valuation) == {"track": 3}
     config = inject(cd_model, config, "next", 1)
     enabled = {tid for tid, _ in enabled_transitions(cd_model, config)}
     assert "t9" not in enabled
@@ -180,7 +181,7 @@ def test_valuation_domain_never_changes(cd_model):
         cd_model, initial_configuration(cd_model),
         ("in", "play"), ("do", "t1"), ("in", "next"), ("do", "t9"),
         ("in", "stop"), ("do", "t4"))
-    assert set(config.valuation_dict()) == {"track"}
+    assert set(dict(config.valuation)) == {"track"}
 
 
 def test_chain_length_conservation(corpus_models, corpus_nets):
@@ -208,8 +209,7 @@ def test_do_loops_present_iff_declared(corpus_models, corpus_nets):
             place = tmap.state_place[x]
             assert [a.place for a in arcs(net, tid, PTOT)].count(place) == 1
             assert [a.place for a in arcs(net, tid, TTOP)].count(place) == 1
-            assert (net.transitions[tid].observable_label
-                    == model.by_id[sid].do.label)
+            assert net.transitions[tid].name == model.by_id[sid].do.label
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,35 @@ def test_deleted_arc_detected_with_counterexample(cd_model, cd_net):
     assert "divergence" in text
     # the spurious step fires without consuming an event
     assert result.counterexample[-1][0] == "step"
+
+
+def _read_back(net):
+    return parse_cpn_xml(emit_cpn_xml(net))
+
+
+def test_a_net_read_back_from_its_xml_gets_the_same_result():
+    # the check reads the model, the net's structure and the map, all of
+    # which a written net and map hold
+    for name in CORPUS:
+        model = load_model(name)
+        for capacity in (1, 2):
+            net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
+            results = [check_trace_equivalence(model, each, tmap, event_capacity=capacity)
+                       for each in (net, _read_back(net))]
+            assert results[0] == results[1], (name, capacity)
+
+
+def test_swapped_behaviour_names_diverge_in_memory_and_read_back(corpus_models, corpus_nets):
+    model = corpus_models["nested3"]
+    net, tmap = corpus_nets["nested3"]
+    assert [net.transitions[tid].name for tid in ("T_t_go_beh_1", "T_t_go_beh_2")] == [
+        "Boot", "MidUp"]
+    swapped = mutations.swap_labels(net, "T_t_go_beh_1", "T_t_go_beh_2")
+    result = check_trace_equivalence(model, swapped, tmap)
+    assert (result.equivalent, result.divergent_side) == (False, "model")
+    assert result.counterexample == [
+        ("inject", "go"), ("step", "go", ("Shutdown", "Boot", "MidUp", "LeafUp"), "Leaf")]
+    assert check_trace_equivalence(model, _read_back(swapped), tmap) == result
 
 
 def test_a_net_without_a_dispatch_transition_never_offers_its_step(corpus_models):
@@ -656,7 +685,7 @@ def reference_enabled(model, config):
     completion (triggerless, out of a state whose region has a final state)
     fires from that final state, any other transition from a simple leaf
     at or below its source; its trigger must be pending and its guard hold."""
-    valuation, pending = config.valuation_dict(), config.pending_dict()
+    valuation, pending = dict(config.valuation), dict(config.pending)
     leaf = next(s for s in model.states if s.id == config.active)
     path = bf_ancestors_or_self(model, leaf.id) if leaf.kind == SIMPLE else []
     enabled = []
@@ -788,11 +817,14 @@ def test_each_check_works_each_step_out_once(cd_model, cd_net, monkeypatch):
 class ReferenceRunner(NetRunner):
     """`NetRunner`'s chains and moves on the public token game alone: every
     binding from `enabled_bindings` and every firing by `fire`, with the
-    producers tried in event order."""
+    producers tried in event order, and a chain firing labelled by the name
+    of the behaviour occurrence that the map says it is."""
 
     def __init__(self, net, tmap, model):
         super().__init__(net, tmap, model)
         self.producers = sorted((event, tid) for tid, event in tmap.producer.items())
+        self.labels = {tid: net.transitions[tid].name
+                       for tid in tmap.behaviour_trans.values() if tid in net.transitions}
 
     def run_chain(self, marking):
         labels = []
@@ -807,9 +839,8 @@ class ReferenceRunner(NetRunner):
                 return tuple(labels), marking, f"{len(candidates)} chain transitions enabled"
             tid, binding = candidates[0]
             marking = fire(self.compiled, marking, tid, binding)
-            label = self.compiled.by_id[tid].trans.observable_label
-            if label is not None:
-                labels.append(label)
+            if tid in self.labels:
+                labels.append(self.labels[tid])
         return tuple(labels), marking, f"not stable after {self.chain_bound} firings"
 
     def moves(self, marking):

@@ -57,8 +57,8 @@ def test_busy_final_and_history_places(cd_net):
 
 
 def test_entry_behaviour_fts_becomes_transitions(cd_net):
-    net, _ = cd_net
-    fts = [t for t in net.transitions.values() if t.observable_label == "FTS"]
+    net, tmap = cd_net
+    fts = [tid for tid in tmap.behaviour_trans.values() if net.transitions[tid].name == "FTS"]
     assert len(fts) == 2  # one occurrence in t1's chain, one in t7's
 
 
@@ -101,8 +101,8 @@ def test_composite_source_dispatches_per_substate(cd_net):
     # both merge into the shared effect chain
     for tid in dispatches:
         assert {a.place for a in arcs(net, tid, TTOP)} >= {"P_t4_0"}
-    reset = net.transitions["T_t4_beh_0"]
-    assert reset.observable_label == "Reset"
+    assert tmap.behaviour_trans[("t4", "chain", 0)] == "T_t4_beh_0"
+    assert net.transitions["T_t4_beh_0"].name == "Reset"
 
 
 def test_history_recorded_on_boundary_crossing_dispatches(cd_net):
@@ -196,7 +196,7 @@ def test_restore_arms_run_their_entry_behaviours():
     assert _restore_arm(net, tmap, NO_HISTORY) == [
         "T_w6_restore_NONE", "P_w6_restore_NONE_0", "T_w6_restore_NONE_beh_0",
         "P_w6_restore_NONE_1", "T_w6_restore_NONE_beh_1", "P_A1"]
-    labels = {key: net.transitions[tid].observable_label
+    labels = {key: net.transitions[tid].name
               for key, tid in tmap.behaviour_trans.items() if key[:2] == ("w6", "restore")}
     assert labels == {
         ("w6", "restore", "Alpha", 0): "EnA", ("w6", "restore", "Alpha", 1): "EnA1",
@@ -259,7 +259,7 @@ def test_do_behaviour_self_loop(cd_net):
     ins = [a.place for a in arcs(net, "T_do_PLAYING", PTOT)]
     outs = [a.place for a in arcs(net, "T_do_PLAYING", TTOP)]
     assert ins == ["P_PLAYING"] and outs == ["P_PLAYING"]
-    assert net.transitions["T_do_PLAYING"].observable_label == "Play"
+    assert net.transitions["T_do_PLAYING"].name == "Play"
 
 
 def test_event_pool_and_capacity(cd_model):
@@ -287,7 +287,7 @@ def test_states_pass_runs_standalone(cd_model):
     assert not partial.arcs or all(
         a.trans.startswith(("T_env_", "T_do_")) for a in partial.arcs)
     translate_transitions(cd_model, partial, tmap)
-    assert any(t.observable_label == "FTS" for t in partial.transitions.values())
+    assert any(partial.transitions[tid].name == "FTS" for tid in tmap.behaviour_trans.values())
 
 
 def test_history_pass_is_identity_without_history_targets(corpus_models):
