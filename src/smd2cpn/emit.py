@@ -195,29 +195,19 @@ def _declared_name(net: ColouredNet, colour) -> str:
 
 
 def _collect_variables(net: ColouredNet) -> dict[str, str]:
-    """Arc-bound variable names with the colour they bind at."""
+    """Variables at the colour of the input pattern binding them: all a checked net reads."""
     out: dict[str, str] = {}
 
     def visit(inscription, colour_name):
-        colour = net.colours[colour_name]
         if isinstance(inscription, Var):
             out.setdefault(inscription.name, colour_name)
-        elif isinstance(inscription, Tup):
-            if not isinstance(colour, ProductCS):
-                return
-            comp_names = [_declared_name(net, c) for c in colour.components]
-            for item, cname in zip(inscription.items, comp_names):
-                visit(item, cname)
-        elif isinstance(inscription, Calc):
-            for name in ex.variables_of(inscription.body):
-                out.setdefault(name, "INT")
+        elif isinstance(inscription, Tup) and isinstance(net.colours[colour_name], ProductCS):
+            for item, component in zip(inscription.items, net.colours[colour_name].components):
+                visit(item, _declared_name(net, component))
 
     for arc in net.arcs:
-        visit(arc.inscription, net.places[arc.place].colour)
-    for trans in net.transitions.values():
-        if trans.guard is not None:
-            for name in ex.variables_of(trans.guard):
-                out.setdefault(name, "INT")
+        if arc.orientation == PTOT:
+            visit(arc.inscription, net.places[arc.place].colour)
     return out
 
 
@@ -247,6 +237,16 @@ def emit_cpn_xml(net: ColouredNet,
     for node in list(net.places) + list(net.transitions):
         if node not in positions:
             raise CpnEmitError(f"layout is missing node {node!r}")
+    var_colours = _collect_variables(net)
+    ids = ["IDdecls", "IDpageMain", "IDinst1", *(f"CS_{c}" for c in net.colours),
+           *(f"VAR_{v}" for v in var_colours), *net.places, *net.transitions,
+           *(arc.id for arc in net.arcs), *(f"{pid}_type" for pid in net.places),
+           *(f"{p.id}_init" for p in net.places.values() if p.initial),
+           *(f"{t.id}_cond" for t in net.transitions.values() if t.guard is not None),
+           *(f"{arc.id}_annot" for arc in net.arcs)]  # every id the document holds
+    if len(set(ids)) < len(ids):
+        raise CpnEmitError(
+            f"repeated XML ids {sorted(i for i, n in Counter(ids).items() if n > 1)}")
 
     out = ['<?xml version="1.0" encoding="utf-8"?>',
            '<!DOCTYPE workspaceElements PUBLIC "-//CPN//DTD CPNXML 1.0//EN"'
@@ -259,7 +259,7 @@ def emit_cpn_xml(net: ColouredNet,
            "        <id>Declarations</id>"]
     for name in sorted(net.colours, key=_natural_key):
         _colour_decl_xml(name, net.colours[name], net, out)
-    for var, colour_name in sorted(_collect_variables(net).items()):
+    for var, colour_name in sorted(var_colours.items()):
         out.append(f'        <var id={_quoteattr("VAR_" + var)}>')
         out.append(f"          <type><id>{_escape(colour_name)}</id></type>")
         out.append(f"          <id>{_escape(var)}</id>")

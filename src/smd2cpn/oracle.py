@@ -206,27 +206,28 @@ class NetRunner:
             return None
         return self.leaf_of_place.get(held[0][0])
 
-    def run_chain(self, marking: cpn.Marking
-                  ) -> tuple[tuple[str, ...], cpn.Marking, Optional[str]]:
+    def run_chain(self, marking: cpn.Marking) -> tuple[tuple, cpn.Marking]:
         """Fire the unique enabled chain transition until stable.  Returns
-        the observable labels fired, in order, the marking where the chain
-        stopped, and None if stable or else why it stopped: no chain
+        ((kind, labels, end), marking): the observable labels fired, in
+        order, and the marking where the chain stopped; kind "step" with the
+        stable leaf as end, or "stuck" with why it stopped: no chain
         transition or several enabled, or the chain bound run out."""
         labels: list[str] = []
         for _ in range(self.chain_bound):
-            if self.stable_leaf(marking) is not None:
-                return tuple(labels), marking, None
+            if (leaf := self.stable_leaf(marking)) is not None:
+                return ("step", tuple(labels), leaf), marking
             candidates = [(trans, binding)
                           for trans in self.compiled.candidates(marking)
                           if trans.id not in self.skip_in_chain
                           for binding in cpn.enabled_bindings(self.compiled, marking, trans.id)]
             if len(candidates) != 1:
-                return tuple(labels), marking, f"{len(candidates)} chain transitions enabled"
+                why = f"{len(candidates)} chain transitions enabled"
+                return ("stuck", tuple(labels), why), marking
             trans, binding = candidates[0]
             marking = trans.fire(marking, dict(marking), binding)
             if trans.id in self.behaviours:
                 labels.append(trans.trans.name)
-        return tuple(labels), marking, f"not stable after {self.chain_bound} firings"
+        return ("stuck", tuple(labels), f"not stable after {self.chain_bound} firings"), marking
 
     def moves(self, marking: cpn.Marking) -> list[tuple[tuple, cpn.Marking]]:
         """(move, successor) for every move at the marking, from one pass
@@ -247,10 +248,8 @@ class NetRunner:
             elif trans.id in self.trigger_of_dispatch:
                 event = self.trigger_of_dispatch[trans.id]
                 for binding in cpn.enabled_bindings(self.compiled, marking, trans.id):
-                    labels, final, stuck = self.run_chain(trans.fire(marking, tokens, binding))
-                    move = (("step", event, labels, self.stable_leaf(final)) if stuck is None
-                            else ("stuck", event, labels, stuck))
-                    steps.append((move, final))
+                    move, final = self.run_chain(trans.fire(marking, tokens, binding))
+                    steps.append(((move[0], event, *move[1:]), final))
         return injections + steps
 
 
@@ -277,13 +276,12 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
     listed state by state, and within a state the control count first,
     then VARS, then the history places in `tmap.history_place` order."""
     graph = cpn.explore(net, bound=bound)
-    control = tmap.control_places()
     singles = [(tmap.vars_place, "VARS")] if tmap.vars_place is not None else []
     singles += [(pid, f"history place of {composite}")
                 for composite, pid in tmap.history_place.items()]
-    # VARS and the history places -> the position of their count; the
-    # control places, many in a large net, share position 0
-    slot = {pid: n for n, (pid, _) in enumerate(singles, 1)}
+    # each watched place -> the position of its count; control places share 0
+    slot = dict.fromkeys(tmap.control_places(), 0) | {
+        pid: n for n, (pid, _) in enumerate(singles, 1)}
     labels = ["control tokens"] + [f"tokens on {name}" for _, name in singles]
     ones = [1] * len(labels)
     violations = []
@@ -293,8 +291,6 @@ def check_control_safety(net: cpn.ColouredNet, tmap: TranslationMap,
             n = slot.get(pid)
             if n is not None:
                 counts[n] += len(tokens)
-            elif pid in control:
-                counts[0] += len(tokens)
         if counts != ones:
             violations.extend(f"state {index}: {n} {label}"
                               for n, label in zip(counts, labels) if n != 1)
@@ -477,15 +473,15 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
 
     def side(start, moves_of):
         """The move map of a side's point number n, made once, or where
-        `view` and it is not made, its label view, made once; `start` is 0."""
-        points, numbered, maps, views = {start: 0}, [start], {}, {}
+        `view` and it is not made, its label view, made when asked; `start` is 0."""
+        points, numbered, maps = {start: 0}, [start], {}
 
         def moves(n: int, view: bool = False) -> dict:
-            if n not in maps and not view:
+            if n not in maps and view:
+                return dict.fromkeys([move for move, _ in moves_of(numbered[n])], ())
+            if n not in maps:
                 maps[n] = _move_map(moves_of(numbered[n]), label_key, points, numbered)
-            elif n not in maps and n not in views:
-                views[n] = dict.fromkeys([move for move, _ in moves_of(numbered[n])], ())
-            return maps[n] if n in maps else views[n]
+            return maps[n]
         return moves
 
     steps: dict = {}

@@ -448,9 +448,6 @@ def validate(model: StateMachine) -> ValidationReport:
                 report.add("final-with-children", s.id, "final state has child states")
             if s.entry or s.exit or s.do:
                 report.add("final-with-behaviour", s.id, "final state declares behaviours")
-            if s.id in model.transitions_from:
-                report.add("final-with-outgoing", s.id,
-                           "final state is the source of a transition")
             if s.has_history:
                 report.add("history-on-final", s.id, "final state marked as history holder")
         if s.kind not in (SIMPLE, COMPOSITE, FINAL):

@@ -83,9 +83,7 @@ class TranslationMap:
 
     def control_places(self) -> set[str]:
         """Places whose total token count is the single locus of control."""
-        return (set(self.state_place.values())
-                | set(self.final_place.values())
-                | set(self.inflight))
+        return {*self.state_place.values(), *self.final_place.values(), *self.inflight}
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ import pytest
 import modelgen
 from smd2cpn import expr as ex
 from smd2cpn.emit import (
-    CpnParseError, _node_id, _parse_inscription, _parse_marking, _read_sml, emit_cpn_xml,
-    emit_dot, layout, parse_cpn_xml,
+    CpnEmitError, CpnParseError, _node_id, _parse_inscription, _parse_marking, _read_sml,
+    emit_cpn_xml, emit_dot, layout, parse_cpn_xml,
 )
 from smd2cpn.net import (
-    UNIT_TOKEN, ArcDef, ColouredNet, EnumCS, IntCS, Lit, PlaceDef, ProductCS, TransDef,
+    UNIT_TOKEN, ArcDef, Calc, ColouredNet, EnumCS, IntCS, Lit, PlaceDef, ProductCS, TransDef,
     UnitCS, Var, PTOT, TTOP,
 )
 from smd2cpn.smdl import parse
@@ -280,6 +280,49 @@ def test_a_negated_guard_is_written_as_an_sml_function_application():
     assert "<text>[not (v_x &lt; 1)]</text>" in emit_cpn_xml(net)
     net, _ = translate(parse(_nested_guard("not", ex.MAX_NESTING)))
     assert parse_cpn_xml(emit_cpn_xml(net)) == net
+
+
+def test_each_variable_is_declared_at_the_colour_that_binds_it():
+    # an integer colour not named INT, and the output arc that reads x
+    # listed before the input arc that binds it
+    net = ColouredNet(name="n")
+    net.colours["N"] = IntCS()
+    net.add_place(PlaceDef("p", "p", "N", (1,)))
+    net.add_place(PlaceDef("q", "q", "N"))
+    net.add_transition(TransDef("t", "t", ex.Cmp("<", ex.VarRead("x"), ex.IntLit(5))))
+    net.add_arc("q", "t", TTOP, Calc(ex.BinOp("+", ex.VarRead("x"), ex.IntLit(1))))
+    net.add_arc("p", "t", PTOT, Var("x"))
+    net.check()
+    document = emit_cpn_xml(net)
+    assert re.findall(r"<layout>(var [^<]*)</layout>", document) == ["var x : N;"]
+    assert re.findall(r"<type><id>([^<]*)</id></type>", document) == ["N"]
+    assert parse_cpn_xml(document) == net
+
+
+@pytest.mark.parametrize("state", ["X_type", "X_init"])
+def test_a_state_named_like_a_label_id_is_rejected(state):
+    # P_X's type and initial-marking labels are P_X_type and P_X_init
+    net, _ = translate(parse(f"machine M {{ state X initial ; state {state} ;"
+                             f" trans t : X -> {state} ; }}"))
+    with pytest.raises(CpnEmitError, match=f"'P_{state}'"):
+        emit_cpn_xml(net)
+
+
+@pytest.mark.parametrize("node,clash", [
+    (PlaceDef("t_cond", "c", "UNIT"), "t_cond"),     # t's guard label
+    (PlaceDef("A_1_annot", "a", "UNIT"), "A_1_annot"),
+    (PlaceDef("CS_UNIT", "c", "UNIT"), "CS_UNIT"),   # the colour declaration
+    (PlaceDef("VAR_v", "v", "UNIT"), "VAR_v"),       # the variable declaration
+    (PlaceDef("IDpageMain", "m", "UNIT"), "IDpageMain"),
+    (TransDef("A_1", "a"), "A_1"),                   # the arc
+])
+def test_a_repeated_xml_id_is_rejected(node, clash):
+    net = tiny_net()
+    net.add_transition(TransDef("t", "t", ex.BoolLit(True)))
+    net.add_arc("p", "t", PTOT, Var("v"))
+    (net.add_place if isinstance(node, PlaceDef) else net.add_transition)(node)
+    with pytest.raises(CpnEmitError, match=re.escape(f"repeated XML ids ['{clash}']")):
+        emit_cpn_xml(net)
 
 
 def test_multiplicity_marking_round_trip(cd_model):

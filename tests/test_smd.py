@@ -93,6 +93,13 @@ def test_single_violations_are_caught(states, transitions, code):
     assert any(v.code == code for v in report.violations), report
 
 
+def test_a_transition_out_of_a_final_state_is_reported_once():
+    report = validate(StateMachine(name="M", states=(
+        node("A", is_initial=True), StateNode(id=".final", name=".final", kind=FINAL),
+    ), transitions=(Transition(id="t", source=".final", target="A"),)))
+    assert [(v.code, v.element) for v in report.violations] == [("final-with-outgoing", "t")]
+
+
 def test_parent_cycle_detected():
     machine = StateMachine(name="M", states=(
         StateNode(id="A", name="A", kind=COMPOSITE, parent="B", is_initial=True),
