@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--event-capacity", type=_at_least_one, default=1,
                    help="environment tokens per event (default 1)")
 
-    p = sub.add_parser("check", help="validate and translate an .smdl file")
+    p = sub.add_parser("check", help="validate, translate and build the XML, writing nothing")
     p.add_argument("input")
 
     p = sub.add_parser("simulate", help="translate and explore the reachable markings")
@@ -118,7 +118,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _translate(args.input, _load_model(args.input))
+    net, _ = _translate(args.input, _load_model(args.input))
+    emit.emit_cpn_xml(net)
     print("ok")
     return EXIT_OK
 

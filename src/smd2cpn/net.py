@@ -42,7 +42,6 @@ import bisect
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Optional, Union
@@ -511,8 +510,7 @@ class CompiledNet:
     without inputs plus those whose watch place is marked.
 
     `successors` fires each candidate under each of its bindings through
-    `CompiledTransition.fire`, keeping nothing between markings.  `dense`
-    is built on first use, so a net searched sparsely never builds it.
+    `CompiledTransition.fire`, keeping nothing between markings.
     """
 
     def __init__(self, net: ColouredNet):
@@ -535,19 +533,6 @@ class CompiledNet:
                 self.watchers.setdefault(watch, []).append(position)
             else:
                 self.unwatched.append(position)
-
-    @cached_property
-    def dense(self) -> tuple:
-        """The numbering `explore`'s dense search reads: the place ids in id
-        order; each id's position; by transition position, an itemgetter
-        of the codes of its `touched` places, or `len` where it touches
-        none, as the codes' length is the same at every marking; by place
-        position, the positions of the transitions watching it."""
-        pids = sorted(self.source[1])
-        at = {pid: p for p, pid in enumerate(pids)}
-        views = [itemgetter(*ps) if ps else len
-                 for ps in (tuple(map(at.__getitem__, t.touched)) for t in self.transitions)]
-        return pids, at, views, [self.watchers.get(pid, ()) for pid in pids]
 
     @classmethod
     def of(cls, net: Union[ColouredNet, CompiledNet]) -> CompiledNet:
@@ -664,9 +649,16 @@ def _explore_dense(compiled: CompiledNet, start: Marking, bound: int) -> Reachab
     kept as its bytes.  A place's code numbers its token tuples in the order
     this search meets them, 0 for empty.  The memo of a transition position
     maps the codes of its touched places to (id, binding key, [(position,
-    new code), ...]), so a successor is a copy with a few codes replaced."""
-    pids, at, views, watchers = compiled.dense
+    new code), ...]), so a successor is a copy with a few codes replaced.
+    Places are numbered in id order; `views[t]` reads the codes of the
+    places transition t touches (`len` where none, as every marking has as
+    many codes), and `watchers[p]` lists the transitions watching place p."""
     transitions, unwatched = compiled.transitions, compiled.unwatched
+    pids = sorted(compiled.source[1])
+    at = {pid: p for p, pid in enumerate(pids)}
+    views = [itemgetter(*ps) if ps else len
+             for ps in (tuple(map(at.__getitem__, t.touched)) for t in transitions)]
+    watchers = [compiled.watchers.get(pid, ()) for pid in pids]
     pairs = [[(pid, ())] for pid in pids]  # by place position: code -> (id, tokens)
     numbers = [{(): 0} for _ in pids]  # by place position: tokens -> code
 

@@ -379,19 +379,20 @@ def _fail_depths(sides, predecessors: dict, differ: list, rounds: int) -> dict:
 
 def _walk_pairs(sides, labels, depth: int) -> EquivalenceResult:
     """Bisimulation to `depth` moves of two move graphs from their points 0;
-    `sides(pair)` is the move maps of a (model point, net point) pair, and
-    `labels(pair)` maps of the same moves that lead nowhere.  The walk
-    compares the pairs fewer than `depth` moves out, a layer at a time,
-    until a layer adds none; the last layer, `depth` - 1 moves out, by
-    `labels`, and `sides` reads it only where a counterexample ends there.
-    Once some move sets differ, each layer ends with failure rounds,
-    capped at the layers walked until the walk is complete, as a pair is
-    compared only as deep as the walk went past it.  From a start pair
-    failing within k moves, the first failure against the pairs failing
+    `sides(pair)` is the move maps of a (model point, net point) pair, made
+    when asked, and `labels(pair)` maps of the same moves that lead nowhere.
+    The walk compares the pairs fewer than `depth` moves out, a layer at a
+    time, until a layer adds none, and indexes each compared pair as a
+    predecessor of its successor pairs; the last layer, `depth` - 1 moves
+    out, by `labels`.  Once some move sets differ, each layer ends with
+    failure rounds, capped at the layers walked until the walk is complete,
+    as a pair is compared only as deep as the walk went past it.  Only the
+    rounds and the counterexample read a pair's `sides` again.  From a start
+    pair failing within k moves, the first failure against the pairs failing
     within k - 1 gives the next move and pair."""
     start = (0, 0)
-    seen, layer, compared, differ = {start}, [start], [], []
-    predecessors, indexed, fails = {}, 0, {}
+    layer, compared, differ, fails = [start], 0, [], {}
+    predecessors = {start: []}  # each pair reached: the compared pairs leading to it
     for walked in range(1, depth + 1):
         following = []
         for pair in layer:
@@ -399,16 +400,11 @@ def _walk_pairs(sides, labels, depth: int) -> EquivalenceResult:
             if left.keys() != right.keys():
                 differ.append(pair)
             for after in _pairs_after(left, right):
-                if after not in seen:
-                    seen.add(after)
+                if after not in predecessors:
                     following.append(after)
-        compared += layer
-        if differ:  # index the pairs compared since the last rounds, but the
-            # last layer's, which cannot make the start fail within `depth`
-            for pair in compared[indexed:len(compared) - len(layer) * (walked == depth)]:
-                for after in _pairs_after(*sides(pair)):
-                    predecessors.setdefault(after, []).append(pair)
-            indexed = len(compared)
+                predecessors.setdefault(after, []).append(pair)
+        compared += len(layer)
+        if differ:
             fails = _fail_depths(sides, predecessors, differ, walked if following else depth)
             if start in fails:
                 break
@@ -416,14 +412,14 @@ def _walk_pairs(sides, labels, depth: int) -> EquivalenceResult:
             break
         layer = following
     if start not in fails:
-        return EquivalenceResult(equivalent=True, pairs_checked=len(compared))
+        return EquivalenceResult(equivalent=True, pairs_checked=compared)
     trace, pair, within = [], start, fails[start]
     while len(first := _first_failure(*sides(pair), lambda p: fails.get(p, within) < within)) == 3:
         trace.append(first[0])
         pair, within = first[1:], within - 1
     side, move = first
     return EquivalenceResult(equivalent=False, counterexample=trace + [move],
-                             divergent_side=side, pairs_checked=len(compared))
+                             divergent_side=side, pairs_checked=compared)
 
 
 def _move_map(pairs, key, points: dict, numbered: list) -> dict:
@@ -472,16 +468,14 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     label_key = functools.cache(repr)
 
     def side(start, moves_of):
-        """The move map of a side's point number n, made once, or where
-        `view` and it is not made, its label view, made when asked; `start` is 0."""
-        points, numbered, maps = {start: 0}, [start], {}
+        """The move map of a side's point number n, or where `view`, its
+        label view, made each time it is asked; `start` is 0."""
+        points, numbered = {start: 0}, [start]
 
         def moves(n: int, view: bool = False) -> dict:
-            if n not in maps and view:
+            if view:
                 return dict.fromkeys([move for move, _ in moves_of(numbered[n])], ())
-            if n not in maps:
-                maps[n] = _move_map(moves_of(numbered[n]), label_key, points, numbered)
-            return maps[n]
+            return _move_map(moves_of(numbered[n]), label_key, points, numbered)
         return moves
 
     steps: dict = {}

@@ -466,8 +466,9 @@ def validate(model: StateMachine) -> ValidationReport:
         _check_behaviour(report, s.id, "exit", s.exit, declared)
         _check_behaviour(report, s.id, "do", s.do, declared)
 
-    # one initial, at most one final, per region
-    regions: list[Optional[str]] = [None] + [s.id for s in model.states if s.kind == COMPOSITE]
+    # one initial, at most one final, per region; a childless composite is reported above
+    regions: list[Optional[str]] = [None] + [s.id for s in model.states
+                                             if s.kind == COMPOSITE and model.children[s.id]]
     for region in regions:
         children = model.children[region]
         owner = region if region is not None else "<root>"

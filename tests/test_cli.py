@@ -56,6 +56,16 @@ def test_check_rejects_bad_model(tmp_path, capsys):
     assert "duplicate-name" in stderr
 
 
+def test_check_rejects_what_translate_cannot_write(tmp_path, capsys):
+    # the label id of state X's place, P_X_type, is the place id of state X_type
+    clash = tmp_path / "clash.smdl"
+    clash.write_text("machine M { state X initial ; state X_type ; trans t : X -> X_type ; }",
+                     encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "check", str(clash))
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: repeated XML ids ['P_X_type']\n"
+
+
 def test_check_rejects_syntax_error_with_position(tmp_path, capsys):
     bad = tmp_path / "bad.smdl"
     bad.write_text("machine M { state S initial ;", encoding="utf-8")

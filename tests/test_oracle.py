@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -314,6 +315,34 @@ def test_the_last_layer_builds_no_move_map(corpus_models, monkeypatch):
         assert result.equivalent
         counts[name] = (result.pairs_checked, len(built))
     assert counts == {"cdplayer": (745, 954), "history": (534, 706)}
+
+
+class _LiveMap(dict):
+    __hash__ = object.__hash__  # a WeakSet holds only hashable items
+
+
+def test_a_passing_walk_keeps_no_move_maps(corpus_models, monkeypatch):
+    # at each net-side enumeration of an exact check, at most the last
+    # pair's two maps and this pair's model map are alive
+    live, most = weakref.WeakSet(), []
+    real_map, real_moves = oracle._move_map, NetRunner.moves
+
+    def move_map(*args):
+        built = _LiveMap(real_map(*args))
+        live.add(built)
+        return built
+
+    def moves(runner, marking):
+        most[0] = max(most[0], len(live))
+        return real_moves(runner, marking)
+    monkeypatch.setattr(oracle, "_move_map", move_map)
+    monkeypatch.setattr(NetRunner, "moves", moves)
+    for name in ("cdplayer", "history"):
+        model = corpus_models[name]
+        net, tmap = translate(model)
+        most[:] = [0]
+        assert check_trace_equivalence(model, net, tmap, depth=1_000_000).equivalent
+        assert 0 < most[0] <= 3, name
 
 
 def test_a_firing_error_surfaces_at_the_last_layer(corpus_models, corpus_nets):

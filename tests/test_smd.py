@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -98,6 +99,54 @@ def test_a_transition_out_of_a_final_state_is_reported_once():
         node("A", is_initial=True), StateNode(id=".final", name=".final", kind=FINAL),
     ), transitions=(Transition(id="t", source=".final", target="A"),)))
     assert [(v.code, v.element) for v in report.violations] == [("final-with-outgoing", "t")]
+
+
+# a valid machine with a history composite, a final state, a behaviour and a variable
+VALID = StateMachine(name="M", states=(
+    node("A", COMPOSITE, is_initial=True, has_history=True),
+    node("B", parent="A", is_initial=True, entry=Behaviour("B.entry", "enB")),
+    StateNode(id="A.final", name="A.final", kind=FINAL, parent="A"),
+    node("C"),
+), transitions=(
+    Transition(id="t", source="B", target="C", trigger="go"),
+    Transition(id="u", source="C", target="A", to_history=True),
+), variables=(Variable("x", 0),))
+
+
+def _edited(machine, which, index, **changes):
+    """`machine` with item `index` of its `which` tuple replaced with `changes`."""
+    items = list(getattr(machine, which))
+    items[index] = replace(items[index], **changes)
+    return replace(machine, **{which: tuple(items)})
+
+
+@pytest.mark.parametrize("edit,expected", [
+    (lambda m: _edited(m, "states", 1, entry=Behaviour("B.entry", "en B")),
+     ("bad-identifier", "B")),
+    (lambda m: replace(m, variables=(Variable("x y", 0),)), ("bad-identifier", "x y")),
+    (lambda m: replace(m, name="1M"), ("bad-identifier", "1M")),
+    (lambda m: _edited(m, "states", 3, name="C C"), ("bad-identifier", "C")),
+    (lambda m: _edited(m, "transitions", 0, id="t 1"), ("bad-identifier", "t 1")),
+    (lambda m: _edited(m, "transitions", 0, trigger="go on"), ("bad-identifier", "t")),
+    (lambda m: replace(m, variables=(Variable("x", 0), Variable("x", 1))),
+     ("duplicate-variable", "x")),
+    (lambda m: replace(m, states=m.states + (node("E", parent="A.final"),)),
+     ("final-with-children", "A.final")),
+    (lambda m: _edited(m, "states", 2, has_history=True), ("history-on-final", "A.final")),
+    (lambda m: _edited(m, "states", 3, kind="weird"), ("bad-kind", "C")),
+    (lambda m: _edited(m, "states", 3, kind=COMPOSITE), ("childless-composite", "C")),
+    (lambda m: _edited(_edited(m, "states", 1, is_initial=False), "states", 2, is_initial=True),
+     ("initial-is-final", "A")),
+    (lambda m: _edited(m, "transitions", 1, id="t"), ("duplicate-transition-id", "t")),
+    (lambda m: _edited(m, "transitions", 0, source="ghost"), ("unknown-source", "t")),
+    (lambda m: replace(m, states=m.states + (StateNode(id="C", name="D", kind=SIMPLE),)),
+     ("duplicate-id", "C")),
+], ids=["behaviour-label", "variable", "machine", "state", "transition-id", "trigger",
+        "duplicate-variable", "final-with-children", "history-on-final", "bad-kind",
+        "childless-composite", "initial-is-final", "duplicate-transition-id", "unknown-source", "duplicate-id"])
+def test_one_defect_gives_one_violation(edit, expected):
+    assert validate(VALID).ok
+    assert [(v.code, v.element) for v in validate(edit(VALID)).violations] == [expected]
 
 
 def test_parent_cycle_detected():
