@@ -623,7 +623,7 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
                 raise NetError(f"start marking: token {token!r} on {pid} is outside "
                                f"colour {net.places[pid].colour}")
     if len(net.places) <= DENSE_FILL * len(start):
-        return _explore_dense(compiled, start, bound)
+        return _explore_dense(compiled, sorted(net.places), start, bound)
     index = {start: 0}
     found = [start]
     edges = []
@@ -644,17 +644,18 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     return ReachabilityGraph(states=found, edges=edges, truncated=truncated)
 
 
-def _explore_dense(compiled: CompiledNet, start: Marking, bound: int) -> ReachabilityGraph:
+def _explore_dense(compiled: CompiledNet, pids: list[str], start: Marking,
+                   bound: int) -> ReachabilityGraph:
     """`explore`'s search with each marking an array('I') of place codes,
     kept as its bytes.  A place's code numbers its token tuples in the order
     this search meets them, 0 for empty.  The memo of a transition position
     maps the codes of its touched places to (id, binding key, [(position,
     new code), ...]), so a successor is a copy with a few codes replaced.
-    Places are numbered in id order; `views[t]` reads the codes of the
-    places transition t touches (`len` where none, as every marking has as
-    many codes), and `watchers[p]` lists the transitions watching place p."""
+    Places are numbered in the order of `pids`, the net's place ids sorted;
+    `views[t]` reads the codes of the places transition t touches (`len`
+    where none, as every marking has as many codes), and `watchers[p]`
+    lists the transitions watching place p."""
     transitions, unwatched = compiled.transitions, compiled.unwatched
-    pids = sorted(compiled.source[1])
     at = {pid: p for p, pid in enumerate(pids)}
     views = [itemgetter(*ps) if ps else len
              for ps in (tuple(map(at.__getitem__, t.touched)) for t in transitions)]

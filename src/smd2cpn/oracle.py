@@ -8,8 +8,8 @@ divergence with its trace like any other.  One breadth-first walk over
 decides equivalence, with rounds that count the fewest moves within which
 a failing pair's sides differ; the shortest counterexample is read off
 those counts in one canonical move order.  The pairs `depth` - 1 moves
-out are compared by their move labels alone, with no move map.  Each side
-numbers its stable points as a move map names them; the pairs are numbers.
+out are compared by their move labels alone, with no move map.  A pair
+holds the configuration and the marking themselves, which are canonical.
 A step reads the event pool only to find its trigger there and take it,
 so a check works each step out once, keyed on (active leaf, valuation,
 history), and takes the trigger from each configuration's own pool.
@@ -318,7 +318,7 @@ def _machine_moves(model: StateMachine, config: Configuration, capacity: int, st
     `steps`, kept for one check, maps (active, valuation, history) to the
     trigger and `_run_step` of every transition `_offered` there, in id
     order.  A step is offered where its trigger is pending.
-    The last layer's label view drops the successors, numbering none."""
+    The last layer's label view reads the moves and drops the successors."""
     for event in model.events:
         if (after := inject(model, config, event, capacity)) is not None:
             yield _injection(event), after
@@ -377,8 +377,8 @@ def _fail_depths(sides, predecessors: dict, differ: list, rounds: int) -> dict:
     return fails
 
 
-def _walk_pairs(sides, labels, depth: int) -> EquivalenceResult:
-    """Bisimulation to `depth` moves of two move graphs from their points 0;
+def _walk_pairs(start, sides, labels, depth: int) -> EquivalenceResult:
+    """Bisimulation to `depth` moves of two move graphs from pair `start`;
     `sides(pair)` is the move maps of a (model point, net point) pair, made
     when asked, and `labels(pair)` maps of the same moves that lead nowhere.
     The walk compares the pairs fewer than `depth` moves out, a layer at a
@@ -390,7 +390,6 @@ def _walk_pairs(sides, labels, depth: int) -> EquivalenceResult:
     rounds and the counterexample read a pair's `sides` again.  From a start
     pair failing within k moves, the first failure against the pairs failing
     within k - 1 gives the next move and pair."""
-    start = (0, 0)
     layer, compared, differ, fails = [start], 0, [], {}
     predecessors = {start: []}  # each pair reached: the compared pairs leading to it
     for walked in range(1, depth + 1):
@@ -422,20 +421,15 @@ def _walk_pairs(sides, labels, depth: int) -> EquivalenceResult:
                              divergent_side=side, pairs_checked=compared)
 
 
-def _move_map(pairs, key, points: dict, numbered: list) -> dict:
+def _move_map(pairs, key) -> dict:
     """{move: successors} of (move, successor) pairs in one canonical
     order, so the check and its counterexample do not depend on hashing:
-    moves sorted by `key`, and a move's successors as a tuple, sorted by
-    repr when there are several.  Successors are numbers, from `points`
-    (point -> number) and `numbered` (number -> point), which grow here."""
+    moves sorted by `key`, and a move's successors as a tuple of the
+    points themselves, sorted by repr when there are several."""
     moves: dict = {}
     for move, after in pairs:
-        n = points.setdefault(after, len(numbered))
-        if n == len(numbered):
-            numbered.append(after)
-        moves.setdefault(move, set()).add(n)
-    return {move: tuple(sorted(after, key=lambda n: repr(numbered[n])))
-            if len(after) > 1 else tuple(after)
+        moves.setdefault(move, set()).add(after)
+    return {move: tuple(sorted(after, key=repr)) if len(after) > 1 else tuple(after)
             for move, after in sorted(moves.items(), key=lambda item: key(item[0]))}
 
 
@@ -454,7 +448,7 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     a pair failing at k moves is found in round k of the failure rounds.
     A pair `depth` - 1 moves out is compared by the labels of its moves,
     read off the one list of its moves and successors: only a counterexample
-    that ends there makes its move map and numbers its successors.
+    that ends there makes its move map.
     `event_capacity` must be the capacity the net was translated with.
     """
     if depth < 1:
@@ -466,24 +460,18 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
                              f"the net's capacity {held}")
     runner = NetRunner(net, tmap, model)
     label_key = functools.cache(repr)
-
-    def side(start, moves_of):
-        """The move map of a side's point number n, or where `view`, its
-        label view, made each time it is asked; `start` is 0."""
-        points, numbered = {start: 0}, [start]
-
-        def moves(n: int, view: bool = False) -> dict:
-            if view:
-                return dict.fromkeys([move for move, _ in moves_of(numbered[n])], ())
-            return _move_map(moves_of(numbered[n]), label_key, points, numbered)
-        return moves
-
     steps: dict = {}
-    smd_moves = side(initial_configuration(model),
-                     lambda config: _machine_moves(model, config, event_capacity, steps))
-    net_moves = side(net.initial_marking(), runner.moves)
-    return _walk_pairs(lambda pair: (smd_moves(pair[0]), net_moves(pair[1])),
-                       lambda pair: (smd_moves(pair[0], True), net_moves(pair[1], True)), depth)
+
+    def sides(pair) -> tuple[dict, dict]:
+        return (_move_map(_machine_moves(model, pair[0], event_capacity, steps), label_key),
+                _move_map(runner.moves(pair[1]), label_key))
+
+    def labels(pair) -> tuple[dict, dict]:
+        machine = _machine_moves(model, pair[0], event_capacity, steps)
+        return (dict.fromkeys([move for move, _ in machine], ()),
+                dict.fromkeys([move for move, _ in runner.moves(pair[1])], ()))
+    return _walk_pairs((initial_configuration(model), net.initial_marking()),
+                       sides, labels, depth)
 
 
 # ---------------------------------------------------------------------------

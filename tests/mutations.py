@@ -36,12 +36,16 @@ def delete_arc_id(net: ColouredNet, arc_id: str) -> ColouredNet:
     return mutated
 
 
-def flip_guard(net: ColouredNet, trans: str) -> ColouredNet:
+def replace_guard(net: ColouredNet, trans: str, guard) -> ColouredNet:
     mutated = _clone(net)
-    old = mutated.transitions[trans]
-    assert old.guard is not None, "transition has no guard to flip"
-    mutated.transitions[trans] = replace(old, guard=ex.Not(old.guard))
+    mutated.transitions[trans] = replace(mutated.transitions[trans], guard=guard)
     return mutated
+
+
+def flip_guard(net: ColouredNet, trans: str) -> ColouredNet:
+    guard = net.transitions[trans].guard
+    assert guard is not None, "transition has no guard to flip"
+    return replace_guard(net, trans, ex.Not(guard))
 
 
 def swap_labels(net: ColouredNet, first: str, second: str) -> ColouredNet:

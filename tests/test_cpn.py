@@ -8,7 +8,7 @@ import pytest
 
 from smd2cpn import expr as ex
 from smd2cpn.net import (
-    UNIT_TOKEN, ColouredNet, CompiledNet, CompiledTransition, EnumCS, IntCS, NetError, NotEnabledError,
+    UNIT_TOKEN, ArcDef, ColouredNet, CompiledNet, CompiledTransition, EnumCS, IntCS, NetError, NotEnabledError,
     Calc, Lit, PlaceDef, ProductCS, TransDef, Tup, UnitCS, Var, PTOT, TTOP,
     binding_key, enabled_bindings, evaluate, explore, fire, marking_key, match,
 )
@@ -251,6 +251,47 @@ def test_check_rejects_inscription_outside_colour(place, orientation, inscriptio
     net.add_arc(place, "t", orientation, inscription)
     with pytest.raises(NetError, match=f"^arc A_2: {message}$"):
         net.check()
+
+
+def _arc_9(place, trans, orientation):
+    return lambda net: net.arcs.append(ArcDef("A_9", place, trans, orientation, Var("x")))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda net: net.arcs.append(ArcDef("p", "p", "t", PTOT, Var("x"))),
+     "duplicate ids: ['p']"),
+    (lambda net: net.transitions.update(p=TransDef("p", "p")), "duplicate ids: ['p']"),
+    (lambda net: net.places.update(q=PlaceDef("q", "q", "NOPE")),
+     "place q: unknown colour 'NOPE'"),
+    (lambda net: net.places.update(q=PlaceDef("q", "q", "INT", ("a",))),
+     "place q: initial token 'a' outside colour INT"),
+    (_arc_9("zz", "t", PTOT), "arc A_9: unknown place 'zz'"),
+    (_arc_9("p", "zz", PTOT), "arc A_9: unknown transition 'zz'"),
+    (_arc_9("p", "t", "sideways"), "arc A_9: bad orientation 'sideways'"),
+], ids=["arc-id-is-a-place-id", "transition-id-is-a-place-id", "unknown-colour",
+        "initial-token-outside-colour", "unknown-place", "unknown-transition",
+        "bad-orientation"])
+def test_check_reports_structural_errors(mutate, message):
+    net = ColouredNet(name="n")
+    net.colours["INT"] = IntCS()
+    net.add_place(PlaceDef("p", "p", "INT", (1,)))
+    net.add_transition(TransDef("t", "t"))
+    net.add_arc("p", "t", PTOT, Var("x"))
+    net.check()
+    mutate(net)
+    with pytest.raises(NetError) as raised:
+        net.check()
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("colour, message", [
+    (EnumCS, "enumeration colour needs at least one value"),
+    (ProductCS, "product colour needs at least one component"),
+])
+def test_an_empty_colour_set_is_refused(colour, message):
+    with pytest.raises(ValueError) as raised:
+        colour(())
+    assert str(raised.value) == message
 
 
 def test_explore_no_enabled_transitions():

@@ -65,6 +65,18 @@ def test_configurations_print_compare_and_hash_by_their_fields():
     assert config != Configuration(config.active, config.valuation, config.history)
 
 
+def test_a_move_map_keeps_the_points_themselves():
+    # a walk pair is (Configuration, Marking): a move's several successors
+    # are sorted by repr, and a single successor is the point itself
+    c1 = Configuration("A", (("x", 1),), ())
+    c2 = Configuration("A", (("x", 2),), ())
+    move = ("step", "go", (), "A")
+    built = oracle._move_map([(move, c2), (move, c1), (move, c2)], repr)
+    assert built == {move: tuple(sorted({c1, c2}, key=repr))} == {move: (c1, c2)}
+    single = oracle._move_map([(move, c1)], repr)
+    assert single == {move: (c1,)} and single[move][0] is c1
+
+
 def test_initial_configuration_trivial_cases():
     single = parse("machine M { state S initial ; }")
     assert initial_configuration(single).active == "S"
@@ -468,7 +480,7 @@ def test_pair_walk_matches_a_recursive_reference_on_random_graphs():
         for depth in (3, 5, 8, 12):
             read = set()
             result = oracle._walk_pairs(
-                lambda pair: read.add(pair) or (left[pair[0]], right[pair[1]]),
+                (0, 0), lambda pair: read.add(pair) or (left[pair[0]], right[pair[1]]),
                 label_view(left, right), depth)
             expected = reference_bisimulation(left, right, depth)
             assert (result.counterexample, result.divergent_side) == expected
@@ -492,7 +504,7 @@ def test_a_harmless_difference_keeps_the_walk_linear():
     def sides(pair):
         reads.append(pair)
         return graph[pair[0]], graph[pair[1]]
-    result = oracle._walk_pairs(sides, label_view(graph, graph), 2000)
+    result = oracle._walk_pairs((0, 0), sides, label_view(graph, graph), 2000)
     assert result.equivalent and result.pairs_checked == 1005
     assert len(reads) < 4 * 1005
 

@@ -253,6 +253,50 @@ def test_guard_renamed_onto_dispatch(cd_net):
                 if a.place == "P_VARS"]
 
 
+# Guards built with `and`, `or` and `not`, which no corpus model has: at
+# x = 1 both `go` transitions are enabled.
+CONNECTIVES = """machine Connectives {
+  var x : int = 0 ;
+  state A initial ;
+  state B ;
+  state C ;
+  trans up : A -> A on tick if ( x < 3 ) / Inc { x := x + 1 } ;
+  trans odd : A -> B on go if ( x = 1 or x = 3 ) ;
+  trans mid : A -> C on go if ( x > 0 and not x > 2 ) ;
+  trans b : B -> A on back / Reset { x := 0 } ;
+  trans c : C -> A on back / Reset { x := 0 } ;
+}"""
+
+
+@pytest.mark.parametrize("capacity, pairs", [(1, 64), (2, 216)])
+def test_guards_with_connectives_translate_and_check(capacity, pairs):
+    model = parse(CONNECTIVES)
+    net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
+    guards = {tid: ex.to_text(net.transitions[tid].guard, "sml")
+              for tid in ("T_odd__from_A", "T_mid__from_A")}
+    assert guards == {"T_odd__from_A": "v_x = 1 orelse v_x = 3",
+                      "T_mid__from_A": "v_x > 0 andalso not (v_x > 2)"}
+    assert parse_cpn_xml(emit_cpn_xml(net)) == net
+    assert check_control_safety(net, tmap).ok
+    result = check_trace_equivalence(model, net, tmap, depth=1_000_000,
+                                     event_capacity=capacity)
+    assert result.equivalent and result.pairs_checked == pairs
+    # the root connective swapped: with `and`, odd never fires; with `or`,
+    # mid fires at x = 0 too
+    diverges = {}
+    for tid in guards:
+        guard = net.transitions[tid].guard
+        swapped = (ex.And if isinstance(guard, ex.Or) else ex.Or)(guard.left, guard.right)
+        mutant = mutations.replace_guard(net, tid, swapped)
+        result = check_trace_equivalence(model, mutant, tmap, depth=1_000_000,
+                                         event_capacity=capacity)
+        diverges[tid] = (result.divergent_side, result.counterexample)
+    assert diverges == {
+        "T_odd__from_A": ("model", [("inject", "go"), ("inject", "tick"),
+                                    ("step", "tick", ("Inc",), "A"), ("step", "go", (), "B")]),
+        "T_mid__from_A": ("net", [("inject", "go"), ("step", "go", (), "C")])}
+
+
 def test_do_behaviour_self_loop(cd_net):
     net, tmap = cd_net
     assert tmap.do_loop["T_do_PLAYING"] == ("PLAYING", "PLAYING")
