@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 from . import emit, oracle, smdl
-from .statemachine import validate
 from .translator import ModelInvalidError, TranslationConfig, translate
 
 EXIT_OK = 0
@@ -78,9 +77,6 @@ def _load_model(path: str):
         model = smdl.parse(text)
     except smdl.SmdlSyntaxError as err:
         raise _InputError(f"{path}: {err}")
-    report = validate(model)
-    if not report.ok:
-        raise _InputError(f"{path}: model is not well-formed\n{report}")
     return model
 
 

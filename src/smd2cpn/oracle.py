@@ -7,9 +7,9 @@ divergence with its trace like any other.  One breadth-first walk over
 (configuration, marking) pairs, each compared once whatever the depth,
 decides equivalence, with rounds that count the fewest moves within which
 a failing pair's sides differ; the shortest counterexample is read off
-those counts in one canonical move order.  The pairs `depth` - 1 moves
-out are compared by their move labels alone, with no move map.  A pair
-holds the configuration and the marking themselves, which are canonical.
+those counts with moves and successors sorted by repr, so it does not
+depend on the order in which either side lists its moves.  A pair holds
+the configuration and the marking themselves, which are canonical.
 A step reads the event pool only to find its trigger there and take it,
 so a check works each step out once, keyed on (active leaf, valuation,
 history), and takes the trigger from each configuration's own pool.
@@ -237,7 +237,7 @@ class NetRunner:
         marking and ("stuck", event, behaviours, reason) when not.  Both
         kinds come in id order, so injections in event order for the
         translator's `T_env_<e>` ids; no outcome depends on the order, as
-        `_move_map` sorts moves by label and a label view compares key sets."""
+        the walk compares key sets and a counterexample is read in repr order."""
         tokens = dict(marking)
         injections, steps = [], []
         for trans in self.compiled.candidates(marking):
@@ -317,8 +317,7 @@ def _machine_moves(model: StateMachine, config: Configuration, capacity: int, st
     """(move, successor) for every injection and step of the machine.
     `steps`, kept for one check, maps (active, valuation, history) to the
     trigger and `_run_step` of every transition `_offered` there, in id
-    order.  A step is offered where its trigger is pending.
-    The last layer's label view reads the moves and drops the successors."""
+    order.  A step is offered where its trigger is pending."""
     for event in model.events:
         if (after := inject(model, config, event, capacity)) is not None:
             yield _injection(event), after
@@ -334,17 +333,17 @@ def _machine_moves(model: StateMachine, config: Configuration, capacity: int, st
 
 
 def _first_failure(left: dict, right: dict, fails):
-    """The first reason two move maps do not match, in the maps' order, or
-    None: (side, move) for a move only one side offers, the model's first;
-    else (move, u, v) for a successor u of a move whose every pairing with
-    the other side's successors `fails`, paired with the first of them,
-    and then the same for a successor v."""
+    """The first reason two move maps do not match, with moves and each
+    move's successors sorted by repr, or None: (side, move) for a move only
+    one side offers, the model's first; else (move, u, v) for a successor u
+    of a move whose every pairing with the other side's successors `fails`,
+    paired with the first of them, and then the same for a successor v."""
     for side, offers, other in (("model", left, right), ("net", right, left)):
-        for move in offers:
+        for move in sorted(offers, key=repr):
             if move not in other:
                 return side, move
-    for move, us in left.items():
-        vs = right[move]
+    for move in sorted(left, key=repr):
+        us, vs = sorted(left[move], key=repr), sorted(right[move], key=repr)
         for u in us:
             if all(fails((u, v)) for v in vs):
                 return move, u, vs[0]
@@ -377,27 +376,29 @@ def _fail_depths(sides, predecessors: dict, differ: list, rounds: int) -> dict:
     return fails
 
 
-def _walk_pairs(start, sides, labels, depth: int) -> EquivalenceResult:
+def _walk_pairs(start, sides, depth: int) -> EquivalenceResult:
     """Bisimulation to `depth` moves of two move graphs from pair `start`;
     `sides(pair)` is the move maps of a (model point, net point) pair, made
-    when asked, and `labels(pair)` maps of the same moves that lead nowhere.
-    The walk compares the pairs fewer than `depth` moves out, a layer at a
-    time, until a layer adds none, and indexes each compared pair as a
-    predecessor of its successor pairs; the last layer, `depth` - 1 moves
-    out, by `labels`.  Once some move sets differ, each layer ends with
-    failure rounds, capped at the layers walked until the walk is complete,
-    as a pair is compared only as deep as the walk went past it.  Only the
-    rounds and the counterexample read a pair's `sides` again.  From a start
-    pair failing within k moves, the first failure against the pairs failing
-    within k - 1 gives the next move and pair."""
+    when asked.  The walk compares the pairs fewer than `depth` moves out,
+    a layer at a time, until a layer adds none, and indexes each compared
+    pair as a predecessor of its successor pairs, but for the last layer,
+    `depth` - 1 moves out, whose successors are never compared.  Once some
+    move sets differ, each layer ends with failure rounds, capped at the
+    layers walked until the walk is complete, as a pair is compared only as
+    deep as the walk went past it.  Only the rounds and the counterexample
+    read a pair's `sides` again.  From a start pair failing within k moves,
+    the first failure against the pairs failing within k - 1 gives the next
+    move and pair."""
     layer, compared, differ, fails = [start], 0, [], {}
     predecessors = {start: []}  # each pair reached: the compared pairs leading to it
     for walked in range(1, depth + 1):
         following = []
         for pair in layer:
-            left, right = (labels if walked == depth else sides)(pair)
+            left, right = sides(pair)
             if left.keys() != right.keys():
                 differ.append(pair)
+            if walked == depth:
+                continue
             for after in _pairs_after(left, right):
                 if after not in predecessors:
                     following.append(after)
@@ -421,16 +422,14 @@ def _walk_pairs(start, sides, labels, depth: int) -> EquivalenceResult:
                              divergent_side=side, pairs_checked=compared)
 
 
-def _move_map(pairs, key) -> dict:
-    """{move: successors} of (move, successor) pairs in one canonical
-    order, so the check and its counterexample do not depend on hashing:
-    moves sorted by `key`, and a move's successors as a tuple of the
-    points themselves, sorted by repr when there are several."""
+def _move_map(pairs) -> dict:
+    """{move: successors} of (move, successor) pairs, in the order they
+    come: a move's successors are the points themselves, each once, kept
+    as the keys of a dict."""
     moves: dict = {}
     for move, after in pairs:
-        moves.setdefault(move, set()).add(after)
-    return {move: tuple(sorted(after, key=repr)) if len(after) > 1 else tuple(after)
-            for move, after in sorted(moves.items(), key=lambda item: key(item[0]))}
+        moves.setdefault(move, {})[after] = None
+    return moves
 
 
 def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
@@ -446,9 +445,6 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     moves; otherwise the shortest divergent trace is reported.  `depth` is
     at least 1 and unbounded, since each reachable pair is compared once;
     a pair failing at k moves is found in round k of the failure rounds.
-    A pair `depth` - 1 moves out is compared by the labels of its moves,
-    read off the one list of its moves and successors: only a counterexample
-    that ends there makes its move map.
     `event_capacity` must be the capacity the net was translated with.
     """
     if depth < 1:
@@ -459,19 +455,12 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
             raise ValueError(f"event capacity {event_capacity} does not match "
                              f"the net's capacity {held}")
     runner = NetRunner(net, tmap, model)
-    label_key = functools.cache(repr)
     steps: dict = {}
 
     def sides(pair) -> tuple[dict, dict]:
-        return (_move_map(_machine_moves(model, pair[0], event_capacity, steps), label_key),
-                _move_map(runner.moves(pair[1]), label_key))
-
-    def labels(pair) -> tuple[dict, dict]:
-        machine = _machine_moves(model, pair[0], event_capacity, steps)
-        return (dict.fromkeys([move for move, _ in machine], ()),
-                dict.fromkeys([move for move, _ in runner.moves(pair[1])], ()))
-    return _walk_pairs((initial_configuration(model), net.initial_marking()),
-                       sides, labels, depth)
+        return (_move_map(_machine_moves(model, pair[0], event_capacity, steps)),
+                _move_map(runner.moves(pair[1])))
+    return _walk_pairs((initial_configuration(model), net.initial_marking()), sides, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 import mutations
 from modelgen import doubling_smdl
-from smd2cpn import cli
+from smd2cpn import cli, statemachine
 from smd2cpn.net import UNIT_TOKEN, PlaceDef
 from smd2cpn.translator import translate
 
@@ -119,6 +119,27 @@ def test_exponential_update_is_an_input_error(tmp_path, capsys, command):
                       "assignments into a 16383-node update of 'x', more than "
                       "10000 [t.effect]\n")
     assert not (tmp_path / "out.cpn").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "simulate", "equiv"])
+def test_each_command_validates_the_model_once(tmp_path, capsys, monkeypatch, models_dir,
+                                                command):
+    # `validate` is counted under every name an smd2cpn module holds it by
+    calls = []
+    original = statemachine.validate
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "smd2cpn" and vars(module).get("validate") is original:
+            monkeypatch.setattr(module, "validate",
+                                lambda model: calls.append(1) or original(model))
+    empty = tmp_path / "empty.smdl"
+    empty.write_text("machine M { }", encoding="utf-8")
+    extra = ["-o", str(tmp_path / "out.cpn")] if command == "translate" else []
+    invalid = (f"{empty}: initial-count: region must contain exactly one initial state, "
+               "found 0 [<root>]\n")
+    for path, code, stderr in ((models_dir / "flat.smdl", 0, ""), (empty, 2, invalid)):
+        calls.clear()
+        assert run_cli(capsys, command, str(path), *extra)[::2] == (code, stderr)
+        assert len(calls) == 1, path
 
 
 def test_missing_input_file(capsys):

@@ -52,8 +52,8 @@ def test_initial_configuration(cd_model):
 
 
 def test_configurations_print_compare_and_hash_by_their_fields():
-    # `_move_map` orders a move's several successors by repr, so a
-    # nondeterministic counterexample depends on this text
+    # `_first_failure` reads a move's several successors in repr order, so
+    # a nondeterministic counterexample depends on this text
     config = Configuration("Busy.P", (("track", 2),), (("Busy", "PLAYING"),), (("play", 1),))
     assert repr(config) == ("Configuration(active='Busy.P', valuation=(('track', 2),), "
                             "history=(('Busy', 'PLAYING'),), pending=(('play', 1),))")
@@ -66,15 +66,32 @@ def test_configurations_print_compare_and_hash_by_their_fields():
 
 
 def test_a_move_map_keeps_the_points_themselves():
-    # a walk pair is (Configuration, Marking): a move's several successors
-    # are sorted by repr, and a single successor is the point itself
+    # a walk pair is (Configuration, Marking): a move's successors are the
+    # points themselves, each once, in the order the side lists them
     c1 = Configuration("A", (("x", 1),), ())
     c2 = Configuration("A", (("x", 2),), ())
     move = ("step", "go", (), "A")
-    built = oracle._move_map([(move, c2), (move, c1), (move, c2)], repr)
-    assert built == {move: tuple(sorted({c1, c2}, key=repr))} == {move: (c1, c2)}
-    single = oracle._move_map([(move, c1)], repr)
-    assert single == {move: (c1,)} and single[move][0] is c1
+    built = oracle._move_map([(move, c2), (move, c1), (move, c2)])
+    assert list(built) == [move] and list(built[move]) == [c2, c1]
+    single = oracle._move_map([(move, c1)])
+    assert list(single[move]) == [c1] and next(iter(single[move])) is c1
+
+
+def test_a_counterexample_is_read_in_repr_order():
+    # the same two move maps, given in repr order and in reverse with one
+    # move's successors listed c2, c1, give the same first failure
+    c1 = Configuration("A", (("x", 1),), ())
+    c2 = Configuration("A", (("x", 2),), ())
+    go, stop = ("step", "go", (), "A"), ("step", "stop", (), "A")
+    m1, m2 = ("marking", 1), ("marking", 2)
+    in_order = {go: (c1, c2), stop: (c1,)}, {go: (m1, m2), stop: (m1,)}
+    reversed_ = {stop: (c1,), go: (c2, c1)}, {stop: (m1,), go: (m2, m1)}
+    for fails, first in ((lambda pair: True, (go, c1, m1)),
+                         (lambda pair: pair[0] == c2, (go, c2, m1)),
+                         (lambda pair: pair[1] == m2, (go, c1, m2))):
+        assert oracle._first_failure(*in_order, fails) == first
+        assert oracle._first_failure(*reversed_, fails) == first
+    assert oracle._first_failure({stop: (c1,), go: (c1,)}, {}, bool) == ("model", go)
 
 
 def test_initial_configuration_trivial_cases():
@@ -310,11 +327,9 @@ def test_a_net_without_a_dispatch_transition_never_offers_its_step(corpus_models
     assert result.counterexample[-1] == ("step", "flip", (), "P")
 
 
-def test_the_last_layer_builds_no_move_map(corpus_models, monkeypatch):
-    # a passing check compares the pairs first reached after depth - 1
-    # moves by their labels alone: cdplayer@1's layers 0 to 6 hold 477
-    # pairs, and each side builds a move map for each of them, where
-    # building the last layer's too made 1,490 maps
+def test_a_passing_walk_builds_two_maps_per_compared_pair(corpus_models, monkeypatch):
+    # each compared pair, the last layer's too, gets one move map per side,
+    # and a passing check reads no pair's maps again
     built = []
     real = oracle._move_map
     monkeypatch.setattr(oracle, "_move_map", lambda *args: built.append(1) or real(*args))
@@ -326,7 +341,7 @@ def test_the_last_layer_builds_no_move_map(corpus_models, monkeypatch):
         result = check_trace_equivalence(model, net, tmap, depth=8, event_capacity=capacity)
         assert result.equivalent
         counts[name] = (result.pairs_checked, len(built))
-    assert counts == {"cdplayer": (745, 954), "history": (534, 706)}
+    assert counts == {"cdplayer": (745, 1490), "history": (534, 1068)}
 
 
 class _LiveMap(dict):
@@ -358,8 +373,8 @@ def test_a_passing_walk_keeps_no_move_maps(corpus_models, monkeypatch):
 
 
 def test_a_firing_error_surfaces_at_the_last_layer(corpus_models, corpus_nets):
-    # the label view still fires a producer, so its output outside the
-    # colour raises at depth 1 too, where the start pair is the last layer
+    # the last layer's moves still fire a producer, so its output outside
+    # the colour raises at depth 1 too, where the start pair is the last layer
     model = corpus_models["flat"]
     net, tmap = corpus_nets["flat"]
     broken = copy.deepcopy(net)
@@ -446,12 +461,6 @@ def perturbed(rng, graph: list) -> list:
     return graph
 
 
-def label_view(left: list, right: list):
-    """The walk's `labels` for two move graphs: their move maps with every
-    move leading nowhere."""
-    return lambda pair: (dict.fromkeys(left[pair[0]], ()), dict.fromkeys(right[pair[1]], ()))
-
-
 def first_reached(left: list, right: list) -> dict:
     """{pair: the fewest moves to it from (0, 0)} over the moves both sides offer."""
     moves, queue = {(0, 0): 0}, [(0, 0)]
@@ -467,9 +476,9 @@ def test_pair_walk_matches_a_recursive_reference_on_random_graphs():
     # nondeterministic graphs of 3 to 9 points, most compared with a copy
     # changed in one or two places; with its failure rounds not capped at
     # the layers walked, the walk gave a wrong trace on 60 of these checks.
-    # The last layer is compared by labels: an equivalent result reads no
-    # move map of a pair first reached after depth - 1 moves, also the 113
-    # whose walk meets a harmless difference and so runs failure rounds
+    # An equivalent result reads no move map of a pair first reached depth
+    # or more moves out, also the 113 whose walk meets a harmless
+    # difference and so runs failure rounds
     rng = random.Random(1405)
     equivalent, longest = 0, 0
     for _ in range(600):
@@ -480,13 +489,12 @@ def test_pair_walk_matches_a_recursive_reference_on_random_graphs():
         for depth in (3, 5, 8, 12):
             read = set()
             result = oracle._walk_pairs(
-                (0, 0), lambda pair: read.add(pair) or (left[pair[0]], right[pair[1]]),
-                label_view(left, right), depth)
+                (0, 0), lambda pair: read.add(pair) or (left[pair[0]], right[pair[1]]), depth)
             expected = reference_bisimulation(left, right, depth)
             assert (result.counterexample, result.divergent_side) == expected
             assert result.equivalent == (expected[0] is None)
             if result.equivalent:
-                assert max(reached[pair] for pair in read) < depth - 1
+                assert max(reached[pair] for pair in read) < depth
             equivalent += result.equivalent
             longest = max(longest, len(result.counterexample or ()))
     assert (equivalent, longest) == (199, 5)
@@ -504,7 +512,7 @@ def test_a_harmless_difference_keeps_the_walk_linear():
     def sides(pair):
         reads.append(pair)
         return graph[pair[0]], graph[pair[1]]
-    result = oracle._walk_pairs((0, 0), sides, label_view(graph, graph), 2000)
+    result = oracle._walk_pairs((0, 0), sides, 2000)
     assert result.equivalent and result.pairs_checked == 1005
     assert len(reads) < 4 * 1005
 
@@ -677,6 +685,19 @@ def test_every_arc_deletion_is_rejected_or_inequivalent(corpus_models, corpus_ne
     assert sha256(outcomes) == (
         "4534a2857daec0c74a1a3e640be17d9f4e3a98bd2ff2675d7461619e677f6ffa")
     assert pairs == 5667
+
+
+def test_no_outcome_depends_on_the_order_a_side_lists_its_moves(
+        corpus_models, corpus_nets, monkeypatch):
+    # both sides list their moves reversed: the walk follows each side's
+    # order, yet the pinned verdicts, counterexamples and pair counts hold
+    machine_moves, net_moves = oracle._machine_moves, NetRunner.moves
+    monkeypatch.setattr(oracle, "_machine_moves",
+                        lambda *args: reversed(list(machine_moves(*args))))
+    monkeypatch.setattr(NetRunner, "moves",
+                        lambda runner, marking: net_moves(runner, marking)[::-1])
+    test_corpus_outcomes_are_pinned()
+    test_every_arc_deletion_is_rejected_or_inequivalent(corpus_models, corpus_nets)
 
 
 def test_control_safety_on_corpus(corpus_nets):
