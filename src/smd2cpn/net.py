@@ -12,28 +12,23 @@ contents.
 A `Marking` is a tuple of (place id, token tuple) pairs for the marked
 places only, in place-id order, each token tuple holding one entry per
 copy sorted by `token_sort_key`.  That form is canonical, so a marking is
-its own hashable key: `explore` uses markings as BFS keys and the
-equivalence check as bisimulation keys.  Where at least a quarter of the
-places is marked at the start, `explore` keys markings by a dense form
-instead, one code per place, which pays only there: it costs O(places) at
-each edge.  `marking_key` builds a `Marking` from any place -> tokens
-mapping.  The tokens of a place all fit its colour, and within one colour
-`token_sort_key` order is the tokens' natural order, so a firing inserts
-each produced token by plain comparison.  Markings given
-to `fire` and `enabled_bindings` must fit their places' colours, as every
-marking `explore` reaches does; `explore` checks the start marking it is
-given.  The token game runs on the net's `CompiledNet`, kept with the net
-while its colours, places, transitions and arcs equal the shallow copies
-taken when it was compiled; every part of a net is frozen, so any edit is
-seen.  A firing changes only the places it touches, its input and output
-places, and its successor marking is the old one with just those places
-replaced.  At each marking `explore` tries only the candidate transitions:
+its own hashable key; `marking_key` builds one from any place -> tokens
+mapping.  Within one colour `token_sort_key` order is the tokens' natural
+order, so a firing inserts each produced token by plain comparison.
+Markings given to `fire` and `enabled_bindings` must fit their places'
+colours, as every marking `explore` reaches does; `explore` checks the
+start marking it is given.  The token game runs on the net's
+`CompiledNet`, kept with the net while its colours, places, transitions
+and arcs equal the shallow copies taken when it was compiled; every part
+of a net is frozen, so any edit is seen.  A firing changes only the places
+it touches, and at each marking only the candidate transitions are tried:
 those without input places, and those whose watch place (the input place
-with the fewest consuming arcs, ties broken by id) is marked.  A
-transition's firings depend only on the tokens of the places it touches,
-its local view, so `explore`'s dense search works each view's firings out
-once, in a memo that lives for one search; the sparse search fires every
-binding it meets.
+with the fewest consuming arcs, ties broken by id) is marked.
+
+Where at least a quarter of the places is marked at the start, `explore`
+and the equivalence check share a `DenseCoding`, one code per place (it
+costs O(places) a firing, so pays only there), and work the firings at
+each local view, the tokens of the places a transition touches, out once.
 """
 
 from __future__ import annotations
@@ -371,7 +366,8 @@ class CompiledTransition:
     Raises NetError, as `ColouredNet.check` does, when the guard or an
     output arc reads a variable that no input pattern binds.  `touched`
     holds the distinct input places, then the other output places, in arc
-    order: `bindings` reads only input places and `apply` only these.
+    order: `bindings` reads only input places, and `apply` only these and
+    changes them all, in this order.
     """
 
     __slots__ = ("id", "trans", "places", "inputs", "literals", "variables",
@@ -502,7 +498,8 @@ class CompiledNet:
 
     `CompiledNet.of(net)` returns the form kept with the net, compiled
     afresh when the net's containers no longer equal their copies in
-    `source`: a comparison in C that short-cuts on identity.
+    `source`: a comparison in C that short-cuts on identity.  `initial`
+    is the net's initial marking, valid exactly as long.
 
     Each transition watches one input place: the one with the fewest
     consuming arcs, ties broken by id.  A transition whose watch place is
@@ -516,6 +513,7 @@ class CompiledNet:
     def __init__(self, net: ColouredNet):
         # all the compile reads; equal containers of frozen parts compile alike
         self.source = (dict(net.colours), dict(net.places), dict(net.transitions), list(net.arcs))
+        self.initial = net.initial_marking()
         arcs = {tid: ([], []) for tid in net.transitions}  # (input arcs, output arcs)
         consumers: dict[str, int] = {}
         for arc in net.arcs:
@@ -524,7 +522,8 @@ class CompiledNet:
             consumers[arc.place] = consumers.get(arc.place, 0) + consumed
         self.transitions = [CompiledTransition(net, trans, *arcs[tid])
                             for tid, trans in sorted(net.transitions.items())]
-        self.by_id = {trans.id: trans for trans in self.transitions}
+        self.ids = [trans.id for trans in self.transitions]
+        self.by_id = dict(zip(self.ids, self.transitions))
         self.unwatched: list[int] = []  # positions of transitions without inputs
         self.watchers: dict[str, list[int]] = {}
         for position, trans in enumerate(self.transitions):
@@ -545,19 +544,19 @@ class CompiledNet:
             compiled = net._compiled = cls(net)
         return compiled
 
-    def candidates(self, marking: Marking) -> list[CompiledTransition]:
-        """The transitions that may be enabled at the marking, in id order."""
+    def candidates(self, marking: Marking) -> list[int]:
+        """The positions of the transitions that may be enabled, in id order."""
         positions = list(self.unwatched)
         for pid, _ in marking:
             positions.extend(self.watchers.get(pid, ()))
         positions.sort()
-        return [self.transitions[p] for p in positions]
+        return positions
 
     def successors(self, marking: Marking):
         """(transition id, binding key, successor) for every enabled
         binding, transitions in id order and bindings in key order."""
         tokens = dict(marking)
-        for trans in self.candidates(marking):
+        for trans in map(self.transitions.__getitem__, self.candidates(marking)):
             for key, binding in trans.bindings(tokens):
                 yield trans.id, key, trans.fire(marking, tokens, binding)
 
@@ -582,8 +581,66 @@ def fire(net: Union[ColouredNet, CompiledNet], marking: Marking, trans_id: str,
     return trans.fire(marking, dict(marking), binding)
 
 
-#: `explore` codes markings densely when places <= DENSE_FILL * marked places at the start
+#: markings are coded densely where places <= DENSE_FILL * marked places at the start
 DENSE_FILL = 4
+
+
+class DenseCoding:
+    """One search's points of a net: the bytes of an array('I') of codes,
+    one per place in `pids` order, each numbering the place's token tuples
+    as met (0 for empty), so equal markings are equal points.  `views[t]`
+    reads the codes at `touched[t]`, the places transition position t
+    touches (`len` where none); `memos[t]` holds t's firings per view, in its user's form."""
+
+    def __init__(self, compiled: CompiledNet):
+        self.compiled = compiled
+        self.pids = pids = sorted(compiled.source[1])
+        self.at = at = {pid: p for p, pid in enumerate(pids)}
+        self.touched = [tuple(map(at.__getitem__, t.touched)) for t in compiled.transitions]
+        self.views = [itemgetter(*ps) if ps else len for ps in self.touched]
+        self.watchers = [compiled.watchers.get(pid, ()) for pid in pids]
+        self.pairs = [[(pid, ())] for pid in pids]  # by place position: code -> (id, tokens)
+        self.numbers = [{(): 0} for _ in pids]  # by place position: tokens -> code
+        self.memos = [{} for _ in compiled.transitions]
+
+    def code(self, p: int, tokens: tuple) -> int:
+        number = self.numbers[p].get(tokens)
+        if number is None:
+            number = self.numbers[p][tokens] = len(self.pairs[p])
+            self.pairs[p].append((self.pids[p], tokens))
+        return number
+
+    def encode(self, marking: Marking) -> bytes:
+        codes = array("I", [0]) * len(self.pids)
+        for pid, tokens in marking:
+            codes[self.at[pid]] = self.code(self.at[pid], tokens)
+        return codes.tobytes()
+
+    def decode(self, point: bytes) -> Marking:
+        codes = array("I", point)
+        return tuple(compress(map(list.__getitem__, self.pairs, codes), codes))
+
+    def candidates(self, codes: array) -> list[int]:
+        """`CompiledNet.candidates` at codes."""
+        positions = [*self.compiled.unwatched]
+        for watching in compress(self.watchers, codes):
+            positions += watching
+        positions.sort()
+        return positions
+
+    def local(self, t: int, codes: array) -> list[tuple]:
+        """(place id, tokens) of each place transition position t touches."""
+        return [self.pairs[p][codes[p]] for p in self.touched[t]]
+
+    def fire(self, t: int, tokens: dict, binding: dict) -> tuple:
+        """The codes at `touched[t]` after t fires; raises as `apply` does."""
+        changed = self.compiled.transitions[t].apply(tokens, binding).values()
+        return tuple(map(self.code, self.touched[t], changed))
+
+
+def dense_coding(compiled: CompiledNet, start: Marking) -> Optional[DenseCoding]:
+    """A new `DenseCoding` where `start` marks at least 1 in `DENSE_FILL` places, else None."""
+    return DenseCoding(compiled) if len(compiled.source[1]) <= DENSE_FILL * len(start) else None
 
 
 @dataclass
@@ -603,18 +660,15 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     reports whether some discovered successor had to be dropped.
 
     The search runs on the net's `CompiledNet`, with markings as their own
-    keys, and tries only the watch-place candidates at each marking.  A
-    given start marking is made canonical with `marking_key` first; a token
-    on a place the net lacks, or outside its place's colour, is a NetError.
-
-    Where at most `DENSE_FILL` places per marked place are in the net at
-    the start, the search keys markings by their dense form instead and
-    gives the same graph.
+    keys, or the points of `dense_coding` where it codes the start, and
+    tries only the watch-place candidates at each marking.  A given start
+    marking is made canonical with `marking_key` first; a token on a place
+    the net lacks, or outside its place's colour, is a NetError.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     compiled = CompiledNet.of(net)
-    start = net.initial_marking() if marking is None else marking_key(marking)
+    start = compiled.initial if marking is None else marking_key(marking)
     for pid, tokens in start:
         for token in tokens:
             if pid not in net.places:
@@ -622,8 +676,8 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
             if not net.colour_of(pid).contains(token):
                 raise NetError(f"start marking: token {token!r} on {pid} is outside "
                                f"colour {net.places[pid].colour}")
-    if len(net.places) <= DENSE_FILL * len(start):
-        return _explore_dense(compiled, sorted(net.places), start, bound)
+    if (coding := dense_coding(compiled, start)) is not None:
+        return _explore_dense(coding, start, bound)
     index = {start: 0}
     found = [start]
     edges = []
@@ -644,56 +698,24 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     return ReachabilityGraph(states=found, edges=edges, truncated=truncated)
 
 
-def _explore_dense(compiled: CompiledNet, pids: list[str], start: Marking,
-                   bound: int) -> ReachabilityGraph:
-    """`explore`'s search with each marking an array('I') of place codes,
-    kept as its bytes.  A place's code numbers its token tuples in the order
-    this search meets them, 0 for empty.  The memo of a transition position
-    maps the codes of its touched places to (id, binding key, [(position,
-    new code), ...]), so a successor is a copy with a few codes replaced.
-    Places are numbered in the order of `pids`, the net's place ids sorted;
-    `views[t]` reads the codes of the places transition t touches (`len`
-    where none, as every marking has as many codes), and `watchers[p]`
-    lists the transitions watching place p."""
-    transitions, unwatched = compiled.transitions, compiled.unwatched
-    at = {pid: p for p, pid in enumerate(pids)}
-    views = [itemgetter(*ps) if ps else len
-             for ps in (tuple(map(at.__getitem__, t.touched)) for t in transitions)]
-    watchers = [compiled.watchers.get(pid, ()) for pid in pids]
-    pairs = [[(pid, ())] for pid in pids]  # by place position: code -> (id, tokens)
-    numbers = [{(): 0} for _ in pids]  # by place position: tokens -> code
-
-    def code(p: int, tokens: tuple) -> int:
-        number = numbers[p].get(tokens)
-        if number is None:
-            number = numbers[p][tokens] = len(pairs[p])
-            pairs[p].append((pids[p], tokens))
-        return number
-
-    codes = array("I", [0]) * len(pids)
-    for pid, tokens in start:
-        codes[at[pid]] = code(at[pid], tokens)
-    index = {codes.tobytes(): 0}
+def _explore_dense(coding: DenseCoding, start: Marking, bound: int) -> ReachabilityGraph:
+    """`explore`'s search on points, memoising (id, binding key, code changes)."""
+    transitions, views, memos = coding.compiled.transitions, coding.views, coding.memos
+    index = {coding.encode(start): 0}
     found = [*index]
     edges = []
     truncated = False
-    memos = [{} for _ in transitions]
     current = 0
     while current < len(found):
         codes = array("I", found[current])
-        positions = [*unwatched]
-        for watching in compress(watchers, codes):
-            positions += watching
-        positions.sort()
-        for t in positions:
+        for t in coding.candidates(codes):
             view = views[t](codes)
             fired = memos[t].get(view)
             if fired is None:
                 trans = transitions[t]
-                tokens = dict(pairs[at[pid]][codes[at[pid]]] for pid in trans.touched)
+                tokens = dict(coding.local(t, codes))
                 fired = memos[t][view] = [
-                    (trans.id, key, [(at[pid], code(at[pid], new))
-                                     for pid, new in trans.apply(tokens, binding).items()])
+                    (trans.id, key, tuple(zip(coding.touched[t], coding.fire(t, tokens, binding))))
                     for key, binding in trans.bindings(tokens)]
             for tid, key, changes in fired:
                 succ = codes[:]
@@ -711,7 +733,6 @@ def _explore_dense(compiled: CompiledNet, pids: list[str], start: Marking,
                 edges.append((current, tid, key, target))
         current += 1
     del index  # decoding in place then reuses its memory
-    for n, key in enumerate(found):
-        codes = array("I", key)
-        found[n] = tuple(compress(map(list.__getitem__, pairs, codes), codes))
+    for n, point in enumerate(found):
+        found[n] = coding.decode(point)
     return ReachabilityGraph(states=found, edges=edges, truncated=truncated)

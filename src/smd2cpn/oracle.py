@@ -1,15 +1,15 @@
-"""Run-to-completion interpreter for state machines, plus the checks that
-tie the source semantics to a generated net: control-token safety over the
+"""Run-to-completion interpreter for state machines, plus the checks that tie
+the source semantics to a generated net: control-token safety over the
 reachable markings and bounded trace equivalence (a bisimulation over
 observable moves).  A net whose dispatch chain breaks offers a "stuck"
 move that the machine never offers, so a broken chain is reported as a
 divergence with its trace like any other.  One breadth-first walk over
-(configuration, marking) pairs, each compared once whatever the depth,
-decides equivalence, with rounds that count the fewest moves within which
-a failing pair's sides differ; the shortest counterexample is read off
-those counts with moves and successors sorted by repr, so it does not
-depend on the order in which either side lists its moves.  A pair holds
-the configuration and the marking themselves, which are canonical.
+pairs of a configuration and a net point, a marking or its dense code,
+each compared once whatever the depth, decides equivalence, with rounds
+that count the fewest moves within which a failing pair's sides differ;
+the shortest counterexample is read off those counts with moves and
+successors sorted by repr, a net point by its marking's, so it does not
+depend on the order in which either side lists its moves.
 A step reads the event pool only to find its trigger there and take it,
 so a check works each step out once, keyed on (active leaf, valuation,
 history), and takes the trigger from each configuration's own pool.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -175,12 +176,12 @@ class NetRunner:
     move.  Firing a behaviour occurrence (in `tmap.behaviour_trans`) makes
     its name observable, so a net read back from its XML moves alike.
 
-    At each marking only the net's watch-place candidates
-    (`CompiledNet.candidates`) are tried, chain transitions, dispatches and
-    producers alike, since no other transition can be enabled there.  The
-    bindings come from the public `enabled_bindings`, whose calls the
-    benchmark counts, and fire by `CompiledTransition.fire` on one token map
-    per marking.  A firing memo like `explore`'s did not pay here at depth 8.
+    Only the watch-place candidates are tried, with bindings from the
+    public `enabled_bindings`, whose calls the benchmark counts.  Where
+    `explore` would code markings (`cpn.dense_coding`), a point is coded
+    and the firings at each local view are worked out once, so a chain
+    step is mostly a lookup and a copy; only `marking` decodes.  Elsewhere
+    a point is its `Marking`, fired by `CompiledTransition.fire`.
     """
 
     def __init__(self, net: cpn.ColouredNet, tmap: TranslationMap,
@@ -199,6 +200,15 @@ class NetRunner:
         self.behaviours = set(tmap.behaviour_trans.values())
         self.skip_in_chain = set(tmap.producer) | set(tmap.do_loop)
         self.chain_bound = 2 * len(net.transitions) + 4
+        self.coding = coding = cpn.dense_coding(compiled, compiled.initial)
+        self.candidates = (coding or compiled).candidates  # positions at a marking or codes
+        self.control_at = coding and sorted(map(coding.at.get, self.control & coding.at.keys()))
+
+    def point(self, marking: cpn.Marking):
+        return marking if self.coding is None else self.coding.encode(marking)
+
+    def marking(self, point) -> cpn.Marking:
+        return point if self.coding is None else self.coding.decode(point)
 
     def stable_leaf(self, marking: cpn.Marking) -> Optional[str]:
         held = [(pid, len(tokens)) for pid, tokens in marking if pid in self.control]
@@ -206,31 +216,57 @@ class NetRunner:
             return None
         return self.leaf_of_place.get(held[0][0])
 
-    def run_chain(self, marking: cpn.Marking) -> tuple[tuple, cpn.Marking]:
+    def _fired(self, t: int, state) -> list:
+        """Transition position t's firings, in key order: its bindings at a marking; at
+        codes, the codes at `touched[t]` after each, or the bindings where one raises."""
+        if (coding := self.coding) is None:
+            return cpn.enabled_bindings(self.compiled, state, self.compiled.ids[t])
+        if (fired := coding.memos[t].get(view := coding.views[t](state))) is None:
+            local = coding.local(t, state)
+            fired = cpn.enabled_bindings(self.compiled, local, self.compiled.ids[t])
+            try:
+                tokens = dict(local)
+                fired = coding.memos[t][view] = tuple([coding.fire(t, tokens, b) for b in fired])
+            except cpn.NetError:  # nothing kept: each binding fires where it is taken
+                pass
+        return fired
+
+    def _successor(self, t: int, state, firing):
+        """The point after a firing of `_fired(t, state)`."""
+        if (coding := self.coding) is None:
+            return self.compiled.transitions[t].fire(state, dict(state), firing)
+        if type(firing) is dict:
+            firing = coding.fire(t, dict(coding.local(t, state)), firing)
+        succ = state[:]
+        for p, number in zip(coding.touched[t], firing):
+            succ[p] = number
+        return succ.tobytes()
+
+    def run_chain(self, point) -> tuple[tuple, object]:
         """Fire the unique enabled chain transition until stable.  Returns
-        ((kind, labels, end), marking): the observable labels fired, in
-        order, and the marking where the chain stopped; kind "step" with the
+        ((kind, labels, end), point): the observable labels fired, in
+        order, and the point where the chain stopped; kind "step" with the
         stable leaf as end, or "stuck" with why it stopped: no chain
         transition or several enabled, or the chain bound run out."""
-        labels: list[str] = []
+        coding, ids, labels = self.coding, self.compiled.ids, []
         for _ in range(self.chain_bound):
-            if (leaf := self.stable_leaf(marking)) is not None:
-                return ("step", tuple(labels), leaf), marking
-            candidates = [(trans, binding)
-                          for trans in self.compiled.candidates(marking)
-                          if trans.id not in self.skip_in_chain
-                          for binding in cpn.enabled_bindings(self.compiled, marking, trans.id)]
-            if len(candidates) != 1:
-                why = f"{len(candidates)} chain transitions enabled"
-                return ("stuck", tuple(labels), why), marking
-            trans, binding = candidates[0]
-            marking = trans.fire(marking, dict(marking), binding)
-            if trans.id in self.behaviours:
-                labels.append(trans.trans.name)
-        return ("stuck", tuple(labels), f"not stable after {self.chain_bound} firings"), marking
+            state = point if coding is None else array("I", point)
+            held = state if coding is None else [
+                coding.pairs[p][state[p]] for p in self.control_at if state[p]]
+            if (leaf := self.stable_leaf(held)) is not None:
+                return ("step", tuple(labels), leaf), point
+            enabled = [(t, firing) for t in self.candidates(state)
+                       if ids[t] not in self.skip_in_chain for firing in self._fired(t, state)]
+            if len(enabled) != 1:
+                return ("stuck", tuple(labels), f"{len(enabled)} chain transitions enabled"), point
+            t, firing = enabled[0]
+            point = self._successor(t, state, firing)
+            if ids[t] in self.behaviours:
+                labels.append(self.compiled.transitions[t].trans.name)
+        return ("stuck", tuple(labels), f"not stable after {self.chain_bound} firings"), point
 
-    def moves(self, marking: cpn.Marking) -> list[tuple[tuple, cpn.Marking]]:
-        """(move, successor) for every move at the marking, from one pass
+    def moves(self, point) -> list[tuple[tuple, object]]:
+        """(move, successor) for every move at the point, from one pass
         over its candidates: ("inject", event) for every producer that can
         fire, then every dispatch firing plus its chain.  Such a move is
         ("step", event, behaviours, leaf) when the chain reaches a stable
@@ -238,17 +274,17 @@ class NetRunner:
         kinds come in id order, so injections in event order for the
         translator's `T_env_<e>` ids; no outcome depends on the order, as
         the walk compares key sets and a counterexample is read in repr order."""
-        tokens = dict(marking)
-        injections, steps = [], []
-        for trans in self.compiled.candidates(marking):
-            if trans.id in self.producer:
-                if bindings := cpn.enabled_bindings(self.compiled, marking, trans.id):
-                    injections.append((_injection(self.producer[trans.id]),
-                                       trans.fire(marking, tokens, bindings[0])))
-            elif trans.id in self.trigger_of_dispatch:
-                event = self.trigger_of_dispatch[trans.id]
-                for binding in cpn.enabled_bindings(self.compiled, marking, trans.id):
-                    move, final = self.run_chain(trans.fire(marking, tokens, binding))
+        injections, steps, ids = [], [], self.compiled.ids
+        state = point if self.coding is None else array("I", point)
+        for t in self.candidates(state):
+            if ids[t] in self.producer:
+                if fired := self._fired(t, state):
+                    injections.append((_injection(self.producer[ids[t]]),
+                                       self._successor(t, state, fired[0])))
+            elif ids[t] in self.trigger_of_dispatch:
+                event = self.trigger_of_dispatch[ids[t]]
+                for firing in self._fired(t, state):
+                    move, final = self.run_chain(self._successor(t, state, firing))
                     steps.append(((move[0], event, *move[1:]), final))
         return injections + steps
 
@@ -332,18 +368,19 @@ def _machine_moves(model: StateMachine, config: Configuration, capacity: int, st
             yield ("step", trigger, behaviours, after[0]), Configuration(*after, pending)
 
 
-def _first_failure(left: dict, right: dict, fails):
-    """The first reason two move maps do not match, with moves and each
-    move's successors sorted by repr, or None: (side, move) for a move only
-    one side offers, the model's first; else (move, u, v) for a successor u
-    of a move whose every pairing with the other side's successors `fails`,
-    paired with the first of them, and then the same for a successor v."""
+def _first_failure(left: dict, right: dict, fails, order=repr):
+    """The first reason two move maps do not match, with moves and the
+    model's successors sorted by repr and the net's by `order`, or None:
+    (side, move) for a move only one side offers, the model's first; else
+    (move, u, v) for a successor u of a move whose every pairing with the
+    other side's successors `fails`, paired with the first of them, and
+    then the same for a successor v."""
     for side, offers, other in (("model", left, right), ("net", right, left)):
         for move in sorted(offers, key=repr):
             if move not in other:
                 return side, move
     for move in sorted(left, key=repr):
-        us, vs = sorted(left[move], key=repr), sorted(right[move], key=repr)
+        us, vs = sorted(left[move], key=repr), sorted(right[move], key=order)
         for u in us:
             if all(fails((u, v)) for v in vs):
                 return move, u, vs[0]
@@ -376,7 +413,7 @@ def _fail_depths(sides, predecessors: dict, differ: list, rounds: int) -> dict:
     return fails
 
 
-def _walk_pairs(start, sides, depth: int) -> EquivalenceResult:
+def _walk_pairs(start, sides, depth: int, order=repr) -> EquivalenceResult:
     """Bisimulation to `depth` moves of two move graphs from pair `start`;
     `sides(pair)` is the move maps of a (model point, net point) pair, made
     when asked.  The walk compares the pairs fewer than `depth` moves out,
@@ -387,8 +424,8 @@ def _walk_pairs(start, sides, depth: int) -> EquivalenceResult:
     layers walked until the walk is complete, as a pair is compared only as
     deep as the walk went past it.  Only the rounds and the counterexample
     read a pair's `sides` again.  From a start pair failing within k moves,
-    the first failure against the pairs failing within k - 1 gives the next
-    move and pair."""
+    the first failure against the pairs failing within k - 1, net points in
+    `order`, gives the next move and pair."""
     layer, compared, differ, fails = [start], 0, [], {}
     predecessors = {start: []}  # each pair reached: the compared pairs leading to it
     for walked in range(1, depth + 1):
@@ -414,7 +451,8 @@ def _walk_pairs(start, sides, depth: int) -> EquivalenceResult:
     if start not in fails:
         return EquivalenceResult(equivalent=True, pairs_checked=compared)
     trace, pair, within = [], start, fails[start]
-    while len(first := _first_failure(*sides(pair), lambda p: fails.get(p, within) < within)) == 3:
+    while len(first := _first_failure(*sides(pair), lambda p: fails.get(p, within) < within,
+                                      order)) == 3:
         trace.append(first[0])
         pair, within = first[1:], within - 1
     side, move = first
@@ -460,7 +498,8 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     def sides(pair) -> tuple[dict, dict]:
         return (_move_map(_machine_moves(model, pair[0], event_capacity, steps)),
                 _move_map(runner.moves(pair[1])))
-    return _walk_pairs((initial_configuration(model), net.initial_marking()), sides, depth)
+    start = (initial_configuration(model), runner.point(runner.compiled.initial))
+    return _walk_pairs(start, sides, depth, lambda point: repr(runner.marking(point)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ import pytest
 import mutations
 from conftest import CORPUS, load_model
 from modelgen import balanced_machine, bf_ancestors_or_self, chain_machine
+from smd2cpn import net as cpn
 from smd2cpn import oracle
 from smd2cpn.emit import emit_cpn_xml, parse_cpn_xml
 from smd2cpn.expr import eval_bool
 from smd2cpn.net import (
-    EnumCS, Lit, NetError, PlaceDef, PTOT, TTOP, enabled_bindings, fire,
+    EnumCS, Lit, NetError, PlaceDef, PTOT, TTOP, TransDef, enabled_bindings, fire,
 )
 from smd2cpn.oracle import (
     Configuration, NetRunner, NotEnabledStepError,
@@ -218,11 +219,12 @@ def test_chain_length_conservation(corpus_models, corpus_nets):
     # the net fires exactly |exit| + |effect| + |entry| observables per step
     model = corpus_models["nested3"]
     net, tmap = corpus_nets["nested3"]
-    runner = NetRunner(net, tmap, model)
+    runner, reference = NetRunner(net, tmap, model), ReferenceRunner(net, tmap, model)
     config = inject(model, initial_configuration(model), "go", 1)
-    marking = net.initial_marking()
-    marking = dict(runner.moves(marking))[("inject", "go")]
-    (net_move, _), = [(move, after) for move, after in runner.moves(marking)
+    point = runner.point(net.initial_marking())
+    point = dict(moves_as_the_reference(runner, reference, point))[("inject", "go")]
+    (net_move, _), = [(move, after)
+                      for move, after in moves_as_the_reference(runner, reference, point)
                       if move[0] != "inject"]
     _, smd_label = step(model, config, "t_go")
     assert smd_label.behaviours == ("Shutdown", "Boot", "MidUp", "LeafUp")
@@ -581,11 +583,13 @@ def test_stuck_chain_is_a_divergence(cd_model, cd_net):
         ("inject", "pause"), ("inject", "play"),
         ("step", "play", ("FTS",), "PLAYING"), ("step", "pause", (), "PAUSED")]
     # where the machine steps to PAUSED, the net's chain gets stuck instead
-    runner = NetRunner(broken, tmap, cd_model)
-    marking = broken.initial_marking()
+    runner, reference = NetRunner(broken, tmap, cd_model), ReferenceRunner(broken, tmap, cd_model)
+    point = runner.point(broken.initial_marking())
     for move in result.counterexample[:-1]:
-        marking, = [after for offered, after in runner.moves(marking) if offered == move]
-    stuck = [move for move, _ in runner.moves(marking) if move[0] == "stuck"]
+        point, = [after for offered, after in moves_as_the_reference(runner, reference, point)
+                  if offered == move]
+    stuck = [move for move, _ in moves_as_the_reference(runner, reference, point)
+             if move[0] == "stuck"]
     assert stuck == [("stuck", "pause", (), "0 chain transitions enabled")]
     assert format_move(cd_model, stuck[0]) == "on pause -> stuck (0 chain transitions enabled)"
 
@@ -894,7 +898,8 @@ class ReferenceRunner(NetRunner):
             if self.stable_leaf(marking) is not None:
                 return tuple(labels), marking, None
             candidates = [(trans.id, binding)
-                          for trans in self.compiled.candidates(marking)
+                          for trans in map(self.compiled.transitions.__getitem__,
+                                           self.compiled.candidates(marking))
                           if trans.id not in self.skip_in_chain
                           for binding in enabled_bindings(self.compiled, marking, trans.id)]
             if len(candidates) != 1:
@@ -906,7 +911,7 @@ class ReferenceRunner(NetRunner):
         return tuple(labels), marking, f"not stable after {self.chain_bound} firings"
 
     def moves(self, marking):
-        candidates = self.compiled.candidates(marking)
+        candidates = [self.compiled.transitions[p] for p in self.compiled.candidates(marking)]
         offered = {trans.id for trans in candidates}
         moves = []
         for event, tid in self.producers:
@@ -927,24 +932,43 @@ class ReferenceRunner(NetRunner):
         return moves
 
 
-def _moves_or_error(moves, marking):
+def _moves_or_error(moves, point):
     try:
-        return moves(marking)
+        return moves(point)
     except NetError as error:
         return f"{type(error).__name__}: {error}"
 
 
-def assert_runner_matches_the_reference(model, net, tmap, bound):
+def _decoded(runner, moves):
+    """`runner.moves`' result with each successor point decoded."""
+    if isinstance(moves, str):
+        return moves
+    return [(move, runner.marking(after)) for move, after in moves]
+
+
+def moves_as_the_reference(runner, reference, point):
+    """`runner.moves` at the point, after asserting that its decoded
+    successors are the reference's at the decoded marking, every move in
+    order."""
+    moves = runner.moves(point)
+    assert _decoded(runner, moves) == reference.moves(runner.marking(point))
+    return moves
+
+
+def assert_runner_matches_the_reference(model, net, tmap, bound, coded=True):
     """Breadth-first over the moves that do not get stuck, up to `bound`
-    markings, comparing `NetRunner.moves` with the reference at each: the
-    same moves in the same order, or the same error.  Returns the markings
-    compared and how many raised."""
+    points, comparing `NetRunner.moves`, its successors decoded, with the
+    reference at each: the same moves in the same order, or the same
+    error.  `coded` says whether the runner codes its points.  Returns the
+    points compared and how many raised."""
     runner, reference = NetRunner(net, tmap, model), ReferenceRunner(net, tmap, model)
-    start = net.initial_marking()
+    assert (runner.coding is not None) == coded
+    start = runner.point(net.initial_marking())
     seen, queue, raised = {start}, [start], 0
-    for marking in queue:
-        moves = _moves_or_error(runner.moves, marking)
-        assert moves == _moves_or_error(reference.moves, marking), marking
+    for point in queue:
+        moves = _moves_or_error(runner.moves, point)
+        marking = runner.marking(point)
+        assert _decoded(runner, moves) == _moves_or_error(reference.moves, marking), marking
         if isinstance(moves, str):
             raised += 1
             continue
@@ -955,29 +979,101 @@ def assert_runner_matches_the_reference(model, net, tmap, bound):
     return len(queue), raised
 
 
+def both_paths(monkeypatch):
+    """Yields True with `DENSE_FILL` as it is, where every corpus net and
+    mutant is coded, then False with it 0, where none is."""
+    for fill in (cpn.DENSE_FILL, 0):
+        monkeypatch.setattr(cpn, "DENSE_FILL", fill)
+        yield fill != 0
+
+
 @pytest.mark.parametrize("capacity", [1, 2])
-def test_net_moves_equal_the_public_token_game_on_the_corpus(capacity):
-    # every stable marking, but cdplayer@2's first 3,000 of 98,415
-    compared = {}
-    for name in CORPUS:
-        model = load_model(name)
-        net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
-        bound = 3_000 if (name, capacity) == ("cdplayer", 2) else 10_000
-        compared[name] = assert_runner_matches_the_reference(model, net, tmap, bound)
-    assert compared == {
-        1: {"flat": (4, 0), "nested3": (8, 0), "interlevel": (112, 0), "guarded": (48, 0),
-            "history": (384, 0), "completion": (32, 0), "cdplayer": (5_760, 0)},
-        2: {"flat": (6, 0), "nested3": (18, 0), "interlevel": (567, 0), "guarded": (162, 0),
-            "history": (2_916, 0), "completion": (108, 0), "cdplayer": (3_000, 0)},
-    }[capacity]
+def test_net_moves_equal_the_public_token_game_on_the_corpus(capacity, monkeypatch):
+    # every stable marking, but cdplayer@2's first 3,000 of 98,415, on
+    # coded points and on markings
+    for coded in both_paths(monkeypatch):
+        compared = {}
+        for name in CORPUS:
+            model = load_model(name)
+            net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
+            bound = 3_000 if (name, capacity) == ("cdplayer", 2) else 10_000
+            compared[name] = assert_runner_matches_the_reference(model, net, tmap, bound, coded)
+        assert compared == {
+            1: {"flat": (4, 0), "nested3": (8, 0), "interlevel": (112, 0), "guarded": (48, 0),
+                "history": (384, 0), "completion": (32, 0), "cdplayer": (5_760, 0)},
+            2: {"flat": (6, 0), "nested3": (18, 0), "interlevel": (567, 0), "guarded": (162, 0),
+                "history": (2_916, 0), "completion": (108, 0), "cdplayer": (3_000, 0)},
+        }[capacity]
 
 
 @pytest.mark.parametrize("name", ["flat", "nested3", "interlevel", "guarded", "history",
                                   "completion"])
-def test_net_moves_equal_the_public_token_game_on_mutants(corpus_models, corpus_nets, name):
+def test_net_moves_equal_the_public_token_game_on_mutants(corpus_models, corpus_nets, name,
+                                                         monkeypatch):
     net, tmap = corpus_nets[name]
-    for _, mutant in accepted_arc_deletions(net):
-        assert_runner_matches_the_reference(corpus_models[name], mutant, tmap, bound=200)
+    for coded in both_paths(monkeypatch):
+        for _, mutant in accepted_arc_deletions(net):
+            assert_runner_matches_the_reference(corpus_models[name], mutant, tmap, 200, coded)
+
+
+#: capacity-1 arc deletions that the walk first tells apart 9 to 11 moves out
+LATE_DELETIONS = {"guarded": ("A_24", "A_25", "A_29"), "history": ("A_71",),
+                  "interlevel": ("A_24",),
+                  "cdplayer": ("A_32", "A_44", "A_45", "A_88", "A_89", "A_97")}
+
+
+def test_coded_and_plain_points_check_alike(monkeypatch):
+    """Every corpus net at capacities 1 and 2, at depth 8 and to
+    exhaustion (cdplayer@2 at depth 8 only), and the late deletions to
+    exhaustion: each check gives an equal result on coded points and, with
+    `DENSE_FILL` at 0, on markings."""
+    checks = []
+    for name in CORPUS:
+        model = load_model(name)
+        for capacity in (1, 2):
+            net, tmap = translate(model, TranslationConfig(event_capacity=capacity))
+            for depth in (8,) if (name, capacity) == ("cdplayer", 2) else (8, 10**6):
+                checks.append((model, net, tmap, depth, capacity))
+    for name, arc_ids in LATE_DELETIONS.items():
+        model = load_model(name)
+        net, tmap = translate(model)
+        checks += [(model, mutations.delete_arc_id(net, arc_id), tmap, 10**6, 1)
+                   for arc_id in arc_ids]
+    results = {}
+    for coded in both_paths(monkeypatch):
+        assert {NetRunner(net, tmap, model).coding is not None
+                for model, net, tmap, _, _ in checks} == {coded}
+        results[coded] = [check_trace_equivalence(model, net, tmap, depth=depth,
+                                                  event_capacity=capacity)
+                          for model, net, tmap, depth, capacity in checks]
+    assert results[True] == results[False]
+    assert len(checks) == 14 + 13 + 11
+    late = results[True][-11:]
+    assert all(not result.equivalent for result in late)
+    assert {len(result.counterexample) for result in late} == {9, 10, 11}
+
+
+def test_a_firing_left_untaken_raises_nothing_on_either_path(corpus_models, corpus_nets,
+                                                             monkeypatch):
+    """A copy of nested3's Boot transition that puts a token outside the
+    colour of P_EVENTS is enabled wherever Boot is, so the chain is stuck
+    there and the copy never fires, on coded points as on markings."""
+    model = corpus_models["nested3"]
+    net, tmap = corpus_nets["nested3"]
+    forked = copy.deepcopy(net)
+    forked.add_transition(TransDef("T_fork", "fork"))
+    for arc in net.arcs:
+        if (arc.trans, arc.orientation) == ("T_t_go_beh_1", PTOT):
+            forked.add_arc(arc.place, "T_fork", PTOT, arc.inscription)
+    forked.add_arc("P_EVENTS", "T_fork", TTOP, Lit("bogus"))
+    results = []
+    for _ in both_paths(monkeypatch):
+        runner = NetRunner(forked, tmap, model)
+        point = dict(runner.moves(runner.point(forked.initial_marking())))[("inject", "go")]
+        assert [move for move, _ in runner.moves(point) if move[0] != "inject"] == [
+            ("stuck", "go", ("Shutdown",), "2 chain transitions enabled")]
+        results.append(check_trace_equivalence(model, forked, tmap))
+    assert results[0] == results[1] and results[0].divergent_side == "model"
 
 
 def test_net_moves_raise_as_the_public_token_game_does(cd_model, cd_net):
