@@ -27,8 +27,11 @@ with the fewest consuming arcs, ties broken by id) is marked.
 
 Where at least a quarter of the places is marked at the start, `explore`
 and the equivalence check share a `DenseCoding`, one code per place (it
-costs O(places) a firing, so pays only there), and work the firings at
-each local view, the tokens of the places a transition touches, out once.
+costs O(places) a firing, so pays only there).  There a transition's
+firings are worked out once per view of its keyed places, those its
+bindings read or its computed tokens land on; each place it touches only
+through constant tokens, such as the event pool, steps from code to code
+through a table.
 """
 
 from __future__ import annotations
@@ -354,6 +357,34 @@ def _constant(inscription: Inscription):
     return None if variables(inscription) else evaluate(inscription, {})
 
 
+def _apply(tid: str, inputs: tuple, outputs: tuple, tokens: dict, binding: dict) -> dict:
+    """`CompiledTransition.apply` over some of transition `tid`'s arcs: the
+    places they touch, changed in the order they first touch them."""
+    changed: dict[str, tuple] = {}
+    for pid, pattern, token in inputs:
+        if token is None:
+            token = evaluate(pattern, binding)
+        have = changed[pid] if pid in changed else tokens.get(pid, ())
+        try:
+            at = have.index(token)
+        except ValueError:
+            raise NotEnabledError(f"{tid}: no token {token!r} in {pid}") from None
+        changed[pid] = have[:at] + have[at + 1:]
+    for pid, out, token, colour in outputs:
+        if token is None:
+            token = evaluate(out, binding)
+        if colour is not None and not colour.contains(token):
+            raise NetError(f"{tid}: produced {token!r} outside the colour of {pid}")
+        have = changed[pid] if pid in changed else tokens.get(pid, ())
+        try:
+            at = bisect.bisect(have, token)
+        except TypeError:  # only a token outside the colour fails to compare
+            raise NetError(f"{tid}: cannot insert {token!r} in order on {pid}, "
+                           f"which holds a token outside its colour") from None
+        changed[pid] = have[:at] + (token,) + have[at:]
+    return changed
+
+
 class CompiledTransition:
     """One transition's arcs, indexed once for the token game.
 
@@ -457,30 +488,7 @@ class CompiledTransition:
         NotEnabledError for a missing input token and NetError for a
         produced token outside its place's colour, or one that a token
         outside the colour keeps from being put in order."""
-        changed: dict[str, tuple] = {}
-        for pid, pattern, token in self.inputs:
-            if token is None:
-                token = evaluate(pattern, binding)
-            have = changed[pid] if pid in changed else tokens.get(pid, ())
-            try:
-                at = have.index(token)
-            except ValueError:
-                raise NotEnabledError(f"{self.id}: no token {token!r} in {pid}") from None
-            changed[pid] = have[:at] + have[at + 1:]
-        for pid, out, token, colour in self.outputs:
-            if token is None:
-                token = evaluate(out, binding)
-            if colour is not None and not colour.contains(token):
-                raise NetError(f"{self.id}: produced {token!r} outside the colour "
-                               f"of {pid}")
-            have = changed[pid] if pid in changed else tokens.get(pid, ())
-            try:
-                at = bisect.bisect(have, token)
-            except TypeError:  # only a token outside the colour fails to compare
-                raise NetError(f"{self.id}: cannot insert {token!r} in order on {pid}, "
-                               f"which holds a token outside its colour") from None
-            changed[pid] = have[:at] + (token,) + have[at:]
-        return changed
+        return _apply(self.id, self.inputs, self.outputs, tokens, binding)
 
     def fire(self, marking: Marking, tokens: dict, binding: dict) -> Marking:
         """`marking`, whose `dict` is `tokens`, after the transition fires
@@ -585,23 +593,53 @@ def fire(net: Union[ColouredNet, CompiledNet], marking: Marking, trans_id: str,
 DENSE_FILL = 4
 
 
+#: what a `DenseCoding` step table holds where the place lacks a token the
+#: transition takes, and where a put there cannot be ordered
+LACKS, UNORDERED = -1, -2
+
+
 class DenseCoding:
     """One search's points of a net: the bytes of an array('I') of codes,
     one per place in `pids` order, each numbering the place's token tuples
-    as met (0 for empty), so equal markings are equal points.  `views[t]`
-    reads the codes at `touched[t]`, the places transition position t
-    touches (`len` where none); `memos[t]` holds t's firings per view, in its user's form."""
+    as met (0 for empty), so equal markings are equal points.
+
+    The places transition position t touches are of two kinds.  On a
+    constant place every arc of t carries a constant token that fits the
+    place's colour, so t moves its code through a table, code -> code after
+    t's takes and puts there, filled in as codes are met (`moved`); it also
+    tells where the place lacks a token t takes.  The rest, `keyed[t]`,
+    in `touched` order, are read by an input pattern with variables or
+    written with a token computed from the binding (or a constant outside
+    the colour).  `views[t]` reads their codes (`len` where there are none)
+    and `memos[t]` holds t's firings per view, in its user's form: as
+    `bindings` sees a constant place holding just what t takes there, a
+    memo is read only once `moved` finds every taken token present."""
 
     def __init__(self, compiled: CompiledNet):
         self.compiled = compiled
         self.pids = pids = sorted(compiled.source[1])
         self.at = at = {pid: p for p, pid in enumerate(pids)}
-        self.touched = [tuple(map(at.__getitem__, t.touched)) for t in compiled.transitions]
-        self.views = [itemgetter(*ps) if ps else len for ps in self.touched]
         self.watchers = [compiled.watchers.get(pid, ()) for pid in pids]
         self.pairs = [[(pid, ())] for pid in pids]  # by place position: code -> (id, tokens)
         self.numbers = [{(): 0} for _ in pids]  # by place position: tokens -> code
         self.memos = [{} for _ in compiled.transitions]
+        self.keyed, self.arcs, self.steps, self.held = [], [], [], []
+        for trans in compiled.transitions:
+            keyed = {pid for pid, _, token in trans.inputs if token is None}
+            keyed.update(pid for pid, _, token, colour in trans.outputs
+                         if token is None or colour is not None)
+            self.keyed.append(tuple(at[pid] for pid in trans.touched if pid in keyed))
+            self.arcs.append(_arcs_on(trans, keyed))
+            steps, held = [], []
+            for pid in trans.touched:
+                if pid not in keyed:
+                    arcs = _arcs_on(trans, {pid})
+                    steps.append((at[pid], {}, arcs))
+                    if arcs[0]:
+                        held.append((pid, tuple(token for *_, token in arcs[0])))
+            self.steps.append(tuple(steps))
+            self.held.append(held)
+        self.views = [itemgetter(*ps) if ps else len for ps in self.keyed]
 
     def code(self, p: int, tokens: tuple) -> int:
         number = self.numbers[p].get(tokens)
@@ -628,14 +666,59 @@ class DenseCoding:
         positions.sort()
         return positions
 
+    def moved(self, t: int, codes: array):
+        """(position, code) of each constant place of transition position t
+        after t fires at codes: None where one lacks a token t takes, else
+        UNORDERED where a put on one cannot be ordered."""
+        moved, unordered = [], False
+        for p, step, arcs in self.steps[t]:
+            number = step.get(codes[p])
+            if number is None:
+                number = step[codes[p]] = self._step(p, codes[p], arcs)
+            if number < 0:
+                if number == LACKS:
+                    return None
+                unordered = True
+            moved.append((p, number))
+        return UNORDERED if unordered else moved
+
+    def _step(self, p: int, code: int, arcs: tuple) -> int:
+        """The code after `arcs`, a transition's arcs on constant place p,
+        take and put there, or LACKS or UNORDERED where `apply` raises
+        NotEnabledError or NetError (whose text is not kept)."""
+        try:
+            changed = _apply("", *arcs, dict([self.pairs[p][code]]), {})
+        except NotEnabledError:
+            return LACKS
+        except NetError:
+            return UNORDERED
+        return self.code(p, changed[self.pids[p]])
+
     def local(self, t: int, codes: array) -> list[tuple]:
-        """(place id, tokens) of each place transition position t touches."""
-        return [self.pairs[p][codes[p]] for p in self.touched[t]]
+        """(place id, tokens) of each keyed place of t, then of each constant
+        place it takes from, holding what it takes: all `bindings` reads."""
+        return [self.pairs[p][codes[p]] for p in self.keyed[t]] + self.held[t]
 
     def fire(self, t: int, tokens: dict, binding: dict) -> tuple:
-        """The codes at `touched[t]` after t fires; raises as `apply` does."""
-        changed = self.compiled.transitions[t].apply(tokens, binding).values()
-        return tuple(map(self.code, self.touched[t], changed))
+        """(position, code) of each keyed place of t after it fires under the
+        binding, `tokens` being `dict(local(t, codes))`; raises as `apply`
+        does where no put on a constant place is UNORDERED."""
+        changed = _apply(self.compiled.ids[t], *self.arcs[t], tokens, binding).values()
+        return tuple(zip(self.keyed[t], map(self.code, self.keyed[t], changed)))
+
+    def fire_touched(self, t: int, codes: array, binding: dict) -> tuple:
+        """(position, code) of each place t touches after it fires at codes,
+        through `apply` on their tokens, so it raises as `apply` does."""
+        places = [self.at[pid] for pid in self.compiled.transitions[t].touched]
+        changed = self.compiled.transitions[t].apply(
+            dict([self.pairs[p][codes[p]] for p in places]), binding).values()
+        return tuple(zip(places, map(self.code, places, changed)))
+
+
+def _arcs_on(trans: CompiledTransition, places: set) -> tuple[list, list]:
+    """The transition's (inputs, outputs) on `places`, in arc order."""
+    return ([arc for arc in trans.inputs if arc[0] in places],
+            [arc for arc in trans.outputs if arc[0] in places])
 
 
 def dense_coding(compiled: CompiledNet, start: Marking) -> Optional[DenseCoding]:
@@ -661,7 +744,9 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
 
     The search runs on the net's `CompiledNet`, with markings as their own
     keys, or the points of `dense_coding` where it codes the start, and
-    tries only the watch-place candidates at each marking.  A given start
+    tries only the watch-place candidates at each marking.  On points a
+    transition's firings are memoised per view of its keyed places, and
+    its constant places step through their tables.  A given start
     marking is made canonical with `marking_key` first; a token on a place
     the net lacks, or outside its place's colour, is a NetError.
     """
@@ -699,7 +784,7 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
 
 
 def _explore_dense(coding: DenseCoding, start: Marking, bound: int) -> ReachabilityGraph:
-    """`explore`'s search on points, memoising (id, binding key, code changes)."""
+    """`explore`'s search on points, memoising (id, binding key, keyed code changes)."""
     transitions, views, memos = coding.compiled.transitions, coding.views, coding.memos
     index = {coding.encode(start): 0}
     found = [*index]
@@ -709,17 +794,22 @@ def _explore_dense(coding: DenseCoding, start: Marking, bound: int) -> Reachabil
     while current < len(found):
         codes = array("I", found[current])
         for t in coding.candidates(codes):
-            view = views[t](codes)
-            fired = memos[t].get(view)
-            if fired is None:
-                trans = transitions[t]
+            if (moved := coding.moved(t, codes)) is None:
+                continue
+            trans = transitions[t]
+            if moved == UNORDERED:  # fired through `apply`, which raises as it does sparsely
+                tokens, moved = dict(coding.local(t, codes)), ()
+                fired = [(trans.id, key, coding.fire_touched(t, codes, binding))
+                         for key, binding in trans.bindings(tokens)]
+            elif (fired := memos[t].get(view := views[t](codes))) is None:
                 tokens = dict(coding.local(t, codes))
-                fired = memos[t][view] = [
-                    (trans.id, key, tuple(zip(coding.touched[t], coding.fire(t, tokens, binding))))
-                    for key, binding in trans.bindings(tokens)]
+                fired = memos[t][view] = [(trans.id, key, coding.fire(t, tokens, binding))
+                                          for key, binding in trans.bindings(tokens)]
             for tid, key, changes in fired:
                 succ = codes[:]
                 for p, number in changes:
+                    succ[p] = number
+                for p, number in moved:
                     succ[p] = number
                 succ = succ.tobytes()
                 target = index.get(succ)

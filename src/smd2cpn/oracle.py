@@ -178,10 +178,12 @@ class NetRunner:
 
     Only the watch-place candidates are tried, with bindings from the
     public `enabled_bindings`, whose calls the benchmark counts.  Where
-    `explore` would code markings (`cpn.dense_coding`), a point is coded
-    and the firings at each local view are worked out once, so a chain
-    step is mostly a lookup and a copy; only `marking` decodes.  Elsewhere
-    a point is its `Marking`, fired by `CompiledTransition.fire`.
+    `explore` would code markings (`cpn.dense_coding`), a point is coded:
+    a transition's firings are worked out once per view of its keyed
+    places, and its constant places, such as the event pool, step through
+    their tables, so a chain step is mostly lookups and a copy; only
+    `marking` decodes.  Elsewhere a point is its `Marking`, fired by
+    `CompiledTransition.fire`.
     """
 
     def __init__(self, net: cpn.ColouredNet, tmap: TranslationMap,
@@ -217,28 +219,34 @@ class NetRunner:
         return self.leaf_of_place.get(held[0][0])
 
     def _fired(self, t: int, state) -> list:
-        """Transition position t's firings, in key order: its bindings at a marking; at
-        codes, the codes at `touched[t]` after each, or the bindings where one raises."""
+        """Transition position t's firings, in key order: its bindings at a
+        marking; at codes, the code changes after each, or the bindings
+        where one raises or a put on a constant place cannot be ordered."""
         if (coding := self.coding) is None:
             return cpn.enabled_bindings(self.compiled, state, self.compiled.ids[t])
-        if (fired := coding.memos[t].get(view := coding.views[t](state))) is None:
+        if (moved := coding.moved(t, state)) is None:
+            return []
+        if moved == cpn.UNORDERED or (
+                fired := coding.memos[t].get(view := coding.views[t](state))) is None:
             local = coding.local(t, state)
             fired = cpn.enabled_bindings(self.compiled, local, self.compiled.ids[t])
+            if moved == cpn.UNORDERED:  # each binding fires, and raises, where it is taken
+                return fired
             try:
                 tokens = dict(local)
                 fired = coding.memos[t][view] = tuple([coding.fire(t, tokens, b) for b in fired])
             except cpn.NetError:  # nothing kept: each binding fires where it is taken
-                pass
-        return fired
+                return fired
+        return [(*changes, *moved) for changes in fired]
 
     def _successor(self, t: int, state, firing):
         """The point after a firing of `_fired(t, state)`."""
         if (coding := self.coding) is None:
             return self.compiled.transitions[t].fire(state, dict(state), firing)
         if type(firing) is dict:
-            firing = coding.fire(t, dict(coding.local(t, state)), firing)
+            firing = coding.fire_touched(t, state, firing)
         succ = state[:]
-        for p, number in zip(coding.touched[t], firing):
+        for p, number in firing:
             succ[p] = number
         return succ.tobytes()
 

@@ -743,17 +743,20 @@ def test_a_firing_keeps_the_tokens_of_a_place_it_only_feeds():
 
 
 def test_each_exploration_fires_each_local_view_once(monkeypatch):
-    """t's bindings are worked out once per distinct (a, o) view in one
-    search, and afresh in the next: nothing is kept between searches."""
+    """t touches a and o only through constant tokens, so its bindings are
+    worked out once per search; u's once per distinct (c, o) view, the
+    places it reads or writes with a computed token.  Each search works
+    them out afresh: nothing is kept between searches."""
     net = _output_only_net()
     first = explore(net)
     calls = _counted_bindings(monkeypatch)
     assert explore(net) == first
-    views = {(dict(m).get("a"), dict(m).get("o")) for m in first.states if "a" in dict(m)}
-    assert calls.count("t") == len(views) == 3
+    views = {(dict(m).get("c"), dict(m).get("o")) for m in first.states}
+    assert calls.count("t") == 1
+    assert calls.count("u") == len(views) == 5
     calls.clear()
     assert explore(net) == first
-    assert calls.count("t") == 3
+    assert (calls.count("t"), calls.count("u")) == (1, 5)
 
 
 @dataclass(frozen=True)
@@ -764,6 +767,29 @@ class _AtMost:
 
     def contains(self, value) -> bool:
         return isinstance(value, int) and value <= self.top
+
+
+def test_a_transition_lacking_a_constant_token_works_out_nothing(monkeypatch):
+    """t takes a unit from a, which is empty, and counts c up, whose colour
+    holds 0 and 1 only; s also takes from a, so c is t's watch place and t
+    is tried at every marking.  The dense search must find a lacking before
+    it reads t's memo: seen as holding what t takes, a would let t count c
+    past its colour."""
+    net = unit_net()
+    net.colours["SMALL"] = _AtMost(1)
+    net.add_place(PlaceDef("a", "a", "UNIT"))
+    net.add_place(PlaceDef("c", "c", "SMALL", (0,)))
+    net.add_transition(TransDef("s", "s"))
+    net.add_arc("a", "s", PTOT, Lit(UNIT_TOKEN))
+    net.add_transition(TransDef("t", "t"))
+    net.add_arc("a", "t", PTOT, Lit(UNIT_TOKEN))
+    net.add_arc("c", "t", PTOT, Var("n"))
+    net.add_arc("c", "t", TTOP, Calc(ex.BinOp("+", ex.VarRead("n"), ex.IntLit(1))))
+    assert CompiledNet.of(net).watchers == {"a": [0], "c": [1]}
+    calls = _counted_bindings(monkeypatch)
+    graph = explore(net)
+    assert (graph.states, graph.edges) == ([(("c", (0,)),)], [])
+    assert "t" not in calls
 
 
 def test_a_computed_token_outside_its_colour_raises_in_every_search(monkeypatch):

@@ -18,7 +18,7 @@ from smd2cpn import oracle
 from smd2cpn.emit import emit_cpn_xml, parse_cpn_xml
 from smd2cpn.expr import eval_bool
 from smd2cpn.net import (
-    EnumCS, Lit, NetError, PlaceDef, PTOT, TTOP, TransDef, enabled_bindings, fire,
+    UNIT_TOKEN, EnumCS, Lit, NetError, PlaceDef, PTOT, TTOP, TransDef, enabled_bindings, fire,
 )
 from smd2cpn.oracle import (
     Configuration, NetRunner, NotEnabledStepError,
@@ -1074,6 +1074,30 @@ def test_a_firing_left_untaken_raises_nothing_on_either_path(corpus_models, corp
             ("stuck", "go", ("Shutdown",), "2 chain transitions enabled")]
         results.append(check_trace_equivalence(model, forked, tmap))
     assert results[0] == results[1] and results[0].divergent_side == "model"
+
+
+def test_a_put_next_to_a_token_outside_the_colour_raises_where_it_is_taken(
+        corpus_models, corpus_nets, monkeypatch):
+    """flat's start marking, unchecked, holds "x" on P_cap_toggle beside its
+    unit, so the check reads capacity 2 there.  Injecting toggle takes the
+    unit; the dispatch that puts it back cannot order it next to "x", so
+    the check raises apply's NetError two moves out, on coded points as on
+    markings, and not one move out."""
+    model = corpus_models["flat"]
+    net, tmap = corpus_nets["flat"]
+    spoiled = copy.deepcopy(net)
+    spoiled.places["P_cap_toggle"] = replace(net.places["P_cap_toggle"],
+                                             initial=("x", UNIT_TOKEN))
+    errors = []
+    for coded in both_paths(monkeypatch):
+        assert (NetRunner(spoiled, tmap, model).coding is not None) == coded
+        assert check_trace_equivalence(model, spoiled, tmap, depth=1,
+                                       event_capacity=2).equivalent
+        with pytest.raises(NetError) as raised:
+            check_trace_equivalence(model, spoiled, tmap, depth=2, event_capacity=2)
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1] == ("T_t_on__from_OFF: cannot insert () in order on "
+                                      "P_cap_toggle, which holds a token outside its colour")
 
 
 def test_net_moves_raise_as_the_public_token_game_does(cd_model, cd_net):
