@@ -16,22 +16,26 @@ its own hashable key; `marking_key` builds one from any place -> tokens
 mapping.  Within one colour `token_sort_key` order is the tokens' natural
 order, so a firing inserts each produced token by plain comparison.
 Markings given to `fire` and `enabled_bindings` must fit their places'
-colours, as every marking `explore` reaches does; `explore` checks the
-start marking it is given.  The token game runs on the net's
-`CompiledNet`, kept with the net while its colours, places, transitions
-and arcs equal the shallow copies taken when it was compiled; every part
-of a net is frozen, so any edit is seen.  A firing changes only the places
-it touches, and at each marking only the candidate transitions are tried:
-those without input places, and those whose watch place (the input place
-with the fewest consuming arcs, ties broken by id) is marked.
+colours, as every marking a search reaches does: `points` checks the
+start.  The token game runs on the net's `CompiledNet`, kept with the net
+while its colours, places, transitions and arcs equal the shallow copies
+taken when it was compiled; every part of a net is frozen, so any edit is
+seen.  A firing changes only the places it touches, and at each marking
+only the candidate transitions are tried: those without input places,
+and those whose watch place (the input place with the fewest consuming
+arcs, ties broken by id) is marked.
 
-Where at least a quarter of the places is marked at the start, `explore`
-and the equivalence check share a `DenseCoding`, one code per place (it
-costs O(places) a firing, so pays only there).  There a transition's
-firings are worked out once per view of its keyed places, those its
-bindings read or its computed tokens land on; each place it touches only
-through constant tokens, such as the event pool, steps from code to code
-through a table.
+A search walks points of the kind `points` picks from its start marking,
+through one interface: `encode` and `decode` between markings and points,
+`successors(point, skip)`, `fire`, and `reader(places)`, a function
+reading a point's tokens on those places.  A `CompiledNet`'s point is its
+`Marking`.  Where at least a quarter of the places is marked at the
+start, a point is a `DenseCoding`'s bytes, one code per place (it costs
+O(places) a firing, so pays only there); a transition's firings are
+worked out once per view of its keyed places, those its bindings read or
+its computed tokens land on, and each place it touches only through
+constant tokens, such as the event pool, steps from code to code through
+a table.
 """
 
 from __future__ import annotations
@@ -502,7 +506,9 @@ class CompiledTransition:
 
 
 class CompiledNet:
-    """A net prepared once for the token game over many markings.
+    """A net prepared once for the token game over many markings, and the
+    point kind whose points are markings (`encode` and `decode` return
+    what they are given).
 
     `CompiledNet.of(net)` returns the form kept with the net, compiled
     afresh when the net's containers no longer equal their copies in
@@ -514,8 +520,9 @@ class CompiledNet:
     empty cannot fire, so the candidates at a marking are the transitions
     without inputs plus those whose watch place is marked.
 
-    `successors` fires each candidate under each of its bindings through
-    `CompiledTransition.fire`, keeping nothing between markings.
+    `successors` builds one token map per point and fires each candidate
+    under each of its bindings through `CompiledTransition.fire`, keeping
+    nothing between points.
     """
 
     def __init__(self, net: ColouredNet):
@@ -560,13 +567,34 @@ class CompiledNet:
         positions.sort()
         return positions
 
-    def successors(self, marking: Marking):
-        """(transition id, binding key, successor) for every enabled
-        binding, transitions in id order and bindings in key order."""
-        tokens = dict(marking)
-        for trans in map(self.transitions.__getitem__, self.candidates(marking)):
-            for key, binding in trans.bindings(tokens):
-                yield trans.id, key, trans.fire(marking, tokens, binding)
+    def encode(self, marking: Marking) -> Marking:
+        return marking
+
+    decode = encode
+
+    def reader(self, places: set):
+        """A function from a point to its (place id, tokens) pairs on `places`."""
+        return lambda point: [pair for pair in point if pair[0] in places]
+
+    def successors(self, point: Marking, skip=()) -> list[tuple]:
+        """(transition id, binding key, successor) for every enabled binding
+        of each transition whose id is not in `skip`, transitions in id
+        order and bindings in key order.  Where a firing raises, the
+        successor is the binding, so only `fire` raises, where it is taken."""
+        tokens, found = dict(point), []
+        for trans in map(self.transitions.__getitem__, self.candidates(point)):
+            if trans.id not in skip:
+                for key, binding in trans.bindings(tokens):
+                    try:
+                        found.append((trans.id, key, trans.fire(point, tokens, binding)))
+                    except NetError:
+                        found.append((trans.id, key, binding))
+        return found
+
+    def fire(self, tid: str, point: Marking, binding: dict) -> Marking:
+        """The point after transition `tid` fires under the binding; the
+        guard is not evaluated, and it raises as `apply` does."""
+        return self.by_id[tid].fire(point, dict(point), binding)
 
 
 def enabled_bindings(net: Union[ColouredNet, CompiledNet], marking: Marking,
@@ -592,28 +620,29 @@ def fire(net: Union[ColouredNet, CompiledNet], marking: Marking, trans_id: str,
 #: markings are coded densely where places <= DENSE_FILL * marked places at the start
 DENSE_FILL = 4
 
-
-#: what a `DenseCoding` step table holds where the place lacks a token the
-#: transition takes, and where a put there cannot be ordered
-LACKS, UNORDERED = -1, -2
+#: what a `DenseCoding` step table holds where the place lacks a token the transition takes
+LACKS = -1
 
 
 class DenseCoding:
-    """One search's points of a net: the bytes of an array('I') of codes,
-    one per place in `pids` order, each numbering the place's token tuples
-    as met (0 for empty), so equal markings are equal points.
+    """The point kind of one search whose points are the bytes of an
+    array('I') of codes, one per place in `pids` order, each numbering
+    the place's token tuples as met (0 for empty), so equal markings are
+    equal points.  It offers `CompiledNet`'s point interface.
 
     The places transition position t touches are of two kinds.  On a
     constant place every arc of t carries a constant token that fits the
     place's colour, so t moves its code through a table, code -> code after
-    t's takes and puts there, filled in as codes are met (`moved`); it also
-    tells where the place lacks a token t takes.  The rest, `keyed[t]`,
-    in `touched` order, are read by an input pattern with variables or
-    written with a token computed from the binding (or a constant outside
-    the colour).  `views[t]` reads their codes (`len` where there are none)
-    and `memos[t]` holds t's firings per view, in its user's form: as
-    `bindings` sees a constant place holding just what t takes there, a
-    memo is read only once `moved` finds every taken token present."""
+    t's takes and puts there, filled in as codes are met; the table also
+    tells where the place lacks a token t takes, and is read before the
+    memo.  The rest, `keyed[t]`, in `touched` order, are read by an input
+    pattern with variables or written with a token computed from the
+    binding (or a constant outside the colour).  `views[t]` reads their
+    codes (`len` where there are none) and `memos[t]` holds, per view,
+    t's (id, binding key, keyed changes) in key order, the changes being
+    (position, code) pairs, or the binding where the firing raises.  A
+    memo is filled from the public `enabled_bindings`, which sees each
+    constant place holding just what t takes there."""
 
     def __init__(self, compiled: CompiledNet):
         self.compiled = compiled
@@ -658,61 +687,80 @@ class DenseCoding:
         codes = array("I", point)
         return tuple(compress(map(list.__getitem__, self.pairs, codes), codes))
 
-    def candidates(self, codes: array) -> list[int]:
-        """`CompiledNet.candidates` at codes."""
+    def reader(self, places: set):
+        """A function from a point to its marked (place id, tokens) pairs on `places`."""
+        pairs, positions = self.pairs, sorted(map(self.at.get, places & self.at.keys()))
+
+        def read(point: bytes) -> list[tuple]:
+            codes = array("I", point)
+            return [pairs[p][codes[p]] for p in positions if codes[p]]
+        return read
+
+    def successors(self, point: bytes, skip=()) -> list[tuple]:
+        """As `CompiledNet.successors`, on points."""
+        codes, ids, found = array("I", point), self.compiled.ids, []
+        steps, memos, views = self.steps, self.memos, self.views
         positions = [*self.compiled.unwatched]
         for watching in compress(self.watchers, codes):
             positions += watching
         positions.sort()
-        return positions
-
-    def moved(self, t: int, codes: array):
-        """(position, code) of each constant place of transition position t
-        after t fires at codes: None where one lacks a token t takes, else
-        UNORDERED where a put on one cannot be ordered."""
-        moved, unordered = [], False
-        for p, step, arcs in self.steps[t]:
-            number = step.get(codes[p])
-            if number is None:
-                number = step[codes[p]] = self._step(p, codes[p], arcs)
-            if number < 0:
+        for t in positions:
+            if skip and ids[t] in skip:
+                continue
+            moved = []
+            for p, step, arcs in steps[t]:
+                number = step.get(codes[p])
+                if number is None:
+                    number = step[codes[p]] = self._step(p, codes[p], arcs)
                 if number == LACKS:
-                    return None
-                unordered = True
-            moved.append((p, number))
-        return UNORDERED if unordered else moved
+                    break
+                moved.append((p, number))
+            else:  # t has every constant token it takes
+                fired = memos[t].get(view := views[t](codes))
+                if fired is None:
+                    fired = memos[t][view] = self._fired(t, codes)
+                for tid, key, after in fired:
+                    if type(after) is not dict:  # not a firing that raises: its changes
+                        succ = codes[:]
+                        for p, number in after:
+                            succ[p] = number
+                        for p, number in moved:
+                            succ[p] = number
+                        after = succ.tobytes()
+                    found.append((tid, key, after))
+        return found
 
     def _step(self, p: int, code: int, arcs: tuple) -> int:
         """The code after `arcs`, a transition's arcs on constant place p,
-        take and put there, or LACKS or UNORDERED where `apply` raises
-        NotEnabledError or NetError (whose text is not kept)."""
+        take and put there, or LACKS where the place lacks a taken token."""
         try:
             changed = _apply("", *arcs, dict([self.pairs[p][code]]), {})
         except NotEnabledError:
             return LACKS
-        except NetError:
-            return UNORDERED
         return self.code(p, changed[self.pids[p]])
 
-    def local(self, t: int, codes: array) -> list[tuple]:
-        """(place id, tokens) of each keyed place of t, then of each constant
-        place it takes from, holding what it takes: all `bindings` reads."""
-        return [self.pairs[p][codes[p]] for p in self.keyed[t]] + self.held[t]
+    def _fired(self, t: int, codes: array) -> list[tuple]:
+        """The memo entry of transition position t at codes."""
+        tid, keyed = self.compiled.ids[t], self.keyed[t]
+        local = [self.pairs[p][codes[p]] for p in keyed] + self.held[t]
+        tokens, fired = dict(local), []
+        for binding in enabled_bindings(self.compiled, local, tid):
+            try:
+                changed = _apply(tid, *self.arcs[t], tokens, binding).values()
+                changes = tuple(zip(keyed, map(self.code, keyed, changed)))
+            except NetError:
+                changes = binding
+            fired.append((tid, binding_key(binding), changes))
+        return fired
 
-    def fire(self, t: int, tokens: dict, binding: dict) -> tuple:
-        """(position, code) of each keyed place of t after it fires under the
-        binding, `tokens` being `dict(local(t, codes))`; raises as `apply`
-        does where no put on a constant place is UNORDERED."""
-        changed = _apply(self.compiled.ids[t], *self.arcs[t], tokens, binding).values()
-        return tuple(zip(self.keyed[t], map(self.code, self.keyed[t], changed)))
-
-    def fire_touched(self, t: int, codes: array, binding: dict) -> tuple:
-        """(position, code) of each place t touches after it fires at codes,
-        through `apply` on their tokens, so it raises as `apply` does."""
-        places = [self.at[pid] for pid in self.compiled.transitions[t].touched]
-        changed = self.compiled.transitions[t].apply(
-            dict([self.pairs[p][codes[p]] for p in places]), binding).values()
-        return tuple(zip(places, map(self.code, places, changed)))
+    def fire(self, tid: str, point: bytes, binding: dict) -> bytes:
+        """As `CompiledNet.fire`, on points, through `apply` on the tokens of
+        every place the transition touches."""
+        trans, codes, at = self.compiled.by_id[tid], array("I", point), self.at
+        tokens = dict(self.pairs[at[pid]][codes[at[pid]]] for pid in trans.touched)
+        for pid, after in trans.apply(tokens, binding).items():
+            codes[at[pid]] = self.code(at[pid], after)
+        return codes.tobytes()
 
 
 def _arcs_on(trans: CompiledTransition, places: set) -> tuple[list, list]:
@@ -721,9 +769,20 @@ def _arcs_on(trans: CompiledTransition, places: set) -> tuple[list, list]:
             [arc for arc in trans.outputs if arc[0] in places])
 
 
-def dense_coding(compiled: CompiledNet, start: Marking) -> Optional[DenseCoding]:
-    """A new `DenseCoding` where `start` marks at least 1 in `DENSE_FILL` places, else None."""
-    return DenseCoding(compiled) if len(compiled.source[1]) <= DENSE_FILL * len(start) else None
+def points(compiled: CompiledNet, start: Marking) -> Union[CompiledNet, DenseCoding]:
+    """The point kind of a search from `start`: a new `DenseCoding` where
+    `start` marks at least 1 in `DENSE_FILL` places, else `compiled`.  A
+    token of `start` on a place the net lacks, or outside its place's
+    colour, is a NetError, so none reaches the token game."""
+    colours, places = compiled.source[:2]
+    for pid, tokens in start:
+        for token in tokens:
+            if pid not in places:
+                raise NetError(f"start marking: token {token!r} on unknown place {pid!r}")
+            if not colours[places[pid].colour].contains(token):
+                raise NetError(f"start marking: token {token!r} on {pid} is outside "
+                               f"colour {places[pid].colour}")
+    return DenseCoding(compiled) if len(places) <= DENSE_FILL * len(start) else compiled
 
 
 @dataclass
@@ -742,34 +801,27 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     identical graphs.  Every listed state is fully expanded; `truncated`
     reports whether some discovered successor had to be dropped.
 
-    The search runs on the net's `CompiledNet`, with markings as their own
-    keys, or the points of `dense_coding` where it codes the start, and
-    tries only the watch-place candidates at each marking.  On points a
-    transition's firings are memoised per view of its keyed places, and
-    its constant places step through their tables.  A given start
-    marking is made canonical with `marking_key` first; a token on a place
-    the net lacks, or outside its place's colour, is a NetError.
+    The search runs on the net's `CompiledNet` over the points of
+    `points`, markings or dense codes, each its own key, and decodes them
+    at the end.  A given start marking is made canonical with
+    `marking_key` first; `points` checks it.  A firing that raises raises
+    here, through the point kind's `fire`.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     compiled = CompiledNet.of(net)
     start = compiled.initial if marking is None else marking_key(marking)
-    for pid, tokens in start:
-        for token in tokens:
-            if pid not in net.places:
-                raise NetError(f"start marking: token {token!r} on unknown place {pid!r}")
-            if not net.colour_of(pid).contains(token):
-                raise NetError(f"start marking: token {token!r} on {pid} is outside "
-                               f"colour {net.places[pid].colour}")
-    if (coding := dense_coding(compiled, start)) is not None:
-        return _explore_dense(coding, start, bound)
-    index = {start: 0}
-    found = [start]
+    kind = points(compiled, start)
+    index = {kind.encode(start): 0}
+    found = [*index]
     edges = []
     truncated = False
     current = 0
     while current < len(found):
-        for tid, key, succ in compiled.successors(found[current]):
+        point = found[current]
+        for tid, key, succ in kind.successors(point):
+            if type(succ) is dict:
+                succ = kind.fire(tid, point, succ)
             target = index.get(succ)
             if target is None:
                 if len(found) >= bound:
@@ -780,49 +832,7 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
                 found.append(succ)
             edges.append((current, tid, key, target))
         current += 1
-    return ReachabilityGraph(states=found, edges=edges, truncated=truncated)
-
-
-def _explore_dense(coding: DenseCoding, start: Marking, bound: int) -> ReachabilityGraph:
-    """`explore`'s search on points, memoising (id, binding key, keyed code changes)."""
-    transitions, views, memos = coding.compiled.transitions, coding.views, coding.memos
-    index = {coding.encode(start): 0}
-    found = [*index]
-    edges = []
-    truncated = False
-    current = 0
-    while current < len(found):
-        codes = array("I", found[current])
-        for t in coding.candidates(codes):
-            if (moved := coding.moved(t, codes)) is None:
-                continue
-            trans = transitions[t]
-            if moved == UNORDERED:  # fired through `apply`, which raises as it does sparsely
-                tokens, moved = dict(coding.local(t, codes)), ()
-                fired = [(trans.id, key, coding.fire_touched(t, codes, binding))
-                         for key, binding in trans.bindings(tokens)]
-            elif (fired := memos[t].get(view := views[t](codes))) is None:
-                tokens = dict(coding.local(t, codes))
-                fired = memos[t][view] = [(trans.id, key, coding.fire(t, tokens, binding))
-                                          for key, binding in trans.bindings(tokens)]
-            for tid, key, changes in fired:
-                succ = codes[:]
-                for p, number in changes:
-                    succ[p] = number
-                for p, number in moved:
-                    succ[p] = number
-                succ = succ.tobytes()
-                target = index.get(succ)
-                if target is None:
-                    if len(found) >= bound:
-                        truncated = True
-                        continue
-                    target = len(found)
-                    index[succ] = target
-                    found.append(succ)
-                edges.append((current, tid, key, target))
-        current += 1
     del index  # decoding in place then reuses its memory
     for n, point in enumerate(found):
-        found[n] = coding.decode(point)
+        found[n] = kind.decode(point)
     return ReachabilityGraph(states=found, edges=edges, truncated=truncated)

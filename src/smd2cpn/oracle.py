@@ -4,12 +4,13 @@ reachable markings and bounded trace equivalence (a bisimulation over
 observable moves).  A net whose dispatch chain breaks offers a "stuck"
 move that the machine never offers, so a broken chain is reported as a
 divergence with its trace like any other.  One breadth-first walk over
-pairs of a configuration and a net point, a marking or its dense code,
-each compared once whatever the depth, decides equivalence, with rounds
-that count the fewest moves within which a failing pair's sides differ;
-the shortest counterexample is read off those counts with moves and
-successors sorted by repr, a net point by its marking's, so it does not
-depend on the order in which either side lists its moves.
+pairs of a configuration and a net point, of the kind `cpn.points` picks
+(a marking or its dense code, never told apart here), each compared once
+whatever the depth, decides equivalence, with rounds that count the
+fewest moves within which a failing pair's sides differ; the shortest
+counterexample is read off those counts with moves and successors sorted
+by repr, a net point by its decoded marking's, so it does not depend on
+the order in which either side lists its moves.
 A step reads the event pool only to find its trigger there and take it,
 so a check works each step out once, keyed on (active leaf, valuation,
 history), and takes the trigger from each configuration's own pool.
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -176,14 +176,15 @@ class NetRunner:
     move.  Firing a behaviour occurrence (in `tmap.behaviour_trans`) makes
     its name observable, so a net read back from its XML moves alike.
 
-    Only the watch-place candidates are tried, with bindings from the
-    public `enabled_bindings`, whose calls the benchmark counts.  Where
-    `explore` would code markings (`cpn.dense_coding`), a point is coded:
-    a transition's firings are worked out once per view of its keyed
-    places, and its constant places, such as the event pool, step through
-    their tables, so a chain step is mostly lookups and a copy; only
-    `marking` decodes.  Elsewhere a point is its `Marking`, fired by
-    `CompiledTransition.fire`.
+    Every firing comes from the point kind's `successors`, which tries
+    only the watch-place candidates and skips the transitions a caller
+    names: producers and do-loops in a chain, do-loops among the moves.
+    The kind is `cpn.points`' for the initial marking, which checks it: on
+    the nets `explore` codes densely a point is coded, a transition's
+    firings are worked out once per view of its keyed places, with
+    bindings from the public `enabled_bindings`, whose calls the benchmark
+    counts, and its constant places, such as the event pool, step through
+    their tables.  A firing that raises raises only where it is taken.
     """
 
     def __init__(self, net: cpn.ColouredNet, tmap: TranslationMap,
@@ -200,17 +201,11 @@ class NetRunner:
                     self.trigger_of_dispatch[tid] = pattern.value
         self.producer = tmap.producer
         self.behaviours = set(tmap.behaviour_trans.values())
-        self.skip_in_chain = set(tmap.producer) | set(tmap.do_loop)
+        self.do_loop = set(tmap.do_loop)
+        self.skip_in_chain = set(tmap.producer) | self.do_loop
         self.chain_bound = 2 * len(net.transitions) + 4
-        self.coding = coding = cpn.dense_coding(compiled, compiled.initial)
-        self.candidates = (coding or compiled).candidates  # positions at a marking or codes
-        self.control_at = coding and sorted(map(coding.at.get, self.control & coding.at.keys()))
-
-    def point(self, marking: cpn.Marking):
-        return marking if self.coding is None else self.coding.encode(marking)
-
-    def marking(self, point) -> cpn.Marking:
-        return point if self.coding is None else self.coding.decode(point)
+        self.points = cpn.points(compiled, compiled.initial)
+        self.held = self.points.reader(self.control)
 
     def stable_leaf(self, marking: cpn.Marking) -> Optional[str]:
         held = [(pid, len(tokens)) for pid, tokens in marking if pid in self.control]
@@ -218,37 +213,10 @@ class NetRunner:
             return None
         return self.leaf_of_place.get(held[0][0])
 
-    def _fired(self, t: int, state) -> list:
-        """Transition position t's firings, in key order: its bindings at a
-        marking; at codes, the code changes after each, or the bindings
-        where one raises or a put on a constant place cannot be ordered."""
-        if (coding := self.coding) is None:
-            return cpn.enabled_bindings(self.compiled, state, self.compiled.ids[t])
-        if (moved := coding.moved(t, state)) is None:
-            return []
-        if moved == cpn.UNORDERED or (
-                fired := coding.memos[t].get(view := coding.views[t](state))) is None:
-            local = coding.local(t, state)
-            fired = cpn.enabled_bindings(self.compiled, local, self.compiled.ids[t])
-            if moved == cpn.UNORDERED:  # each binding fires, and raises, where it is taken
-                return fired
-            try:
-                tokens = dict(local)
-                fired = coding.memos[t][view] = tuple([coding.fire(t, tokens, b) for b in fired])
-            except cpn.NetError:  # nothing kept: each binding fires where it is taken
-                return fired
-        return [(*changes, *moved) for changes in fired]
-
-    def _successor(self, t: int, state, firing):
-        """The point after a firing of `_fired(t, state)`."""
-        if (coding := self.coding) is None:
-            return self.compiled.transitions[t].fire(state, dict(state), firing)
-        if type(firing) is dict:
-            firing = coding.fire_touched(t, state, firing)
-        succ = state[:]
-        for p, number in firing:
-            succ[p] = number
-        return succ.tobytes()
+    def _taken(self, tid: str, point, after):
+        """`after`, a successor of `point` by `tid`, fired where it is the
+        binding of a firing that raises, so that it raises here."""
+        return self.points.fire(tid, point, after) if type(after) is dict else after
 
     def run_chain(self, point) -> tuple[tuple, object]:
         """Fire the unique enabled chain transition until stable.  Returns
@@ -256,44 +224,35 @@ class NetRunner:
         order, and the point where the chain stopped; kind "step" with the
         stable leaf as end, or "stuck" with why it stopped: no chain
         transition or several enabled, or the chain bound run out."""
-        coding, ids, labels = self.coding, self.compiled.ids, []
+        labels = []
         for _ in range(self.chain_bound):
-            state = point if coding is None else array("I", point)
-            held = state if coding is None else [
-                coding.pairs[p][state[p]] for p in self.control_at if state[p]]
-            if (leaf := self.stable_leaf(held)) is not None:
+            if (leaf := self.stable_leaf(self.held(point))) is not None:
                 return ("step", tuple(labels), leaf), point
-            enabled = [(t, firing) for t in self.candidates(state)
-                       if ids[t] not in self.skip_in_chain for firing in self._fired(t, state)]
+            enabled = self.points.successors(point, self.skip_in_chain)
             if len(enabled) != 1:
                 return ("stuck", tuple(labels), f"{len(enabled)} chain transitions enabled"), point
-            t, firing = enabled[0]
-            point = self._successor(t, state, firing)
-            if ids[t] in self.behaviours:
-                labels.append(self.compiled.transitions[t].trans.name)
+            (tid, _, after), = enabled
+            point = self._taken(tid, point, after)
+            if tid in self.behaviours:
+                labels.append(self.compiled.by_id[tid].trans.name)
         return ("stuck", tuple(labels), f"not stable after {self.chain_bound} firings"), point
 
     def moves(self, point) -> list[tuple[tuple, object]]:
         """(move, successor) for every move at the point, from one pass
-        over its candidates: ("inject", event) for every producer that can
+        over its successors: ("inject", event) for every producer that can
         fire, then every dispatch firing plus its chain.  Such a move is
         ("step", event, behaviours, leaf) when the chain reaches a stable
         marking and ("stuck", event, behaviours, reason) when not.  Both
         kinds come in id order, so injections in event order for the
         translator's `T_env_<e>` ids; no outcome depends on the order, as
         the walk compares key sets and a counterexample is read in repr order."""
-        injections, steps, ids = [], [], self.compiled.ids
-        state = point if self.coding is None else array("I", point)
-        for t in self.candidates(state):
-            if ids[t] in self.producer:
-                if fired := self._fired(t, state):
-                    injections.append((_injection(self.producer[ids[t]]),
-                                       self._successor(t, state, fired[0])))
-            elif ids[t] in self.trigger_of_dispatch:
-                event = self.trigger_of_dispatch[ids[t]]
-                for firing in self._fired(t, state):
-                    move, final = self.run_chain(self._successor(t, state, firing))
-                    steps.append(((move[0], event, *move[1:]), final))
+        injections, steps = [], []
+        for tid, _, after in self.points.successors(point, self.do_loop):
+            if tid in self.producer:
+                injections.append((_injection(self.producer[tid]), self._taken(tid, point, after)))
+            elif tid in self.trigger_of_dispatch:
+                move, final = self.run_chain(self._taken(tid, point, after))
+                steps.append(((move[0], self.trigger_of_dispatch[tid], *move[1:]), final))
         return injections + steps
 
 
@@ -506,8 +465,8 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     def sides(pair) -> tuple[dict, dict]:
         return (_move_map(_machine_moves(model, pair[0], event_capacity, steps)),
                 _move_map(runner.moves(pair[1])))
-    start = (initial_configuration(model), runner.point(runner.compiled.initial))
-    return _walk_pairs(start, sides, depth, lambda point: repr(runner.marking(point)))
+    start = (initial_configuration(model), runner.points.encode(runner.compiled.initial))
+    return _walk_pairs(start, sides, depth, lambda point: repr(runner.points.decode(point)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import pytest
 
 from smd2cpn import expr as ex
 from smd2cpn.net import (
-    UNIT_TOKEN, ArcDef, ColouredNet, CompiledNet, CompiledTransition, EnumCS, IntCS, NetError, NotEnabledError,
-    Calc, Lit, PlaceDef, ProductCS, TransDef, Tup, UnitCS, Var, PTOT, TTOP,
+    UNIT_TOKEN, ArcDef, ColouredNet, CompiledNet, CompiledTransition, DenseCoding, EnumCS,
+    IntCS, NetError, NotEnabledError, Calc, Lit, PlaceDef, ProductCS, TransDef, Tup, UnitCS,
+    Var, PTOT, TTOP,
     binding_key, enabled_bindings, evaluate, explore, fire, marking_key, match,
 )
 from smd2cpn.oracle import (
@@ -444,9 +445,9 @@ def _successors_calls(monkeypatch):
     calls = []
     original = CompiledNet.successors
 
-    def successors(self, marking):
+    def successors(self, marking, skip=()):
         calls.append(marking)
-        return original(self, marking)
+        return original(self, marking, skip)
 
     monkeypatch.setattr(CompiledNet, "successors", successors)
     return calls
@@ -653,24 +654,44 @@ def _pairs_net():
     return net
 
 
+def assert_the_point_kinds_agree(compiled, coding, marking, skip):
+    """`coding.successors` at the coded marking, each successor point
+    decoded, equals `compiled.successors` at the marking, with nothing
+    skipped and with `skip` skipped."""
+    for skipped in ((), skip):
+        decoded = [(tid, key, coding.decode(after))
+                   for tid, key, after in coding.successors(coding.encode(marking), skipped)]
+        assert decoded == compiled.successors(marking, skipped), (skipped, marking)
+
+
+def _chain_skip(tmap) -> set:
+    """The ids `NetRunner` skips in a chain: producers and do-loops."""
+    return set(tmap.producer) | set(tmap.do_loop)
+
+
 @pytest.mark.parametrize("name", CORPUS + ["pairs"])
 def test_successors_agree_with_a_brute_force_token_game(corpus_nets, name):
-    net = _pairs_net() if name == "pairs" else corpus_nets[name][0]
+    """On markings, and on one `DenseCoding`'s points across the search."""
+    net, tmap = (_pairs_net(), None) if name == "pairs" else corpus_nets[name]
     compiled = CompiledNet(net)
+    coding = DenseCoding(compiled)
     graph = explore(net, bound=4_000 if name == "cdplayer" else 100_000)
     assert graph.truncated == (name == "cdplayer")
     for marking in graph.states:
-        successors = list(compiled.successors(marking))
+        successors = compiled.successors(marking)
         assert len(set(successors)) == len(successors)
         assert set(successors) == reference_successors(net, marking), marking
+        assert_the_point_kinds_agree(compiled, coding, marking,
+                                     {"t"} if tmap is None else _chain_skip(tmap))
 
 
 @pytest.mark.parametrize("name", ["flat", "guarded", "completion", "nested3"])
 def test_successors_agree_with_a_brute_force_token_game_on_mutants(corpus_nets, name):
     """The same comparison on every arc deletion that `check()` accepts,
-    with one CompiledNet per mutant across its reachable markings.  About
-    half the mutants grow without bound, so each search stops at 200."""
-    net, _ = corpus_nets[name]
+    with one CompiledNet and one DenseCoding per mutant across its
+    reachable markings.  About half the mutants grow without bound, so
+    each search stops at 200."""
+    net, tmap = corpus_nets[name]
     for arc in net.arcs:
         mutant = mutations.delete_arc_id(net, arc.id)
         try:
@@ -678,10 +699,12 @@ def test_successors_agree_with_a_brute_force_token_game_on_mutants(corpus_nets, 
         except NetError:
             continue
         compiled = CompiledNet(mutant)
+        coding = DenseCoding(compiled)
         for marking in explore(mutant, bound=200).states:
-            successors = list(compiled.successors(marking))
+            successors = compiled.successors(marking)
             assert len(set(successors)) == len(successors)
             assert set(successors) == reference_successors(mutant, marking), (arc.id, marking)
+            assert_the_point_kinds_agree(compiled, coding, marking, _chain_skip(tmap))
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def test_chain_length_conservation(corpus_models, corpus_nets):
     net, tmap = corpus_nets["nested3"]
     runner, reference = NetRunner(net, tmap, model), ReferenceRunner(net, tmap, model)
     config = inject(model, initial_configuration(model), "go", 1)
-    point = runner.point(net.initial_marking())
+    point = runner.points.encode(net.initial_marking())
     point = dict(moves_as_the_reference(runner, reference, point))[("inject", "go")]
     (net_move, _), = [(move, after)
                       for move, after in moves_as_the_reference(runner, reference, point)
@@ -584,7 +584,7 @@ def test_stuck_chain_is_a_divergence(cd_model, cd_net):
         ("step", "play", ("FTS",), "PLAYING"), ("step", "pause", (), "PAUSED")]
     # where the machine steps to PAUSED, the net's chain gets stuck instead
     runner, reference = NetRunner(broken, tmap, cd_model), ReferenceRunner(broken, tmap, cd_model)
-    point = runner.point(broken.initial_marking())
+    point = runner.points.encode(broken.initial_marking())
     for move in result.counterexample[:-1]:
         point, = [after for offered, after in moves_as_the_reference(runner, reference, point)
                   if offered == move]
@@ -943,7 +943,7 @@ def _decoded(runner, moves):
     """`runner.moves`' result with each successor point decoded."""
     if isinstance(moves, str):
         return moves
-    return [(move, runner.marking(after)) for move, after in moves]
+    return [(move, runner.points.decode(after)) for move, after in moves]
 
 
 def moves_as_the_reference(runner, reference, point):
@@ -951,7 +951,7 @@ def moves_as_the_reference(runner, reference, point):
     successors are the reference's at the decoded marking, every move in
     order."""
     moves = runner.moves(point)
-    assert _decoded(runner, moves) == reference.moves(runner.marking(point))
+    assert _decoded(runner, moves) == reference.moves(runner.points.decode(point))
     return moves
 
 
@@ -962,12 +962,12 @@ def assert_runner_matches_the_reference(model, net, tmap, bound, coded=True):
     error.  `coded` says whether the runner codes its points.  Returns the
     points compared and how many raised."""
     runner, reference = NetRunner(net, tmap, model), ReferenceRunner(net, tmap, model)
-    assert (runner.coding is not None) == coded
-    start = runner.point(net.initial_marking())
+    assert isinstance(runner.points, cpn.DenseCoding) == coded
+    start = runner.points.encode(net.initial_marking())
     seen, queue, raised = {start}, [start], 0
     for point in queue:
         moves = _moves_or_error(runner.moves, point)
-        marking = runner.marking(point)
+        marking = runner.points.decode(point)
         assert _decoded(runner, moves) == _moves_or_error(reference.moves, marking), marking
         if isinstance(moves, str):
             raised += 1
@@ -1041,7 +1041,7 @@ def test_coded_and_plain_points_check_alike(monkeypatch):
                    for arc_id in arc_ids]
     results = {}
     for coded in both_paths(monkeypatch):
-        assert {NetRunner(net, tmap, model).coding is not None
+        assert {isinstance(NetRunner(net, tmap, model).points, cpn.DenseCoding)
                 for model, net, tmap, _, _ in checks} == {coded}
         results[coded] = [check_trace_equivalence(model, net, tmap, depth=depth,
                                                   event_capacity=capacity)
@@ -1069,7 +1069,8 @@ def test_a_firing_left_untaken_raises_nothing_on_either_path(corpus_models, corp
     results = []
     for _ in both_paths(monkeypatch):
         runner = NetRunner(forked, tmap, model)
-        point = dict(runner.moves(runner.point(forked.initial_marking())))[("inject", "go")]
+        start = runner.points.encode(forked.initial_marking())
+        point = dict(runner.moves(start))[("inject", "go")]
         assert [move for move, _ in runner.moves(point) if move[0] != "inject"] == [
             ("stuck", "go", ("Shutdown",), "2 chain transitions enabled")]
         results.append(check_trace_equivalence(model, forked, tmap))
@@ -1079,25 +1080,23 @@ def test_a_firing_left_untaken_raises_nothing_on_either_path(corpus_models, corp
 def test_a_put_next_to_a_token_outside_the_colour_raises_where_it_is_taken(
         corpus_models, corpus_nets, monkeypatch):
     """flat's start marking, unchecked, holds "x" on P_cap_toggle beside its
-    unit, so the check reads capacity 2 there.  Injecting toggle takes the
-    unit; the dispatch that puts it back cannot order it next to "x", so
-    the check raises apply's NetError two moves out, on coded points as on
-    markings, and not one move out."""
+    unit, so the check would read capacity 2 there, and a dispatch putting
+    the unit back could not order it next to "x".  The runner checks its
+    start marking as `explore` does, so no such put is ever taken: the
+    check raises explore's NetError at every depth, on coded points as on
+    markings."""
     model = corpus_models["flat"]
     net, tmap = corpus_nets["flat"]
     spoiled = copy.deepcopy(net)
     spoiled.places["P_cap_toggle"] = replace(net.places["P_cap_toggle"],
                                              initial=("x", UNIT_TOKEN))
-    errors = []
-    for coded in both_paths(monkeypatch):
-        assert (NetRunner(spoiled, tmap, model).coding is not None) == coded
-        assert check_trace_equivalence(model, spoiled, tmap, depth=1,
-                                       event_capacity=2).equivalent
-        with pytest.raises(NetError) as raised:
-            check_trace_equivalence(model, spoiled, tmap, depth=2, event_capacity=2)
-        errors.append(str(raised.value))
-    assert errors[0] == errors[1] == ("T_t_on__from_OFF: cannot insert () in order on "
-                                      "P_cap_toggle, which holds a token outside its colour")
+    message = "^start marking: token 'x' on P_cap_toggle is outside colour UNIT$"
+    with pytest.raises(NetError, match=message):
+        cpn.explore(spoiled)
+    for _ in both_paths(monkeypatch):
+        for depth in (1, 2):
+            with pytest.raises(NetError, match=message):
+                check_trace_equivalence(model, spoiled, tmap, depth=depth, event_capacity=2)
 
 
 def test_net_moves_raise_as_the_public_token_game_does(cd_model, cd_net):
