@@ -27,15 +27,16 @@ arcs, ties broken by id) is marked.
 
 A search walks points of the kind `points` picks from its start marking,
 through one interface: `encode` and `decode` between markings and points,
-`successors(point, skip)`, `fire`, and `reader(places)`, a function
-reading a point's tokens on those places.  A `CompiledNet`'s point is its
-`Marking`.  Where at least a quarter of the places is marked at the
-start, a point is a `DenseCoding`'s bytes, one code per place (it costs
-O(places) a firing, so pays only there); a transition's firings are
-worked out once per view of its keyed places, those its bindings read or
-its computed tokens land on, and each place it touches only through
-constant tokens, such as the event pool, steps from code to code through
-a table.
+`successors(point, skip)`, and `reader(places)`, a function reading a
+point's tokens on those places.  A firing that raises gives its NetError
+in the successor's place, and `taken` raises it where a search takes it.
+A `CompiledNet`'s point is its `Marking`.  Where at least a quarter of the
+places is marked at the start, a point is a `DenseCoding`'s bytes, one
+code per place (it costs O(places) a firing, so pays only there); a
+transition's firings are worked out once per view of its keyed places,
+those its bindings read or its computed tokens land on, and each place it
+touches only through constant tokens, such as the event pool, steps from
+code to code through a table.
 """
 
 from __future__ import annotations
@@ -362,8 +363,10 @@ def _constant(inscription: Inscription):
 
 
 def _apply(tid: str, inputs: tuple, outputs: tuple, tokens: dict, binding: dict) -> dict:
-    """`CompiledTransition.apply` over some of transition `tid`'s arcs: the
-    places they touch, changed in the order they first touch them."""
+    """The token tuples of the places some of transition `tid`'s arcs
+    touch, after their takes and puts, in the order they first touch them.
+    Raises NotEnabledError for a missing input token and NetError for a
+    produced token outside its place's colour or not orderable there."""
     changed: dict[str, tuple] = {}
     for pid, pattern, token in inputs:
         if token is None:
@@ -393,15 +396,15 @@ class CompiledTransition:
     """One transition's arcs, indexed once for the token game.
 
     The methods read token maps: place id -> token tuple, as in
-    `dict(marking)`, where an absent place is empty.  `apply` returns the
-    map of the places it changes, `fire` the successor marking.  An arc whose
+    `dict(marking)`, where an absent place is empty; `fire` returns the
+    successor marking, through `_apply` on every arc.  An arc whose
     inscription has no variable, such as a unit arc, is a fixed token: as
     an input it becomes a count check, and only the other inputs are
     matched against tokens.
     Raises NetError, as `ColouredNet.check` does, when the guard or an
     output arc reads a variable that no input pattern binds.  `touched`
     holds the distinct input places, then the other output places, in arc
-    order: `bindings` reads only input places, and `apply` only these and
+    order: `bindings` reads only input places, and `fire` only these and
     changes them all, in this order.
     """
 
@@ -485,20 +488,11 @@ class CompiledTransition:
                 return False
         return True
 
-    def apply(self, tokens: dict, binding: dict) -> dict:
-        """The token tuples of the places the firing changes, empty where
-        it empties one, each produced token inserted in order.  The guard
-        is not evaluated here.  Raises
-        NotEnabledError for a missing input token and NetError for a
-        produced token outside its place's colour, or one that a token
-        outside the colour keeps from being put in order."""
-        return _apply(self.id, self.inputs, self.outputs, tokens, binding)
-
     def fire(self, marking: Marking, tokens: dict, binding: dict) -> Marking:
         """`marking`, whose `dict` is `tokens`, after the transition fires
         under the binding; the guard is not evaluated, and it raises as
-        `apply` does."""
-        changed = self.apply(tokens, binding)
+        `_apply` does."""
+        changed = _apply(self.id, self.inputs, self.outputs, tokens, binding)
         new = [pair for pair in marking if pair[0] not in changed]
         new += [pair for pair in changed.items() if pair[1]]
         new.sort()  # merges two sorted runs
@@ -579,22 +573,17 @@ class CompiledNet:
     def successors(self, point: Marking, skip=()) -> list[tuple]:
         """(transition id, binding key, successor) for every enabled binding
         of each transition whose id is not in `skip`, transitions in id
-        order and bindings in key order.  Where a firing raises, the
-        successor is the binding, so only `fire` raises, where it is taken."""
+        order and bindings in key order; where a firing raises, its NetError
+        in the successor's place."""
         tokens, found = dict(point), []
         for trans in map(self.transitions.__getitem__, self.candidates(point)):
             if trans.id not in skip:
                 for key, binding in trans.bindings(tokens):
                     try:
                         found.append((trans.id, key, trans.fire(point, tokens, binding)))
-                    except NetError:
-                        found.append((trans.id, key, binding))
+                    except NetError as error:
+                        found.append((trans.id, key, error))
         return found
-
-    def fire(self, tid: str, point: Marking, binding: dict) -> Marking:
-        """The point after transition `tid` fires under the binding; the
-        guard is not evaluated, and it raises as `apply` does."""
-        return self.by_id[tid].fire(point, dict(point), binding)
 
 
 def enabled_bindings(net: Union[ColouredNet, CompiledNet], marking: Marking,
@@ -640,8 +629,9 @@ class DenseCoding:
     binding (or a constant outside the colour).  `views[t]` reads their
     codes (`len` where there are none) and `memos[t]` holds, per view,
     t's (id, binding key, keyed changes) in key order, the changes being
-    (position, code) pairs, or the binding where the firing raises.  A
-    memo is filled from the public `enabled_bindings`, which sees each
+    (position, code) pairs, or the NetError where the firing raises: only
+    keyed places raise, so it is the firing's error on every touched place.
+    A memo is filled from the public `enabled_bindings`, which sees each
     constant place holding just what t takes there."""
 
     def __init__(self, compiled: CompiledNet):
@@ -720,7 +710,7 @@ class DenseCoding:
                 if fired is None:
                     fired = memos[t][view] = self._fired(t, codes)
                 for tid, key, after in fired:
-                    if type(after) is not dict:  # not a firing that raises: its changes
+                    if type(after) is tuple:  # its keyed changes, not a firing's error
                         succ = codes[:]
                         for p, number in after:
                             succ[p] = number
@@ -748,19 +738,10 @@ class DenseCoding:
             try:
                 changed = _apply(tid, *self.arcs[t], tokens, binding).values()
                 changes = tuple(zip(keyed, map(self.code, keyed, changed)))
-            except NetError:
-                changes = binding
+            except NetError as error:
+                changes = error
             fired.append((tid, binding_key(binding), changes))
         return fired
-
-    def fire(self, tid: str, point: bytes, binding: dict) -> bytes:
-        """As `CompiledNet.fire`, on points, through `apply` on the tokens of
-        every place the transition touches."""
-        trans, codes, at = self.compiled.by_id[tid], array("I", point), self.at
-        tokens = dict(self.pairs[at[pid]][codes[at[pid]]] for pid in trans.touched)
-        for pid, after in trans.apply(tokens, binding).items():
-            codes[at[pid]] = self.code(at[pid], after)
-        return codes.tobytes()
 
 
 def _arcs_on(trans: CompiledTransition, places: set) -> tuple[list, list]:
@@ -785,6 +766,15 @@ def points(compiled: CompiledNet, start: Marking) -> Union[CompiledNet, DenseCod
     return DenseCoding(compiled) if len(places) <= DENSE_FILL * len(start) else compiled
 
 
+def taken(successor):
+    """`successor` from a point kind's `successors`, raised where it is a
+    firing's NetError, without an earlier raise's traceback, so an error
+    kept in a memo holds no old frames."""
+    if isinstance(successor, NetError):
+        raise successor.with_traceback(None)
+    return successor
+
+
 @dataclass
 class ReachabilityGraph:
     states: list[Marking]
@@ -804,8 +794,8 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     The search runs on the net's `CompiledNet` over the points of
     `points`, markings or dense codes, each its own key, and decodes them
     at the end.  A given start marking is made canonical with
-    `marking_key` first; `points` checks it.  A firing that raises raises
-    here, through the point kind's `fire`.
+    `marking_key` first; `points` checks it.  `taken` raises a firing's
+    error here, even where the bound drops its successor.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -820,9 +810,7 @@ def explore(net: ColouredNet, marking: Optional[Marking] = None,
     while current < len(found):
         point = found[current]
         for tid, key, succ in kind.successors(point):
-            if type(succ) is dict:
-                succ = kind.fire(tid, point, succ)
-            target = index.get(succ)
+            target = index.get(succ := taken(succ))
             if target is None:
                 if len(found) >= bound:
                     truncated = True

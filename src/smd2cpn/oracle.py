@@ -5,12 +5,13 @@ observable moves).  A net whose dispatch chain breaks offers a "stuck"
 move that the machine never offers, so a broken chain is reported as a
 divergence with its trace like any other.  One breadth-first walk over
 pairs of a configuration and a net point, of the kind `cpn.points` picks
-(a marking or its dense code, never told apart here), each compared once
-whatever the depth, decides equivalence, with rounds that count the
-fewest moves within which a failing pair's sides differ; the shortest
-counterexample is read off those counts with moves and successors sorted
-by repr, a net point by its decoded marking's, so it does not depend on
-the order in which either side lists its moves.
+(a marking or its dense code, never told apart here; a firing that raises
+gives its error, which `cpn.taken` raises where it is taken), each
+compared once whatever the depth, decides equivalence, with rounds that
+count the fewest moves within which a failing pair's sides differ; the
+shortest counterexample is read off those counts with moves and
+successors sorted by repr, a net point by its decoded marking's, so it
+does not depend on the order in which either side lists its moves.
 A step reads the event pool only to find its trigger there and take it,
 so a check works each step out once, keyed on (active leaf, valuation,
 history), and takes the trigger from each configuration's own pool.
@@ -179,12 +180,12 @@ class NetRunner:
     Every firing comes from the point kind's `successors`, which tries
     only the watch-place candidates and skips the transitions a caller
     names: producers and do-loops in a chain, do-loops among the moves.
-    The kind is `cpn.points`' for the initial marking, which checks it: on
-    the nets `explore` codes densely a point is coded, a transition's
-    firings are worked out once per view of its keyed places, with
-    bindings from the public `enabled_bindings`, whose calls the benchmark
-    counts, and its constant places, such as the event pool, step through
-    their tables.  A firing that raises raises only where it is taken.
+    The kind is `cpn.points`' for the initial marking, which checks it;
+    `start` is its point.  On the nets `explore` codes densely a point is
+    coded, a transition's firings are worked out once per view of its
+    keyed places, with bindings from the public `enabled_bindings`, whose
+    calls the benchmark counts, and its constant places, such as the event
+    pool, step through their tables.  `cpn.taken` raises a firing's error.
     """
 
     def __init__(self, net: cpn.ColouredNet, tmap: TranslationMap,
@@ -205,6 +206,7 @@ class NetRunner:
         self.skip_in_chain = set(tmap.producer) | self.do_loop
         self.chain_bound = 2 * len(net.transitions) + 4
         self.points = cpn.points(compiled, compiled.initial)
+        self.start = self.points.encode(compiled.initial)
         self.held = self.points.reader(self.control)
 
     def stable_leaf(self, marking: cpn.Marking) -> Optional[str]:
@@ -212,11 +214,6 @@ class NetRunner:
         if len(held) != 1 or held[0][1] != 1:
             return None
         return self.leaf_of_place.get(held[0][0])
-
-    def _taken(self, tid: str, point, after):
-        """`after`, a successor of `point` by `tid`, fired where it is the
-        binding of a firing that raises, so that it raises here."""
-        return self.points.fire(tid, point, after) if type(after) is dict else after
 
     def run_chain(self, point) -> tuple[tuple, object]:
         """Fire the unique enabled chain transition until stable.  Returns
@@ -232,7 +229,7 @@ class NetRunner:
             if len(enabled) != 1:
                 return ("stuck", tuple(labels), f"{len(enabled)} chain transitions enabled"), point
             (tid, _, after), = enabled
-            point = self._taken(tid, point, after)
+            point = cpn.taken(after)
             if tid in self.behaviours:
                 labels.append(self.compiled.by_id[tid].trans.name)
         return ("stuck", tuple(labels), f"not stable after {self.chain_bound} firings"), point
@@ -249,9 +246,9 @@ class NetRunner:
         injections, steps = [], []
         for tid, _, after in self.points.successors(point, self.do_loop):
             if tid in self.producer:
-                injections.append((_injection(self.producer[tid]), self._taken(tid, point, after)))
+                injections.append((_injection(self.producer[tid]), cpn.taken(after)))
             elif tid in self.trigger_of_dispatch:
-                move, final = self.run_chain(self._taken(tid, point, after))
+                move, final = self.run_chain(cpn.taken(after))
                 steps.append(((move[0], self.trigger_of_dispatch[tid], *move[1:]), final))
         return injections + steps
 
@@ -454,18 +451,18 @@ def check_trace_equivalence(model: StateMachine, net: cpn.ColouredNet,
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    runner = NetRunner(net, tmap, model)  # checks the start marking first
     for pid in tmap.capacity_place.values():
         held = len(net.places[pid].initial)
         if held != event_capacity:
             raise ValueError(f"event capacity {event_capacity} does not match "
                              f"the net's capacity {held}")
-    runner = NetRunner(net, tmap, model)
     steps: dict = {}
 
     def sides(pair) -> tuple[dict, dict]:
         return (_move_map(_machine_moves(model, pair[0], event_capacity, steps)),
                 _move_map(runner.moves(pair[1])))
-    start = (initial_configuration(model), runner.points.encode(runner.compiled.initial))
+    start = (initial_configuration(model), runner.start)
     return _walk_pairs(start, sides, depth, lambda point: repr(runner.points.decode(point)))
 
 

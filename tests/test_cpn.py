@@ -654,14 +654,25 @@ def _pairs_net():
     return net
 
 
+def _successor_outcome(after, decode=lambda point: point):
+    """A successor from `successors`: its point decoded, or the error of a
+    firing that raises as (type name, message)."""
+    if isinstance(after, NetError):
+        return type(after).__name__, str(after)
+    return decode(after)
+
+
 def assert_the_point_kinds_agree(compiled, coding, marking, skip):
     """`coding.successors` at the coded marking, each successor point
     decoded, equals `compiled.successors` at the marking, with nothing
-    skipped and with `skip` skipped."""
+    skipped and with `skip` skipped; a firing that raises gives the same
+    error on both."""
     for skipped in ((), skip):
-        decoded = [(tid, key, coding.decode(after))
+        decoded = [(tid, key, _successor_outcome(after, coding.decode))
                    for tid, key, after in coding.successors(coding.encode(marking), skipped)]
-        assert decoded == compiled.successors(marking, skipped), (skipped, marking)
+        assert decoded == [(tid, key, _successor_outcome(after))
+                           for tid, key, after in compiled.successors(marking, skipped)], (
+            skipped, marking)
 
 
 def _chain_skip(tmap) -> set:
@@ -818,7 +829,8 @@ def test_a_transition_lacking_a_constant_token_works_out_nothing(monkeypatch):
 def test_a_computed_token_outside_its_colour_raises_in_every_search(monkeypatch):
     """t counts c up; s spends a's two tokens.  c's view (0,) comes up
     twice and fits, then (1,) makes t produce 2, which c's colour lacks.
-    Searched densely, then sparsely beside seven empty places."""
+    Searched densely, then sparsely beside seven empty places.  Both point
+    kinds give that error in t's successor's place, raising nothing."""
     calls = _successors_calls(monkeypatch)
     for empty in (0, 7):
         net = _add_empty_places(unit_net(), empty)
@@ -836,6 +848,11 @@ def test_a_computed_token_outside_its_colour_raises_in_every_search(monkeypatch)
                 explore(net)
         assert explore(net, bound=2).truncated
         assert bool(calls) == bool(empty)
+    compiled, raising = CompiledNet(net), (("a", (UNIT_TOKEN, UNIT_TOKEN)), ("c", (1,)))
+    found = [(tid, _successor_outcome(after)) for tid, _, after in compiled.successors(raising)]
+    assert found == [("s", (("a", (UNIT_TOKEN,)), ("c", (1,)))),
+                     ("t", ("NetError", "t: produced 2 outside the colour of c"))]
+    assert_the_point_kinds_agree(compiled, DenseCoding(compiled), raising, {"s"})
 
 
 def test_a_constant_token_outside_its_colour_raises_when_fired(monkeypatch):

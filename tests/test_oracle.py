@@ -1,10 +1,12 @@
 import copy
 import functools
 import hashlib
+import itertools
 import os
 import random
 import subprocess
 import sys
+import traceback
 import weakref
 from dataclasses import replace
 
@@ -221,8 +223,7 @@ def test_chain_length_conservation(corpus_models, corpus_nets):
     net, tmap = corpus_nets["nested3"]
     runner, reference = NetRunner(net, tmap, model), ReferenceRunner(net, tmap, model)
     config = inject(model, initial_configuration(model), "go", 1)
-    point = runner.points.encode(net.initial_marking())
-    point = dict(moves_as_the_reference(runner, reference, point))[("inject", "go")]
+    point = dict(moves_as_the_reference(runner, reference, runner.start))[("inject", "go")]
     (net_move, _), = [(move, after)
                       for move, after in moves_as_the_reference(runner, reference, point)
                       if move[0] != "inject"]
@@ -584,7 +585,7 @@ def test_stuck_chain_is_a_divergence(cd_model, cd_net):
         ("step", "play", ("FTS",), "PLAYING"), ("step", "pause", (), "PAUSED")]
     # where the machine steps to PAUSED, the net's chain gets stuck instead
     runner, reference = NetRunner(broken, tmap, cd_model), ReferenceRunner(broken, tmap, cd_model)
-    point = runner.points.encode(broken.initial_marking())
+    point = runner.start
     for move in result.counterexample[:-1]:
         point, = [after for offered, after in moves_as_the_reference(runner, reference, point)
                   if offered == move]
@@ -963,8 +964,7 @@ def assert_runner_matches_the_reference(model, net, tmap, bound, coded=True):
     points compared and how many raised."""
     runner, reference = NetRunner(net, tmap, model), ReferenceRunner(net, tmap, model)
     assert isinstance(runner.points, cpn.DenseCoding) == coded
-    start = runner.points.encode(net.initial_marking())
-    seen, queue, raised = {start}, [start], 0
+    seen, queue, raised = {runner.start}, [runner.start], 0
     for point in queue:
         moves = _moves_or_error(runner.moves, point)
         marking = runner.points.decode(point)
@@ -1057,7 +1057,8 @@ def test_a_firing_left_untaken_raises_nothing_on_either_path(corpus_models, corp
                                                              monkeypatch):
     """A copy of nested3's Boot transition that puts a token outside the
     colour of P_EVENTS is enabled wherever Boot is, so the chain is stuck
-    there and the copy never fires, on coded points as on markings."""
+    there and the copy never fires, on coded points as on markings: the
+    successors there list it with its error, which nothing raises."""
     model = corpus_models["nested3"]
     net, tmap = corpus_nets["nested3"]
     forked = copy.deepcopy(net)
@@ -1069,10 +1070,14 @@ def test_a_firing_left_untaken_raises_nothing_on_either_path(corpus_models, corp
     results = []
     for _ in both_paths(monkeypatch):
         runner = NetRunner(forked, tmap, model)
-        start = runner.points.encode(forked.initial_marking())
-        point = dict(runner.moves(start))[("inject", "go")]
-        assert [move for move, _ in runner.moves(point) if move[0] != "inject"] == [
-            ("stuck", "go", ("Shutdown",), "2 chain transitions enabled")]
+        point = dict(runner.moves(runner.start))[("inject", "go")]
+        (move, stuck), = [(move, after) for move, after in runner.moves(point)
+                          if move[0] != "inject"]
+        assert move == ("stuck", "go", ("Shutdown",), "2 chain transitions enabled")
+        fork, = [after for tid, _, after in runner.points.successors(stuck, runner.skip_in_chain)
+                 if tid == "T_fork"]
+        assert isinstance(fork, NetError)
+        assert str(fork) == "T_fork: produced 'bogus' outside the colour of P_EVENTS"
         results.append(check_trace_equivalence(model, forked, tmap))
     assert results[0] == results[1] and results[0].divergent_side == "model"
 
@@ -1080,11 +1085,11 @@ def test_a_firing_left_untaken_raises_nothing_on_either_path(corpus_models, corp
 def test_a_put_next_to_a_token_outside_the_colour_raises_where_it_is_taken(
         corpus_models, corpus_nets, monkeypatch):
     """flat's start marking, unchecked, holds "x" on P_cap_toggle beside its
-    unit, so the check would read capacity 2 there, and a dispatch putting
-    the unit back could not order it next to "x".  The runner checks its
-    start marking as `explore` does, so no such put is ever taken: the
-    check raises explore's NetError at every depth, on coded points as on
-    markings."""
+    unit, and a dispatch putting the unit back could not order it next to
+    "x".  The runner checks its start marking as `explore` does, before
+    the check counts the capacity there, so no such put is ever taken: the
+    check raises explore's NetError at every depth and capacity, on coded
+    points as on markings."""
     model = corpus_models["flat"]
     net, tmap = corpus_nets["flat"]
     spoiled = copy.deepcopy(net)
@@ -1094,14 +1099,33 @@ def test_a_put_next_to_a_token_outside_the_colour_raises_where_it_is_taken(
     with pytest.raises(NetError, match=message):
         cpn.explore(spoiled)
     for _ in both_paths(monkeypatch):
-        for depth in (1, 2):
+        for depth, capacity in itertools.product((1, 2), (1, 2)):
             with pytest.raises(NetError, match=message):
-                check_trace_equivalence(model, spoiled, tmap, depth=depth, event_capacity=2)
+                check_trace_equivalence(model, spoiled, tmap, depth=depth,
+                                        event_capacity=capacity)
 
 
-def test_net_moves_raise_as_the_public_token_game_does(cd_model, cd_net):
-    # a history colour without PAUSED: storing it raises at 480 markings
+def test_net_moves_raise_as_the_public_token_game_does(cd_model, cd_net, monkeypatch):
+    """A history colour without PAUSED: storing it raises at 480 markings,
+    on coded points as on markings.  Coded, each of 4 errors is worked out
+    once and raised at many points, each time with a fresh traceback, as
+    long at the last raise as at the first."""
     net, tmap = cd_net
     narrowed = copy.deepcopy(net)
     narrowed.colours["HIST_Busy"] = EnumCS(("PLAYING", "NONE"))
-    assert assert_runner_matches_the_reference(cd_model, narrowed, tmap, 10_000) == (3_744, 480)
+    lengths = {}  # each error raised -> its traceback's length at each raise
+    moves = NetRunner.moves
+
+    def recorded(self, point):
+        try:
+            return moves(self, point)
+        except NetError as error:
+            lengths.setdefault(error, []).append(len(traceback.extract_tb(error.__traceback__)))
+            raise
+    monkeypatch.setattr(NetRunner, "moves", recorded)
+    for coded in both_paths(monkeypatch):
+        lengths.clear()
+        assert assert_runner_matches_the_reference(cd_model, narrowed, tmap, 10_000,
+                                                   coded) == (3_744, 480)
+        assert len(lengths) == (4 if coded else 480)
+        assert all(len(set(each)) == 1 for each in lengths.values())
