@@ -1,18 +1,18 @@
 """Serialisation of coloured nets: CPN Tools 4 XML and DOT.
 
-The XML writer targets the CPN Tools 4 document layout (single page).
-Graphical attribute defaults below are the template copied from a document
-saved by CPN Tools itself.  The reader accepts exactly the subset this
-writer produces, for round-trip checking; it is not a general .cpn loader.
-One expat pass follows a table of the element paths it reads, where each
-field takes its first match; any other element, graphics included, only
-moves a skip depth.  It reports malformed documents with ElementTree's fault
-text and position, and reads inscriptions and guards with expr's lexer,
-token cursor and expression parser in the SML dialect.
-Output is byte-deterministic: nodes are emitted in natural id order (digit
-runs compare as numbers).  Ids that tie under it, such as P1 and P01, keep
-their input order: insertion order in the writers, arc order in `layout`,
-which keys each id once and sorts by its dense rank.
+The XML writer targets the CPN Tools 4 document layout (single page), with
+graphical attribute defaults copied from a document saved by CPN Tools; it
+and the DOT writer fill one f-string template per kind of element and label.
+The reader accepts exactly the subset this writer produces, for round-trip
+checking.  One expat pass follows a table of the element paths it reads,
+where each field takes its first match; any other element only moves a skip
+depth.  It reports malformed documents with ElementTree's fault text and
+position, and reads inscriptions and guards with expr's lexer, token cursor
+and expression parser in the SML dialect.  Output is byte-deterministic:
+nodes come in natural id order (digit runs compare as numbers), from one
+`_natural_key` that layout shares.  Ids that tie under it, such as P1 and
+P01, keep their input order: insertion order in the writers, arc order in
+`layout`, which keys each id once and sorts by its dense rank.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ _SPECIAL = re.compile(r'[&<>"\n\r\t]')  # what quoteattr rewrites
 
 def _natural_key(text: str):
     parts = _DIGITS.split(text)
+    if len(parts) == 3:  # one digit run, as most generated ids hold
+        return parts[0], int(parts[1]), parts[2]
     parts[1::2] = map(int, parts[1::2])  # the digit runs
     return tuple(parts)
 
@@ -158,33 +160,23 @@ def inscription_text(inscription) -> str:
 # XML writer
 
 
-def _colour_decl_xml(name: str, colour, net: ColouredNet, out: list[str]):
-    cid = f"CS_{name}"
-    out.append(f'        <color id={_quoteattr(cid)}>')
-    out.append(f"          <id>{_escape(name)}</id>")
-    if isinstance(colour, UnitCS):
-        out.append("          <unit/>")
-        layout_text = f"colset {name} = unit;"
-    elif isinstance(colour, IntCS):
-        out.append("          <int/>")
-        layout_text = f"colset {name} = int;"
+def _colour_decl_xml(name: str, colour, net: ColouredNet) -> str:
+    """A colour's declaration, from one template per kind of colour."""
+    if isinstance(colour, (UnitCS, IntCS)):
+        kind = "unit" if isinstance(colour, UnitCS) else "int"
+        body, text = f"<{kind}/>", kind
     elif isinstance(colour, EnumCS):
-        out.append("          <enum>")
-        for value in colour.values:
-            out.append(f"            <id>{_escape(value)}</id>")
-        out.append("          </enum>")
-        layout_text = f"colset {name} = with " + " | ".join(colour.values) + ";"
+        ids = "".join(f"\n            <id>{_escape(value)}</id>" for value in colour.values)
+        body, text = f"<enum>{ids}\n          </enum>", "with " + " | ".join(colour.values)
     elif isinstance(colour, ProductCS):
         names = [_declared_name(net, c) for c in colour.components]
-        out.append("          <product>")
-        for n in names:
-            out.append(f"            <id>{_escape(n)}</id>")
-        out.append("          </product>")
-        layout_text = f"colset {name} = product " + " * ".join(names) + ";"
+        ids = "".join(f"\n            <id>{_escape(n)}</id>" for n in names)
+        body, text = f"<product>{ids}\n          </product>", "product " + " * ".join(names)
     else:
         raise CpnEmitError(f"cannot declare colour {colour!r}")
-    out.append(f"          <layout>{_escape(layout_text)}</layout>")
-    out.append("        </color>")
+    return (f"        <color id={_quoteattr('CS_' + name)}>\n          <id>{_escape(name)}</id>\n"
+            f"          {body}\n          <layout>{_escape(f'colset {name} = {text};')}</layout>\n"
+            "        </color>")
 
 
 def _declared_name(net: ColouredNet, colour) -> str:
@@ -211,22 +203,14 @@ def _collect_variables(net: ColouredNet) -> dict[str, str]:
     return out
 
 
-def _xy(x: float, y: float) -> str:
-    return f'x="{x:.6f}" y="{y:.6f}"'
-
-
-def _graphics(xy: str, pad: str) -> str:
-    """Position plus the fill/line/text attribute template, one per line."""
-    return (f"{pad}<posattr {xy}/>\n"
-            f"{pad}{FILLATTR}\n{pad}{LINEATTR}\n{pad}{TEXTATTR}")
-
-
-def _label(tag: str, label_id: str, xy: str, text: str) -> str:
-    """A node's inscription element: type, initmark, cond or annot."""
-    return (f"        <{tag} id={_quoteattr(label_id)}>\n"
-            f"{_graphics(xy, '          ')}\n"
-            f"          <text>{_escape(text)}</text>\n"
-            f"        </{tag}>")
+# the fill/line/text attribute template after a posattr, in a node and in a label
+_NODE_ATTRS, _LABEL_ATTRS = ("".join(f"\n{pad}{attr}" for attr in (FILLATTR, LINEATTR, TEXTATTR))
+                             for pad in (" " * 8, " " * 10))
+_PLACE_SHAPE = (f'        <ellipse w="{PLACE_W:.6f}" h="{PLACE_H:.6f}"/>\n'
+                '        <token x="-10.000000" y="0.000000"/>\n'
+                '        <marking x="0.000000" y="0.000000" hidden="false"/>')
+_TRANS_SHAPE = (f'        <box w="{TRANS_W:.6f}" h="{TRANS_H:.6f}"/>\n'
+                '        <binding x="7.200000" y="-3.000000"/>')
 
 
 def emit_cpn_xml(net: ColouredNet,
@@ -258,69 +242,68 @@ def emit_cpn_xml(net: ColouredNet,
            '      <block id="IDdecls">',
            "        <id>Declarations</id>"]
     for name in sorted(net.colours, key=_natural_key):
-        _colour_decl_xml(name, net.colours[name], net, out)
+        out.append(_colour_decl_xml(name, net.colours[name], net))
     for var, colour_name in sorted(var_colours.items()):
-        out.append(f'        <var id={_quoteattr("VAR_" + var)}>')
-        out.append(f"          <type><id>{_escape(colour_name)}</id></type>")
-        out.append(f"          <id>{_escape(var)}</id>")
-        out.append(f"          <layout>{_escape(f'var {var} : {colour_name};')}</layout>")
-        out.append("        </var>")
-    out.append("      </block>")
-    out.append("    </globbox>")
-    out.append('    <page id="IDpageMain">')
-    out.append(f"      <pageattr name={_quoteattr(net.name)}/>")
+        out.append(f'        <var id={_quoteattr("VAR_" + var)}>\n'
+                   f"          <type><id>{_escape(colour_name)}</id></type>\n"
+                   f"          <id>{_escape(var)}</id>\n"
+                   f"          <layout>{_escape(f'var {var} : {colour_name};')}</layout>\n"
+                   "        </var>")
+    out += ["      </block>", "    </globbox>", '    <page id="IDpageMain">',
+            f"      <pageattr name={_quoteattr(net.name)}/>"]
 
+    # One f-string template per kind of element and of label.  Each string
+    # appended stays under 512 bytes, which pymalloc serves; as one string per
+    # arc, the freed 700-byte strings raised wide-explore's peak RSS by 1 MB.
+    quoted = {node: _quoteattr(node) for node in positions}  # arcs name their ends again
     for pid in sorted(net.places, key=_natural_key):
         place = net.places[pid]
         x, y = positions[pid]
-        out.append(f"      <place id={_quoteattr(pid)}>")
-        out.append(_graphics(_xy(x, y), "        "))
-        out.append(f"        <text>{_escape(place.name)}</text>")
-        out.append(f'        <ellipse w="{PLACE_W:.6f}" h="{PLACE_H:.6f}"/>')
-        out.append('        <token x="-10.000000" y="0.000000"/>')
-        out.append('        <marking x="0.000000" y="0.000000" hidden="false"/>')
-        out.append(_label("type", pid + "_type",
-                          _xy(x + PLACE_W / 2 + 10, y - PLACE_H / 2), place.colour))
+        out.append(f"      <place id={quoted[pid]}>\n"
+                   f'        <posattr x="{x:.6f}" y="{y:.6f}"/>{_NODE_ATTRS}\n'
+                   f"        <text>{_escape(place.name)}</text>")
+        out.append(_PLACE_SHAPE)
+        x = x + PLACE_W / 2 + 10  # the labels'
+        out.append(f"        <type id={_quoteattr(pid + '_type')}>\n"
+                   f'          <posattr x="{x:.6f}" y="{y - PLACE_H / 2:.6f}"/>{_LABEL_ATTRS}\n'
+                   f"          <text>{_escape(place.colour)}</text>\n        </type>")
         if place.initial:
-            out.append(_label("initmark", pid + "_init",
-                              _xy(x + PLACE_W / 2 + 10, y + PLACE_H / 2),
-                              marking_text(place.initial)))
+            out.append(f"        <initmark id={_quoteattr(pid + '_init')}>\n"
+                       f'          <posattr x="{x:.6f}" y="{y + PLACE_H / 2:.6f}"/>{_LABEL_ATTRS}\n'
+                       f"          <text>{_escape(marking_text(place.initial))}</text>\n"
+                       "        </initmark>")
         out.append("      </place>")
 
     for tid in sorted(net.transitions, key=_natural_key):
         trans = net.transitions[tid]
         x, y = positions[tid]
-        out.append(f'      <trans id={_quoteattr(tid)} explicit="false">')
-        out.append(_graphics(_xy(x, y), "        "))
-        out.append(f"        <text>{_escape(trans.name)}</text>")
-        out.append(f'        <box w="{TRANS_W:.6f}" h="{TRANS_H:.6f}"/>')
-        out.append('        <binding x="7.200000" y="-3.000000"/>')
+        out.append(f'      <trans id={quoted[tid]} explicit="false">\n'
+                   f'        <posattr x="{x:.6f}" y="{y:.6f}"/>{_NODE_ATTRS}\n'
+                   f"        <text>{_escape(trans.name)}</text>\n{_TRANS_SHAPE}")
         if trans.guard is not None:
-            out.append(_label("cond", tid + "_cond",
-                              _xy(x - TRANS_W / 2 - 10, y - TRANS_H / 2 - 6),
-                              "[" + ex.to_text(trans.guard, "sml") + "]"))
+            guard = _escape("[" + ex.to_text(trans.guard, "sml") + "]")
+            out.append(f"        <cond id={_quoteattr(tid + '_cond')}>\n"
+                       f'          <posattr x="{x - TRANS_W / 2 - 10:.6f}"'
+                       f' y="{y - TRANS_H / 2 - 6:.6f}"/>{_LABEL_ATTRS}\n'
+                       f"          <text>{guard}</text>\n        </cond>")
         out.append("      </trans>")
 
     for arc in sorted(net.arcs, key=lambda a: _natural_key(a.id)):
         px, py = positions[arc.place]
         tx, ty = positions[arc.trans]
-        mid = _xy((px + tx) / 2, (py + ty) / 2)  # the arc's and its annot's
-        # two strings under 512 bytes, which pymalloc serves; as one, the
-        # freed 700-byte strings raised wide-explore's peak RSS by 1 MB
-        out.append(f"      <arc id={_quoteattr(arc.id)}"
-                   f' orientation="{arc.orientation}" order="1">\n'
-                   f"{_graphics(mid, '        ')}\n        {ARROWATTR}\n"
-                   f"        <transend idref={_quoteattr(arc.trans)}/>\n"
-                   f"        <placeend idref={_quoteattr(arc.place)}/>")
-        annot = _label("annot", arc.id + "_annot", mid, inscription_text(arc.inscription))
-        out.append(f"{annot}\n      </arc>")
+        xy = f'x="{(px + tx) / 2:.6f}" y="{(py + ty) / 2:.6f}"'  # the arc's and its annot's
+        out.append(f'      <arc id={_quoteattr(arc.id)} orientation="{arc.orientation}"'
+                   f' order="1">\n        <posattr {xy}/>{_NODE_ATTRS}\n        {ARROWATTR}\n'
+                   f"        <transend idref={quoted[arc.trans]}/>\n"
+                   f"        <placeend idref={quoted[arc.place]}/>")
+        out.append(f"        <annot id={_quoteattr(arc.id + '_annot')}>\n"
+                   f"          <posattr {xy}/>{_LABEL_ATTRS}\n"
+                   f"          <text>{_escape(inscription_text(arc.inscription))}</text>\n"
+                   "        </annot>\n      </arc>")
 
-    out.append("    </page>")
-    out.append("    <instances>")
-    out.append('      <instance id="IDinst1" page="IDpageMain"/>')
-    out.append("    </instances>")
-    out.append("  </cpnet>")
-    out.append("</workspaceElements>\n")  # the final newline, so join makes the only copy
+    out += ["    </page>", "    <instances>", '      <instance id="IDinst1" page="IDpageMain"/>',
+            "    </instances>", "  </cpnet>",
+            "</workspaceElements>\n"]  # the final newline, so join makes the only copy
     return "\n".join(out)
 
 
@@ -504,6 +487,9 @@ def _read_records(text: str) -> dict:
     except expat.ExpatError as err:
         raise CpnParseError(f"malformed document: {expat.ErrorString(err.code)}",
                             (err.lineno, err.offset)) from None
+    finally:  # the handlers hold the parser: drop them, so it is freed now, not by the collector
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
     return found
 
 

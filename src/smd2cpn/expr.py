@@ -207,16 +207,15 @@ def to_text(expr, dialect: str = "smdl") -> str:
 # dialects differ only in their operators and in whether `#` starts a comment.
 
 def _token_pattern(operators, comments: bool):
-    # Operators are tried in order, so a longer one precedes its prefixes.
-    # Digits are ASCII only.  The `word` group takes the runs of word
-    # characters that `ident` does not, such as `²`; see tokenize.
-    groups = [r"(?P<newline>\n[ \t\r]*)", r"(?P<space>[ \t\r]+)"]
-    if comments:
-        groups.append(r"(?P<comment>#[^\n]*)")
-    groups += [r"(?P<int>[0-9]+)", r"(?P<ident>[A-Za-z_]\w*)",
-               "(?P<op>" + "|".join(map(re.escape, operators)) + ")",
-               r"(?P<word>\w+)", r"(?P<bad>.)"]
-    return re.compile("|".join(groups))
+    # One match per token, after a skip of blanks, newlines and SMDL's `#`
+    # comments.  Operators are tried in order, longer before their prefixes.
+    # Digits are ASCII only.  `word` takes the word runs `ident` does not, such
+    # as `²` (see tokenize), and `bad` any other, so `eof` matches only at the end.
+    skip = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*" if comments else r"[ \t\r\n]*"
+    return re.compile(skip + "(?:" + "|".join([
+        r"(?P<int>[0-9]+)", r"(?P<ident>[A-Za-z_]\w*)",
+        "(?P<op>" + "|".join(map(re.escape, operators)) + ")",
+        r"(?P<word>\w+)", r"(?P<bad>.)", r"(?P<eof>\Z)"]) + ")")
 
 
 _TOKEN_PATTERNS = {
@@ -228,28 +227,38 @@ _TOKEN_PATTERNS = {
 }
 
 
-def tokenize(text: str, dialect: str) -> list:
-    """(kind, text, (line, column)) tuples with kind ident, int or op, then
-    one ("eof", "", position) token.  Positions are 1-based."""
-    tokens = []
-    line, line_start = 1, 0
+class Tokens(list):
+    """What `tokenize` returns: the tokens, and the `text` their offsets index."""
+
+    __slots__ = ("text",)
+
+
+def position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of an offset; only `\\n` ends a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def tokenize(text: str, dialect: str, keywords=frozenset()) -> Tokens:
+    """(kind, text, offset) tuples with kind ident, int or op, or kw for an
+    identifier in `keywords`, then one ("eof", "", len(text)) token.  An
+    offset's (line, column) is worked out only for an error; see position."""
+    tokens = Tokens()
+    tokens.text, append = text, tokens.append
     for match in _TOKEN_PATTERNS[dialect].finditer(text):
         kind = match.lastgroup
-        lexeme = match.group()
-        start = match.start()
-        if kind == "newline":
-            line += 1
-            line_start = start + 1
-            continue
-        if kind == "space" or kind == "comment":
-            continue
-        if kind == "word":  # an identifier starts with a letter or `_`
-            kind = "ident" if lexeme[0].isalpha() else "bad"
-        if kind == "bad":
-            raise ExprSyntaxError(f"unexpected character {lexeme[0]!r}",
-                                  (line, start - line_start + 1))
-        tokens.append((kind, lexeme, (line, start - line_start + 1)))
-    tokens.append(("eof", "", (line, len(text) - line_start + 1)))
+        lexeme, start = match[kind], match.start(kind)
+        if kind == "ident":
+            if lexeme in keywords:
+                kind = "kw"
+        elif kind == "eof":  # after blanks at the end, finditer also matches ""
+            break
+        elif kind == "word" or kind == "bad":
+            # an identifier starts with a letter or `_`
+            if kind == "bad" or not lexeme[0].isalpha():
+                raise ExprSyntaxError(f"unexpected character {lexeme[0]!r}", text, start)
+            kind = "ident"
+        append((kind, lexeme, start))
+    append(("eof", "", len(text)))
     return tokens
 
 
@@ -265,21 +274,25 @@ MAX_NESTING = 100
 
 
 class ExprSyntaxError(ValueError):
-    """A syntax error at a (line, column) position, with what would have
-    been accepted there."""
+    """A syntax error at an offset into a text, with what would have been
+    accepted there.  `pos` is its (line, column), worked out when read: the
+    parser backtracks over errors it never reports."""
 
-    def __init__(self, message: str, pos, expected=()):
-        self.message = message
-        self.pos = pos
+    def __init__(self, message: str, text: str, offset: int, expected=()):
+        self.message, self.text, self.offset = message, text, offset
         self.expected = tuple(expected)
         if self.expected:
             message += " (expected " + " or ".join(map(repr, self.expected)) + ")"
         super().__init__(message)
 
+    @property
+    def pos(self) -> tuple[int, int]:
+        return position(self.text, self.offset)
+
 
 class TokenStream:
     """A cursor over `tokenize` output.  Failures raise ExprSyntaxError at
-    the current token; callers turn it into their own error type."""
+    the current token's offset; callers turn it into their own error type."""
 
     def __init__(self, tokens, dialect: str):
         self.tokens = tokens
@@ -321,9 +334,9 @@ class TokenStream:
             self.fail("end of input")
 
     def fail(self, *expected):
-        kind, text, pos = self.tokens[self.i]
+        kind, text, offset = self.tokens[self.i]
         found = "end of input" if kind == "eof" else repr(text)
-        raise ExprSyntaxError(f"found {found}", pos, expected)
+        raise ExprSyntaxError(f"found {found}", self.tokens.text, offset, expected)
 
     def open(self):
         """Step over a token that opens a nesting level; the parser closes
@@ -331,7 +344,7 @@ class TokenStream:
         if self.depth >= MAX_NESTING:
             raise ExprSyntaxError(
                 f"expression nested deeper than {MAX_NESTING} levels",
-                self.tokens[self.i][2])
+                self.tokens.text, self.tokens[self.i][2])
         self.depth += 1
         self.i += 1
 
@@ -422,7 +435,7 @@ def _parse_mul(s):
 
 
 def _parse_atom(s):
-    kind, text, pos = s.peek()
+    kind, text, _ = s.peek()
     if text == "(":
         s.open()
         e = _parse_add(s)

@@ -195,11 +195,8 @@ class NetRunner:
         self.leaf_of_place = {pid: sid for sid, pid in tmap.state_place.items()}
         for owner, pid in tmap.final_place.items():
             self.leaf_of_place[pid] = model.final_child_of(owner)
-        self.trigger_of_dispatch: dict[str, Optional[str]] = dict.fromkeys(tmap.dispatch)
-        for tid in tmap.dispatch.keys() & compiled.by_id.keys():  # a mutant may lack one
-            for pid, pattern, _ in compiled.by_id[tid].inputs:
-                if pid == tmap.events_place and isinstance(pattern, cpn.Lit):
-                    self.trigger_of_dispatch[tid] = pattern.value
+        self.dispatch, self.events_place = tmap.dispatch, tmap.events_place
+        self.triggers: dict[str, Optional[str]] = {}  # of the dispatches fired so far
         self.producer = tmap.producer
         self.behaviours = set(tmap.behaviour_trans.values())
         self.do_loop = set(tmap.do_loop)
@@ -208,6 +205,16 @@ class NetRunner:
         self.points = cpn.points(compiled, compiled.initial)
         self.start = self.points.encode(compiled.initial)
         self.held = self.points.reader(self.control)
+
+    def trigger(self, tid: str) -> Optional[str]:
+        """The event a dispatch takes from the pool, or None; read off its
+        inputs when it first fires, as a large net fires few of them."""
+        if tid not in self.triggers:
+            self.triggers[tid] = None
+            for pid, pattern, _ in self.compiled.by_id[tid].inputs:
+                if pid == self.events_place and isinstance(pattern, cpn.Lit):
+                    self.triggers[tid] = pattern.value
+        return self.triggers[tid]
 
     def stable_leaf(self, marking: cpn.Marking) -> Optional[str]:
         held = [(pid, len(tokens)) for pid, tokens in marking if pid in self.control]
@@ -247,9 +254,9 @@ class NetRunner:
         for tid, _, after in self.points.successors(point, self.do_loop):
             if tid in self.producer:
                 injections.append((_injection(self.producer[tid]), cpn.taken(after)))
-            elif tid in self.trigger_of_dispatch:
+            elif tid in self.dispatch:
                 move, final = self.run_chain(cpn.taken(after))
-                steps.append(((move[0], self.trigger_of_dispatch[tid], *move[1:]), final))
+                steps.append(((move[0], self.trigger(tid), *move[1:]), final))
         return injections + steps
 
 

@@ -42,17 +42,11 @@ class SmdlSyntaxError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}{suffix}")
 
 
-def tokenize(text: str):
-    """(kind, text, (line, col)) tuples from the shared lexer in the SMDL
-    dialect, keywords marked as kind kw; the list ends with an eof token."""
-    try:
-        tokens = expr.tokenize(text, "smdl")
-    except expr.ExprSyntaxError as err:
-        raise _positioned(err) from None
-    for i, (_, word, pos) in enumerate(tokens):
-        if word in KEYWORDS:  # only identifiers can spell a keyword
-            tokens[i] = ("kw", word, pos)
-    return tokens
+def tokenize(text: str) -> expr.Tokens:
+    """(kind, text, offset) tuples from the shared lexer in the SMDL
+    dialect, keywords marked as kind kw; the list ends with an eof token.
+    A bad character raises expr.ExprSyntaxError, which parse positions."""
+    return expr.tokenize(text, "smdl", KEYWORDS)
 
 
 def _positioned(err: expr.ExprSyntaxError) -> SmdlSyntaxError:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -12,8 +13,8 @@ import pytest
 import modelgen
 from smd2cpn import expr as ex
 from smd2cpn.emit import (
-    CpnEmitError, CpnParseError, _node_id, _parse_inscription, _parse_marking, _read_sml,
-    emit_cpn_xml, emit_dot, layout, parse_cpn_xml,
+    CpnEmitError, CpnParseError, _natural_key, _node_id, _parse_inscription, _parse_marking,
+    _read_sml, emit_cpn_xml, emit_dot, layout, parse_cpn_xml,
 )
 from smd2cpn.net import (
     UNIT_TOKEN, ArcDef, Calc, ColouredNet, EnumCS, IntCS, Lit, PlaceDef, ProductCS, TransDef,
@@ -21,6 +22,7 @@ from smd2cpn.net import (
 )
 from smd2cpn.smdl import parse
 from smd2cpn.translator import TranslationConfig, translate
+from test_expr import scanned_positions
 from test_smdl import _nested_guard
 
 
@@ -228,6 +230,29 @@ def test_natural_key_ties_keep_arc_order():
         (320.0, 0.0), (320.0, 120.0), (320.0, 240.0)]
     assert _digest(net) == (
         "0f34285c8743ad4b5552011fa66bd94672292d30fe86766e096bc5fb9d861179")
+
+
+def _split_key(text):
+    """The natural key in its general form: the runs between digit runs,
+    and each digit run as its number."""
+    parts = re.split(r"(\d+)", text)
+    return tuple(int(part) if n % 2 else part for n, part in enumerate(parts))
+
+
+@pytest.mark.parametrize("text", [
+    "", "P", "P_EVENTS", "7", "P1", "P01", "P001", "A_12", "12ab", "P1\u00b2", "\u00b2",
+    "P\u0663", "P1x2", "T_t3__from_S12", "a1b22c333", "P_N_1_1_0_0",
+])
+def test_natural_key_equals_the_general_split(text):
+    assert _natural_key(text) == _split_key(text)
+
+
+def test_natural_key_orders_digit_runs_as_numbers_and_ties_leading_zeros():
+    assert _natural_key("P1") == _natural_key("P01") == _natural_key("P001") == ("P", 1, "")
+    assert _natural_key("P1\u00b2") == ("P", 1, "\u00b2")
+    ids = ["P10", "P2", "P1\u00b2", "P001", "Q", "P", "P1x", "P1", "P01", "P1x2", "A_3"]
+    assert sorted(ids, key=_natural_key) == [
+        "A_3", "P", "P001", "P1", "P01", "P1x", "P1x2", "P1\u00b2", "P2", "P10", "Q"]
 
 
 def test_layout_places_reachable_arc_ends_the_net_lacks():
@@ -441,6 +466,32 @@ def test_duplicate_arc_id_rejected():
         parse_cpn_xml(renamed)
 
 
+def test_the_reader_frees_its_parser_on_return():
+    """The expat handlers hold the parser: the reader drops them, so the
+    parser and its copy of the document go when it returns, not at a later
+    collection.  Also after a malformed document and an undefined entity."""
+    document = emit_cpn_xml(tiny_net())
+    texts = [document, document.replace("</place>", "</plac>"),
+             document.replace("<text>p</text>", "<text>&e;</text>", 1)]
+
+    def parsers():
+        return sum(type(o).__name__ == "xmlparser" for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = parsers()
+        for text in texts:
+            try:
+                parse_cpn_xml(text)
+            except CpnParseError:
+                assert text != document
+        after = parsers()
+    finally:
+        gc.enable()
+    assert after == before
+
+
 def test_missing_place_id_rejected():
     document = emit_cpn_xml(tiny_net())
     anonymous = document.replace('<place id="p"', "<place")
@@ -467,6 +518,17 @@ def test_bad_guard_text_rejected(guard):
         parse_cpn_xml(_guarded_document(guard))
 
 
+@pytest.mark.parametrize("guard, at", [
+    ("x <\n\t\u00b2", "\u00b2"),  # the lexer's error
+    ("x <\n\t(1 +", None),  # the cursor's, at the end
+])
+def test_a_guard_error_is_positioned_in_the_guard_text(guard, at):
+    with pytest.raises(CpnParseError, match="bad guard on 't'") as err:
+        parse_cpn_xml(_guarded_document(guard))
+    offset = len(guard) if at is None else guard.index(at)
+    assert err.value.__context__.pos == scanned_positions(guard)[offset]
+
+
 def _int_arc_net():
     net = ColouredNet(name="pin")
     net.colours["E"] = EnumCS(("u",))
@@ -480,6 +542,16 @@ def _int_arc_net():
 
 ANNOT_TEXT = "<text>12</text>\n        </annot>"
 TYPE_TEXT = "<text>INT</text>\n        </type>"
+
+
+def test_an_inscription_error_is_positioned_in_the_inscription_text():
+    text = "\n  1\u00b2"
+    document = emit_cpn_xml(_int_arc_net())
+    edited = document.replace(ANNOT_TEXT, f"<text>{text}</text>\n        </annot>")
+    assert edited != document
+    with pytest.raises(CpnParseError, match="bad inscription: unexpected character") as err:
+        parse_cpn_xml(edited)
+    assert err.value.__context__.pos == scanned_positions(text)[text.index("\u00b2")] == (2, 4)
 
 
 def _line_column(document, at):

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from conftest import CORPUS, MODELS_DIR
 from smd2cpn import expr as ex
+from smd2cpn import smdl
+from smd2cpn.smdl import SmdlSyntaxError
 
 
 def parse_all(parse, text, dialect="smdl"):
@@ -105,3 +108,72 @@ def test_parse_error_position():
         smdl_bool("1 +")
     with pytest.raises(ex.ExprSyntaxError):
         smdl_bool("x <")
+
+
+# ---------------------------------------------------------------------------
+# Token offsets.  A token keeps its offset into the text; `position` turns
+# one into (line, column) for an error.  Each must equal a plain walk over
+# the text in which only a newline ends a line.
+
+
+def scanned_positions(text):
+    """The 1-based (line, column) of every offset of `text` and of its end."""
+    positions, line, column = [], 1, 1
+    for char in text:
+        positions.append((line, column))
+        line, column = (line + 1, 1) if char == "\n" else (line, column + 1)
+    return positions + [(line, column)]
+
+
+def assert_offsets_match_a_scan(tokens, text):
+    scanned = scanned_positions(text)
+    assert tokens.text is text and tokens[-1] == ("eof", "", len(text))
+    for _, lexeme, offset in tokens:
+        assert text.startswith(lexeme, offset)
+        assert ex.position(text, offset) == scanned[offset]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_token_offsets_match_a_scan(name):
+    text = (MODELS_DIR / f"{name}.smdl").read_text(encoding="utf-8")
+    assert_offsets_match_a_scan(smdl.tokenize(text), text)
+
+
+LEXED_TEXTS = {
+    "comments": "# head\nmachine M { # one\n  state S initial ; #two\n}\n",
+    "tabs": "machine\tM {\n\t\tstate S\tinitial ;\n\t}\n",
+    "crlf": "machine M {\r\n  state S initial ;\r\n  # c\r\n}\r\n",
+    "no-final-newline": "machine M {\n  state S initial ;\n}",
+    "ends-in-comment": "machine M {\n  state S initial ;\n} # end",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEXED_TEXTS))
+def test_token_offsets_match_a_scan(name):
+    text = LEXED_TEXTS[name]
+    tokens = smdl.tokenize(text)
+    assert [(kind, lexeme) for kind, lexeme, _ in tokens] == [
+        ("kw", "machine"), ("ident", "M"), ("op", "{"), ("kw", "state"), ("ident", "S"),
+        ("kw", "initial"), ("op", ";"), ("op", "}"), ("eof", "")]
+    assert_offsets_match_a_scan(tokens, text)
+    assert [s.name for s in smdl.parse(text).states] == ["S"]
+
+
+def test_sml_token_offsets_match_a_scan():
+    text = "x <>\n\t~2 andalso\r\n  (y, 10)\n"
+    tokens = ex.tokenize(text, "sml")
+    assert [lexeme for _, lexeme, _ in tokens] == [
+        "x", "<>", "~", "2", "andalso", "(", "y", ",", "10", ")", ""]
+    assert_offsets_match_a_scan(tokens, text)
+
+
+@pytest.mark.parametrize("text, at", [
+    ("machine M {\r\n\tvar x : int = ² ;\n}", "²"),  # the lexer's error
+    ("machine M {\n\tstate S initial ;", None),  # the cursor's, at the end
+    ("machine M {\n\tstate S initial ; # open", None),
+])
+def test_smdl_errors_are_reported_at_the_scanned_position(text, at):
+    with pytest.raises(SmdlSyntaxError) as err:
+        smdl.parse(text)
+    offset = len(text) if at is None else text.index(at)
+    assert (err.value.line, err.value.column) == scanned_positions(text)[offset]

@@ -892,6 +892,12 @@ class ReferenceRunner(NetRunner):
         self.producers = sorted((event, tid) for tid, event in tmap.producer.items())
         self.labels = {tid: net.transitions[tid].name
                        for tid in tmap.behaviour_trans.values() if tid in net.transitions}
+        # each dispatch's event, read up front from its input arcs
+        self.trigger_of_dispatch = dict.fromkeys(tmap.dispatch)
+        for arc in net.arcs:
+            if (arc.trans in tmap.dispatch and arc.place == tmap.events_place
+                    and arc.orientation == PTOT and isinstance(arc.inscription, Lit)):
+                self.trigger_of_dispatch[arc.trans] = arc.inscription.value
 
     def run_chain(self, marking):
         labels = []
